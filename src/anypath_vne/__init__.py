@@ -12,7 +12,6 @@ from .anypath import (
     Hyperlink,
     PrunedDag,
     anypath_routes,
-    bandwidth_subgraph,
     forwarder_weights,
     hyperlink_metrics,
     prune,

@@ -1,11 +1,11 @@
 """Anypath route computation over a wireless substrate.
 
-A route toward a destination is built in three stages: restrict the substrate
-to links with enough spare bandwidth, orient every surviving link toward the
-destination by unicast distance (dropping ties, which yields a DAG), then run
-a Dijkstra-like sweep that grows per-node forwarding sets in settle order and
-prices each hop as a hyperlink: one broadcast transmission that any member of
-the forwarding set may relay.
+A route toward a destination is built in two stages over the links with
+enough spare bandwidth: orient every such link toward the destination by
+unicast distance (dropping ties, which yields a DAG), then run a Dijkstra-like
+sweep that grows per-node forwarding sets in settle order and prices each hop
+as a hyperlink: one broadcast transmission that any member of the forwarding
+set may relay.
 
 Hyperlink metrics for an ordered forwarding set with link reliabilities p_m
 and delays d_m:
@@ -35,32 +35,10 @@ class UnreachableSourceError(Exception):
     """Raised when a route closure is requested from a node with no route."""
 
 
-@dataclass
-class SubstrateView:
-    """Read-only bandwidth-filtered view sharing node objects with its parent."""
-
-    nodes: dict
-    links: dict
-    adjacency: dict
-
-    def incident_links(self, node_id):
-        for link_id in self.adjacency.get(node_id, ()):
-            yield self.links[link_id]
-
-
-def bandwidth_subgraph(net: SubstrateNetwork, bw: int) -> SubstrateView:
-    """View with every node but only the links having available bw >= bw."""
-    links = {lid: l for lid, l in net.links.items() if l.bw >= bw}
-    adjacency = {
-        nid: [lid for lid in lids if lid in links]
-        for nid, lids in net.adjacency.items()
-    }
-    return SubstrateView(net.nodes, links, adjacency)
-
-
-def unicast_distances(view, dst: str) -> dict[str, float]:
-    """Single-source shortest-path cost to dst under delay/pdr link weights."""
-    dist = {nid: INFINITY for nid in view.nodes}
+def unicast_distances(net: SubstrateNetwork, dst: str,
+                      bw: int) -> dict[str, float]:
+    """Shortest-path cost to dst under delay/pdr weights, over links with bw >= bw."""
+    dist = {nid: INFINITY for nid in net.nodes}
     dist[dst] = 0.0
     heap = [(0.0, natural_key(dst), dst)]
     done = set()
@@ -69,7 +47,9 @@ def unicast_distances(view, dst: str) -> dict[str, float]:
         if nid in done:
             continue
         done.add(nid)
-        for link in view.incident_links(nid):
+        for link in net.incident_links(nid):
+            if link.bw < bw:
+                continue
             other = link.other(nid)
             if other not in dist:
                 continue
@@ -105,11 +85,13 @@ class PrunedDag:
         self.incoming.setdefault(edge.head, []).append(edge)
 
 
-def prune(view, dst: str) -> PrunedDag:
-    """Orient each link from its farther endpoint toward dst; drop ties."""
-    dist = unicast_distances(view, dst)
-    dag = PrunedDag(dst, set(view.nodes))
-    for link in view.links.values():
+def prune(net: SubstrateNetwork, dst: str, bw: int) -> PrunedDag:
+    """Orient each link with bw >= bw from its farther endpoint toward dst; drop ties."""
+    dist = unicast_distances(net, dst, bw)
+    dag = PrunedDag(dst, set(net.nodes))
+    for link in net.links.values():
+        if link.bw < bw:
+            continue
         da, db = dist[link.a], dist[link.b]
         if da > db:
             dag.add_edge(DagEdge(link.a, link.b, link.id, link.delay, link.pdr))
@@ -171,9 +153,6 @@ class AnypathRouteTable:
         self.forwarding = forwarding      # node id -> tuple[Forwarder, ...]
         self.settle_order = settle_order  # reached nodes in ascending cost
         self._link_counts = None
-
-    def hyperlink(self, node_id: str) -> Hyperlink:
-        return Hyperlink(node_id, self.forwarding[node_id])
 
     def closure_link_count(self, node_id: str) -> int:
         """Number of distinct substrate links used by the route from node_id."""

@@ -23,7 +23,13 @@ import sys
 from pathlib import Path
 
 from . import scenario
-from .embedder import Coefficients, EmbeddingError, embed, pair_quality_revenue
+from .embedder import (
+    Coefficients,
+    EmbeddingError,
+    embed,
+    pair_quality_revenue,
+    rank_channels,
+)
 from .netmodel import (
     SchemaError,
     natural_key,
@@ -121,10 +127,8 @@ def simulation_config_from_dict(doc: dict) -> scenario.SimulationConfig:
 
 def cmd_example(_args) -> int:
     net, request, coeffs = scenario.example_fixture()
-    ranked = sorted(request.channels,
-                    key=lambda c: -pair_quality_revenue(c, request, coeffs))
     print("channel order by pair quality-revenue:")
-    for channel in ranked:
+    for channel in rank_channels(request, coeffs):
         print(f"  {channel.id}: {fmt(pair_quality_revenue(channel, request, coeffs))}")
     try:
         embedding = embed(net, request, coeffs)
@@ -220,13 +224,14 @@ def write_results(results: scenario.SimulationResults, out_dir: Path) -> None:
     node_rows = []
     link_rows = []
     for usage in results.usage:
-        for (node, services, cpu_u, cpu_t, gpu_u, gpu_t, mem_u, mem_t) \
-                in usage.node_rows:
-            node_rows.append([usage.load, node, fmt(services),
-                              fmt(cpu_u), cpu_t, fmt(gpu_u), gpu_t,
-                              fmt(mem_u), mem_t])
-        for (link, channels, bw_u, bw_t) in usage.link_rows:
-            link_rows.append([usage.load, link, fmt(channels), fmt(bw_u), bw_t])
+        for row in usage.node_rows:
+            node_rows.append([usage.load, row.node, fmt(row.services),
+                              fmt(row.cpu_used), row.cpu_total,
+                              fmt(row.gpu_used), row.gpu_total,
+                              fmt(row.mem_used), row.mem_total])
+        for row in usage.link_rows:
+            link_rows.append([usage.load, row.link, fmt(row.channels),
+                              fmt(row.bw_used), row.bw_total])
     _write_csv(out_dir / "node_usage.csv",
                ["load", "node", "services_mean",
                 "cpu_used_mean", "cpu_total", "gpu_used_mean", "gpu_total",

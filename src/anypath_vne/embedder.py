@@ -213,12 +213,10 @@ def embed(net: SubstrateNetwork, request: VirtualRequest,
             if not candidates:
                 raise NoSuitableNodeError(pending.id)
 
-            view = anypath.bandwidth_subgraph(net, channel.bw)
-            dag = anypath.prune(view, n_dst)
+            dag = anypath.prune(net, n_dst, channel.bw)
             table = anypath.anypath_routes(dag, n_dst)
             bound = channel.max_cost
-            feasible = [n for n in sorted(candidates, key=natural_key)
-                        if table.cost[n] <= bound]
+            feasible = [n for n in candidates if table.cost[n] <= bound]
             if not feasible:
                 raise NoFeasiblePathError(channel.id)
             selected = select_min_links(table, feasible)

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .embedder import Coefficients, Embedding
 from .netmodel import SubstrateNetwork, VirtualRequest, natural_key
-from .windowing import WindowOutcome
+
+if TYPE_CHECKING:
+    from .windowing import WindowOutcome
 
 
 class EmptyWindowError(ValueError):
@@ -66,21 +69,25 @@ def revenue_cost_ratio(outcome: WindowOutcome, coeffs: Coefficients) -> float:
 
 @dataclass
 class NodeUsage:
+    """Hosted services and used cpu/gpu/mem of one node; means when aggregated."""
+
     node: str
-    services: int
-    cpu_used: int
+    services: float
+    cpu_used: float
     cpu_total: int
-    gpu_used: int
+    gpu_used: float
     gpu_total: int
-    mem_used: int
+    mem_used: float
     mem_total: int
 
 
 @dataclass
 class LinkUsage:
+    """Routed channels and used bandwidth of one link; means when aggregated."""
+
     link: str
-    channels: int
-    bw_used: int
+    channels: float
+    bw_used: float
     bw_total: int
 
 

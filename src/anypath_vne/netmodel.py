@@ -60,9 +60,6 @@ class SubstrateNode:
     def available(self) -> tuple[int, int, int]:
         return (self.cpu, self.gpu, self.mem)
 
-    def original(self) -> tuple[int, int, int]:
-        return (self.cpu0, self.gpu0, self.mem0)
-
 
 @dataclass
 class SubstrateLink:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedder import Coefficients
-from .metrics import MetricsReport, metrics_report
+from .metrics import LinkUsage, MetricsReport, NodeUsage, metrics_report
 from .netmodel import Channel, NanoService, SubstrateNetwork, VirtualRequest
 from .windowing import process_window
 
@@ -213,8 +213,8 @@ class UsageSummary:
     """Per-load usage means across iterations (totals are fixed by the substrate)."""
 
     load: int
-    node_rows: list = field(default_factory=list)  # (node, services_mean, cpu_used_mean, cpu_total, gpu..., mem...)
-    link_rows: list = field(default_factory=list)  # (link, channels_mean, bw_used_mean, bw_total)
+    node_rows: list = field(default_factory=list)   # list[NodeUsage]
+    link_rows: list = field(default_factory=list)   # list[LinkUsage]
 
 
 @dataclass
@@ -280,7 +280,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResults:
         for idx in range(node_count):
             cells = [r.node_usage[idx] for r in rows]
             first = cells[0]
-            usage.node_rows.append((
+            usage.node_rows.append(NodeUsage(
                 first.node,
                 float(np.mean([c.services for c in cells])),
                 float(np.mean([c.cpu_used for c in cells])), first.cpu_total,
@@ -291,7 +291,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResults:
         for idx in range(link_count):
             cells = [r.link_usage[idx] for r in rows]
             first = cells[0]
-            usage.link_rows.append((
+            usage.link_rows.append(LinkUsage(
                 first.link,
                 float(np.mean([c.channels for c in cells])),
                 float(np.mean([c.bw_used for c in cells])), first.bw_total,

@@ -5,17 +5,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .embedder import Coefficients, Embedding, EmbeddingError, embed
+from .metrics import revenue
 from .netmodel import SubstrateNetwork, VirtualRequest
 
 
 def request_quality_revenue(request: VirtualRequest,
                             coeffs: Coefficients) -> float:
     """Whole-request revenue plus the summed channel quality term."""
-    value = sum(coeffs.node_term(s) for s in request.services.values())
-    value += coeffs.beta * sum(c.bw for c in request.channels)
-    value += coeffs.gamma * sum(c.min_pdr / c.max_delay
-                                for c in request.channels)
-    return value
+    return revenue(request, coeffs) + coeffs.gamma * sum(
+        c.min_pdr / c.max_delay for c in request.channels)
 
 
 @dataclass

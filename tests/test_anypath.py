@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from anypath_vne.anypath import (
     UnreachableSourceError,
     anypath_routes,
-    bandwidth_subgraph,
     forwarder_weights,
     hyperlink_metrics,
     prune,
@@ -29,7 +28,7 @@ pdrs = st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8)
 
 
 def test_unicast_distances_example(example_net):
-    dist = unicast_distances(example_net, "n4")
+    dist = unicast_distances(example_net, "n4", 0)
     assert dist["n4"] == 0.0
     assert dist["n2"] == pytest.approx(11.1111, abs=1e-3)
     assert dist["n3"] == pytest.approx(11.1111, abs=1e-3)
@@ -39,24 +38,27 @@ def test_unicast_distances_example(example_net):
 
 def test_unicast_distance_isolated_is_infinite(example_net):
     example_net.add_node("n9", 1, 1, 1)
-    assert unicast_distances(example_net, "n4")["n9"] == math.inf
+    assert unicast_distances(example_net, "n4", 0)["n9"] == math.inf
 
 
-def test_bandwidth_subgraph_after_reservations(example):
+def test_bandwidth_filter_after_reservations(example):
     net = example_after_steps(example, steps=2)
-    view = bandwidth_subgraph(net, 30)
-    assert set(view.links) == {"l2", "l3", "l5", "l6"}
-    assert set(view.nodes) == set(net.nodes)
+    dag = prune(net, "n1", 30)
+    assert {e.link_id for e in dag.edges} == {"l2", "l3", "l5", "l6"}
+    assert dag.nodes == set(net.nodes)
 
 
-def test_bandwidth_subgraph_extremes(example_net):
-    assert set(bandwidth_subgraph(example_net, 1).links) \
+def test_bandwidth_filter_extremes(example_net):
+    assert {e.link_id for e in prune(example_net, "n4", 1).edges} \
         == {"l1", "l2", "l3", "l4", "l5", "l6"}
-    assert set(bandwidth_subgraph(example_net, 101).links) == set()
+    assert prune(example_net, "n4", 101).edges == []
+    assert unicast_distances(example_net, "n4", 101) \
+        == {"n1": math.inf, "n2": math.inf, "n3": math.inf,
+            "n4": 0.0, "n5": math.inf}
 
 
 def test_prune_example_orientation(example_net):
-    dag = prune(bandwidth_subgraph(example_net, 1), "n4")
+    dag = prune(example_net, "n4", 1)
     oriented = {(e.tail, e.head) for e in dag.edges}
     assert oriented == {("n1", "n2"), ("n1", "n3"), ("n2", "n4"),
                         ("n3", "n4"), ("n5", "n3"), ("n5", "n4")}
@@ -69,7 +71,7 @@ def test_prune_drops_equal_distance_links():
     net.add_link("l1", "a", "dst", bw=10, delay=10.0, pdr=0.5)
     net.add_link("l2", "b", "dst", bw=10, delay=10.0, pdr=0.5)
     net.add_link("l3", "a", "b", bw=10, delay=5.0, pdr=0.9)
-    dag = prune(bandwidth_subgraph(net, 1), "dst")
+    dag = prune(net, "dst", 1)
     assert {e.link_id for e in dag.edges} == {"l1", "l2"}
 
 
@@ -78,7 +80,7 @@ def test_prune_single_neighbor():
     net.add_node("a", 1, 1, 1)
     net.add_node("dst", 1, 1, 1)
     net.add_link("l1", "a", "dst", bw=10, delay=1.0, pdr=0.9)
-    dag = prune(bandwidth_subgraph(net, 1), "dst")
+    dag = prune(net, "dst", 1)
     assert [(e.tail, e.head) for e in dag.edges] == [("a", "dst")]
 
 
@@ -131,7 +133,7 @@ def test_forwarder_weights_sum_to_one(ps):
 
 
 def test_anypath_example_toward_n4(example_net):
-    dag = prune(bandwidth_subgraph(example_net, 50), "n4")
+    dag = prune(example_net, "n4", 50)
     table = anypath_routes(dag, "n4")
     assert table.cost["n4"] == 0.0
     assert table.cost["n1"] == pytest.approx(21.2121, abs=1e-3)
@@ -142,7 +144,7 @@ def test_anypath_example_toward_n4(example_net):
 
 def test_anypath_example_second_channel_state(example):
     net = example_after_steps(example, steps=2)
-    table = anypath_routes(prune(bandwidth_subgraph(net, 30), "n1"), "n1")
+    table = anypath_routes(prune(net, "n1", 30), "n1")
     assert table.cost["n5"] == pytest.approx(37.7778, abs=1e-3)
     n5_closure = route_closure(table, "n5")
     assert n5_closure[1] == {"l2", "l5"}
@@ -150,9 +152,9 @@ def test_anypath_example_second_channel_state(example):
 
 def test_anypath_example_third_channel_state(example):
     net = example_after_steps(example, steps=3)
-    view = bandwidth_subgraph(net, 10)
-    assert "l2" not in view.links
-    table = anypath_routes(prune(view, "n4"), "n4")
+    dag = prune(net, "n4", 10)
+    assert {e.link_id for e in dag.edges} == {"l1", "l3", "l4", "l5", "l6"}
+    table = anypath_routes(dag, "n4")
     assert table.cost["n5"] == pytest.approx(27.619, abs=1e-3)
     assert [(m.node, m.link_id) for m in table.forwarding["n5"]] \
         == [("n4", "l6"), ("n3", "l5")]
@@ -167,31 +169,31 @@ def test_anypath_chain_equals_link_cost_sum():
     net.add_link("l1", "n1", "n2", bw=10, delay=10.0, pdr=0.5)
     net.add_link("l2", "n2", "n3", bw=10, delay=4.0, pdr=0.8)
     net.add_link("l3", "n3", "n4", bw=10, delay=9.0, pdr=0.9)
-    table = anypath_routes(prune(bandwidth_subgraph(net, 1), "n1"), "n1")
+    table = anypath_routes(prune(net, "n1", 1), "n1")
     assert table.cost["n4"] == pytest.approx(9 / 0.9 + 4 / 0.8 + 10 / 0.5, abs=1e-9)
 
 
 def test_route_closure_example_routes(example_net):
-    table = anypath_routes(prune(bandwidth_subgraph(example_net, 50), "n4"), "n4")
+    table = anypath_routes(prune(example_net, "n4", 50), "n4")
     nodes, links = route_closure(table, "n1")
     assert links == {"l1", "l2", "l3", "l4"}
     assert nodes == {"n1", "n2", "n3", "n4"}
 
 
 def test_route_closure_source_equals_destination(example_net):
-    table = anypath_routes(prune(bandwidth_subgraph(example_net, 1), "n4"), "n4")
+    table = anypath_routes(prune(example_net, "n4", 1), "n4")
     assert route_closure(table, "n4") == (set(), set())
 
 
 def test_route_closure_unreachable_raises(example_net):
     example_net.add_node("n9", 1, 1, 1)
-    table = anypath_routes(prune(bandwidth_subgraph(example_net, 1), "n4"), "n4")
+    table = anypath_routes(prune(example_net, "n4", 1), "n4")
     with pytest.raises(UnreachableSourceError):
         route_closure(table, "n9")
 
 
 def test_closure_link_count_matches_closure(example_net):
-    table = anypath_routes(prune(bandwidth_subgraph(example_net, 1), "n4"), "n4")
+    table = anypath_routes(prune(example_net, "n4", 1), "n4")
     for nid in table.settle_order:
         assert table.closure_link_count(nid) == len(route_closure(table, nid)[1])
 
@@ -202,7 +204,7 @@ def test_prune_is_acyclic(seed):
     rng = np.random.default_rng(seed)
     net = random_substrate(rng, connected=False, extra_edge_factor=2.0)
     dst = list(net.nodes)[int(rng.integers(0, len(net.nodes)))]
-    dag = prune(bandwidth_subgraph(net, 0), dst)
+    dag = prune(net, dst, 0)
     assert not has_cycle(dag.nodes, [(e.tail, e.head) for e in dag.edges])
 
 
@@ -211,7 +213,7 @@ def test_prune_is_acyclic(seed):
 def test_tree_routes_equal_unicast_path_sums(seed):
     rng = np.random.default_rng(seed)
     net, parent = random_tree_substrate(rng)
-    table = anypath_routes(prune(bandwidth_subgraph(net, 1), "n1"), "n1")
+    table = anypath_routes(prune(net, "n1", 1), "n1")
     for nid in net.nodes:
         expected = 0.0
         walk = nid
@@ -231,7 +233,7 @@ def test_routes_match_recursive_recomputation(seed):
     rng = np.random.default_rng(seed)
     net = random_substrate(rng, max_nodes=6, extra_edge_factor=2.0)
     dst = list(net.nodes)[int(rng.integers(0, len(net.nodes)))]
-    table = anypath_routes(prune(bandwidth_subgraph(net, 0), dst), dst)
+    table = anypath_routes(prune(net, dst, 0), dst)
     recomputed = eatt_recursive(table)
     for nid in table.settle_order:
         assert table.cost[nid] == pytest.approx(recomputed[nid], abs=1e-9)
@@ -243,7 +245,7 @@ def test_route_table_invariants(seed):
     rng = np.random.default_rng(seed)
     net = random_substrate(rng, connected=False, extra_edge_factor=2.0)
     dst = list(net.nodes)[int(rng.integers(0, len(net.nodes)))]
-    table = anypath_routes(prune(bandwidth_subgraph(net, 0), dst), dst)
+    table = anypath_routes(prune(net, dst, 0), dst)
     assert table.cost[dst] == 0.0
     assert table.forwarding[dst] == ()
     for nid, cost in table.cost.items():
@@ -255,7 +257,7 @@ def test_route_table_invariants(seed):
 
 
 def test_route_table_serialization(example_net):
-    table = anypath_routes(prune(bandwidth_subgraph(example_net, 50), "n4"), "n4")
+    table = anypath_routes(prune(example_net, "n4", 50), "n4")
     doc = table.to_dict()
     assert doc["destination"] == "n4"
     by_node = {row["node"]: row for row in doc["routes"]}

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -154,3 +155,24 @@ def test_simulate_different_seeds_differ(tmp_path):
     assert cli.main(["simulate", "--config", str(_sim_config(tmp_path, seed=6)),
                      "--out", str(out_b)]) == 0
     assert (out_a / "raw.csv").read_bytes() != (out_b / "raw.csv").read_bytes()
+
+
+# sha256 of the four CSVs that `simulate` writes for {"iterations": 3,
+# "seed": 1}, recorded at commit a6a9d6b; any byte change in the output fails
+REFERENCE_SHA256 = {
+    "raw.csv": "1e3913195148144713ea2e43b7d0dab9c17b38275bcfb7dbfcecbc77a060fb22",
+    "summary.csv": "88fc0112bc74772b09c8d2055ac49bd8459036d0db895a659c38cc405b449aec",
+    "node_usage.csv": "5311507df82da1f7f8df404ac9efc6aef29c356b04e06099066ba356487731af",
+    "link_usage.csv": "101f014c6be5c2dbc07c10feada33a49236665f0c10f9a5858964c29584a8ed7",
+}
+
+
+def test_simulate_csv_bytes_match_reference(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"iterations": 3, "seed": 1}))
+    out_dir = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(config),
+                     "--out", str(out_dir)]) == cli.EXIT_OK
+    found = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+             for name in REFERENCE_SHA256}
+    assert found == REFERENCE_SHA256

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anypath_vne.anypath import anypath_routes, bandwidth_subgraph, prune
+from anypath_vne.anypath import anypath_routes, prune
 from anypath_vne.embedder import (
     Coefficients,
     EmbeddingError,
@@ -106,7 +106,7 @@ def test_select_max_pdr_tie_breaks_by_id():
 
 
 def test_select_min_links_prefers_fewest_links(example_net):
-    table = anypath_routes(prune(bandwidth_subgraph(example_net, 1), "n4"), "n4")
+    table = anypath_routes(prune(example_net, "n4", 1), "n4")
     # n2 routes over 1 link, n1 over 4, destination itself over 0
     assert select_min_links(table, ["n1", "n2"]) == "n2"
     assert select_min_links(table, ["n1", "n2", "n4"]) == "n4"
