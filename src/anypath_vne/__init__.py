@@ -8,7 +8,6 @@ transmission time.
 
 from .anypath import (
     AnypathRouteTable,
-    Forwarder,
     Hyperlink,
     PrunedDag,
     anypath_routes,
@@ -36,7 +35,6 @@ from .metrics import (
     metrics_report,
     ratios,
     revenue,
-    revenue_cost_ratio,
     usage_report,
 )
 from .netmodel import (
@@ -47,7 +45,6 @@ from .netmodel import (
     SubstrateNetwork,
     SubstrateNode,
     VirtualRequest,
-    link_cost,
     local_pdr,
     reserve_channel,
     reserve_service,

@@ -37,13 +37,17 @@ class UnreachableSourceError(Exception):
 
 def unicast_distances(net: SubstrateNetwork, dst: str,
                       bw: int) -> dict[str, float]:
-    """Shortest-path cost to dst under delay/pdr weights, over links with bw >= bw."""
+    """Shortest-path cost to dst under delay/pdr weights, over links with bw >= bw.
+
+    Link costs are non-negative, so the final distances do not depend on the
+    order in which equal heap keys pop; ties need no extra key.
+    """
     dist = {nid: INFINITY for nid in net.nodes}
     dist[dst] = 0.0
-    heap = [(0.0, natural_key(dst), dst)]
+    heap = [(0.0, dst)]
     done = set()
     while heap:
-        d, _, nid = heapq.heappop(heap)
+        d, nid = heapq.heappop(heap)
         if nid in done:
             continue
         done.add(nid)
@@ -56,13 +60,16 @@ def unicast_distances(net: SubstrateNetwork, dst: str,
             alt = d + link.delay / link.pdr
             if alt < dist[other]:
                 dist[other] = alt
-                heapq.heappush(heap, (alt, natural_key(other), other))
+                heapq.heappush(heap, (alt, other))
     return dist
 
 
 @dataclass(frozen=True)
 class DagEdge:
-    """Directed use of a substrate link, from the farther endpoint to the nearer."""
+    """Directed use of a substrate link, from the farther endpoint to the nearer.
+
+    A forwarding-set member is the DagEdge whose head is the relay.
+    """
 
     tail: str
     head: str
@@ -80,10 +87,6 @@ class PrunedDag:
     edges: list = field(default_factory=list)
     incoming: dict = field(default_factory=dict)   # head -> [DagEdge]
 
-    def add_edge(self, edge: DagEdge) -> None:
-        self.edges.append(edge)
-        self.incoming.setdefault(edge.head, []).append(edge)
-
 
 def prune(net: SubstrateNetwork, dst: str, bw: int) -> PrunedDag:
     """Orient each link with bw >= bw from its farther endpoint toward dst; drop ties."""
@@ -93,11 +96,12 @@ def prune(net: SubstrateNetwork, dst: str, bw: int) -> PrunedDag:
         if link.bw < bw:
             continue
         da, db = dist[link.a], dist[link.b]
-        if da > db:
-            dag.add_edge(DagEdge(link.a, link.b, link.id, link.delay, link.pdr))
-        elif db > da:
-            dag.add_edge(DagEdge(link.b, link.a, link.id, link.delay, link.pdr))
-        # equal distance (including both unreachable): no usable direction
+        if da == db:
+            continue   # equal distance (including both unreachable): no direction
+        tail, head = (link.a, link.b) if da > db else (link.b, link.a)
+        edge = DagEdge(tail, head, link.id, link.delay, link.pdr)
+        dag.edges.append(edge)
+        dag.incoming.setdefault(head, []).append(edge)
     return dag
 
 
@@ -126,22 +130,12 @@ def forwarder_weights(pdrs: Sequence[float]) -> list[float]:
     return weights
 
 
-@dataclass(frozen=True)
-class Forwarder:
-    """One member of a forwarding set with the link that reaches it."""
-
-    node: str
-    link_id: str
-    delay: float
-    pdr: float
-
-
 @dataclass
 class Hyperlink:
     """A transmitter and its priority-ordered forwarding set."""
 
     transmitter: str
-    members: tuple
+    members: tuple             # tuple[DagEdge, ...], each headed at a relay
 
 
 class AnypathRouteTable:
@@ -150,7 +144,7 @@ class AnypathRouteTable:
     def __init__(self, dst: str, cost: dict, forwarding: dict, settle_order: list):
         self.dst = dst
         self.cost = cost                  # node id -> float (inf if unreachable)
-        self.forwarding = forwarding      # node id -> tuple[Forwarder, ...]
+        self.forwarding = forwarding      # node id -> tuple[DagEdge, ...]
         self.settle_order = settle_order  # reached nodes in ascending cost
         self._link_counts = None
 
@@ -170,28 +164,10 @@ class AnypathRouteTable:
             mask = 0
             for member in self.forwarding[nid]:
                 bit = link_bit.setdefault(member.link_id, len(link_bit))
-                mask |= masks[member.node] | (1 << bit)
+                mask |= masks[member.head] | (1 << bit)
             masks[nid] = mask
             counts[nid] = bin(mask).count("1")
         self._link_counts = counts
-
-    def to_dict(self) -> dict:
-        reached = {n for n in self.cost if self.cost[n] < INFINITY}
-        return {
-            "destination": self.dst,
-            "routes": [
-                {
-                    "node": nid,
-                    "eatt": self.cost[nid],
-                    "forwarding": [
-                        {"node": m.node, "link": m.link_id,
-                         "delay": m.delay, "pdr": m.pdr}
-                        for m in self.forwarding[nid]
-                    ],
-                }
-                for nid in sorted(reached, key=natural_key)
-            ],
-        }
 
 
 def anypath_routes(dag: PrunedDag, dst: str) -> AnypathRouteTable:
@@ -219,12 +195,11 @@ def anypath_routes(dag: PrunedDag, dst: str) -> AnypathRouteTable:
             pred = edge.tail
             if pred in settled or cost[pred] <= settled_cost:
                 continue
-            members = forwarding[pred] + (
-                Forwarder(nid, edge.link_id, edge.delay, edge.pdr),)
+            members = forwarding[pred] + (edge,)
             _, _, hyper_cost = hyperlink_metrics(
                 [(m.pdr, m.delay) for m in members])
             weights = forwarder_weights([m.pdr for m in members])
-            remaining = sum(w * cost[m.node] for w, m in zip(weights, members))
+            remaining = sum(w * cost[m.head] for w, m in zip(weights, members))
             cost[pred] = hyper_cost + remaining
             forwarding[pred] = members
             heapq.heappush(heap, (cost[pred], natural_key(pred), pred))
@@ -244,7 +219,7 @@ def route_closure(table: AnypathRouteTable, src: str):
         nid = stack.pop()
         for member in table.forwarding[nid]:
             links.add(member.link_id)
-            if member.node not in nodes:
-                nodes.add(member.node)
-                stack.append(member.node)
+            if member.head not in nodes:
+                nodes.add(member.head)
+                stack.append(member.head)
     return nodes, links

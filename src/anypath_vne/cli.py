@@ -11,7 +11,7 @@ Input schemas (JSON):
   coefficients: {"alpha"?, "beta"?, "cost_alpha"?, "cost_beta"?, "gamma"?}
       where alpha/cost_alpha are a number or a {"cpu", "gpu", "mem"} object
   simulation config: {"substrate"?, "loads"?, "iterations"?, "seed"?,
-      "pool_size"?, "coefficients"?, "generator"?}
+      "coefficients"?, "generator"?}
 """
 
 from __future__ import annotations
@@ -81,6 +81,8 @@ def _alpha_triple(value, where: str) -> tuple:
             return (float(value["cpu"]), float(value["gpu"]), float(value["mem"]))
         except KeyError as exc:
             raise SchemaError(f"{where}.{exc.args[0]}", "missing resource weight")
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(where, str(exc)) from exc
     raise SchemaError(where, "expected a number or a cpu/gpu/mem object")
 
 
@@ -92,23 +94,26 @@ def coefficients_from_dict(doc: dict, defaults: Coefficients = None) -> Coeffici
              if "alpha" in doc else base.alpha)
     alpha_cost = (_alpha_triple(doc["cost_alpha"], "coefficients.cost_alpha")
                   if "cost_alpha" in doc else base.alpha_cost)
-    return Coefficients(
-        alpha=alpha,
-        beta=float(doc.get("beta", base.beta)),
-        alpha_cost=alpha_cost,
-        beta_cost=float(doc.get("cost_beta", base.beta_cost)),
-        gamma=float(doc.get("gamma", base.gamma)),
-    )
+    try:
+        return Coefficients(
+            alpha=alpha,
+            beta=float(doc.get("beta", base.beta)),
+            alpha_cost=alpha_cost,
+            beta_cost=float(doc.get("cost_beta", base.beta_cost)),
+            gamma=float(doc.get("gamma", base.gamma)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise SchemaError("coefficients", str(exc)) from exc
 
 
 def simulation_config_from_dict(doc: dict) -> scenario.SimulationConfig:
     if not isinstance(doc, dict):
         raise SchemaError("config", "expected a JSON object")
     defaults = scenario.SimulationConfig()
-    generator = scenario.GeneratorConfig(**doc.get("generator", {})) \
-        if isinstance(doc.get("generator", {}), dict) else None
-    if generator is None:
-        raise SchemaError("config.generator", "expected a JSON object")
+    try:
+        generator = scenario.GeneratorConfig(**doc.get("generator", {}))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError("config.generator", str(exc)) from exc
     coeffs = coefficients_from_dict(doc.get("coefficients", {}),
                                     defaults.coefficients)
     try:
@@ -117,7 +122,6 @@ def simulation_config_from_dict(doc: dict) -> scenario.SimulationConfig:
             loads=tuple(doc.get("loads", defaults.loads)),
             iterations=int(doc.get("iterations", defaults.iterations)),
             seed=int(doc.get("seed", defaults.seed)),
-            pool_size=int(doc.get("pool_size", defaults.pool_size)),
             coefficients=coeffs,
             generator=generator,
         )

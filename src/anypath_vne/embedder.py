@@ -108,7 +108,7 @@ class Embedding:
                     "links": sorted(route.links, key=natural_key),
                     "hyperlinks": [
                         {"transmitter": h.transmitter,
-                         "members": [{"node": m.node, "link": m.link_id}
+                         "members": [{"node": m.head, "link": m.link_id}
                                      for m in h.members]}
                         for h in route.hyperlinks
                     ],
@@ -159,11 +159,11 @@ def _flow_hyperlinks(table, closure_nodes, reverse: bool) -> tuple:
     transposed: dict[str, list] = {}
     for nid in closure_nodes:
         for member in table.forwarding[nid]:
-            transposed.setdefault(member.node, []).append(
-                anypath.Forwarder(nid, member.link_id, member.delay, member.pdr))
+            transposed.setdefault(member.head, []).append(anypath.DagEdge(
+                member.head, nid, member.link_id, member.delay, member.pdr))
     return tuple(
         anypath.Hyperlink(nid, tuple(sorted(transposed[nid],
-                                            key=lambda m: natural_key(m.node))))
+                                            key=lambda m: natural_key(m.head))))
         for nid in sorted(transposed, key=natural_key))
 
 
@@ -171,47 +171,38 @@ def embed(net: SubstrateNetwork, request: VirtualRequest,
           coeffs: Coefficients) -> Embedding:
     """Embed the whole request or raise an EmbeddingError after a full rollback.
 
-    Per ranked channel there are four cases.  With no endpoint allocated, the
-    destination service goes to the suitable node with the highest local PDR
-    and candidates are gathered for the source.  With only the destination
-    allocated its node is reused.  With only the source allocated, routing
-    runs backwards toward the source's node (links are symmetric), candidates
-    are gathered for the destination service, and the chosen route is
-    transposed.  With both allocated the single candidate is validated.  The
-    final candidate filter keeps nodes whose route cost stays within
-    max_delay / min_pdr, and the route with the fewest links wins.
+    Per ranked channel, routes run toward an anchor service: the source when
+    only the source is placed (links are symmetric, so the chosen route is
+    transposed back into flow direction), otherwise the destination.  An
+    unplaced anchor goes to the suitable node with the highest local PDR.
+    The candidates for the other endpoint are its node if it is placed, and
+    otherwise every node suitable for it.  Candidates whose route cost
+    exceeds max_delay / min_pdr are dropped, and the route with the fewest
+    links wins.
     """
     embedding = Embedding(request.id)
     placed = embedding.service_map
     ledger = embedding.ledger
     try:
         for channel in rank_channels(request, coeffs):
-            src_svc = request.services[channel.src]
-            dst_svc = request.services[channel.dst]
-            src_placed = channel.src in placed
-            dst_placed = channel.dst in placed
-            reverse = False
-            pending = None   # service to place on the selected node
-            if not src_placed and not dst_placed:
-                n_dst = select_max_pdr(net, dst_svc)
-                reserve_service(net, n_dst, dst_svc, ledger)
-                placed[channel.dst] = n_dst
-                candidates = suitable_nodes(net, src_svc)
-                pending = src_svc
-            elif not src_placed and dst_placed:
-                n_dst = placed[channel.dst]
-                candidates = suitable_nodes(net, src_svc)
-                pending = src_svc
-            elif src_placed and not dst_placed:
-                n_dst = placed[channel.src]
-                candidates = suitable_nodes(net, dst_svc)
-                pending = dst_svc
-                reverse = True
+            reverse = channel.src in placed and channel.dst not in placed
+            anchor, other = ((channel.src, channel.dst) if reverse
+                             else (channel.dst, channel.src))
+            if anchor in placed:
+                n_dst = placed[anchor]
             else:
-                n_dst = placed[channel.dst]
-                candidates = {placed[channel.src]}
-            if not candidates:
-                raise NoSuitableNodeError(pending.id)
+                anchor_svc = request.services[anchor]
+                n_dst = select_max_pdr(net, anchor_svc)
+                reserve_service(net, n_dst, anchor_svc, ledger)
+                placed[anchor] = n_dst
+            pending = None   # service to place on the selected node
+            if other in placed:
+                candidates = {placed[other]}
+            else:
+                pending = request.services[other]
+                candidates = suitable_nodes(net, pending)
+                if not candidates:
+                    raise NoSuitableNodeError(pending.id)
 
             dag = anypath.prune(net, n_dst, channel.bw)
             table = anypath.anypath_routes(dag, n_dst)

@@ -17,10 +17,6 @@ class EmptyWindowError(ValueError):
     """Ratios over a window with no requests are undefined."""
 
 
-class ZeroCostError(ValueError):
-    """Revenue/cost ratio is undefined when the accepted set costs nothing."""
-
-
 class TopologyMismatchError(ValueError):
     """Usage needs before/after snapshots of the same substrate topology."""
 
@@ -57,14 +53,6 @@ def embedding_revenue(outcome: WindowOutcome, coeffs: Coefficients) -> float:
 
 def embedding_cost(outcome: WindowOutcome, coeffs: Coefficients) -> float:
     return sum(cost(r.request, r.embedding, coeffs) for r in outcome.accepted)
-
-
-def revenue_cost_ratio(outcome: WindowOutcome, coeffs: Coefficients) -> float:
-    """Total accepted revenue over total accepted cost."""
-    total_cost = embedding_cost(outcome, coeffs)
-    if total_cost == 0:
-        raise ZeroCostError("accepted requests have zero embedding cost")
-    return embedding_revenue(outcome, coeffs) / total_cost
 
 
 @dataclass

@@ -84,11 +84,6 @@ class SubstrateLink:
         return self.b if node_id == self.a else self.a
 
 
-def link_cost(link: SubstrateLink) -> float:
-    """Unicast cost of a single link: delay divided by delivery ratio."""
-    return link.delay / link.pdr
-
-
 @dataclass
 class NanoService:
     """An atomic task with fixed resource demands and required capabilities."""

@@ -102,6 +102,20 @@ class GeneratorConfig:
     # sample the channel Bernoulli per ordered pair instead of unordered
     ordered_pairs: bool = False
 
+    def __post_init__(self):
+        # a lone service has no peer for its fallback channel, and a zero
+        # delay or pdr would divide by zero in a channel's cost bound
+        floors = {"services": 2, "cpu": 0, "gpu": 0, "mem": 0, "bw": 0,
+                  "delay": 1}
+        for name, floor in floors.items():
+            low, high = getattr(self, f"{name}_min"), getattr(self, f"{name}_max")
+            if not floor <= low <= high:
+                raise ValueError(f"need {floor} <= {name}_min <= {name}_max")
+        if not 0.0 < self.pdr_lo <= self.pdr_hi <= 1.0:
+            raise ValueError("need 0 < pdr_lo <= pdr_hi <= 1")
+        if not (0.0 <= self.gpu_prob <= 1.0 and 0.0 <= self.channel_prob <= 1.0):
+            raise ValueError("gpu_prob and channel_prob must lie in [0, 1]")
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -111,7 +125,6 @@ class SimulationConfig:
     loads: tuple = (10, 20, 30, 40, 50)
     iterations: int = 100
     seed: int = 1
-    pool_size: int = 50
     coefficients: Coefficients = Coefficients(
         alpha=(1.0, 1.0, 1.0), beta=3.0,
         alpha_cost=(1.0, 1.0, 1.0), beta_cost=3.0, gamma=3000.0)
@@ -120,8 +133,11 @@ class SimulationConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-        if any(load > self.pool_size for load in self.loads):
-            raise ValueError("every load level must be <= pool_size")
+        if not self.loads or not all(isinstance(load, int) and load >= 1
+                                     for load in self.loads):
+            raise ValueError("loads must be a non-empty list of integers >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.substrate not in SUBSTRATE_FIXTURES:
             raise ValueError(f"unknown substrate fixture {self.substrate!r}")
 
@@ -240,16 +256,16 @@ def iteration_streams(cfg: SimulationConfig):
 
 
 def iteration_pool(cfg: SimulationConfig, stream) -> list:
-    """The request pool one iteration draws from its RNG stream."""
+    """The max(loads) requests one iteration draws from its RNG stream."""
     rng = np.random.default_rng(stream)
     return [generate_request(rng, cfg.generator, f"r{i + 1}")
-            for i in range(cfg.pool_size)]
+            for i in range(max(cfg.loads))]
 
 
 def run_simulation(cfg: SimulationConfig) -> SimulationResults:
     """Sweep the load levels over seeded iterations and aggregate the metrics.
 
-    Each iteration draws a fresh pool of pool_size requests from its own RNG
+    Each iteration draws a fresh pool of max(loads) requests from its own RNG
     stream; each load level embeds the pool prefix of that length into a fresh
     copy of the substrate, so load levels share requests but never reservations.
     """

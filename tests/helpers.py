@@ -128,7 +128,7 @@ def eatt_recursive(table) -> dict[str, float]:
         ahead = 1.0
         for m in members:
             weight = m.pdr * ahead / reliability
-            remaining += weight * evaluate(m.node)
+            remaining += weight * evaluate(m.head)
             ahead *= 1.0 - m.pdr
         memo[node] = delay / reliability + remaining
         return memo[node]

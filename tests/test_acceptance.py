@@ -23,7 +23,7 @@ from anypath_vne.embedder import (
     pair_quality_revenue,
     rank_channels,
 )
-from anypath_vne.metrics import ratios, revenue_cost_ratio
+from anypath_vne.metrics import embedding_cost, embedding_revenue, ratios
 from anypath_vne.netmodel import (
     Channel,
     NanoService,
@@ -258,7 +258,8 @@ def test_criterion_4g_single_link_routes_unit_ratio():
         assert len(outcome.accepted) == 1
         assert len(outcome.accepted[0].embedding
                    .channel_routes["c1"].links) == 1
-        assert revenue_cost_ratio(outcome, coeffs) == 1.0
+        assert (embedding_revenue(outcome, coeffs)
+                / embedding_cost(outcome, coeffs)) == 1.0
     report("criterion 4g (single-link routes give R/C = 1)",
            "1000 forced two-node embeddings")
 
@@ -343,7 +344,7 @@ def test_criterion_6_complexity_smoke():
 def test_criterion_7_deterministic_raw_csv(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(
-        {"iterations": 5, "loads": [10, 20], "pool_size": 20, "seed": 99}))
+        {"iterations": 5, "loads": [10, 20], "seed": 99}))
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert cli.main(["simulate", "--config", str(config),
                      "--out", str(out_a)]) == cli.EXIT_OK

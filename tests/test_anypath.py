@@ -137,7 +137,7 @@ def test_anypath_example_toward_n4(example_net):
     table = anypath_routes(dag, "n4")
     assert table.cost["n4"] == 0.0
     assert table.cost["n1"] == pytest.approx(21.2121, abs=1e-3)
-    assert [m.node for m in table.forwarding["n1"]] == ["n2", "n3"]
+    assert [m.head for m in table.forwarding["n1"]] == ["n2", "n3"]
     assert [m.link_id for m in table.forwarding["n2"]] == ["l3"]
     assert [m.link_id for m in table.forwarding["n3"]] == ["l4"]
 
@@ -156,9 +156,9 @@ def test_anypath_example_third_channel_state(example):
     assert {e.link_id for e in dag.edges} == {"l1", "l3", "l4", "l5", "l6"}
     table = anypath_routes(dag, "n4")
     assert table.cost["n5"] == pytest.approx(27.619, abs=1e-3)
-    assert [(m.node, m.link_id) for m in table.forwarding["n5"]] \
+    assert [(m.head, m.link_id) for m in table.forwarding["n5"]] \
         == [("n4", "l6"), ("n3", "l5")]
-    assert [(m.node, m.link_id) for m in table.forwarding["n3"]] == [("n4", "l4")]
+    assert [(m.head, m.link_id) for m in table.forwarding["n3"]] == [("n4", "l4")]
     assert route_closure(table, "n5")[1] == {"l4", "l5", "l6"}
 
 
@@ -251,15 +251,13 @@ def test_route_table_invariants(seed):
     for nid, cost in table.cost.items():
         if cost < math.inf:
             for member in table.forwarding[nid]:
-                assert table.cost[member.node] < cost
+                assert table.cost[member.head] < cost
         else:
             assert table.forwarding[nid] == ()
 
 
 def test_route_table_serialization(example_net):
     table = anypath_routes(prune(example_net, "n4", 50), "n4")
-    doc = table.to_dict()
-    assert doc["destination"] == "n4"
-    by_node = {row["node"]: row for row in doc["routes"]}
-    assert by_node["n1"]["eatt"] == pytest.approx(21.2121, abs=1e-3)
-    assert [m["link"] for m in by_node["n1"]["forwarding"]] == ["l1", "l2"]
+    assert table.dst == "n4"
+    assert table.cost["n1"] == pytest.approx(21.2121, abs=1e-3)
+    assert [m.link_id for m in table.forwarding["n1"]] == ["l1", "l2"]

@@ -1,6 +1,10 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -103,8 +107,51 @@ def test_unknown_flag_is_input_error(capsys):
     assert cli.main(["simulate", "--bogus"]) == cli.EXIT_INPUT
 
 
+def _run_cli(*argv):
+    """Run the CLI in a fresh interpreter, as a shell user would."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "anypath_vne.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def _assert_input_error(proc):
+    assert proc.returncode == cli.EXIT_INPUT
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) == {"error", "field"}
+
+
+@pytest.mark.parametrize("config", [
+    {"generator": {"bogus": 1}},
+    {"coefficients": {"beta": "x"}},
+    {"loads": [0]},
+    {"loads": []},
+    {"generator": {"services_max": 1}},
+    {"loads": [2.5]},
+    {"seed": -1},
+    {"generator": {"channel_prob": "x"}},
+    {"generator": {"delay_min": 0, "delay_max": 0}},
+])
+def test_simulate_bad_config_is_input_error(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    _assert_input_error(_run_cli("simulate", "--config", str(path),
+                                 "--out", str(tmp_path / "out")))
+    assert not (tmp_path / "out").exists()
+
+
+def test_embed_bad_coefficients_is_input_error(example_files, tmp_path):
+    substrate, request_file, _ = example_files
+    coeffs = tmp_path / "bad_coeffs.json"
+    coeffs.write_text(json.dumps({"alpha": {"cpu": "x", "gpu": 1, "mem": 1}}))
+    _assert_input_error(_run_cli("embed", "--substrate", str(substrate),
+                                 "--request", str(request_file),
+                                 "--coeffs", str(coeffs)))
+
+
 def _sim_config(tmp_path, seed=5):
-    cfg = {"iterations": 3, "loads": [5, 10], "pool_size": 10, "seed": seed}
+    cfg = {"iterations": 3, "loads": [5, 10], "seed": seed}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path

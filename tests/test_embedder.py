@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,7 +200,7 @@ def test_embed_reversed_case_transposes_route():
     assert embedding.service_map["s2"] == "n3"
     route = embedding.channel_routes["c2"]
     assert route.src_node == "n1" and route.dst_node == "n3"
-    transmitters = {h.transmitter: [m.node for m in h.members]
+    transmitters = {h.transmitter: [m.head for m in h.members]
                     for h in route.hyperlinks}
     assert transmitters == {"n1": ["n2"], "n2": ["n3"]}
 
@@ -243,3 +246,47 @@ def test_fuzzed_embeds_respect_bounds_or_roll_back(seed):
     for sid, nid in embedding.service_map.items():
         node = net.nodes[nid]
         assert min(node.cpu, node.gpu, node.mem) >= 0
+
+
+def _tie_heavy_substrate(rng):
+    """Random connected substrate whose delays and pdrs take two values each."""
+    n = int(rng.integers(2, 9))
+    net = SubstrateNetwork()
+    for i in range(1, n + 1):
+        net.add_node(f"n{i}", cpu=int(rng.integers(0, 61)),
+                     gpu=int(rng.integers(0, 31)), mem=int(rng.integers(0, 61)))
+    seq = 0
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if j == i + 1 or rng.random() < 0.4:
+                seq += 1
+                net.add_link(f"l{seq}", f"n{i}", f"n{j}",
+                             bw=int(rng.integers(0, 101)),
+                             delay=(1.0, 2.0)[int(rng.integers(0, 2))],
+                             pdr=(0.5, 1.0)[int(rng.integers(0, 2))])
+    return net
+
+
+# sha256 over the JSON of every embedding (or its block reason) and the
+# substrate snapshot after it, for the seeded corpus below; any change of a
+# float's last bit, a tie or a member order fails
+EMBED_CORPUS_SHA256 = (
+    "f90e151af508c846f2e72f20dbb05aa3f4848daedf70adbb549cf2157a924d5f")
+
+
+def test_embed_output_bytes_match_reference():
+    rng = np.random.default_rng(20231)
+    coeffs = Coefficients(beta=2.0, gamma=100.0)
+    nets = [random_substrate(rng, max_nodes=10) for _ in range(300)]
+    nets += [_tie_heavy_substrate(rng) for _ in range(100)]
+    digest = hashlib.sha256()
+    for net in nets:
+        for _ in range(3):
+            request = random_request(rng)
+            try:
+                line = json.dumps(embed(net, request, coeffs).to_dict())
+            except EmbeddingError as exc:
+                line = f"blocked:{exc}"
+            digest.update(line.encode())
+            digest.update(repr(net.snapshot()).encode())
+    assert digest.hexdigest() == EMBED_CORPUS_SHA256

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anypath_vne.anypath import unicast_distances
 from anypath_vne.netmodel import (
     InsufficientCapacityError,
     NanoService,
     ReservationLedger,
-    SubstrateLink,
     SubstrateNetwork,
-    link_cost,
     local_pdr,
     natural_key,
     request_from_dict,
@@ -59,10 +58,14 @@ def test_validate_flags_duplicate_pair_and_self_loop():
 
 
 def test_link_cost_values():
-    assert link_cost(SubstrateLink("l", "a", "b", 1, 10.0, 0.9)) \
-        == pytest.approx(11.111111, abs=1e-6)
-    assert link_cost(SubstrateLink("l6", "a", "b", 1, 20.0, 0.5)) == 40.0
-    assert link_cost(SubstrateLink("l", "a", "b", 1, 7.25, 1.0)) == 7.25
+    # the unicast cost of one link is delay / pdr
+    for delay, pdr, expected in [(10.0, 0.9, 10 / 0.9), (20.0, 0.5, 40.0),
+                                 (7.25, 1.0, 7.25)]:
+        net = SubstrateNetwork()
+        net.add_node("a", cpu=0, gpu=0, mem=0)
+        net.add_node("b", cpu=0, gpu=0, mem=0)
+        net.add_link("l", "a", "b", bw=1, delay=delay, pdr=pdr)
+        assert unicast_distances(net, "b", 0)["a"] == expected
 
 
 def test_local_pdr_example_values(example_net):

@@ -102,14 +102,24 @@ def test_generate_request_ordered_pair_flag_doubles_density():
 def test_simulation_config_validation():
     with pytest.raises(ValueError):
         SimulationConfig(iterations=0)
+    for loads in [(), (0, 10), (10, -5), (2.5,)]:
+        with pytest.raises(ValueError):
+            SimulationConfig(loads=loads)
     with pytest.raises(ValueError):
-        SimulationConfig(loads=(10, 200))
+        SimulationConfig(seed=-1)
+    for bad in [{"services_min": 1}, {"services_max": 1},
+                {"cpu_min": 3, "cpu_max": 2}, {"delay_min": 60},
+                {"cpu_min": -5, "cpu_max": -1}, {"delay_min": 0},
+                {"pdr_lo": 0.0}, {"pdr_lo": 0.9, "pdr_hi": 0.8},
+                {"pdr_hi": 1.5}, {"gpu_prob": -0.1}, {"channel_prob": 2.0}]:
+        with pytest.raises(ValueError):
+            GeneratorConfig(**bad)
     with pytest.raises(ValueError):
         SimulationConfig(substrate="nope")
 
 
 def test_run_simulation_deterministic_and_shaped():
-    cfg = SimulationConfig(iterations=4, loads=(5, 10), pool_size=10, seed=77)
+    cfg = SimulationConfig(iterations=4, loads=(5, 10), seed=77)
     first = run_simulation(cfg)
     second = run_simulation(cfg)
     assert len(first.raw_rows) == 8
@@ -120,10 +130,21 @@ def test_run_simulation_deterministic_and_shaped():
     assert len(first.usage[0].link_rows) == 20
 
 
+def test_iteration_pool_is_a_prefix_of_any_longer_pool():
+    # requests are drawn in sequence, so a longer pool only appends requests
+    short = SimulationConfig(iterations=2, loads=(3,), seed=5)
+    long = SimulationConfig(iterations=2, loads=(3, 200), seed=5)
+    short_pool, long_pool = (iteration_pool(cfg, iteration_streams(cfg)[1])
+                             for cfg in (short, long))
+    assert len(short_pool) == 3 and len(long_pool) == 200
+    assert [request_to_dict(r) for r in long_pool[:3]] \
+        == [request_to_dict(r) for r in short_pool]
+
+
 def test_run_simulation_rows_reproducible_from_pool_prefix():
     # the published row for (iteration, load) must equal an independent
     # replay of that iteration's pool prefix on a fresh substrate
-    cfg = SimulationConfig(iterations=3, loads=(4, 8), pool_size=8, seed=11)
+    cfg = SimulationConfig(iterations=3, loads=(4, 8), seed=11)
     results = run_simulation(cfg)
     streams = iteration_streams(cfg)
     target = next(r for r in results.raw_rows
@@ -141,7 +162,7 @@ def test_run_simulation_rows_reproducible_from_pool_prefix():
 def test_run_simulation_loads_use_fresh_substrates():
     # a heavier load never lowers the revenue of the same iteration's lighter
     # load; reservations must not leak between load levels
-    cfg = SimulationConfig(iterations=2, loads=(3, 6), pool_size=6, seed=3)
+    cfg = SimulationConfig(iterations=2, loads=(3, 6), seed=3)
     results = run_simulation(cfg)
     for iteration in (0, 1):
         rows = {r.load: r for r in results.raw_rows if r.iteration == iteration}
