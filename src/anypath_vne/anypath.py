@@ -83,7 +83,7 @@ class PrunedDag:
     """Destination-oriented DAG; every edge is one substrate link, oriented."""
 
     dst: str
-    nodes: set
+    nodes: tuple                                   # insertion order of net.nodes
     edges: list = field(default_factory=list)
     incoming: dict = field(default_factory=dict)   # head -> [DagEdge]
 
@@ -91,7 +91,7 @@ class PrunedDag:
 def prune(net: SubstrateNetwork, dst: str, bw: int) -> PrunedDag:
     """Orient each link with bw >= bw from its farther endpoint toward dst; drop ties."""
     dist = unicast_distances(net, dst, bw)
-    dag = PrunedDag(dst, set(net.nodes))
+    dag = PrunedDag(dst, tuple(net.nodes))
     for link in net.links.values():
         if link.bw < bw:
             continue

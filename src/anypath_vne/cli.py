@@ -106,6 +106,13 @@ def coefficients_from_dict(doc: dict, defaults: Coefficients = None) -> Coeffici
         raise SchemaError("coefficients", str(exc)) from exc
 
 
+def _config_int(doc: dict, key: str, default: int) -> int:
+    value = doc.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SchemaError(f"config.{key}", f"expected an integer, got {value!r}")
+    return value
+
+
 def simulation_config_from_dict(doc: dict) -> scenario.SimulationConfig:
     if not isinstance(doc, dict):
         raise SchemaError("config", "expected a JSON object")
@@ -116,12 +123,14 @@ def simulation_config_from_dict(doc: dict) -> scenario.SimulationConfig:
         raise SchemaError("config.generator", str(exc)) from exc
     coeffs = coefficients_from_dict(doc.get("coefficients", {}),
                                     defaults.coefficients)
+    iterations = _config_int(doc, "iterations", defaults.iterations)
+    seed = _config_int(doc, "seed", defaults.seed)
     try:
         return scenario.SimulationConfig(
             substrate=doc.get("substrate", defaults.substrate),
             loads=tuple(doc.get("loads", defaults.loads)),
-            iterations=int(doc.get("iterations", defaults.iterations)),
-            seed=int(doc.get("seed", defaults.seed)),
+            iterations=iterations,
+            seed=seed,
             coefficients=coeffs,
             generator=generator,
         )

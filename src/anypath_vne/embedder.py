@@ -6,6 +6,13 @@ services, computes routes on the bandwidth-feasible pruned subgraph, filters
 candidate nodes by the channel's cost bound, and picks the candidate whose
 route uses the fewest physical links.  Every reservation lands in a ledger so
 a failure at any point restores the substrate exactly and blocks the request.
+
+A route table depends only on its destination and on which links have at
+least the channel's bandwidth, because link delay and pdr never change.  Within
+one ``embed`` call a table is therefore computed once per (destination,
+eligible links) pair and reused by every later channel with the same pair;
+the reuse is exact, since the reused table is the one a recomputation would
+build, float for float and tie for tie.
 """
 
 from __future__ import annotations
@@ -167,6 +174,13 @@ def _flow_hyperlinks(table, closure_nodes, reverse: bool) -> tuple:
         for nid in sorted(transposed, key=natural_key))
 
 
+def _eligible_mask(net: SubstrateNetwork, bw: int) -> int:
+    """Bitmask over net.links in insertion order: bit i is set if link i has bw >= bw."""
+    bits = "".join(["1" if link.bw >= bw else "0"
+                    for link in reversed(net.links.values())])
+    return int(bits or "0", 2)
+
+
 def embed(net: SubstrateNetwork, request: VirtualRequest,
           coeffs: Coefficients) -> Embedding:
     """Embed the whole request or raise an EmbeddingError after a full rollback.
@@ -179,10 +193,17 @@ def embed(net: SubstrateNetwork, request: VirtualRequest,
     otherwise every node suitable for it.  Candidates whose route cost
     exceeds max_delay / min_pdr are dropped, and the route with the fewest
     links wins.
+
+    Route tables are kept for the duration of the call, keyed by the anchor
+    node and the bitmask of links with enough bandwidth, which is exactly
+    the filter of ``anypath.prune``.  A reservation that drops a link below a
+    later channel's bandwidth changes the mask, so that channel gets a fresh
+    table; the tables are freed when the call returns.
     """
     embedding = Embedding(request.id)
     placed = embedding.service_map
     ledger = embedding.ledger
+    tables = {}   # (destination, eligible-link mask) -> AnypathRouteTable
     try:
         for channel in rank_channels(request, coeffs):
             reverse = channel.src in placed and channel.dst not in placed
@@ -204,8 +225,11 @@ def embed(net: SubstrateNetwork, request: VirtualRequest,
                 if not candidates:
                     raise NoSuitableNodeError(pending.id)
 
-            dag = anypath.prune(net, n_dst, channel.bw)
-            table = anypath.anypath_routes(dag, n_dst)
+            key = (n_dst, _eligible_mask(net, channel.bw))
+            table = tables.get(key)
+            if table is None:
+                dag = anypath.prune(net, n_dst, channel.bw)
+                table = tables[key] = anypath.anypath_routes(dag, n_dst)
             bound = channel.max_cost
             feasible = [n for n in candidates if table.cost[n] <= bound]
             if not feasible:

@@ -10,6 +10,7 @@ embedded request can be undone exactly.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -17,13 +18,19 @@ from typing import Iterable, Iterator
 RESOURCES = ("cpu", "gpu", "mem")
 
 _DIGIT_RUN = re.compile(r"(\d+)")
+# ids whose keys are kept; covers every node and link id of a 1000-node,
+# 3000-link substrate plus the ids of the requests on it
+_NATURAL_KEY_CACHE = 1 << 14
 
 
+@functools.lru_cache(maxsize=_NATURAL_KEY_CACHE)
 def natural_key(identifier: str) -> tuple:
     """Sort key that orders embedded integers numerically (n2 before n10).
 
     The raw string is appended so ids that only differ in zero padding still
-    compare deterministically.
+    compare deterministically.  The key is a pure function of the id and an
+    immutable tuple, so it is computed once per id and then served from a
+    bounded cache.
     """
     parts = tuple(int(part) if part.isdigit() else part
                   for part in _DIGIT_RUN.split(identifier))
@@ -32,6 +39,15 @@ def natural_key(identifier: str) -> tuple:
 
 class InsufficientCapacityError(Exception):
     """Raised when a reservation would drive an available capacity negative."""
+
+
+class SchemaError(ValueError):
+    """Input does not match the expected schema or range; names the field."""
+
+    def __init__(self, field_name: str, message: str):
+        self.field = field_name
+        self.detail = message
+        super().__init__(f"{field_name}: {message}")
 
 
 @dataclass
@@ -96,6 +112,9 @@ class NanoService:
 
     def __post_init__(self):
         self.functionals = frozenset(self.functionals)
+        for name in RESOURCES:
+            if not getattr(self, name) >= 0:
+                raise SchemaError(name, f"service {self.id} has a negative {name} demand")
 
     def demands(self) -> tuple[int, int, int]:
         return (self.cpu, self.gpu, self.mem)
@@ -114,7 +133,14 @@ class Channel:
 
     def __post_init__(self):
         if self.src == self.dst:
-            raise ValueError(f"channel {self.id} connects a service to itself")
+            raise SchemaError("dst", f"channel {self.id} connects a service to itself")
+        # the range checks are written so that NaN fails them
+        if not self.bw >= 0:
+            raise SchemaError("bw", f"channel {self.id} has a negative bandwidth")
+        if not self.max_delay > 0:
+            raise SchemaError("max_delay", f"channel {self.id} needs max_delay > 0")
+        if not 0 < self.min_pdr <= 1:
+            raise SchemaError("min_pdr", f"channel {self.id} needs min_pdr in (0, 1]")
 
     @property
     def max_cost(self) -> float:
@@ -131,14 +157,18 @@ class VirtualRequest:
     channels: list = field(default_factory=list)   # list[Channel]
 
     def add_service(self, service: NanoService) -> NanoService:
+        if service.id in self.services:
+            raise SchemaError("id", f"duplicate service id {service.id}")
         self.services[service.id] = service
         return service
 
     def add_channel(self, channel: Channel) -> Channel:
-        for end in (channel.src, channel.dst):
-            if end not in self.services:
-                raise ValueError(
-                    f"channel {channel.id} references unknown service {end}")
+        for end, sid in (("src", channel.src), ("dst", channel.dst)):
+            if sid not in self.services:
+                raise SchemaError(
+                    end, f"channel {channel.id} references unknown service {sid}")
+        if any(c.id == channel.id for c in self.channels):
+            raise SchemaError("id", f"duplicate channel id {channel.id}")
         self.channels.append(channel)
         return channel
 
@@ -153,6 +183,8 @@ class SubstrateNetwork:
 
     def add_node(self, node_id: str, cpu: int, gpu: int, mem: int,
                  functionals: Iterable[str] = ()) -> SubstrateNode:
+        if node_id in self.nodes:
+            raise SchemaError("id", f"duplicate node id {node_id}")
         node = SubstrateNode(node_id, cpu, gpu, mem, frozenset(functionals))
         self.nodes[node_id] = node
         self.adjacency.setdefault(node_id, [])
@@ -160,6 +192,8 @@ class SubstrateNetwork:
 
     def add_link(self, link_id: str, a: str, b: str, bw: int,
                  delay: float, pdr: float) -> SubstrateLink:
+        if link_id in self.links:
+            raise SchemaError("id", f"duplicate link id {link_id}")
         link = SubstrateLink(link_id, a, b, bw, delay, pdr)
         self.links[link_id] = link
         self.adjacency.setdefault(a, []).append(link_id)
@@ -300,21 +334,30 @@ def rollback(net: SubstrateNetwork, ledger: ReservationLedger) -> None:
 
 # --- JSON-friendly (de)serialization -----------------------------------------
 
-class SchemaError(ValueError):
-    """Input document does not match the expected schema; names the field."""
-
-    def __init__(self, field_name: str, message: str):
-        self.field = field_name
-        super().__init__(f"{field_name}: {message}")
-
-
 def _require(doc: dict, key: str, types, where: str):
+    if not isinstance(doc, dict):
+        raise SchemaError(where, "expected a JSON object")
     if key not in doc:
         raise SchemaError(f"{where}.{key}", "missing required field")
     value = doc[key]
     if not isinstance(value, types) or isinstance(value, bool):
         raise SchemaError(f"{where}.{key}", f"expected {types}, got {type(value).__name__}")
     return value
+
+
+def _functionals(doc: dict, where: str) -> frozenset:
+    value = doc.get("functionals", [])
+    if not isinstance(value, list) or not all(isinstance(f, str) for f in value):
+        raise SchemaError(f"{where}.functionals", "expected a list of strings")
+    return frozenset(value)
+
+
+def _build(where: str, make, *args):
+    """make(*args), with a model check's field name prefixed by where."""
+    try:
+        return make(*args)
+    except SchemaError as exc:
+        raise SchemaError(f"{where}.{exc.field}", exc.detail) from exc
 
 
 def substrate_to_dict(net: SubstrateNetwork) -> dict:
@@ -341,23 +384,21 @@ def substrate_from_dict(doc: dict) -> SubstrateNetwork:
     links = _require(doc, "links", list, "substrate")
     for i, nd in enumerate(nodes):
         where = f"nodes[{i}]"
-        net.add_node(
-            str(_require(nd, "id", (str, int), where)),
-            _require(nd, "cpu", int, where),
-            _require(nd, "gpu", int, where),
-            _require(nd, "mem", int, where),
-            nd.get("functionals", ()),
-        )
+        _build(where, net.add_node,
+               str(_require(nd, "id", (str, int), where)),
+               _require(nd, "cpu", int, where),
+               _require(nd, "gpu", int, where),
+               _require(nd, "mem", int, where),
+               _functionals(nd, where))
     for i, ld in enumerate(links):
         where = f"links[{i}]"
-        net.add_link(
-            str(_require(ld, "id", (str, int), where)),
-            str(_require(ld, "a", (str, int), where)),
-            str(_require(ld, "b", (str, int), where)),
-            _require(ld, "bw", int, where),
-            float(_require(ld, "delay", (int, float), where)),
-            float(_require(ld, "pdr", (int, float), where)),
-        )
+        _build(where, net.add_link,
+               str(_require(ld, "id", (str, int), where)),
+               str(_require(ld, "a", (str, int), where)),
+               str(_require(ld, "b", (str, int), where)),
+               _require(ld, "bw", int, where),
+               float(_require(ld, "delay", (int, float), where)),
+               float(_require(ld, "pdr", (int, float), where)))
     return net
 
 
@@ -385,25 +426,21 @@ def request_from_dict(doc: dict) -> VirtualRequest:
     channels = _require(doc, "channels", list, "request")
     for i, sd in enumerate(services):
         where = f"services[{i}]"
-        request.add_service(NanoService(
-            str(_require(sd, "id", (str, int), where)),
-            _require(sd, "cpu", int, where),
-            _require(sd, "gpu", int, where),
-            _require(sd, "mem", int, where),
-            frozenset(sd.get("functionals", ())),
-        ))
+        service = _build(where, NanoService,
+                         str(_require(sd, "id", (str, int), where)),
+                         _require(sd, "cpu", int, where),
+                         _require(sd, "gpu", int, where),
+                         _require(sd, "mem", int, where),
+                         _functionals(sd, where))
+        _build(where, request.add_service, service)
     for i, cd in enumerate(channels):
         where = f"channels[{i}]"
-        channel = Channel(
-            str(_require(cd, "id", (str, int), where)),
-            str(_require(cd, "src", (str, int), where)),
-            str(_require(cd, "dst", (str, int), where)),
-            _require(cd, "bw", int, where),
-            float(_require(cd, "max_delay", (int, float), where)),
-            float(_require(cd, "min_pdr", (int, float), where)),
-        )
-        try:
-            request.add_channel(channel)
-        except ValueError as exc:
-            raise SchemaError(where, str(exc)) from exc
+        channel = _build(where, Channel,
+                         str(_require(cd, "id", (str, int), where)),
+                         str(_require(cd, "src", (str, int), where)),
+                         str(_require(cd, "dst", (str, int), where)),
+                         _require(cd, "bw", int, where),
+                         float(_require(cd, "max_delay", (int, float), where)),
+                         float(_require(cd, "min_pdr", (int, float), where)))
+        _build(where, request.add_channel, channel)
     return request

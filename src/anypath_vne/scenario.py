@@ -133,8 +133,9 @@ class SimulationConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-        if not self.loads or not all(isinstance(load, int) and load >= 1
-                                     for load in self.loads):
+        if not self.loads or not all(
+                isinstance(load, int) and not isinstance(load, bool) and load >= 1
+                for load in self.loads):
             raise ValueError("loads must be a non-empty list of integers >= 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")

@@ -45,7 +45,11 @@ def test_bandwidth_filter_after_reservations(example):
     net = example_after_steps(example, steps=2)
     dag = prune(net, "n1", 30)
     assert {e.link_id for e in dag.edges} == {"l2", "l3", "l5", "l6"}
-    assert dag.nodes == set(net.nodes)
+    assert dag.nodes == tuple(net.nodes)
+    # the table's dicts follow the substrate's insertion order, not string hashing
+    table = anypath_routes(dag, "n1")
+    assert list(table.cost) == list(net.nodes)
+    assert list(table.forwarding) == list(net.nodes)
 
 
 def test_bandwidth_filter_extremes(example_net):

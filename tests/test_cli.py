@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from anypath_vne import cli
-from anypath_vne.netmodel import substrate_to_dict
+from anypath_vne.netmodel import SchemaError, substrate_to_dict
 from anypath_vne.scenario import example_fixture
 
 
@@ -114,12 +114,14 @@ def _run_cli(*argv):
                           capture_output=True, text=True, env=env)
 
 
-def _assert_input_error(proc):
+def _assert_input_error(proc) -> dict:
     assert proc.returncode == cli.EXIT_INPUT
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
-    assert set(json.loads(lines[0])) == {"error", "field"}
+    detail = json.loads(lines[0])
+    assert set(detail) == {"error", "field"}
+    return detail
 
 
 @pytest.mark.parametrize("config", [
@@ -132,6 +134,9 @@ def _assert_input_error(proc):
     {"seed": -1},
     {"generator": {"channel_prob": "x"}},
     {"generator": {"delay_min": 0, "delay_max": 0}},
+    {"iterations": 1.5},
+    {"seed": 1.5},
+    {"loads": [True]},
 ])
 def test_simulate_bad_config_is_input_error(tmp_path, config):
     path = tmp_path / "config.json"
@@ -139,6 +144,69 @@ def test_simulate_bad_config_is_input_error(tmp_path, config):
     _assert_input_error(_run_cli("simulate", "--config", str(path),
                                  "--out", str(tmp_path / "out")))
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["iterations", "seed"])
+@pytest.mark.parametrize("value", [1.5, "2", True])
+def test_simulate_config_needs_integer_iterations_and_seed(key, value):
+    with pytest.raises(SchemaError) as info:
+        cli.simulation_config_from_dict({key: value})
+    assert info.value.field == f"config.{key}"
+
+
+def _set(part, index, key, value):
+    def edit(doc):
+        doc[part][index][key] = value
+    return edit
+
+
+def _replace(part, index, value):
+    def edit(doc):
+        doc[part][index] = value
+    return edit
+
+
+def _append_copy(part, index):
+    def edit(doc):
+        doc[part].append(dict(doc[part][index]))
+    return edit
+
+
+# (file, edit of its JSON document, field named by the error)
+BAD_EMBED_INPUTS = {
+    "min_pdr_zero": ("request", _set("channels", 0, "min_pdr", 0), "channels[0].min_pdr"),
+    "min_pdr_above_one": ("request", _set("channels", 1, "min_pdr", 1.5),
+                          "channels[1].min_pdr"),
+    "max_delay_zero": ("request", _set("channels", 0, "max_delay", 0),
+                       "channels[0].max_delay"),
+    "negative_channel_bw": ("request", _set("channels", 2, "bw", -5), "channels[2].bw"),
+    "negative_service_cpu": ("request", _set("services", 0, "cpu", -5), "services[0].cpu"),
+    "negative_service_gpu": ("request", _set("services", 1, "gpu", -1), "services[1].gpu"),
+    "negative_service_mem": ("request", _set("services", 2, "mem", -1), "services[2].mem"),
+    "channel_to_itself": ("request", _set("channels", 0, "dst", "s1"), "channels[0].dst"),
+    "duplicate_channel": ("request", _append_copy("channels", 0), "channels[3].id"),
+    "duplicate_service": ("request", _append_copy("services", 1), "services[3].id"),
+    "string_service_functionals": ("request", _set("services", 0, "functionals", "cam"),
+                                   "services[0].functionals"),
+    "service_not_object": ("request", _replace("services", 0, 5), "services[0]"),
+    "duplicate_node": ("substrate", _append_copy("nodes", 2), "nodes[5].id"),
+    "duplicate_link": ("substrate", _append_copy("links", 0), "links[6].id"),
+    "string_node_functionals": ("substrate", _set("nodes", 0, "functionals", "cam"),
+                                "nodes[0].functionals"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EMBED_INPUTS))
+def test_embed_bad_input_is_input_error(example_files, case):
+    substrate, request_file, _ = example_files
+    target, edit, field = BAD_EMBED_INPUTS[case]
+    path = substrate if target == "substrate" else request_file
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    detail = _assert_input_error(_run_cli("embed", "--substrate", str(substrate),
+                                          "--request", str(request_file)))
+    assert detail["field"] == field
 
 
 def test_embed_bad_coefficients_is_input_error(example_files, tmp_path):

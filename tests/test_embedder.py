@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anypath_vne import anypath
 from anypath_vne.anypath import anypath_routes, prune
 from anypath_vne.embedder import (
     Coefficients,
@@ -26,6 +27,7 @@ from anypath_vne.netmodel import (
 )
 
 from helpers import random_request, random_substrate
+from test_acceptance import _complexity_instance
 
 
 def two_node_net(cpu1=100, cpu2=100):
@@ -222,6 +224,52 @@ def test_embedding_serialization(example):
     assert c1["id"] == "c1"
     assert c1["links"] == ["l1", "l2", "l3", "l4"]
     assert {h["transmitter"] for h in c1["hyperlinks"]} == {"n1", "n2", "n3"}
+
+
+def _count_route_computations(monkeypatch) -> list:
+    """Record the destination of every anypath_routes call that embed makes."""
+    calls = []
+    original = anypath.anypath_routes
+
+    def counting(dag, dst):
+        calls.append(dst)
+        return original(dag, dst)
+
+    monkeypatch.setattr(anypath, "anypath_routes", counting)
+    return calls
+
+
+def test_embed_reuses_route_table_for_unchanged_eligible_links(monkeypatch):
+    # zero-demand services all land on one node, so the 12 channels share
+    # their destination and every link keeps its bandwidth
+    net, request = _complexity_instance(np.random.default_rng(600), 120)
+    calls = _count_route_computations(monkeypatch)
+    embedding = embed(net, request, Coefficients())
+    assert len(embedding.channel_routes) == 12
+    assert len(calls) == 1
+
+
+def test_embed_recomputes_route_table_when_eligible_links_change(monkeypatch):
+    net = SubstrateNetwork()
+    for nid, label in (("n1", "x"), ("n2", "y"), ("n3", "z")):
+        net.add_node(nid, cpu=10, gpu=0, mem=0, functionals={label})
+    net.add_link("l1", "n1", "n2", bw=10, delay=1.0, pdr=1.0)
+    net.add_link("l2", "n1", "n3", bw=10, delay=5.0, pdr=1.0)
+    net.add_link("l3", "n2", "n3", bw=10, delay=10.0, pdr=1.0)
+    request = VirtualRequest("r")
+    for sid, label in (("s1", "x"), ("s2", "y"), ("s3", "z")):
+        request.add_service(NanoService(sid, functionals={label}))
+    # c1 ranks first and leaves l1 with 4 < 5, the bw of c2; both run toward n1
+    request.add_channel(Channel("c1", "s2", "s1", bw=6, max_delay=100.0,
+                                min_pdr=0.5))
+    request.add_channel(Channel("c2", "s3", "s1", bw=5, max_delay=100.0,
+                                min_pdr=0.5))
+    calls = _count_route_computations(monkeypatch)
+    embedding = embed(net, request, Coefficients())
+    assert calls == ["n1", "n1"]
+    assert embedding.channel_routes["c1"].links == {"l1"}
+    assert embedding.channel_routes["c2"].links == {"l2"}
+    assert net.links["l1"].bw == 4
 
 
 @settings(max_examples=150, deadline=None)
