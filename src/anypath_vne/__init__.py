@@ -11,8 +11,7 @@ from .anypath import (
     Hyperlink,
     PrunedDag,
     anypath_routes,
-    forwarder_weights,
-    hyperlink_metrics,
+    forwarding_cost,
     prune,
     route_closure,
     unicast_distances,
@@ -40,7 +39,6 @@ from .metrics import (
 from .netmodel import (
     Channel,
     NanoService,
-    ReservationLedger,
     SubstrateLink,
     SubstrateNetwork,
     SubstrateNode,

@@ -16,7 +16,8 @@ and delays d_m:
     w_m         = p_m * prod_{k<m}(1 - p_k) / reliability
 
 The expected anypath transmission time of a node is then the hyperlink cost
-plus the w-weighted mean of its members' own costs.
+plus the w-weighted mean of its members' own costs.  ``forwarding_cost`` is
+the one place these formulas are computed.
 """
 
 from __future__ import annotations
@@ -105,29 +106,25 @@ def prune(net: SubstrateNetwork, dst: str, bw: int) -> PrunedDag:
     return dag
 
 
-def hyperlink_metrics(members: Sequence[tuple[float, float]]):
-    """(reliability, delay, cost) of one broadcast step over ordered (pdr, delay) pairs."""
+def forwarding_cost(members: Sequence[DagEdge], cost: dict) -> float:
+    """Expected anypath transmission time of a transmitter, given cost[m.head].
+
+    members is the priority-ordered forwarding set.  The result is the
+    hyperlink cost plus the w-weighted sum of the heads' costs, accumulated
+    left to right in member order.
+    """
     miss = 1.0
     delay = 0.0
-    for pdr, d in members:
-        miss *= 1.0 - pdr
-        delay = max(delay, d)
+    for m in members:
+        miss *= 1.0 - m.pdr
+        delay = max(delay, m.delay)
     reliability = 1.0 - miss
-    return reliability, delay, delay / reliability
-
-
-def forwarder_weights(pdrs: Sequence[float]) -> list[float]:
-    """Relay probability of each member given the priority order; sums to 1."""
-    total = 1.0
-    for pdr in pdrs:
-        total *= 1.0 - pdr
-    total = 1.0 - total
-    weights = []
-    ahead_miss = 1.0
-    for pdr in pdrs:
-        weights.append(pdr * ahead_miss / total)
-        ahead_miss *= 1.0 - pdr
-    return weights
+    remaining = 0.0
+    ahead = 1.0
+    for m in members:
+        remaining += m.pdr * ahead / reliability * cost[m.head]
+        ahead *= 1.0 - m.pdr
+    return delay / reliability + remaining
 
 
 @dataclass
@@ -196,11 +193,7 @@ def anypath_routes(dag: PrunedDag, dst: str) -> AnypathRouteTable:
             if pred in settled or cost[pred] <= settled_cost:
                 continue
             members = forwarding[pred] + (edge,)
-            _, _, hyper_cost = hyperlink_metrics(
-                [(m.pdr, m.delay) for m in members])
-            weights = forwarder_weights([m.pdr for m in members])
-            remaining = sum(w * cost[m.head] for w, m in zip(weights, members))
-            cost[pred] = hyper_cost + remaining
+            cost[pred] = forwarding_cost(members, cost)
             forwarding[pred] = members
             heapq.heappush(heap, (cost[pred], natural_key(pred), pred))
     return AnypathRouteTable(dst, cost, forwarding, settle_order)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from .embedder import (
     rank_channels,
 )
 from .netmodel import (
+    RESOURCES,
     SchemaError,
     natural_key,
     request_from_dict,
@@ -73,17 +75,23 @@ def _load_json(path: str, what: str) -> dict:
         raise SchemaError(what, f"malformed JSON in {path}: {exc}") from exc
 
 
+def _coefficient(value, where: str) -> float:
+    """value as a float; refuses strings, bools, NaN and infinities."""
+    try:
+        finite = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                  and math.isfinite(value))
+    except OverflowError:   # an int too large for a float
+        finite = False
+    if not finite:
+        raise SchemaError(where, f"expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _alpha_triple(value, where: str) -> tuple:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return (float(value),) * 3
     if isinstance(value, dict):
-        try:
-            return (float(value["cpu"]), float(value["gpu"]), float(value["mem"]))
-        except KeyError as exc:
-            raise SchemaError(f"{where}.{exc.args[0]}", "missing resource weight")
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(where, str(exc)) from exc
-    raise SchemaError(where, "expected a number or a cpu/gpu/mem object")
+        return tuple(_coefficient(value.get(name), f"{where}.{name}")
+                     for name in RESOURCES)
+    return (_coefficient(value, where),) * 3
 
 
 def coefficients_from_dict(doc: dict, defaults: Coefficients = None) -> Coefficients:
@@ -94,16 +102,14 @@ def coefficients_from_dict(doc: dict, defaults: Coefficients = None) -> Coeffici
              if "alpha" in doc else base.alpha)
     alpha_cost = (_alpha_triple(doc["cost_alpha"], "coefficients.cost_alpha")
                   if "cost_alpha" in doc else base.alpha_cost)
-    try:
-        return Coefficients(
-            alpha=alpha,
-            beta=float(doc.get("beta", base.beta)),
-            alpha_cost=alpha_cost,
-            beta_cost=float(doc.get("cost_beta", base.beta_cost)),
-            gamma=float(doc.get("gamma", base.gamma)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError("coefficients", str(exc)) from exc
+    return Coefficients(
+        alpha=alpha,
+        beta=_coefficient(doc.get("beta", base.beta), "coefficients.beta"),
+        alpha_cost=alpha_cost,
+        beta_cost=_coefficient(doc.get("cost_beta", base.beta_cost),
+                               "coefficients.cost_beta"),
+        gamma=_coefficient(doc.get("gamma", base.gamma), "coefficients.gamma"),
+    )
 
 
 def _config_int(doc: dict, key: str, default: int) -> int:

@@ -23,7 +23,6 @@ from . import anypath
 from .netmodel import (
     Channel,
     NanoService,
-    ReservationLedger,
     SubstrateNetwork,
     VirtualRequest,
     local_pdr,
@@ -99,7 +98,7 @@ class Embedding:
     request_id: str
     service_map: dict = field(default_factory=dict)   # service id -> node id
     channel_routes: dict = field(default_factory=dict)  # channel id -> ChannelRoute
-    ledger: ReservationLedger = field(default_factory=ReservationLedger)
+    ledger: list = field(default_factory=list)           # reservation records
 
     def to_dict(self) -> dict:
         return {

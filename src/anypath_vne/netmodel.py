@@ -280,18 +280,8 @@ def suitable_nodes(net: SubstrateNetwork, service: NanoService) -> set[str]:
     return found
 
 
-class ReservationLedger:
-    """Ordered reservation records; replaying them backwards undoes everything."""
-
-    def __init__(self):
-        self.records: list[tuple] = []
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
 def reserve_service(net: SubstrateNetwork, node_id: str,
-                    service: NanoService, ledger: ReservationLedger) -> None:
+                    service: NanoService, ledger: list) -> None:
     """Debit the service's cpu/gpu/mem demands from the node."""
     node = net.nodes[node_id]
     if (service.cpu > node.cpu or service.gpu > node.gpu
@@ -301,11 +291,11 @@ def reserve_service(net: SubstrateNetwork, node_id: str,
     node.cpu -= service.cpu
     node.gpu -= service.gpu
     node.mem -= service.mem
-    ledger.records.append(("node", node_id, service.cpu, service.gpu, service.mem))
+    ledger.append(("node", node_id, service.cpu, service.gpu, service.mem))
 
 
 def reserve_channel(net: SubstrateNetwork, link_ids: Iterable[str],
-                    bw: int, ledger: ReservationLedger) -> None:
+                    bw: int, ledger: list) -> None:
     """Debit the channel bandwidth from every link of its route."""
     link_ids = sorted(link_ids, key=natural_key)
     for link_id in link_ids:
@@ -314,12 +304,12 @@ def reserve_channel(net: SubstrateNetwork, link_ids: Iterable[str],
                 f"link {link_id} has {net.links[link_id].bw} < {bw} bandwidth")
     for link_id in link_ids:
         net.links[link_id].bw -= bw
-        ledger.records.append(("link", link_id, bw))
+        ledger.append(("link", link_id, bw))
 
 
-def rollback(net: SubstrateNetwork, ledger: ReservationLedger) -> None:
-    """Undo all ledger records in reverse order and empty the ledger."""
-    for record in reversed(ledger.records):
+def rollback(net: SubstrateNetwork, ledger: list) -> None:
+    """Undo the records of the ledger list in reverse order and empty it."""
+    for record in reversed(ledger):
         if record[0] == "node":
             _, node_id, dcpu, dgpu, dmem = record
             node = net.nodes[node_id]
@@ -329,7 +319,7 @@ def rollback(net: SubstrateNetwork, ledger: ReservationLedger) -> None:
         else:
             _, link_id, dbw = record
             net.links[link_id].bw += dbw
-    ledger.records.clear()
+    ledger.clear()
 
 
 # --- JSON-friendly (de)serialization -----------------------------------------

@@ -109,12 +109,17 @@ class GeneratorConfig:
                   "delay": 1}
         for name, floor in floors.items():
             low, high = getattr(self, f"{name}_min"), getattr(self, f"{name}_max")
+            if not all(isinstance(v, int) and not isinstance(v, bool)
+                       for v in (low, high)):
+                raise TypeError(f"{name}_min and {name}_max must be integers")
             if not floor <= low <= high:
                 raise ValueError(f"need {floor} <= {name}_min <= {name}_max")
         if not 0.0 < self.pdr_lo <= self.pdr_hi <= 1.0:
             raise ValueError("need 0 < pdr_lo <= pdr_hi <= 1")
         if not (0.0 <= self.gpu_prob <= 1.0 and 0.0 <= self.channel_prob <= 1.0):
             raise ValueError("gpu_prob and channel_prob must lie in [0, 1]")
+        if not isinstance(self.ordered_pairs, bool):
+            raise TypeError("ordered_pairs must be true or false")
 
 
 @dataclass(frozen=True)

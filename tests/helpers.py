@@ -6,10 +6,10 @@ import math
 
 import numpy as np
 
+from anypath_vne.anypath import DagEdge
 from anypath_vne.netmodel import (
     Channel,
     NanoService,
-    ReservationLedger,
     SubstrateNetwork,
     VirtualRequest,
     reserve_channel,
@@ -20,7 +20,7 @@ from anypath_vne.netmodel import (
 def example_after_steps(example, steps: int) -> SubstrateNetwork:
     """Example substrate with the first N embedding reservations applied."""
     net, request, _ = example
-    ledger = ReservationLedger()
+    ledger = []
     if steps >= 1:
         reserve_service(net, "n4", request.services["s2"], ledger)
     if steps >= 2:
@@ -30,6 +30,13 @@ def example_after_steps(example, steps: int) -> SubstrateNetwork:
         reserve_service(net, "n5", request.services["s3"], ledger)
         reserve_channel(net, {"l2", "l5"}, 30, ledger)
     return net
+
+
+def forwarding_set(pdrs, delays=None) -> tuple:
+    """Members from transmitter t to relays r1, r2, ... in priority order."""
+    delays = delays or [0.0] * len(pdrs)
+    return tuple(DagEdge("t", f"r{i}", f"l{i}", float(d), float(p))
+                 for i, (p, d) in enumerate(zip(pdrs, delays), 1))
 
 
 def random_substrate(rng: np.random.Generator, max_nodes: int = 8,

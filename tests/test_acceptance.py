@@ -13,7 +13,7 @@ import pytest
 from anypath_vne import cli
 from anypath_vne.anypath import (
     anypath_routes,
-    forwarder_weights,
+    forwarding_cost,
     prune,
 )
 from anypath_vne.embedder import (
@@ -27,7 +27,6 @@ from anypath_vne.metrics import embedding_cost, embedding_revenue, ratios
 from anypath_vne.netmodel import (
     Channel,
     NanoService,
-    ReservationLedger,
     SubstrateNetwork,
     VirtualRequest,
     reserve_channel,
@@ -40,6 +39,7 @@ from anypath_vne.windowing import process_window
 from helpers import (
     eatt_recursive,
     example_after_steps,
+    forwarding_set,
     has_cycle,
     random_request,
     random_substrate,
@@ -125,7 +125,10 @@ def test_criterion_4a_forwarder_weights_sum_to_one():
     rng = np.random.default_rng(401)
     for _ in range(1000):
         pdrs = rng.uniform(0.01, 1.0, size=int(rng.integers(1, 9)))
-        assert abs(sum(forwarder_weights(list(pdrs))) - 1.0) <= 1e-12
+        # with no delay and every head cost 1 the cost is sum(w_m)
+        members = forwarding_set(list(pdrs))
+        total = forwarding_cost(members, {m.head: 1.0 for m in members})
+        assert abs(total - 1.0) <= 1e-12
     report("criterion 4a (weights sum to 1)", "1000 random priority sequences")
 
 
@@ -163,7 +166,7 @@ def test_criterion_4d_conservation_and_rollback():
     for _ in range(1000):
         net = random_substrate(rng, max_nodes=6)
         before = net.snapshot()
-        ledger = ReservationLedger()
+        ledger = []
         spent_nodes = {nid: [0, 0, 0] for nid in net.nodes}
         spent_links = {lid: 0 for lid in net.links}
         for _ in range(int(rng.integers(1, 8))):

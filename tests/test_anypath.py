@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,8 +9,7 @@ from hypothesis import strategies as st
 from anypath_vne.anypath import (
     UnreachableSourceError,
     anypath_routes,
-    forwarder_weights,
-    hyperlink_metrics,
+    forwarding_cost,
     prune,
     route_closure,
     unicast_distances,
@@ -19,6 +19,7 @@ from anypath_vne.netmodel import SubstrateNetwork
 from helpers import (
     eatt_recursive,
     example_after_steps,
+    forwarding_set,
     has_cycle,
     random_substrate,
     random_tree_substrate,
@@ -88,50 +89,58 @@ def test_prune_single_neighbor():
     assert [(e.tail, e.head) for e in dag.edges] == [("a", "dst")]
 
 
+def _hyperlink_cost(members) -> float:
+    """Cost of one broadcast step alone: every relay already at the destination."""
+    return forwarding_cost(members, {m.head: 0.0 for m in members})
+
+
+def _relay_weights(pdrs) -> list[float]:
+    """Each member's w_m: with no delay, a one-hot head cost returns its weight."""
+    members = forwarding_set(pdrs)
+    return [forwarding_cost(members, {m.head: float(m is hot) for m in members})
+            for hot in members]
+
+
 def test_hyperlink_metrics_singleton():
-    rho, delay, cost = hyperlink_metrics([(0.9, 10.0)])
-    assert (rho, delay) == (0.9, 10.0)
-    assert cost == pytest.approx(11.11111, abs=1e-4)
+    assert _hyperlink_cost(forwarding_set([0.9], [10.0])) == 10.0 / 0.9
 
 
 def test_hyperlink_metrics_pair():
-    rho, delay, cost = hyperlink_metrics([(0.5, 20.0), (0.75, 20.0)])
-    assert rho == pytest.approx(0.875)
-    assert delay == 20.0
+    cost = _hyperlink_cost(forwarding_set([0.5, 0.75], [20.0, 20.0]))
+    assert cost == 20.0 / 0.875
     assert cost == pytest.approx(22.857143, abs=1e-5)
 
 
 @given(pdrs)
 def test_hyperlink_with_perfect_member_is_reliable(ps):
-    members = [(p, 1.0) for p in ps] + [(1.0, 1.0)]
-    rho, _, _ = hyperlink_metrics(members)
-    assert rho == pytest.approx(1.0)
+    delays = [float(i + 1) for i in range(len(ps))] + [1.0]
+    members = forwarding_set(ps + [1.0], delays)
+    assert _hyperlink_cost(members) == max(delays)
 
 
 @given(pdrs)
 def test_hyperlink_metrics_grow_with_members(ps):
-    members = [(p, float(i + 1)) for i, p in enumerate(ps)]
-    prev_rho = 0.0
-    prev_delay = 0.0
+    # unit delays: the cost is 1 / reliability, so it falls as members join
+    members = forwarding_set(ps, [1.0] * len(ps))
+    prev_cost = math.inf
     for size in range(1, len(members) + 1):
-        rho, delay, _ = hyperlink_metrics(members[:size])
-        assert rho >= prev_rho - 1e-12
-        assert delay >= prev_delay
-        assert rho >= max(p for p, _ in members[:size]) - 1e-12
-        prev_rho, prev_delay = rho, delay
+        cost = _hyperlink_cost(members[:size])
+        assert cost <= prev_cost
+        assert cost * max(ps[:size]) <= 1.0 + 1e-12
+        prev_cost = cost
 
 
 def test_forwarder_weights_examples():
-    assert forwarder_weights([1.0]) == [1.0]
-    assert forwarder_weights([0.9, 0.9]) \
+    assert _relay_weights([1.0]) == [1.0]
+    assert _relay_weights([0.9, 0.9]) \
         == pytest.approx([0.909091, 0.090909], abs=1e-5)
-    assert forwarder_weights([0.5, 0.75]) \
+    assert _relay_weights([0.5, 0.75]) \
         == pytest.approx([0.571429, 0.428571], abs=1e-5)
 
 
 @given(pdrs)
 def test_forwarder_weights_sum_to_one(ps):
-    weights = forwarder_weights(ps)
+    weights = _relay_weights(ps)
     assert sum(weights) == pytest.approx(1.0, abs=1e-12)
     assert all(w >= 0 for w in weights)
 
@@ -265,3 +274,26 @@ def test_route_table_serialization(example_net):
     assert table.dst == "n4"
     assert table.cost["n1"] == pytest.approx(21.2121, abs=1e-3)
     assert [m.link_id for m in table.forwarding["n1"]] == ["l1", "l2"]
+
+
+# sha256 over every route table of the seeded corpus below: each node's cost
+# repr and forwarding-set link ids, and the closure link count of each node in
+# settle order; any change of a float's last bit, a tie or a member order fails
+ROUTE_TABLES_SHA256 = (
+    "cd71235dd4db5fd7d5a45870ef5ae6f1b08e52c3ac1c77b5ec5b8d59d083124b")
+
+
+def test_route_tables_match_reference():
+    rng = np.random.default_rng(20232)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        net = random_substrate(rng, max_nodes=10)
+        for dst in net.nodes:
+            for bw in (0, 50):
+                table = anypath_routes(prune(net, dst, bw), dst)
+                for nid in net.nodes:
+                    digest.update(repr((nid, table.cost[nid],
+                                        [m.link_id for m in table.forwarding[nid]])).encode())
+                digest.update(repr([(nid, table.closure_link_count(nid))
+                                    for nid in table.settle_order]).encode())
+    assert digest.hexdigest() == ROUTE_TABLES_SHA256

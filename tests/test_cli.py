@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -137,6 +138,16 @@ def _assert_input_error(proc) -> dict:
     {"iterations": 1.5},
     {"seed": 1.5},
     {"loads": [True]},
+    # cases that would run if accepted: one iteration keeps them short
+    {"iterations": 1, "coefficients": {"beta": "inf"}},
+    {"iterations": 1, "coefficients": {"gamma": "nan"}},
+    {"iterations": 1, "coefficients": {"beta": math.inf}},
+    {"iterations": 1, "coefficients": {"gamma": math.nan}},
+    {"iterations": 1, "coefficients": {"cost_beta": True}},
+    {"iterations": 1, "coefficients": {"alpha": {"cpu": 1, "gpu": "3", "mem": 1}}},
+    {"iterations": 1, "generator": {"delay_max": math.inf}},
+    {"iterations": 1, "generator": {"cpu_max": 1.5}},
+    {"iterations": 1, "generator": {"ordered_pairs": "yes"}},
 ])
 def test_simulate_bad_config_is_input_error(tmp_path, config):
     path = tmp_path / "config.json"
@@ -212,10 +223,21 @@ def test_embed_bad_input_is_input_error(example_files, case):
 def test_embed_bad_coefficients_is_input_error(example_files, tmp_path):
     substrate, request_file, _ = example_files
     coeffs = tmp_path / "bad_coeffs.json"
-    coeffs.write_text(json.dumps({"alpha": {"cpu": "x", "gpu": 1, "mem": 1}}))
-    _assert_input_error(_run_cli("embed", "--substrate", str(substrate),
-                                 "--request", str(request_file),
-                                 "--coeffs", str(coeffs)))
+    for doc, field in [
+        ({"alpha": {"cpu": "x", "gpu": 1, "mem": 1}}, "coefficients.alpha.cpu"),
+        ({"beta": "3"}, "coefficients.beta"),
+        ({"beta": math.inf}, "coefficients.beta"),
+        ({"gamma": math.nan}, "coefficients.gamma"),
+        ({"cost_beta": True}, "coefficients.cost_beta"),
+        ({"alpha": -math.inf}, "coefficients.alpha"),
+        ({"cost_alpha": {"cpu": 1, "gpu": "nan", "mem": 1}},
+         "coefficients.cost_alpha.gpu"),
+    ]:
+        coeffs.write_text(json.dumps(doc))
+        detail = _assert_input_error(_run_cli(
+            "embed", "--substrate", str(substrate),
+            "--request", str(request_file), "--coeffs", str(coeffs)))
+        assert detail["field"] == field
 
 
 def _sim_config(tmp_path, seed=5):

@@ -7,7 +7,6 @@ from anypath_vne.anypath import unicast_distances
 from anypath_vne.netmodel import (
     InsufficientCapacityError,
     NanoService,
-    ReservationLedger,
     SubstrateNetwork,
     local_pdr,
     natural_key,
@@ -106,7 +105,7 @@ def test_suitable_nodes_respects_functionals():
 
 
 def test_reserve_service_steps(example_net, example_request):
-    ledger = ReservationLedger()
+    ledger = []
     reserve_service(example_net, "n4", example_request.services["s2"], ledger)
     assert example_net.nodes["n4"].available() == (0, 0, 10)
     reserve_service(example_net, "n1", example_request.services["s1"], ledger)
@@ -115,20 +114,20 @@ def test_reserve_service_steps(example_net, example_request):
 
 
 def test_reserve_zero_demand_records_zero_deltas(example_net):
-    ledger = ReservationLedger()
+    ledger = []
     reserve_service(example_net, "n3", NanoService("s0"), ledger)
     assert example_net.nodes["n3"].available() == (10, 10, 10)
-    assert ledger.records == [("node", "n3", 0, 0, 0)]
+    assert ledger == [("node", "n3", 0, 0, 0)]
 
 
 def test_reserve_service_insufficient_raises(example_net):
     big = NanoService("s", cpu=999)
     with pytest.raises(InsufficientCapacityError):
-        reserve_service(example_net, "n1", big, ReservationLedger())
+        reserve_service(example_net, "n1", big, [])
 
 
 def test_reserve_channel_steps(example_net):
-    ledger = ReservationLedger()
+    ledger = []
     reserve_channel(example_net, {"l1", "l2", "l3", "l4"}, 50, ledger)
     assert [example_net.links[l].bw for l in ("l1", "l2", "l3", "l4")] \
         == [20, 30, 50, 20]
@@ -138,7 +137,7 @@ def test_reserve_channel_steps(example_net):
 
 
 def test_reserve_channel_empty_set_is_noop(example_net):
-    ledger = ReservationLedger()
+    ledger = []
     before = example_net.snapshot()
     reserve_channel(example_net, set(), 50, ledger)
     assert example_net.snapshot() == before
@@ -146,7 +145,7 @@ def test_reserve_channel_empty_set_is_noop(example_net):
 
 
 def test_reserve_channel_insufficient_leaves_links_untouched(example_net):
-    ledger = ReservationLedger()
+    ledger = []
     before = example_net.snapshot()
     with pytest.raises(InsufficientCapacityError):
         reserve_channel(example_net, {"l1", "l3"}, 75, ledger)
@@ -156,7 +155,7 @@ def test_reserve_channel_insufficient_leaves_links_untouched(example_net):
 
 def test_rollback_restores_node_and_links(example_net, example_request):
     before = example_net.snapshot()
-    ledger = ReservationLedger()
+    ledger = []
     reserve_service(example_net, "n4", example_request.services["s2"], ledger)
     reserve_channel(example_net, {"l1", "l2", "l3", "l4"}, 50, ledger)
     reserve_channel(example_net, {"l2", "l5"}, 30, ledger)
@@ -168,7 +167,7 @@ def test_rollback_restores_node_and_links(example_net, example_request):
 
 def test_rollback_empty_ledger_is_noop(example_net):
     before = example_net.snapshot()
-    rollback(example_net, ReservationLedger())
+    rollback(example_net, [])
     assert example_net.snapshot() == before
 
 
@@ -183,7 +182,7 @@ def test_random_reserves_conserve_and_roll_back(seed):
     rng = np.random.default_rng(seed)
     net = random_substrate(rng)
     before = net.snapshot()
-    ledger = ReservationLedger()
+    ledger = []
     spent_nodes = {nid: [0, 0, 0] for nid in net.nodes}
     spent_links = {lid: 0 for lid in net.links}
     for _ in range(int(rng.integers(1, 12))):
@@ -223,7 +222,7 @@ def test_reserving_never_adds_suitable_nodes(seed):
     node = net.nodes[nid]
     bite = NanoService("bite", cpu=min(1, node.cpu), gpu=min(1, node.gpu),
                        mem=min(1, node.mem))
-    reserve_service(net, nid, bite, ReservationLedger())
+    reserve_service(net, nid, bite, [])
     assert suitable_nodes(net, probe) <= before
 
 

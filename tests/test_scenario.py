@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,10 @@ def test_simulation_config_validation():
                 {"pdr_lo": 0.0}, {"pdr_lo": 0.9, "pdr_hi": 0.8},
                 {"pdr_hi": 1.5}, {"gpu_prob": -0.1}, {"channel_prob": 2.0}]:
         with pytest.raises(ValueError):
+            GeneratorConfig(**bad)
+    for bad in [{"cpu_max": 1.5}, {"delay_max": math.inf}, {"mem_min": True},
+                {"ordered_pairs": "yes"}, {"ordered_pairs": 1}]:
+        with pytest.raises(TypeError):
             GeneratorConfig(**bad)
     with pytest.raises(ValueError):
         SimulationConfig(substrate="nope")
