@@ -16,18 +16,30 @@ and delays d_m:
     w_m         = p_m * prod_{k<m}(1 - p_k) / reliability
 
 The expected anypath transmission time of a node is then the hyperlink cost
-plus the w-weighted mean of its members' own costs.  ``forwarding_cost`` is
+plus the w-weighted mean of its members' own costs.  ``_expected_time`` is
 the one place these formulas are computed.
+
+Everything inside runs on the dense integer ids of the substrate's shared
+``netmodel.Topology``: node i is the i-th node id, and a DAG edge or
+forwarding member is an arc code 2*link + side whose head is
+``topology.ends[arc]`` and whose tail is ``topology.ends[arc ^ 1]``.  The
+sweep's heap key is (cost, natural-key rank, index), so equal costs settle in
+``natural_key`` order of the ids; a closure's link set is an int bitmask over
+link indices.  String ids and ``DagEdge`` objects are made only at the
+boundary, when a caller reads ``unicast_distances``, ``PrunedDag.edges`` or a
+route table's ``cost``, ``forwarding``, ``settle_order`` or ``members``.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
-from .netmodel import SubstrateNetwork, natural_key
+from .netmodel import SubstrateNetwork, Topology
 
 INFINITY = math.inf
 
@@ -40,29 +52,30 @@ def unicast_distances(net: SubstrateNetwork, dst: str,
                       bw: int) -> dict[str, float]:
     """Shortest-path cost to dst under delay/pdr weights, over links with bw >= bw.
 
-    Link costs are non-negative, so the final distances do not depend on the
-    order in which equal heap keys pop; ties need no extra key.
+    The result maps every node id, in the substrate's insertion order, to its
+    distance (inf when unreachable).  Link costs are positive, so the final
+    distances do not depend on the order in which equal heap keys pop; ties
+    need no extra key.
     """
-    dist = {nid: INFINITY for nid in net.nodes}
-    dist[dst] = 0.0
-    heap = [(0.0, dst)]
-    done = set()
+    topology = net.topology()
+    # a link short of bandwidth costs inf, which never relaxes a distance
+    weight = [w if link.bw >= bw else INFINITY
+              for link, w in zip(net.links.values(), topology.weight)]
+    adjacency = topology.adjacency
+    dist = [INFINITY] * len(topology.nodes)
+    start = topology.index[dst]
+    dist[start] = 0.0
+    heap = [(0.0, start)]
     while heap:
-        d, nid = heapq.heappop(heap)
-        if nid in done:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
             continue
-        done.add(nid)
-        for link in net.incident_links(nid):
-            if link.bw < bw:
-                continue
-            other = link.other(nid)
-            if other not in dist:
-                continue
-            alt = d + link.delay / link.pdr
-            if alt < dist[other]:
-                dist[other] = alt
-                heapq.heappush(heap, (alt, other))
-    return dist
+        for link, v in adjacency[u]:
+            alt = d + weight[link]
+            if alt < dist[v]:
+                dist[v] = alt
+                heapq.heappush(heap, (alt, v))
+    return dict(zip(topology.nodes, dist))
 
 
 @dataclass(frozen=True)
@@ -79,52 +92,83 @@ class DagEdge:
     pdr: float
 
 
+def _edge(topology: Topology, arc: int) -> DagEdge:
+    nodes, ends = topology.nodes, topology.ends
+    return DagEdge(nodes[ends[arc ^ 1]], nodes[ends[arc]],
+                   topology.link_ids[arc >> 1], topology.delay[arc], topology.pdr[arc])
+
+
 @dataclass
 class PrunedDag:
-    """Destination-oriented DAG; every edge is one substrate link, oriented."""
+    """Destination-oriented DAG; every arc is one substrate link, oriented."""
 
     dst: str
-    nodes: tuple                                   # insertion order of net.nodes
-    edges: list = field(default_factory=list)
-    incoming: dict = field(default_factory=dict)   # head -> [DagEdge]
+    topology: Topology
+    incoming: list    # node index -> arc codes headed at it, in link order
+
+    @property
+    def nodes(self) -> tuple:
+        """Node ids in the substrate's insertion order."""
+        return self.topology.nodes
+
+    @cached_property
+    def edges(self) -> list:
+        """The arcs as DagEdges, in link order (each link is at most one arc)."""
+        return [_edge(self.topology, arc) for arc in sorted(chain(*self.incoming))]
 
 
 def prune(net: SubstrateNetwork, dst: str, bw: int) -> PrunedDag:
     """Orient each link with bw >= bw from its farther endpoint toward dst; drop ties."""
-    dist = unicast_distances(net, dst, bw)
-    dag = PrunedDag(dst, tuple(net.nodes))
-    for link in net.links.values():
+    # the distances come keyed by id in node order, so their values are by index
+    dist = list(unicast_distances(net, dst, bw).values())
+    topology = net.topology()
+    ends = topology.ends
+    incoming = [[] for _ in dist]
+    for k, link in enumerate(net.links.values()):
         if link.bw < bw:
             continue
-        da, db = dist[link.a], dist[link.b]
+        arc = 2 * k
+        da, db = dist[ends[arc]], dist[ends[arc + 1]]
         if da == db:
             continue   # equal distance (including both unreachable): no direction
-        tail, head = (link.a, link.b) if da > db else (link.b, link.a)
-        edge = DagEdge(tail, head, link.id, link.delay, link.pdr)
-        dag.edges.append(edge)
-        dag.incoming.setdefault(head, []).append(edge)
-    return dag
+        if da > db:
+            arc += 1   # from a into b
+        incoming[ends[arc]].append(arc)
+    return PrunedDag(dst, topology, incoming)
+
+
+def _expected_time(members, pdr, delay, head, cost) -> float:
+    """Expected anypath transmission time over the priority-ordered members.
+
+    pdr, delay and head are indexed by member; cost by head.  The result is
+    the hyperlink cost plus the w-weighted sum of the heads' costs,
+    accumulated left to right in member order.
+    """
+    miss = 1.0
+    worst = 0.0
+    for m in members:
+        miss *= 1.0 - pdr[m]
+        d = delay[m]
+        if d > worst:
+            worst = d
+    reliability = 1.0 - miss
+    remaining = 0.0
+    ahead = 1.0
+    for m in members:
+        p = pdr[m]
+        remaining += p * ahead / reliability * cost[head[m]]
+        ahead *= 1.0 - p
+    return worst / reliability + remaining
 
 
 def forwarding_cost(members: Sequence[DagEdge], cost: dict) -> float:
     """Expected anypath transmission time of a transmitter, given cost[m.head].
 
-    members is the priority-ordered forwarding set.  The result is the
-    hyperlink cost plus the w-weighted sum of the heads' costs, accumulated
-    left to right in member order.
+    members is the priority-ordered forwarding set.
     """
-    miss = 1.0
-    delay = 0.0
-    for m in members:
-        miss *= 1.0 - m.pdr
-        delay = max(delay, m.delay)
-    reliability = 1.0 - miss
-    remaining = 0.0
-    ahead = 1.0
-    for m in members:
-        remaining += m.pdr * ahead / reliability * cost[m.head]
-        ahead *= 1.0 - m.pdr
-    return delay / reliability + remaining
+    return _expected_time(range(len(members)), [m.pdr for m in members],
+                          [m.delay for m in members], [m.head for m in members],
+                          cost)
 
 
 @dataclass
@@ -136,34 +180,60 @@ class Hyperlink:
 
 
 class AnypathRouteTable:
-    """Per-node forwarding sets and expected anypath transmission times to dst."""
+    """Per-node forwarding sets and expected anypath transmission times to dst.
 
-    def __init__(self, dst: str, cost: dict, forwarding: dict, settle_order: list):
+    The table holds lists over node indices; the id-keyed views are built on
+    first read.
+    """
+
+    def __init__(self, topology: Topology, dst: str, cost: list,
+                 forwarding: list, settle_order: list):
+        self.topology = topology
         self.dst = dst
-        self.cost = cost                  # node id -> float (inf if unreachable)
-        self.forwarding = forwarding      # node id -> tuple[DagEdge, ...]
-        self.settle_order = settle_order  # reached nodes in ascending cost
+        self._cost = cost                  # node index -> float (inf if unreachable)
+        self._forwarding = forwarding      # node index -> tuple of arc codes
+        self._settle_order = settle_order  # reached node indices in ascending cost
         self._link_counts = None
+
+    @cached_property
+    def cost(self) -> dict:
+        """Node id -> expected anypath transmission time to dst (inf if unreachable)."""
+        return dict(zip(self.topology.nodes, self._cost))
+
+    @cached_property
+    def forwarding(self) -> dict:
+        """Node id -> forwarding set as a tuple of DagEdges."""
+        return {nid: self.members(nid) for nid in self.topology.nodes}
+
+    @cached_property
+    def settle_order(self) -> list:
+        """Reached node ids in ascending cost."""
+        nodes = self.topology.nodes
+        return [nodes[i] for i in self._settle_order]
+
+    def members(self, node_id: str) -> tuple:
+        """Forwarding set of node_id as DagEdges, in priority order."""
+        return tuple(_edge(self.topology, arc)
+                     for arc in self._forwarding[self.topology.index[node_id]])
 
     def closure_link_count(self, node_id: str) -> int:
         """Number of distinct substrate links used by the route from node_id."""
         if self._link_counts is None:
             self._compute_link_counts()
-        return self._link_counts[node_id]
+        return self._link_counts[self.topology.index[node_id]]
 
     def _compute_link_counts(self):
         # Forwarding sets point strictly downhill in cost, so settle order is a
-        # topological order; accumulate link sets as bitmasks over that order.
-        link_bit = {}
+        # topological order; accumulate link sets as bitmasks over link indices.
+        ends, forwarding = self.topology.ends, self._forwarding
         masks = {}
-        counts = {}
-        for nid in self.settle_order:
+        counts = {}   # reached node index -> count
+        for u in self._settle_order:
             mask = 0
-            for member in self.forwarding[nid]:
-                bit = link_bit.setdefault(member.link_id, len(link_bit))
-                mask |= masks[member.head] | (1 << bit)
-            masks[nid] = mask
-            counts[nid] = bin(mask).count("1")
+            for arc in forwarding[u]:
+                mask |= masks[ends[arc]] | (1 << (arc >> 1))
+            masks[u] = mask
+            counts[u] = mask.bit_count()
         self._link_counts = counts
 
 
@@ -176,43 +246,54 @@ def anypath_routes(dag: PrunedDag, dst: str) -> AnypathRouteTable:
     if it raises the predecessor's cost, so a fresh heap entry is pushed on
     every update and stale entries are skipped by value comparison.
     """
-    cost = {nid: INFINITY for nid in dag.nodes}
-    forwarding = {nid: () for nid in dag.nodes}
-    cost[dst] = 0.0
-    settled = set()
+    topology = dag.topology
+    rank, ends = topology.rank, topology.ends
+    pdr, delay = topology.pdr, topology.delay
+    incoming = dag.incoming
+    n = len(topology.nodes)
+    cost = [INFINITY] * n
+    forwarding = [()] * n
+    settled = [False] * n
     settle_order = []
-    heap = [(0.0, natural_key(dst), dst)]
+    start = topology.index[dst]
+    cost[start] = 0.0
+    heap = [(0.0, rank[start], start)]
     while heap:
-        settled_cost, _, nid = heapq.heappop(heap)
-        if nid in settled or settled_cost != cost[nid]:
+        settled_cost, _, u = heapq.heappop(heap)
+        if settled[u] or settled_cost != cost[u]:
             continue
-        settled.add(nid)
-        settle_order.append(nid)
-        for edge in dag.incoming.get(nid, ()):
-            pred = edge.tail
-            if pred in settled or cost[pred] <= settled_cost:
+        settled[u] = True
+        settle_order.append(u)
+        for arc in incoming[u]:
+            pred = ends[arc ^ 1]
+            if settled[pred] or cost[pred] <= settled_cost:
                 continue
-            members = forwarding[pred] + (edge,)
-            cost[pred] = forwarding_cost(members, cost)
+            members = forwarding[pred] + (arc,)
+            cost[pred] = _expected_time(members, pdr, delay, ends, cost)
             forwarding[pred] = members
-            heapq.heappush(heap, (cost[pred], natural_key(pred), pred))
-    return AnypathRouteTable(dst, cost, forwarding, settle_order)
+            heapq.heappush(heap, (cost[pred], rank[pred], pred))
+    return AnypathRouteTable(topology, dst, cost, forwarding, settle_order)
 
 
 def route_closure(table: AnypathRouteTable, src: str):
     """(node set, link set) of the route from src; empty sets when src is dst."""
     if src == table.dst:
         return set(), set()
-    if table.cost.get(src, INFINITY) == INFINITY:
+    topology = table.topology
+    start = topology.index.get(src)
+    if start is None or table._cost[start] == INFINITY:
         raise UnreachableSourceError(f"node {src} has no route to {table.dst}")
-    nodes = {src}
+    ends, forwarding = topology.ends, table._forwarding
+    nodes = {start}
     links = set()
-    stack = [src]
+    stack = [start]
     while stack:
-        nid = stack.pop()
-        for member in table.forwarding[nid]:
-            links.add(member.link_id)
-            if member.head not in nodes:
-                nodes.add(member.head)
-                stack.append(member.head)
-    return nodes, links
+        u = stack.pop()
+        for arc in forwarding[u]:
+            links.add(arc >> 1)
+            head = ends[arc]
+            if head not in nodes:
+                nodes.add(head)
+                stack.append(head)
+    return ({topology.nodes[i] for i in nodes},
+            {topology.link_ids[k] for k in links})

@@ -71,7 +71,7 @@ def _load_json(path: str, what: str) -> dict:
             return json.load(handle)
     except OSError as exc:
         raise SchemaError(what, f"cannot read {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # malformed, or an integer literal too long to parse
         raise SchemaError(what, f"malformed JSON in {path}: {exc}") from exc
 
 

@@ -25,7 +25,6 @@ from .netmodel import (
     NanoService,
     SubstrateNetwork,
     VirtualRequest,
-    local_pdr,
     natural_key,
     reserve_channel,
     reserve_service,
@@ -146,25 +145,30 @@ def select_max_pdr(net: SubstrateNetwork, service: NanoService) -> str:
     candidates = suitable_nodes(net, service)
     if not candidates:
         raise NoSuitableNodeError(service.id)
-    return min(candidates, key=lambda n: (-local_pdr(net, n), natural_key(n)))
+    topology = net.topology()
+    pdr, rank = topology.local_pdr, topology.rank
+    best = min((topology.index[n] for n in candidates),
+               key=lambda i: (-pdr[i], rank[i]))
+    return topology.nodes[best]
 
 
 def select_min_links(table: anypath.AnypathRouteTable, candidates) -> str:
     """Candidate using the fewest route links; ties by cost then node id."""
+    cost, index, rank = table.cost, table.topology.index, table.topology.rank
     return min(candidates, key=lambda n: (table.closure_link_count(n),
-                                          table.cost[n], natural_key(n)))
+                                          cost[n], rank[index[n]]))
 
 
 def _flow_hyperlinks(table, closure_nodes, reverse: bool) -> tuple:
     """Hyperlinks of the closure, transposed when the route was computed backwards."""
     if not reverse:
         return tuple(
-            anypath.Hyperlink(nid, table.forwarding[nid])
+            anypath.Hyperlink(nid, members)
             for nid in sorted(closure_nodes, key=natural_key)
-            if table.forwarding[nid])
+            if (members := table.members(nid)))
     transposed: dict[str, list] = {}
     for nid in closure_nodes:
-        for member in table.forwarding[nid]:
+        for member in table.members(nid):
             transposed.setdefault(member.head, []).append(anypath.DagEdge(
                 member.head, nid, member.link_id, member.delay, member.pdr))
     return tuple(

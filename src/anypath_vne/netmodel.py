@@ -6,14 +6,21 @@ delay, packet delivery ratio).  A virtual request is a directed graph of
 nano-services connected by communication channels with bandwidth, delay and
 reliability demands.  All reservations go through a ledger so that a partially
 embedded request can be undone exactly.
+
+Link delay and pdr never change after construction, so the static structure
+of a substrate is kept apart from its capacities: ``SubstrateNetwork.topology``
+numbers nodes and links densely and is shared by every clone, while the
+mutable bandwidth and node resources stay on ``SubstrateLink`` and
+``SubstrateNode``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 RESOURCES = ("cpu", "gpu", "mem")
 
@@ -92,12 +99,16 @@ class SubstrateLink:
     def __post_init__(self):
         if self.bw0 is None:
             self.bw0 = self.bw
+        # the range checks are written so that NaN fails them
+        if not isinstance(self.bw, int) or isinstance(self.bw, bool) or self.bw < 0:
+            raise SchemaError("bw", f"link {self.id} needs a non-negative integer bw")
+        if not 0 < self.delay < math.inf:
+            raise SchemaError("delay", f"link {self.id} needs a finite delay > 0")
+        if not 0 < self.pdr <= 1:
+            raise SchemaError("pdr", f"link {self.id} needs pdr in (0, 1]")
 
     def endpoints(self) -> frozenset:
         return frozenset((self.a, self.b))
-
-    def other(self, node_id: str) -> str:
-        return self.b if node_id == self.a else self.a
 
 
 @dataclass
@@ -137,8 +148,9 @@ class Channel:
         # the range checks are written so that NaN fails them
         if not self.bw >= 0:
             raise SchemaError("bw", f"channel {self.id} has a negative bandwidth")
-        if not self.max_delay > 0:
-            raise SchemaError("max_delay", f"channel {self.id} needs max_delay > 0")
+        if not 0 < self.max_delay < math.inf:
+            raise SchemaError("max_delay",
+                              f"channel {self.id} needs a finite max_delay > 0")
         if not 0 < self.min_pdr <= 1:
             raise SchemaError("min_pdr", f"channel {self.id} needs min_pdr in (0, 1]")
 
@@ -173,13 +185,61 @@ class VirtualRequest:
         return channel
 
 
+class Topology:
+    """Static structure of a substrate on dense integer ids; never changed once built.
+
+    Node i is the i-th node id in insertion order and link k the k-th link.
+    Arc 2*k + s is link k directed into its endpoint ``ends[2*k + s]`` (s = 0
+    for endpoint a, 1 for b); ``ends[arc ^ 1]`` is its tail, ``arc >> 1`` its
+    link.  ``delay`` and ``pdr`` are kept per arc, so one index reads both a
+    forwarding member's link quality and its head; ``weight`` is the unicast
+    cost delay / pdr per link.  ``adjacency[i]`` holds a (link, neighbour) pair
+    per link at node i, in link order, and ``rank[i]`` is the position of node
+    i's id in ``natural_key`` order.
+    """
+
+    __slots__ = ("nodes", "index", "rank", "link_ids", "ends", "delay", "pdr",
+                 "weight", "adjacency", "local_pdr")
+
+    def __init__(self, net: "SubstrateNetwork"):
+        self.nodes = tuple(net.nodes)
+        self.index = {nid: i for i, nid in enumerate(self.nodes)}
+        rank = {nid: r for r, nid in enumerate(sorted(self.nodes, key=natural_key))}
+        self.rank = tuple(rank[nid] for nid in self.nodes)
+        self.link_ids = tuple(net.links)
+        ends, delay, pdr, weight = [], [], [], []
+        adjacency = [[] for _ in self.nodes]
+        for k, link in enumerate(net.links.values()):
+            try:
+                a, b = self.index[link.a], self.index[link.b]
+            except KeyError as exc:
+                raise SchemaError(f"links[{k}]", f"link {link.id} has dangling "
+                                  f"endpoint {exc.args[0]}") from None
+            ends += (a, b)
+            delay += (link.delay, link.delay)
+            pdr += (link.pdr, link.pdr)
+            weight.append(link.delay / link.pdr)
+            adjacency[a].append((k, b))
+            if b != a:
+                adjacency[b].append((k, a))
+        self.ends, self.delay, self.pdr = tuple(ends), tuple(delay), tuple(pdr)
+        self.weight = tuple(weight)
+        self.adjacency = tuple(tuple(row) for row in adjacency)
+        self.local_pdr = tuple(_mean_pdr([pdr[2 * k] for k, _ in row])
+                               for row in self.adjacency)
+
+
+def _mean_pdr(pdrs: list) -> float:
+    return sum(pdrs) / len(pdrs) if pdrs else 0.0
+
+
 class SubstrateNetwork:
-    """Node/link stores plus an adjacency index from node id to link ids."""
+    """Node and link stores with their capacities, plus the shared static topology."""
 
     def __init__(self):
         self.nodes: dict[str, SubstrateNode] = {}
         self.links: dict[str, SubstrateLink] = {}
-        self.adjacency: dict[str, list[str]] = {}
+        self._topology = None
 
     def add_node(self, node_id: str, cpu: int, gpu: int, mem: int,
                  functionals: Iterable[str] = ()) -> SubstrateNode:
@@ -187,7 +247,7 @@ class SubstrateNetwork:
             raise SchemaError("id", f"duplicate node id {node_id}")
         node = SubstrateNode(node_id, cpu, gpu, mem, frozenset(functionals))
         self.nodes[node_id] = node
-        self.adjacency.setdefault(node_id, [])
+        self._topology = None
         return node
 
     def add_link(self, link_id: str, a: str, b: str, bw: int,
@@ -196,17 +256,21 @@ class SubstrateNetwork:
             raise SchemaError("id", f"duplicate link id {link_id}")
         link = SubstrateLink(link_id, a, b, bw, delay, pdr)
         self.links[link_id] = link
-        self.adjacency.setdefault(a, []).append(link_id)
-        if b != a:
-            self.adjacency.setdefault(b, []).append(link_id)
+        self._topology = None
         return link
 
-    def incident_links(self, node_id: str) -> Iterator[SubstrateLink]:
-        for link_id in self.adjacency.get(node_id, ()):
-            yield self.links[link_id]
+    def topology(self) -> Topology:
+        """The static structure, built on first use after the last add_node/add_link.
+
+        Raises SchemaError naming the link when a link has an endpoint that is
+        not a node.
+        """
+        if self._topology is None:
+            self._topology = Topology(self)
+        return self._topology
 
     def clone(self) -> "SubstrateNetwork":
-        """Independent copy; capability sets are shared (immutable)."""
+        """Copy of the capacities; the topology and capability sets are shared."""
         dup = SubstrateNetwork()
         for node in self.nodes.values():
             dup.nodes[node.id] = SubstrateNode(
@@ -215,7 +279,7 @@ class SubstrateNetwork:
         for link in self.links.values():
             dup.links[link.id] = SubstrateLink(
                 link.id, link.a, link.b, link.bw, link.delay, link.pdr, link.bw0)
-        dup.adjacency = {nid: list(lids) for nid, lids in self.adjacency.items()}
+        dup._topology = self.topology()
         return dup
 
     def snapshot(self) -> tuple:
@@ -263,10 +327,8 @@ def validate_substrate(net: SubstrateNetwork) -> list[str]:
 
 def local_pdr(net: SubstrateNetwork, node_id: str) -> float:
     """Mean delivery ratio over the node's incident links; 0 when isolated."""
-    pdrs = [link.pdr for link in net.incident_links(node_id)]
-    if not pdrs:
-        return 0.0
-    return sum(pdrs) / len(pdrs)
+    topology = net.topology()
+    return topology.local_pdr[topology.index[node_id]]
 
 
 def suitable_nodes(net: SubstrateNetwork, service: NanoService) -> set[str]:
@@ -335,6 +397,15 @@ def _require(doc: dict, key: str, types, where: str):
     return value
 
 
+def _float(doc: dict, key: str, where: str) -> float:
+    """A required number as a float; an int too large for a float is refused."""
+    value = _require(doc, key, (int, float), where)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{where}.{key}", "number too large for a float") from None
+
+
 def _functionals(doc: dict, where: str) -> frozenset:
     value = doc.get("functionals", [])
     if not isinstance(value, list) or not all(isinstance(f, str) for f in value):
@@ -387,8 +458,8 @@ def substrate_from_dict(doc: dict) -> SubstrateNetwork:
                str(_require(ld, "a", (str, int), where)),
                str(_require(ld, "b", (str, int), where)),
                _require(ld, "bw", int, where),
-               float(_require(ld, "delay", (int, float), where)),
-               float(_require(ld, "pdr", (int, float), where)))
+               _float(ld, "delay", where),
+               _float(ld, "pdr", where))
     return net
 
 
@@ -430,7 +501,7 @@ def request_from_dict(doc: dict) -> VirtualRequest:
                          str(_require(cd, "src", (str, int), where)),
                          str(_require(cd, "dst", (str, int), where)),
                          _require(cd, "bw", int, where),
-                         float(_require(cd, "max_delay", (int, float), where)),
-                         float(_require(cd, "min_pdr", (int, float), where)))
+                         _float(cd, "max_delay", where),
+                         _float(cd, "min_pdr", where))
         _build(where, request.add_channel, channel)
     return request

@@ -79,9 +79,22 @@ SUBSTRATE_FIXTURES = {
 }
 
 
+# (floor, ceiling) of each generator range *_min..*_max.  A lone service has
+# no peer for its fallback channel, and a zero delay or pdr would divide by
+# zero in a channel's cost bound; the ceilings keep every draw well inside
+# int64 and every generated request a size the sweep can embed.
+GENERATOR_LIMITS = {"services": (2, 100), "cpu": (0, 10**6), "gpu": (0, 10**6),
+                    "mem": (0, 10**6), "bw": (0, 10**6), "delay": (1, 10**6)}
+# largest number of requests in one load level's window
+MAX_LOAD = 10_000
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Sampling ranges for random virtual requests (integer ranges inclusive)."""
+    """Sampling ranges for random virtual requests.
+
+    Integer ranges are inclusive and lie within ``GENERATOR_LIMITS``.
+    """
 
     services_min: int = 2
     services_max: int = 7
@@ -103,17 +116,14 @@ class GeneratorConfig:
     ordered_pairs: bool = False
 
     def __post_init__(self):
-        # a lone service has no peer for its fallback channel, and a zero
-        # delay or pdr would divide by zero in a channel's cost bound
-        floors = {"services": 2, "cpu": 0, "gpu": 0, "mem": 0, "bw": 0,
-                  "delay": 1}
-        for name, floor in floors.items():
+        for name, (floor, ceiling) in GENERATOR_LIMITS.items():
             low, high = getattr(self, f"{name}_min"), getattr(self, f"{name}_max")
             if not all(isinstance(v, int) and not isinstance(v, bool)
                        for v in (low, high)):
                 raise TypeError(f"{name}_min and {name}_max must be integers")
-            if not floor <= low <= high:
-                raise ValueError(f"need {floor} <= {name}_min <= {name}_max")
+            if not floor <= low <= high <= ceiling:
+                raise ValueError(
+                    f"need {floor} <= {name}_min <= {name}_max <= {ceiling}")
         if not 0.0 < self.pdr_lo <= self.pdr_hi <= 1.0:
             raise ValueError("need 0 < pdr_lo <= pdr_hi <= 1")
         if not (0.0 <= self.gpu_prob <= 1.0 and 0.0 <= self.channel_prob <= 1.0):
@@ -139,9 +149,11 @@ class SimulationConfig:
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         if not self.loads or not all(
-                isinstance(load, int) and not isinstance(load, bool) and load >= 1
+                isinstance(load, int) and not isinstance(load, bool)
+                and 1 <= load <= MAX_LOAD
                 for load in self.loads):
-            raise ValueError("loads must be a non-empty list of integers >= 1")
+            raise ValueError(
+                f"loads must be a non-empty list of integers in 1..{MAX_LOAD}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.substrate not in SUBSTRATE_FIXTURES:

@@ -297,3 +297,18 @@ def test_route_tables_match_reference():
                 digest.update(repr([(nid, table.closure_link_count(nid))
                                     for nid in table.settle_order]).encode())
     assert digest.hexdigest() == ROUTE_TABLES_SHA256
+
+
+def test_equal_costs_settle_in_natural_key_order():
+    # insertion order and plain string order would both put n10 before n2
+    net = SubstrateNetwork()
+    for nid in ("dst", "n10", "n2", "x"):
+        net.add_node(nid, 1, 1, 1)
+    net.add_link("l1", "n10", "dst", bw=10, delay=5.0, pdr=0.5)
+    net.add_link("l2", "n2", "dst", bw=10, delay=5.0, pdr=0.5)
+    net.add_link("l3", "x", "n10", bw=10, delay=1.0, pdr=0.9)
+    net.add_link("l4", "x", "n2", bw=10, delay=1.0, pdr=0.9)
+    table = anypath_routes(prune(net, "dst", 1), "dst")
+    assert table.cost["n2"] == table.cost["n10"]
+    assert table.settle_order == ["dst", "n2", "n10", "x"]
+    assert [m.head for m in table.forwarding["x"]] == ["n2", "n10"]

@@ -54,12 +54,19 @@ def test_validate_clean_substrate(example_files):
 def test_validate_dirty_substrate(tmp_path, capsys):
     doc = {"nodes": [{"id": "n1", "cpu": 1, "gpu": 1, "mem": 1}],
            "links": [{"id": "l1", "a": "n1", "b": "n9", "bw": 1,
-                      "delay": 1.0, "pdr": 2.0}]}
+                      "delay": 1.0, "pdr": 0.9}]}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["validate", "--substrate", str(path)]) == cli.EXIT_INPUT
     out = capsys.readouterr().out
-    assert "l1" in out
+    assert "l1" in out and "n9" in out
+    # a value out of range is refused while loading, before any cross check
+    doc["links"][0]["pdr"] = 2.0
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--substrate", str(path)]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["field"] == "links[0].pdr"
 
 
 def test_embed_command_accepts(example_files, capsys):
@@ -102,6 +109,14 @@ def test_malformed_json_is_input_error(tmp_path, capsys):
     path.write_text("{not json")
     assert cli.main(["validate", "--substrate", str(path)]) == cli.EXIT_INPUT
     assert "broken.json" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_oversized_integer_literal_is_input_error(example_files):
+    substrate, request_file, _ = example_files
+    text = substrate.read_text()
+    substrate.write_text(text.replace('"delay": 10.0', '"delay": 1' + "0" * 5000, 1))
+    detail = _assert_input_error(_run_cli("validate", "--substrate", str(substrate)))
+    assert detail["field"] == "substrate"
 
 
 def test_unknown_flag_is_input_error(capsys):
@@ -148,6 +163,11 @@ def _assert_input_error(proc) -> dict:
     {"iterations": 1, "generator": {"delay_max": math.inf}},
     {"iterations": 1, "generator": {"cpu_max": 1.5}},
     {"iterations": 1, "generator": {"ordered_pairs": "yes"}},
+    {"iterations": 1, "generator": {"delay_max": 10**30}},
+    {"iterations": 1, "generator": {"cpu_max": 10**21}},
+    {"iterations": 1, "generator": {"services_max": 10**6}},
+    {"iterations": 1, "loads": [10**21]},
+    {"iterations": 1, "loads": [10, 10_001]},
 ])
 def test_simulate_bad_config_is_input_error(tmp_path, config):
     path = tmp_path / "config.json"
@@ -155,6 +175,15 @@ def test_simulate_bad_config_is_input_error(tmp_path, config):
     _assert_input_error(_run_cli("simulate", "--config", str(path),
                                  "--out", str(tmp_path / "out")))
     assert not (tmp_path / "out").exists()
+
+
+def test_simulate_config_bounds_name_the_field():
+    for doc, field in [({"generator": {"delay_max": 10**30}}, "config.generator"),
+                       ({"generator": {"services_max": 101}}, "config.generator"),
+                       ({"loads": [10**21]}, "config")]:
+        with pytest.raises(SchemaError) as info:
+            cli.simulation_config_from_dict(doc)
+        assert info.value.field == field
 
 
 @pytest.mark.parametrize("key", ["iterations", "seed"])
@@ -204,6 +233,16 @@ BAD_EMBED_INPUTS = {
     "duplicate_link": ("substrate", _append_copy("links", 0), "links[6].id"),
     "string_node_functionals": ("substrate", _set("nodes", 0, "functionals", "cam"),
                                 "nodes[0].functionals"),
+    "link_delay_nan": ("substrate", _set("links", 0, "delay", math.nan), "links[0].delay"),
+    "link_delay_infinite": ("substrate", _set("links", 1, "delay", math.inf),
+                            "links[1].delay"),
+    "link_delay_beyond_float": ("substrate", _set("links", 2, "delay", 10**400),
+                                "links[2].delay"),
+    "link_pdr_zero": ("substrate", _set("links", 3, "pdr", 0), "links[3].pdr"),
+    "link_pdr_nan": ("substrate", _set("links", 4, "pdr", math.nan), "links[4].pdr"),
+    "negative_link_bw": ("substrate", _set("links", 5, "bw", -1), "links[5].bw"),
+    "max_delay_infinite": ("request", _set("channels", 1, "max_delay", math.inf),
+                           "channels[1].max_delay"),
 }
 
 

@@ -1,13 +1,20 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anypath_vne.anypath import unicast_distances
+from anypath_vne.anypath import anypath_routes, prune, route_closure, unicast_distances
+from anypath_vne.embedder import embed
 from anypath_vne.netmodel import (
+    Channel,
     InsufficientCapacityError,
     NanoService,
+    SchemaError,
     SubstrateNetwork,
+    Topology,
     local_pdr,
     natural_key,
     request_from_dict,
@@ -248,3 +255,82 @@ def test_request_json_round_trip(example_request):
     clone = request_from_dict(doc)
     assert request_to_dict(clone) == doc
     assert [c.id for c in clone.channels] == ["c1", "c2", "c3"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("delay", 0.0), ("delay", -1.0), ("delay", math.nan), ("delay", math.inf),
+    ("pdr", 0.0), ("pdr", 1.5), ("pdr", math.nan),
+    ("bw", -1), ("bw", 2.5), ("bw", True),
+])
+def test_link_refuses_bad_values(field, value):
+    attrs = {"bw": 10, "delay": 1.0, "pdr": 0.9, field: value}
+    net = SubstrateNetwork()
+    with pytest.raises(SchemaError) as info:
+        net.add_link("l1", "a", "b", **attrs)
+    assert info.value.field == field
+    assert net.links == {}
+
+
+def test_channel_refuses_infinite_max_delay():
+    with pytest.raises(SchemaError) as info:
+        Channel("c1", "s1", "s2", bw=1, max_delay=math.inf, min_pdr=0.5)
+    assert info.value.field == "max_delay"
+
+
+def test_topology_refuses_dangling_endpoint():
+    net = SubstrateNetwork()
+    net.add_node("n1", 10, 10, 10)
+    net.add_link("l1", "n1", "ghost", bw=5, delay=1.0, pdr=0.9)
+    with pytest.raises(SchemaError) as info:
+        net.topology()
+    assert info.value.field == "links[0]"
+    assert "l1" in str(info.value) and "ghost" in str(info.value)
+
+
+def test_clone_shares_topology(example_net):
+    assert example_net.clone().topology() is example_net.topology()
+    assert example_net.clone().clone().topology() is example_net.topology()
+
+
+def test_add_link_rebuilds_topology_and_routes_use_the_link(example_net):
+    before = example_net.topology()
+    assert unicast_distances(example_net, "n4", 0)["n1"] == 2 * (10.0 / 0.9)
+    example_net.add_link("l7", "n1", "n4", bw=100, delay=1.0, pdr=1.0)
+    after = example_net.topology()
+    assert after is not before
+    assert after.link_ids[-1] == "l7"
+    assert unicast_distances(example_net, "n4", 0)["n1"] == 1.0
+    assert route_closure(anypath_routes(prune(example_net, "n4", 1), "n4"),
+                         "n1")[1] == {"l7"}
+
+
+def test_reservations_on_a_clone_leave_the_topology_alone(
+        example_net, example_request, example_coeffs):
+    topology = example_net.topology()
+    fields = {name: getattr(topology, name) for name in Topology.__slots__}
+    work = example_net.clone()
+    embed(work, example_request, example_coeffs)
+    assert work.snapshot() != example_net.snapshot()
+    assert work.topology() is topology
+    assert {name: getattr(topology, name) for name in Topology.__slots__} == fields
+
+
+def test_topology_of_large_substrate_is_compact():
+    rng = np.random.default_rng(1000)
+    net = SubstrateNetwork()
+    for i in range(1, 1001):
+        net.add_node(f"n{i}", 1, 1, 1)
+    for k in range(1, 3001):
+        a = int(rng.integers(1, 1001))
+        net.add_link(f"l{k}", f"n{a}", f"n{a % 1000 + 1}", bw=1,
+                     delay=float(rng.uniform(1.0, 20.0)),
+                     pdr=float(rng.uniform(0.5, 1.0)))
+    for nid in net.nodes:
+        natural_key(nid)   # the key cache is not part of the topology
+    tracemalloc.start()
+    try:
+        net.topology()
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size <= 1_000_000

@@ -104,7 +104,7 @@ def test_generate_request_ordered_pair_flag_doubles_density():
 def test_simulation_config_validation():
     with pytest.raises(ValueError):
         SimulationConfig(iterations=0)
-    for loads in [(), (0, 10), (10, -5), (2.5,)]:
+    for loads in [(), (0, 10), (10, -5), (2.5,), (10, 10_001)]:
         with pytest.raises(ValueError):
             SimulationConfig(loads=loads)
     with pytest.raises(ValueError):
@@ -113,7 +113,8 @@ def test_simulation_config_validation():
                 {"cpu_min": 3, "cpu_max": 2}, {"delay_min": 60},
                 {"cpu_min": -5, "cpu_max": -1}, {"delay_min": 0},
                 {"pdr_lo": 0.0}, {"pdr_lo": 0.9, "pdr_hi": 0.8},
-                {"pdr_hi": 1.5}, {"gpu_prob": -0.1}, {"channel_prob": 2.0}]:
+                {"pdr_hi": 1.5}, {"gpu_prob": -0.1}, {"channel_prob": 2.0},
+                {"services_max": 101}, {"delay_max": 10**30}, {"bw_max": 10**6 + 1}]:
         with pytest.raises(ValueError):
             GeneratorConfig(**bad)
     for bad in [{"cpu_max": 1.5}, {"delay_max": math.inf}, {"mem_min": True},

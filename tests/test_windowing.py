@@ -1,9 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anypath_vne.embedder import Coefficients, embed
+from anypath_vne.netmodel import (
+    request_from_dict,
+    request_to_dict,
+    substrate_from_dict,
+    substrate_to_dict,
+)
 from anypath_vne.windowing import (
     process_window,
     request_quality_revenue,
@@ -90,3 +98,54 @@ def test_ratios_partition_and_replay_equivalence(seed):
         if result.accepted:
             embed(replay_net, result.request, coeffs)
     assert replay_net.snapshot() == net.snapshot()
+
+
+def _doubled(net, requests, coeffs):
+    """Copies with every link delay, channel max_delay and gamma doubled."""
+    doc = substrate_to_dict(net)
+    for link in doc["links"]:
+        link["delay"] *= 2
+    scaled = []
+    for request in requests:
+        request_doc = request_to_dict(request)
+        for channel in request_doc["channels"]:
+            channel["max_delay"] *= 2
+        scaled.append(request_from_dict(request_doc))
+    return (substrate_from_dict(doc), scaled,
+            dataclasses.replace(coeffs, gamma=2 * coeffs.gamma))
+
+
+def _shape(route):
+    """Everything of a route except its eatt and its members' delays."""
+    return (route.src_node, route.dst_node, route.nodes, route.links,
+            [(h.transmitter, [(m.tail, m.head, m.link_id, m.pdr) for m in h.members])
+             for h in route.hyperlinks])
+
+
+def test_doubling_every_delay_doubles_every_eatt_and_changes_nothing_else():
+    # scaling by 2 is exact in IEEE arithmetic, so every cost, comparison and
+    # tie of the routing is preserved and every realized eatt doubles exactly
+    rng = np.random.default_rng(20246)
+    coeffs = Coefficients(beta=2.0, gamma=100.0)
+    accepted = 0
+    for _ in range(300):
+        net = random_substrate(rng, max_nodes=10)
+        requests = [random_request(rng) for _ in range(4)]
+        for i, request in enumerate(requests):
+            request.id = f"r{i}"
+        net2, requests2, coeffs2 = _doubled(net, requests, coeffs)
+        first = process_window(net, requests, coeffs)
+        second = process_window(net2, requests2, coeffs2)
+        assert [(r.request.id, r.accepted, r.reason) for r in first.results] \
+            == [(r.request.id, r.accepted, r.reason) for r in second.results]
+        assert net.snapshot() == net2.snapshot()
+        for one, two in zip(first.accepted, second.accepted):
+            assert one.embedding.service_map == two.embedding.service_map
+            routes = one.embedding.channel_routes
+            assert routes.keys() == two.embedding.channel_routes.keys()
+            for cid, route in routes.items():
+                twin = two.embedding.channel_routes[cid]
+                assert _shape(twin) == _shape(route)
+                assert twin.eatt == 2 * route.eatt
+            accepted += 1
+    assert accepted >= 600
