@@ -14,6 +14,7 @@ from .anypath import (
     forwarding_cost,
     prune,
     route_closure,
+    route_table,
     unicast_distances,
 )
 from .embedder import (

@@ -28,6 +28,13 @@ sweep's heap key is (cost, natural-key rank, index), so equal costs settle in
 link indices.  String ids and ``DagEdge`` objects are made only at the
 boundary, when a caller reads ``unicast_distances``, ``PrunedDag.edges`` or a
 route table's ``cost``, ``forwarding``, ``settle_order`` or ``members``.
+
+A route table depends only on the topology, its destination and which links
+have at least the channel's bandwidth, because link delay and pdr never
+change.  ``route_table`` therefore keeps recent tables on the topology, which
+every clone of a substrate shares; ``add_node``/``add_link`` start a new
+topology with an empty cache.  A cached table is the one a recomputation
+would build, float for float and tie for tie.
 """
 
 from __future__ import annotations
@@ -42,6 +49,10 @@ from typing import Sequence
 from .netmodel import SubstrateNetwork, Topology
 
 INFINITY = math.inf
+# route tables kept per topology.  With 16, a 20-iteration default sweep
+# computes 242 tables (72 distinct; 3 591 without the cache), and a table of
+# a 240-node substrate holds about 50 kB.
+ROUTE_CACHE_SIZE = 16
 
 
 class UnreachableSourceError(Exception):
@@ -193,7 +204,6 @@ class AnypathRouteTable:
         self._cost = cost                  # node index -> float (inf if unreachable)
         self._forwarding = forwarding      # node index -> tuple of arc codes
         self._settle_order = settle_order  # reached node indices in ascending cost
-        self._link_counts = None
 
     @cached_property
     def cost(self) -> dict:
@@ -218,23 +228,23 @@ class AnypathRouteTable:
 
     def closure_link_count(self, node_id: str) -> int:
         """Number of distinct substrate links used by the route from node_id."""
-        if self._link_counts is None:
-            self._compute_link_counts()
-        return self._link_counts[self.topology.index[node_id]]
+        return self.link_counts[self.topology.index[node_id]]
 
-    def _compute_link_counts(self):
+    @cached_property
+    def link_counts(self) -> dict:
+        """Reached node index -> number of distinct links its route uses."""
         # Forwarding sets point strictly downhill in cost, so settle order is a
         # topological order; accumulate link sets as bitmasks over link indices.
         ends, forwarding = self.topology.ends, self._forwarding
         masks = {}
-        counts = {}   # reached node index -> count
+        counts = {}
         for u in self._settle_order:
             mask = 0
             for arc in forwarding[u]:
                 mask |= masks[ends[arc]] | (1 << (arc >> 1))
             masks[u] = mask
             counts[u] = mask.bit_count()
-        self._link_counts = counts
+        return counts
 
 
 def anypath_routes(dag: PrunedDag, dst: str) -> AnypathRouteTable:
@@ -273,6 +283,37 @@ def anypath_routes(dag: PrunedDag, dst: str) -> AnypathRouteTable:
             forwarding[pred] = members
             heapq.heappush(heap, (cost[pred], rank[pred], pred))
     return AnypathRouteTable(topology, dst, cost, forwarding, settle_order)
+
+
+def _eligible_mask(net: SubstrateNetwork, bw: int) -> int:
+    """Bitmask over net.links in insertion order: bit i is set if link i has bw >= bw."""
+    bits = "".join(["1" if link.bw >= bw else "0"
+                    for link in reversed(net.links.values())])
+    return int(bits or "0", 2)
+
+
+def route_table(net: SubstrateNetwork, dst: str, bw: int) -> AnypathRouteTable:
+    """Route table toward dst over the links with bw >= bw, from the topology's cache.
+
+    The key is dst and the bitmask of eligible links, exactly the filter of
+    ``prune``, so a reservation that drops a link below bw leads to a new
+    table.  A miss calls ``prune`` and ``anypath_routes`` through this
+    module.  The cache keeps the ``ROUTE_CACHE_SIZE`` most recently used
+    tables; they are shared, so callers only read them.
+    """
+    cache = net.topology().routes
+    key = (dst, _eligible_mask(net, bw))
+    # Clones may be embedded from several threads, so the cache is touched
+    # only by single, atomic OrderedDict calls: a hit is popped and put back
+    # as the newest entry, since a lookup followed by a move could lose the
+    # key to another thread's eviction in between.
+    table = cache.pop(key, None)
+    if table is None:
+        table = anypath_routes(prune(net, dst, bw), dst)
+    cache[key] = table
+    if len(cache) > ROUTE_CACHE_SIZE:
+        cache.popitem(last=False)
+    return table
 
 
 def route_closure(table: AnypathRouteTable, src: str):

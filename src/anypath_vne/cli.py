@@ -140,6 +140,8 @@ def simulation_config_from_dict(doc: dict) -> scenario.SimulationConfig:
             coefficients=coeffs,
             generator=generator,
         )
+    except SchemaError as exc:
+        raise SchemaError(f"config.{exc.field}", exc.detail) from exc
     except (TypeError, ValueError) as exc:
         raise SchemaError("config", str(exc)) from exc
 

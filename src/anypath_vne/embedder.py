@@ -7,16 +7,18 @@ candidate nodes by the channel's cost bound, and picks the candidate whose
 route uses the fewest physical links.  Every reservation lands in a ledger so
 a failure at any point restores the substrate exactly and blocks the request.
 
-A route table depends only on its destination and on which links have at
-least the channel's bandwidth, because link delay and pdr never change.  Within
-one ``embed`` call a table is therefore computed once per (destination,
-eligible links) pair and reused by every later channel with the same pair;
-the reuse is exact, since the reused table is the one a recomputation would
-build, float for float and tie for tie.
+Route tables come from ``anypath.route_table``, which keeps them on the
+substrate's shared topology keyed by destination and eligible links.  Every
+channel of every ``embed`` call, on the substrate and on all its clones,
+reuses a table built for the same pair while it is cached, and the reuse
+is exact.  Candidate filtering and selection run on the table's dense node
+indices.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 from . import anypath
@@ -152,11 +154,22 @@ def select_max_pdr(net: SubstrateNetwork, service: NanoService) -> str:
     return topology.nodes[best]
 
 
-def select_min_links(table: anypath.AnypathRouteTable, candidates) -> str:
-    """Candidate using the fewest route links; ties by cost then node id."""
-    cost, index, rank = table.cost, table.topology.index, table.topology.rank
-    return min(candidates, key=lambda n: (table.closure_link_count(n),
-                                          cost[n], rank[index[n]]))
+def select_min_links(table: anypath.AnypathRouteTable, candidates,
+                     bound: float = math.inf) -> str | None:
+    """Candidate using the fewest route links; ties by cost then node id.
+
+    Only candidates whose route cost is at most bound count; None when there
+    is none.  A node without a route is never a candidate, whatever the bound.
+    """
+    topology = table.topology
+    cost, counts, rank = table._cost, table.link_counts, topology.rank
+    # an unreached node costs inf, above every finite limit
+    limit = min(bound, sys.float_info.max)
+    feasible = [i for i in map(topology.index.__getitem__, candidates)
+                if cost[i] <= limit]
+    if not feasible:
+        return None
+    return topology.nodes[min(feasible, key=lambda i: (counts[i], cost[i], rank[i]))]
 
 
 def _flow_hyperlinks(table, closure_nodes, reverse: bool) -> tuple:
@@ -177,13 +190,6 @@ def _flow_hyperlinks(table, closure_nodes, reverse: bool) -> tuple:
         for nid in sorted(transposed, key=natural_key))
 
 
-def _eligible_mask(net: SubstrateNetwork, bw: int) -> int:
-    """Bitmask over net.links in insertion order: bit i is set if link i has bw >= bw."""
-    bits = "".join(["1" if link.bw >= bw else "0"
-                    for link in reversed(net.links.values())])
-    return int(bits or "0", 2)
-
-
 def embed(net: SubstrateNetwork, request: VirtualRequest,
           coeffs: Coefficients) -> Embedding:
     """Embed the whole request or raise an EmbeddingError after a full rollback.
@@ -197,16 +203,15 @@ def embed(net: SubstrateNetwork, request: VirtualRequest,
     exceeds max_delay / min_pdr are dropped, and the route with the fewest
     links wins.
 
-    Route tables are kept for the duration of the call, keyed by the anchor
-    node and the bitmask of links with enough bandwidth, which is exactly
-    the filter of ``anypath.prune``.  A reservation that drops a link below a
-    later channel's bandwidth changes the mask, so that channel gets a fresh
-    table; the tables are freed when the call returns.
+    Each channel's table comes from ``anypath.route_table``: it is shared
+    through the substrate's topology with earlier channels, earlier calls and
+    every clone, and it outlives the call.  A reservation that drops a link
+    below a later channel's bandwidth changes the table's key, so that
+    channel gets a table over the links that are left.
     """
     embedding = Embedding(request.id)
     placed = embedding.service_map
     ledger = embedding.ledger
-    tables = {}   # (destination, eligible-link mask) -> AnypathRouteTable
     try:
         for channel in rank_channels(request, coeffs):
             reverse = channel.src in placed and channel.dst not in placed
@@ -228,16 +233,10 @@ def embed(net: SubstrateNetwork, request: VirtualRequest,
                 if not candidates:
                     raise NoSuitableNodeError(pending.id)
 
-            key = (n_dst, _eligible_mask(net, channel.bw))
-            table = tables.get(key)
-            if table is None:
-                dag = anypath.prune(net, n_dst, channel.bw)
-                table = tables[key] = anypath.anypath_routes(dag, n_dst)
-            bound = channel.max_cost
-            feasible = [n for n in candidates if table.cost[n] <= bound]
-            if not feasible:
+            table = anypath.route_table(net, n_dst, channel.bw)
+            selected = select_min_links(table, candidates, channel.max_cost)
+            if selected is None:
                 raise NoFeasiblePathError(channel.id)
-            selected = select_min_links(table, feasible)
             if pending is not None:
                 reserve_service(net, selected, pending, ledger)
                 placed[pending.id] = selected
@@ -249,7 +248,7 @@ def embed(net: SubstrateNetwork, request: VirtualRequest,
                 channel.id, flow_src, flow_dst,
                 frozenset(nodes), frozenset(links),
                 _flow_hyperlinks(table, nodes, reverse),
-                table.cost[selected])
+                table._cost[table.topology.index[selected]])
 
         # services with no incident channel are placed on their own
         for sid in sorted(request.services, key=natural_key):

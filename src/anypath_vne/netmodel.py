@@ -11,7 +11,8 @@ Link delay and pdr never change after construction, so the static structure
 of a substrate is kept apart from its capacities: ``SubstrateNetwork.topology``
 numbers nodes and links densely and is shared by every clone, while the
 mutable bandwidth and node resources stay on ``SubstrateLink`` and
-``SubstrateNode``.
+``SubstrateNode``.  The topology also carries the route-table cache of
+``anypath.route_table``, so every clone reuses the tables of the others.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -72,6 +74,11 @@ class SubstrateNode:
 
     def __post_init__(self):
         self.functionals = frozenset(self.functionals)
+        for name in RESOURCES:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise SchemaError(name,
+                                  f"node {self.id} needs a non-negative integer {name}")
         # original capacities default to the initial available amounts
         if self.cpu0 is None:
             self.cpu0 = self.cpu
@@ -186,7 +193,7 @@ class VirtualRequest:
 
 
 class Topology:
-    """Static structure of a substrate on dense integer ids; never changed once built.
+    """Static structure of a substrate on dense integer ids, and its route-table cache.
 
     Node i is the i-th node id in insertion order and link k the k-th link.
     Arc 2*k + s is link k directed into its endpoint ``ends[2*k + s]`` (s = 0
@@ -196,10 +203,13 @@ class Topology:
     cost delay / pdr per link.  ``adjacency[i]`` holds a (link, neighbour) pair
     per link at node i, in link order, and ``rank[i]`` is the position of node
     i's id in ``natural_key`` order.
+
+    ``routes`` is the one mutable member: the route-table cache that
+    ``anypath.route_table`` fills, least recently used first.
     """
 
     __slots__ = ("nodes", "index", "rank", "link_ids", "ends", "delay", "pdr",
-                 "weight", "adjacency", "local_pdr")
+                 "weight", "adjacency", "local_pdr", "routes")
 
     def __init__(self, net: "SubstrateNetwork"):
         self.nodes = tuple(net.nodes)
@@ -227,6 +237,7 @@ class Topology:
         self.adjacency = tuple(tuple(row) for row in adjacency)
         self.local_pdr = tuple(_mean_pdr([pdr[2 * k] for k, _ in row])
                                for row in self.adjacency)
+        self.routes = OrderedDict()   # (destination, eligible-link mask) -> table
 
 
 def _mean_pdr(pdrs: list) -> float:

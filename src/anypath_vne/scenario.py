@@ -16,7 +16,8 @@ import numpy as np
 
 from .embedder import Coefficients
 from .metrics import LinkUsage, MetricsReport, NodeUsage, metrics_report
-from .netmodel import Channel, NanoService, SubstrateNetwork, VirtualRequest
+from .netmodel import (Channel, NanoService, SchemaError, SubstrateNetwork,
+                       VirtualRequest)
 from .windowing import process_window
 
 
@@ -87,6 +88,9 @@ GENERATOR_LIMITS = {"services": (2, 100), "cpu": (0, 10**6), "gpu": (0, 10**6),
                     "mem": (0, 10**6), "bw": (0, 10**6), "delay": (1, 10**6)}
 # largest number of requests in one load level's window
 MAX_LOAD = 10_000
+# most iterations of one sweep; each iteration spawns an RNG stream and
+# embeds every load level once
+MAX_ITERATIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -146,8 +150,9 @@ class SimulationConfig:
     generator: GeneratorConfig = GeneratorConfig()
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
+        if not 1 <= self.iterations <= MAX_ITERATIONS:
+            raise SchemaError("iterations",
+                              f"iterations must lie in 1..{MAX_ITERATIONS}")
         if not self.loads or not all(
                 isinstance(load, int) and not isinstance(load, bool)
                 and 1 <= load <= MAX_LOAD
@@ -155,7 +160,7 @@ class SimulationConfig:
             raise ValueError(
                 f"loads must be a non-empty list of integers in 1..{MAX_LOAD}")
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise SchemaError("seed", "seed must be non-negative")
         if self.substrate not in SUBSTRATE_FIXTURES:
             raise ValueError(f"unknown substrate fixture {self.substrate!r}")
 

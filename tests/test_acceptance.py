@@ -32,6 +32,8 @@ from anypath_vne.netmodel import (
     reserve_channel,
     reserve_service,
     rollback,
+    substrate_from_dict,
+    substrate_to_dict,
 )
 from anypath_vne.scenario import SimulationConfig, example_fixture, run_simulation
 from anypath_vne.windowing import process_window
@@ -318,12 +320,16 @@ def _per_channel_seconds(instances, runs: int = 7) -> list[float]:
     """Best-of-runs seconds per channel of each (net, request) instance.
 
     The instances are timed in alternation, so a drift in host speed during
-    the runs affects all of them alike.
+    the runs affects all of them alike.  Each run embeds into a substrate
+    built anew, whose topology is made before the clock starts: a clone would
+    share the route tables of earlier runs, and the timing would then leave
+    out the route computation it is meant to measure.
     """
     best = [math.inf] * len(instances)
     for _ in range(runs):
         for i, (net, request) in enumerate(instances):
-            work = net.clone()
+            work = substrate_from_dict(substrate_to_dict(net))
+            work.topology()
             start = time.perf_counter()
             embed(work, request, Coefficients())
             best[i] = min(best[i], time.perf_counter() - start)

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anypath_vne.anypath import (
+    ROUTE_CACHE_SIZE,
     UnreachableSourceError,
     anypath_routes,
     forwarding_cost,
     prune,
     route_closure,
+    route_table,
     unicast_distances,
 )
 from anypath_vne.netmodel import SubstrateNetwork
@@ -312,3 +316,85 @@ def test_equal_costs_settle_in_natural_key_order():
     assert table.cost["n2"] == table.cost["n10"]
     assert table.settle_order == ["dst", "n2", "n10", "x"]
     assert [m.head for m in table.forwarding["x"]] == ["n2", "n10"]
+
+
+def _line_substrate(n_nodes: int) -> SubstrateNetwork:
+    net = SubstrateNetwork()
+    for i in range(1, n_nodes + 1):
+        net.add_node(f"n{i}", 1, 1, 1)
+    for i in range(1, n_nodes):
+        net.add_link(f"l{i}", f"n{i}", f"n{i + 1}", bw=10, delay=1.0, pdr=0.9)
+    return net
+
+
+def test_clones_share_one_route_cache(example_net):
+    first, second = example_net.clone(), example_net.clone()
+    table = route_table(first, "n4", 10)
+    assert route_table(second, "n4", 10) is table
+    assert route_table(example_net, "n4", 10) is table
+    assert second.topology().routes is example_net.topology().routes
+    assert list(example_net.topology().routes.values()) == [table]
+
+
+def test_route_cache_keeps_the_most_recently_used_tables():
+    net = _line_substrate(ROUTE_CACHE_SIZE + 4)
+    cache = net.topology().routes
+    first = route_table(net, "n1", 0)
+    for i in range(2, ROUTE_CACHE_SIZE + 1):
+        route_table(net, f"n{i}", 0)
+        assert len(cache) == i
+    assert route_table(net, "n1", 0) is first    # a hit makes n1 the newest
+    for i in range(ROUTE_CACHE_SIZE + 1, ROUTE_CACHE_SIZE + 5):
+        route_table(net, f"n{i}", 0)
+        assert len(cache) == ROUTE_CACHE_SIZE
+    # least recently used first: n2..n5 went, n1 outlived them
+    assert [dst for dst, _ in cache] == (
+        [f"n{i}" for i in range(6, ROUTE_CACHE_SIZE + 1)] + ["n1"]
+        + [f"n{i}" for i in range(ROUTE_CACHE_SIZE + 1, ROUTE_CACHE_SIZE + 5)])
+
+
+def test_route_cache_stays_consistent_under_threads():
+    # more destinations than the cache holds, cycled by more threads than
+    # cores at different phases, so hits race with other threads' evictions
+    net = _line_substrate(ROUTE_CACHE_SIZE + 4)
+    dsts = [f"n{i}" for i in range(1, ROUTE_CACHE_SIZE + 3)]
+    expected = {dst: anypath_routes(prune(net, dst, 0), dst)._cost for dst in dsts}
+    errors = []
+
+    def work(phase):
+        try:
+            for _ in range(200):
+                for k in range(len(dsts)):
+                    dst = dsts[(k + phase) % len(dsts)]
+                    table = route_table(net, dst, 0)
+                    if table.dst != dst or table._cost != expected[dst]:
+                        errors.append(f"wrong table for {dst}")
+        except Exception as exc:   # reported by the main thread
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(5 * t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(net.topology().routes) == ROUTE_CACHE_SIZE
+
+
+def test_add_link_starts_an_empty_route_cache(example_net):
+    clone = example_net.clone()
+    old = route_table(example_net, "n4", 0)
+    example_net.add_link("l7", "n1", "n4", bw=100, delay=1.0, pdr=1.0)
+    assert len(example_net.topology().routes) == 0
+    new = route_table(example_net, "n4", 0)
+    assert new is not old
+    assert route_closure(new, "n1")[1] == {"l7"}
+    # a clone made before keeps the old topology and its cache
+    assert route_table(clone, "n4", 0) is old
+    assert list(example_net.topology().routes.values()) == [new]

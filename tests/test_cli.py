@@ -168,6 +168,7 @@ def _assert_input_error(proc) -> dict:
     {"iterations": 1, "generator": {"services_max": 10**6}},
     {"iterations": 1, "loads": [10**21]},
     {"iterations": 1, "loads": [10, 10_001]},
+    {"iterations": 10**21},
 ])
 def test_simulate_bad_config_is_input_error(tmp_path, config):
     path = tmp_path / "config.json"
@@ -180,7 +181,10 @@ def test_simulate_bad_config_is_input_error(tmp_path, config):
 def test_simulate_config_bounds_name_the_field():
     for doc, field in [({"generator": {"delay_max": 10**30}}, "config.generator"),
                        ({"generator": {"services_max": 101}}, "config.generator"),
-                       ({"loads": [10**21]}, "config")]:
+                       ({"loads": [10**21]}, "config"),
+                       ({"iterations": 10**21}, "config.iterations"),
+                       ({"iterations": 10_001}, "config.iterations"),
+                       ({"seed": -1}, "config.seed")]:
         with pytest.raises(SchemaError) as info:
             cli.simulation_config_from_dict(doc)
         assert info.value.field == field
@@ -241,6 +245,10 @@ BAD_EMBED_INPUTS = {
     "link_pdr_zero": ("substrate", _set("links", 3, "pdr", 0), "links[3].pdr"),
     "link_pdr_nan": ("substrate", _set("links", 4, "pdr", math.nan), "links[4].pdr"),
     "negative_link_bw": ("substrate", _set("links", 5, "bw", -1), "links[5].bw"),
+    "negative_node_cpu": ("substrate", _set("nodes", 0, "cpu", -1), "nodes[0].cpu"),
+    "negative_node_gpu": ("substrate", _set("nodes", 2, "gpu", -3), "nodes[2].gpu"),
+    "negative_node_mem": ("substrate", _set("nodes", 4, "mem", -1), "nodes[4].mem"),
+    "bool_node_cpu": ("substrate", _set("nodes", 1, "cpu", True), "nodes[1].cpu"),
     "max_delay_infinite": ("request", _set("channels", 1, "max_delay", math.inf),
                            "channels[1].max_delay"),
 }

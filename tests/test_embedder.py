@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,10 @@ from anypath_vne.netmodel import (
     NanoService,
     SubstrateNetwork,
     VirtualRequest,
+    substrate_from_dict,
+    substrate_to_dict,
 )
+from anypath_vne.scenario import GeneratorConfig, SimulationConfig
 
 from helpers import random_request, random_substrate
 from test_acceptance import _complexity_instance
@@ -249,6 +254,16 @@ def test_embed_reuses_route_table_for_unchanged_eligible_links(monkeypatch):
     assert len(calls) == 1
 
 
+def test_second_embed_on_a_fresh_clone_computes_no_route(monkeypatch):
+    base, request = _complexity_instance(np.random.default_rng(600), 120)
+    calls = _count_route_computations(monkeypatch)
+    first = embed(base.clone(), request, Coefficients())
+    assert len(calls) == 1
+    second = embed(base.clone(), request, Coefficients())
+    assert len(calls) == 1
+    assert json.dumps(second.to_dict()) == json.dumps(first.to_dict())
+
+
 def test_embed_recomputes_route_table_when_eligible_links_change(monkeypatch):
     net = SubstrateNetwork()
     for nid, label in (("n1", "x"), ("n2", "y"), ("n3", "z")):
@@ -270,6 +285,21 @@ def test_embed_recomputes_route_table_when_eligible_links_change(monkeypatch):
     assert embedding.channel_routes["c1"].links == {"l1"}
     assert embedding.channel_routes["c2"].links == {"l2"}
     assert net.links["l1"].bw == 4
+
+
+def test_embed_never_selects_an_unreachable_candidate():
+    # max_delay / min_pdr overflows to inf, a bound that admits every cost
+    net = two_node_net(cpu1=10, cpu2=10)
+    net.add_node("n3", cpu=10, gpu=50, mem=50)   # suitable but isolated
+    request = VirtualRequest("r")
+    request.add_service(NanoService("s1", cpu=10))
+    request.add_service(NanoService("s2", cpu=10))
+    request.add_channel(Channel("c1", "s1", "s2", bw=1, max_delay=1e308,
+                                min_pdr=0.5))
+    assert request.channels[0].max_cost == float("inf")
+    embedding = embed(net, request, Coefficients())
+    assert embedding.service_map == {"s1": "n2", "s2": "n1"}
+    assert embedding.channel_routes["c1"].links == {"l1"}
 
 
 @settings(max_examples=150, deadline=None)
@@ -338,3 +368,44 @@ def test_embed_output_bytes_match_reference():
             digest.update(line.encode())
             digest.update(repr(net.snapshot()).encode())
     assert digest.hexdigest() == EMBED_CORPUS_SHA256
+
+
+def _outcome(net, request, coeffs) -> tuple:
+    """The embedding's JSON or the block reason, and the substrate after it."""
+    try:
+        line = json.dumps(embed(net, request, coeffs).to_dict())
+    except EmbeddingError as exc:
+        line = f"blocked:{exc}"
+    return line, net.snapshot()
+
+
+def test_warm_route_cache_gives_the_outputs_of_fresh_tables(monkeypatch):
+    rng = np.random.default_rng(20237)
+    coeffs = Coefficients(beta=2.0, gamma=100.0)
+    calls = _count_route_computations(monkeypatch)
+    warm_computations = fresh_computations = 0
+    for _ in range(150):
+        base = random_substrate(rng, max_nodes=10)
+        requests = [random_request(rng) for _ in range(3)]
+        # the clones of the second pass find the tables of the first
+        for _ in range(2):
+            warm = base.clone()
+            for request in requests:
+                # same capacities, but a new topology and so an empty cache
+                fresh = substrate_from_dict(substrate_to_dict(warm))
+                start = len(calls)
+                warm_outcome = _outcome(warm, request, coeffs)
+                middle = len(calls)
+                assert _outcome(fresh, request, coeffs) == warm_outcome
+                warm_computations += middle - start
+                fresh_computations += len(calls) - middle
+    assert warm_computations < fresh_computations / 2
+
+
+def test_route_cache_size_is_a_constant_not_a_setting():
+    assert isinstance(anypath.ROUTE_CACHE_SIZE, int)
+    for path in Path(anypath.__file__).parent.glob("*.py"):
+        source = path.read_text()
+        assert "environ" not in source and "getenv" not in source, path.name
+    for config in (SimulationConfig, GeneratorConfig, Coefficients):
+        assert not any("cache" in f.name for f in dataclasses.fields(config))

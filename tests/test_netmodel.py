@@ -271,6 +271,24 @@ def test_link_refuses_bad_values(field, value):
     assert net.links == {}
 
 
+@pytest.mark.parametrize("field, value", [
+    ("cpu", -1), ("gpu", -5), ("mem", -1), ("cpu", True), ("gpu", 2.5),
+    ("mem", "3"), ("cpu", None),
+])
+def test_node_refuses_bad_capacities(field, value):
+    attrs = {"cpu": 10, "gpu": 10, "mem": 10, field: value}
+    net = SubstrateNetwork()
+    with pytest.raises(SchemaError) as info:
+        net.add_node("n1", **attrs)
+    assert info.value.field == field
+    assert net.nodes == {}
+    doc = {"nodes": [{"id": "n1", "cpu": 1, "gpu": 1, "mem": 1},
+                     {"id": "n2", **attrs}], "links": []}
+    with pytest.raises(SchemaError) as info:
+        substrate_from_dict(doc)
+    assert info.value.field == f"nodes[1].{field}"
+
+
 def test_channel_refuses_infinite_max_delay():
     with pytest.raises(SchemaError) as info:
         Channel("c1", "s1", "s2", bw=1, max_delay=math.inf, min_pdr=0.5)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from anypath_vne.metrics import metrics_report
-from anypath_vne.netmodel import request_to_dict, validate_substrate
+from anypath_vne.netmodel import SchemaError, request_to_dict, validate_substrate
 from anypath_vne.scenario import (
+    MAX_ITERATIONS,
     GeneratorConfig,
     SimulationConfig,
     example_fixture,
@@ -102,8 +103,11 @@ def test_generate_request_ordered_pair_flag_doubles_density():
 
 
 def test_simulation_config_validation():
-    with pytest.raises(ValueError):
-        SimulationConfig(iterations=0)
+    for iterations in (0, MAX_ITERATIONS + 1, 10**21):
+        with pytest.raises(SchemaError) as info:
+            SimulationConfig(iterations=iterations)
+        assert info.value.field == "iterations"
+    SimulationConfig(iterations=MAX_ITERATIONS)
     for loads in [(), (0, 10), (10, -5), (2.5,), (10, 10_001)]:
         with pytest.raises(ValueError):
             SimulationConfig(loads=loads)
