@@ -11,6 +11,7 @@ from .anypath import (
     Hyperlink,
     PrunedDag,
     anypath_routes,
+    eligible_mask,
     forwarding_cost,
     prune,
     route_closure,
@@ -44,6 +45,7 @@ from .netmodel import (
     SubstrateNetwork,
     SubstrateNode,
     VirtualRequest,
+    fits,
     local_pdr,
     reserve_channel,
     reserve_service,

@@ -194,7 +194,9 @@ class AnypathRouteTable:
     """Per-node forwarding sets and expected anypath transmission times to dst.
 
     The table holds lists over node indices; the id-keyed views are built on
-    first read.
+    first read.  ``ranked`` orders the reached nodes the way candidate
+    selection prefers them, so a selection walks it and stops at the first
+    node that qualifies.
     """
 
     def __init__(self, topology: Topology, dst: str, cost: list,
@@ -246,6 +248,23 @@ class AnypathRouteTable:
             counts[u] = mask.bit_count()
         return counts
 
+    @cached_property
+    def ranked(self) -> list:
+        """Reached node indices by (link count, cost, natural-key rank).
+
+        The rank is unique, so this is a strict order.  The table is shared
+        and read-only, so the order is sorted once per table.
+        """
+        counts, cost = self.link_counts, self._cost
+        # stable sorts, least significant key first; without equal costs
+        # (link count, cost) is already unique and the rank pass is skipped
+        order = list(counts)
+        if len(set(map(cost.__getitem__, order))) < len(order):
+            order.sort(key=self.topology.rank.__getitem__)
+        order.sort(key=cost.__getitem__)
+        order.sort(key=counts.__getitem__)
+        return order
+
 
 def anypath_routes(dag: PrunedDag, dst: str) -> AnypathRouteTable:
     """Settle nodes in ascending cost, growing forwarding sets as neighbors settle.
@@ -285,24 +304,26 @@ def anypath_routes(dag: PrunedDag, dst: str) -> AnypathRouteTable:
     return AnypathRouteTable(topology, dst, cost, forwarding, settle_order)
 
 
-def _eligible_mask(net: SubstrateNetwork, bw: int) -> int:
+def eligible_mask(net: SubstrateNetwork, bw: int) -> int:
     """Bitmask over net.links in insertion order: bit i is set if link i has bw >= bw."""
     bits = "".join(["1" if link.bw >= bw else "0"
                     for link in reversed(net.links.values())])
     return int(bits or "0", 2)
 
 
-def route_table(net: SubstrateNetwork, dst: str, bw: int) -> AnypathRouteTable:
+def route_table(net: SubstrateNetwork, dst: str, bw: int,
+                mask: int) -> AnypathRouteTable:
     """Route table toward dst over the links with bw >= bw, from the topology's cache.
 
-    The key is dst and the bitmask of eligible links, exactly the filter of
+    mask is ``eligible_mask(net, bw)``, which a caller may keep while no link
+    bandwidth changes.  The key is dst and that mask, exactly the filter of
     ``prune``, so a reservation that drops a link below bw leads to a new
     table.  A miss calls ``prune`` and ``anypath_routes`` through this
     module.  The cache keeps the ``ROUTE_CACHE_SIZE`` most recently used
     tables; they are shared, so callers only read them.
     """
     cache = net.topology().routes
-    key = (dst, _eligible_mask(net, bw))
+    key = (dst, mask)
     # Clones may be embedded from several threads, so the cache is touched
     # only by single, atomic OrderedDict calls: a hit is popped and put back
     # as the newest entry, since a lookup followed by a move could lose the

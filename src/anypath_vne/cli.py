@@ -209,11 +209,19 @@ def cmd_embed(args) -> int:
     try:
         embedding = embed(net, request, coeffs)
     except EmbeddingError as exc:
-        detail = {"error": str(exc)}
-        if hasattr(exc, "service_id"):
-            detail["service"] = exc.service_id
-        if hasattr(exc, "channel_id"):
-            detail["channel"] = exc.channel_id
+        embedding, blocked = None, exc
+    # the input passed these checks, so a violation now is the embedder's fault
+    violations = validate_substrate(net)
+    if violations:
+        print("internal error: embedding left the substrate invalid: "
+              + "; ".join(violations), file=sys.stderr)
+        return EXIT_INTERNAL
+    if embedding is None:
+        detail = {"error": str(blocked)}
+        if hasattr(blocked, "service_id"):
+            detail["service"] = blocked.service_id
+        if hasattr(blocked, "channel_id"):
+            detail["channel"] = blocked.channel_id
         print(json.dumps(detail, indent=2))
         return EXIT_BLOCKED
     print(json.dumps(embedding.to_dict(), indent=2))

@@ -2,17 +2,24 @@
 
 Channels are processed in descending pair quality-revenue order.  Each channel
 fixes the anypath destination from the allocation state of its two endpoint
-services, computes routes on the bandwidth-feasible pruned subgraph, filters
-candidate nodes by the channel's cost bound, and picks the candidate whose
-route uses the fewest physical links.  Every reservation lands in a ledger so
-a failure at any point restores the substrate exactly and blocks the request.
+services, computes routes on the bandwidth-feasible pruned subgraph, and
+places the free endpoint on the suitable node whose route uses the fewest
+physical links within the channel's cost bound.  Every reservation lands in a
+ledger so a failure at any point restores the substrate exactly and blocks
+the request.
 
 Route tables come from ``anypath.route_table``, which keeps them on the
 substrate's shared topology keyed by destination and eligible links.  Every
 channel of every ``embed`` call, on the substrate and on all its clones,
 reuses a table built for the same pair while it is cached, and the reuse
-is exact.  Candidate filtering and selection run on the table's dense node
-indices.
+is exact.
+
+Nodes are chosen by walking orders computed once and shared, not by scanning
+the substrate: a route table's ``ranked`` order for the channel's free
+endpoint and the topology's ``by_local_pdr`` order for an anchor.  A walk
+stops at the first node that qualifies, which is the minimum of the
+preference key over all qualifying nodes because the orders are sorted by
+that key.
 """
 
 from __future__ import annotations
@@ -27,11 +34,11 @@ from .netmodel import (
     NanoService,
     SubstrateNetwork,
     VirtualRequest,
+    fits,
     natural_key,
     reserve_channel,
     reserve_service,
     rollback,
-    suitable_nodes,
 )
 
 
@@ -143,33 +150,34 @@ def rank_channels(request: VirtualRequest, coeffs: Coefficients) -> list[Channel
 
 
 def select_max_pdr(net: SubstrateNetwork, service: NanoService) -> str:
-    """Suitable node with the highest local PDR; ties go to the smallest id."""
-    candidates = suitable_nodes(net, service)
-    if not candidates:
-        raise NoSuitableNodeError(service.id)
-    topology = net.topology()
-    pdr, rank = topology.local_pdr, topology.rank
-    best = min((topology.index[n] for n in candidates),
-               key=lambda i: (-pdr[i], rank[i]))
-    return topology.nodes[best]
+    """Suitable node with the highest local PDR; ties go to the smallest id.
 
-
-def select_min_links(table: anypath.AnypathRouteTable, candidates,
-                     bound: float = math.inf) -> str | None:
-    """Candidate using the fewest route links; ties by cost then node id.
-
-    Only candidates whose route cost is at most bound count; None when there
-    is none.  A node without a route is never a candidate, whatever the bound.
+    Walks the topology's ``by_local_pdr`` order and returns the first node
+    that fits the service.
     """
-    topology = table.topology
-    cost, counts, rank = table._cost, table.link_counts, topology.rank
+    topology = net.topology()
+    for i in topology.by_local_pdr:
+        node_id = topology.nodes[i]
+        if fits(net.nodes[node_id], service):
+            return node_id
+    raise NoSuitableNodeError(service.id)
+
+
+def select_min_links(table: anypath.AnypathRouteTable, accepts,
+                     bound: float = math.inf) -> str | None:
+    """Accepted node whose route uses the fewest links; ties by cost then node id.
+
+    Walks ``table.ranked`` and returns the first node id whose route cost is
+    at most bound and for which accepts(node_id) is true; None when there is
+    none.  A node without a route is never chosen, whatever the bound.
+    """
+    cost, nodes = table._cost, table.topology.nodes
     # an unreached node costs inf, above every finite limit
     limit = min(bound, sys.float_info.max)
-    feasible = [i for i in map(topology.index.__getitem__, candidates)
-                if cost[i] <= limit]
-    if not feasible:
-        return None
-    return topology.nodes[min(feasible, key=lambda i: (counts[i], cost[i], rank[i]))]
+    for i in table.ranked:
+        if cost[i] <= limit and accepts(nodes[i]):
+            return nodes[i]
+    return None
 
 
 def _flow_hyperlinks(table, closure_nodes, reverse: bool) -> tuple:
@@ -197,21 +205,25 @@ def embed(net: SubstrateNetwork, request: VirtualRequest,
     Per ranked channel, routes run toward an anchor service: the source when
     only the source is placed (links are symmetric, so the chosen route is
     transposed back into flow direction), otherwise the destination.  An
-    unplaced anchor goes to the suitable node with the highest local PDR.
-    The candidates for the other endpoint are its node if it is placed, and
-    otherwise every node suitable for it.  Candidates whose route cost
-    exceeds max_delay / min_pdr are dropped, and the route with the fewest
-    links wins.
+    unplaced anchor goes to the first node of the topology's local-PDR order
+    that fits it.  The other endpoint goes to the first node of the route
+    table's (links, cost, id) order whose cost is within max_delay / min_pdr
+    and that is its node, if it is placed, or fits it otherwise.  A service
+    that fits no node blocks the request before its channel's table is
+    fetched; a channel with no such node blocks it after.
 
     Each channel's table comes from ``anypath.route_table``: it is shared
     through the substrate's topology with earlier channels, earlier calls and
-    every clone, and it outlives the call.  A reservation that drops a link
-    below a later channel's bandwidth changes the table's key, so that
-    channel gets a table over the links that are left.
+    every clone, and it outlives the call.  The eligible-link mask of a
+    bandwidth is computed once and kept until a reservation takes bandwidth
+    from a link; a reservation that drops a link below a later channel's
+    bandwidth changes the table's key, so that channel gets a table over the
+    links that are left.
     """
     embedding = Embedding(request.id)
     placed = embedding.service_map
     ledger = embedding.ledger
+    masks = {}   # channel bw -> eligible-link mask, until a link is reserved
     try:
         for channel in rank_channels(request, coeffs):
             reverse = channel.src in placed and channel.dst not in placed
@@ -226,15 +238,18 @@ def embed(net: SubstrateNetwork, request: VirtualRequest,
                 placed[anchor] = n_dst
             pending = None   # service to place on the selected node
             if other in placed:
-                candidates = {placed[other]}
+                accepts = placed[other].__eq__
             else:
                 pending = request.services[other]
-                candidates = suitable_nodes(net, pending)
-                if not candidates:
+                if not any(fits(node, pending) for node in net.nodes.values()):
                     raise NoSuitableNodeError(pending.id)
+                accepts = lambda node_id: fits(net.nodes[node_id], pending)
 
-            table = anypath.route_table(net, n_dst, channel.bw)
-            selected = select_min_links(table, candidates, channel.max_cost)
+            mask = masks.get(channel.bw)
+            if mask is None:
+                mask = masks[channel.bw] = anypath.eligible_mask(net, channel.bw)
+            table = anypath.route_table(net, n_dst, channel.bw, mask)
+            selected = select_min_links(table, accepts, channel.max_cost)
             if selected is None:
                 raise NoFeasiblePathError(channel.id)
             if pending is not None:
@@ -243,6 +258,8 @@ def embed(net: SubstrateNetwork, request: VirtualRequest,
 
             nodes, links = anypath.route_closure(table, selected)
             reserve_channel(net, links, channel.bw, ledger)
+            if links:
+                masks.clear()
             flow_src, flow_dst = (n_dst, selected) if reverse else (selected, n_dst)
             embedding.channel_routes[channel.id] = ChannelRoute(
                 channel.id, flow_src, flow_dst,

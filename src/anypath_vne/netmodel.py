@@ -111,8 +111,9 @@ class SubstrateLink:
             raise SchemaError("bw", f"link {self.id} needs a non-negative integer bw")
         if not 0 < self.delay < math.inf:
             raise SchemaError("delay", f"link {self.id} needs a finite delay > 0")
-        if not 0 < self.pdr <= 1:
-            raise SchemaError("pdr", f"link {self.id} needs pdr in (0, 1]")
+        # below 2**-53, 1 - pdr rounds to 1 and a hyperlink's reliability to 0
+        if not 2.0 ** -53 <= self.pdr <= 1:
+            raise SchemaError("pdr", f"link {self.id} needs pdr in [2**-53, 1]")
 
     def endpoints(self) -> frozenset:
         return frozenset((self.a, self.b))
@@ -202,14 +203,16 @@ class Topology:
     forwarding member's link quality and its head; ``weight`` is the unicast
     cost delay / pdr per link.  ``adjacency[i]`` holds a (link, neighbour) pair
     per link at node i, in link order, and ``rank[i]`` is the position of node
-    i's id in ``natural_key`` order.
+    i's id in ``natural_key`` order.  ``by_local_pdr`` lists the node indices
+    by descending ``local_pdr``, ties in ``rank`` order: the order in which
+    anchor placement tries the nodes.
 
     ``routes`` is the one mutable member: the route-table cache that
     ``anypath.route_table`` fills, least recently used first.
     """
 
     __slots__ = ("nodes", "index", "rank", "link_ids", "ends", "delay", "pdr",
-                 "weight", "adjacency", "local_pdr", "routes")
+                 "weight", "adjacency", "local_pdr", "by_local_pdr", "routes")
 
     def __init__(self, net: "SubstrateNetwork"):
         self.nodes = tuple(net.nodes)
@@ -235,8 +238,10 @@ class Topology:
         self.ends, self.delay, self.pdr = tuple(ends), tuple(delay), tuple(pdr)
         self.weight = tuple(weight)
         self.adjacency = tuple(tuple(row) for row in adjacency)
-        self.local_pdr = tuple(_mean_pdr([pdr[2 * k] for k, _ in row])
-                               for row in self.adjacency)
+        self.local_pdr = local = tuple(_mean_pdr([pdr[2 * k] for k, _ in row])
+                                       for row in self.adjacency)
+        self.by_local_pdr = tuple(sorted(range(len(self.nodes)),
+                                         key=lambda i: (-local[i], self.rank[i])))
         self.routes = OrderedDict()   # (destination, eligible-link mask) -> table
 
 
@@ -342,15 +347,16 @@ def local_pdr(net: SubstrateNetwork, node_id: str) -> float:
     return topology.local_pdr[topology.index[node_id]]
 
 
+def fits(node: SubstrateNode, service: NanoService) -> bool:
+    """Whether the node's available resources and capabilities satisfy the service."""
+    return (service.cpu <= node.cpu and service.gpu <= node.gpu
+            and service.mem <= node.mem
+            and service.functionals <= node.functionals)
+
+
 def suitable_nodes(net: SubstrateNetwork, service: NanoService) -> set[str]:
-    """Nodes whose available resources and capabilities satisfy the service."""
-    found = set()
-    for node in net.nodes.values():
-        if (service.cpu <= node.cpu and service.gpu <= node.gpu
-                and service.mem <= node.mem
-                and service.functionals <= node.functionals):
-            found.add(node.id)
-    return found
+    """Nodes that fit the service."""
+    return {node.id for node in net.nodes.values() if fits(node, service)}
 
 
 def reserve_service(net: SubstrateNetwork, node_id: str,

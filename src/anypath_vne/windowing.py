@@ -23,7 +23,12 @@ class RequestOutcome:
     request: VirtualRequest
     accepted: bool
     embedding: Embedding = None
-    reason: str = None
+    error: EmbeddingError = None   # why a blocked request was blocked
+
+    @property
+    def reason(self) -> str:
+        """The block's message; None when the request was accepted."""
+        return None if self.error is None else str(self.error)
 
 
 @dataclass
@@ -56,8 +61,9 @@ def process_window(net: SubstrateNetwork, requests,
         try:
             embedding = embed(net, request, coeffs)
         except EmbeddingError as exc:
+            # without its traceback the error keeps no frame of embed alive
             outcome.results.append(
-                RequestOutcome(request, False, reason=str(exc)))
+                RequestOutcome(request, False, error=exc.with_traceback(None)))
         else:
             outcome.results.append(
                 RequestOutcome(request, True, embedding=embedding))

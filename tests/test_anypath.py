@@ -12,6 +12,7 @@ from anypath_vne.anypath import (
     ROUTE_CACHE_SIZE,
     UnreachableSourceError,
     anypath_routes,
+    eligible_mask,
     forwarding_cost,
     prune,
     route_closure,
@@ -329,9 +330,9 @@ def _line_substrate(n_nodes: int) -> SubstrateNetwork:
 
 def test_clones_share_one_route_cache(example_net):
     first, second = example_net.clone(), example_net.clone()
-    table = route_table(first, "n4", 10)
-    assert route_table(second, "n4", 10) is table
-    assert route_table(example_net, "n4", 10) is table
+    table = route_table(first, "n4", 10, eligible_mask(first, 10))
+    assert route_table(second, "n4", 10, eligible_mask(second, 10)) is table
+    assert route_table(example_net, "n4", 10, eligible_mask(example_net, 10)) is table
     assert second.topology().routes is example_net.topology().routes
     assert list(example_net.topology().routes.values()) == [table]
 
@@ -339,13 +340,14 @@ def test_clones_share_one_route_cache(example_net):
 def test_route_cache_keeps_the_most_recently_used_tables():
     net = _line_substrate(ROUTE_CACHE_SIZE + 4)
     cache = net.topology().routes
-    first = route_table(net, "n1", 0)
+    first = route_table(net, "n1", 0, eligible_mask(net, 0))
     for i in range(2, ROUTE_CACHE_SIZE + 1):
-        route_table(net, f"n{i}", 0)
+        route_table(net, f"n{i}", 0, eligible_mask(net, 0))
         assert len(cache) == i
-    assert route_table(net, "n1", 0) is first    # a hit makes n1 the newest
+    # a hit makes n1 the newest
+    assert route_table(net, "n1", 0, eligible_mask(net, 0)) is first
     for i in range(ROUTE_CACHE_SIZE + 1, ROUTE_CACHE_SIZE + 5):
-        route_table(net, f"n{i}", 0)
+        route_table(net, f"n{i}", 0, eligible_mask(net, 0))
         assert len(cache) == ROUTE_CACHE_SIZE
     # least recently used first: n2..n5 went, n1 outlived them
     assert [dst for dst, _ in cache] == (
@@ -366,7 +368,7 @@ def test_route_cache_stays_consistent_under_threads():
             for _ in range(200):
                 for k in range(len(dsts)):
                     dst = dsts[(k + phase) % len(dsts)]
-                    table = route_table(net, dst, 0)
+                    table = route_table(net, dst, 0, eligible_mask(net, 0))
                     if table.dst != dst or table._cost != expected[dst]:
                         errors.append(f"wrong table for {dst}")
         except Exception as exc:   # reported by the main thread
@@ -389,12 +391,12 @@ def test_route_cache_stays_consistent_under_threads():
 
 def test_add_link_starts_an_empty_route_cache(example_net):
     clone = example_net.clone()
-    old = route_table(example_net, "n4", 0)
+    old = route_table(example_net, "n4", 0, eligible_mask(example_net, 0))
     example_net.add_link("l7", "n1", "n4", bw=100, delay=1.0, pdr=1.0)
     assert len(example_net.topology().routes) == 0
-    new = route_table(example_net, "n4", 0)
+    new = route_table(example_net, "n4", 0, eligible_mask(example_net, 0))
     assert new is not old
     assert route_closure(new, "n1")[1] == {"l7"}
     # a clone made before keeps the old topology and its cache
-    assert route_table(clone, "n4", 0) is old
+    assert route_table(clone, "n4", 0, eligible_mask(clone, 0)) is old
     assert list(example_net.topology().routes.values()) == [new]

@@ -1,13 +1,19 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anypath_vne import cli
 from anypath_vne.netmodel import SchemaError, substrate_to_dict
@@ -244,6 +250,8 @@ BAD_EMBED_INPUTS = {
                                 "links[2].delay"),
     "link_pdr_zero": ("substrate", _set("links", 3, "pdr", 0), "links[3].pdr"),
     "link_pdr_nan": ("substrate", _set("links", 4, "pdr", math.nan), "links[4].pdr"),
+    # 1 - pdr rounds to 1, so the anypath sweep would divide by zero
+    "link_pdr_vanishing": ("substrate", _set("links", 0, "pdr", 1e-20), "links[0].pdr"),
     "negative_link_bw": ("substrate", _set("links", 5, "bw", -1), "links[5].bw"),
     "negative_node_cpu": ("substrate", _set("nodes", 0, "cpu", -1), "nodes[0].cpu"),
     "negative_node_gpu": ("substrate", _set("nodes", 2, "gpu", -3), "nodes[2].gpu"),
@@ -285,6 +293,156 @@ def test_embed_bad_coefficients_is_input_error(example_files, tmp_path):
             "embed", "--substrate", str(substrate),
             "--request", str(request_file), "--coeffs", str(coeffs)))
         assert detail["field"] == field
+
+
+# faults injected into the embedder, each of which credits the substrate
+_FAULTS = {
+    "reserve_channel_credits": """
+        def fault(net, link_ids, bw, ledger):
+            for link_id in link_ids:
+                net.links[link_id].bw += bw
+        embedder.reserve_channel = fault
+    """,
+    "rollback_credits_twice": """
+        def fault(net, ledger):
+            records = list(ledger)
+            netmodel.rollback(net, ledger)
+            netmodel.rollback(net, records)
+        embedder.rollback = fault
+    """,
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_embed_that_corrupts_the_substrate_exits_internal(example_files, fault):
+    substrate, request_file, _ = example_files
+    if fault == "rollback_credits_twice":
+        # s2 is placed on n4, then c1 has no route within its bound
+        doc = json.loads(request_file.read_text())
+        doc["channels"][0].update(max_delay=1.0, min_pdr=0.99)
+        request_file.write_text(json.dumps(doc))
+    script = ("import sys\nfrom anypath_vne import cli, embedder, netmodel\n"
+              + textwrap.dedent(_FAULTS[fault])
+              + "sys.exit(cli.main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "embed", "--substrate", str(substrate),
+         "--request", str(request_file)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == cli.EXIT_INTERNAL
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert "exceeds original" in lines[0]
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**25, 10**25), st.floats(),
+    st.text(max_size=3), st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2))
+_LABELS = st.lists(st.sampled_from(["cam", "gpu"]), max_size=2)
+
+
+def _pairs(draw, n: int, most: int) -> list:
+    """Up to most distinct unordered pairs of 1..n."""
+    if n < 2:
+        return []
+    pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+    return draw(st.lists(pair, max_size=most,
+                         unique_by=lambda p: frozenset(p)))
+
+
+@st.composite
+def _substrate_docs(draw):
+    n = draw(st.integers(0, 5))
+    nodes = [{"id": f"n{i}", "cpu": draw(st.integers(0, 50)),
+              "gpu": draw(st.integers(0, 50)), "mem": draw(st.integers(0, 50)),
+              "functionals": draw(_LABELS)}
+             for i in range(1, n + 1)]
+    links = [{"id": f"l{k}", "a": f"n{a}", "b": f"n{b}",
+              "bw": draw(st.integers(0, 50)), "delay": draw(st.floats(0.1, 50.0)),
+              "pdr": draw(st.floats(0.0, 1.0, exclude_min=True))}
+             for k, (a, b) in enumerate(_pairs(draw, n, 7), 1)]
+    return {"nodes": nodes, "links": links}
+
+
+@st.composite
+def _request_docs(draw):
+    m = draw(st.integers(1, 4))
+    services = [{"id": f"s{i}", "cpu": draw(st.integers(0, 30)),
+                 "gpu": draw(st.integers(0, 30)), "mem": draw(st.integers(0, 30)),
+                 "functionals": draw(_LABELS)}
+                for i in range(1, m + 1)]
+    channels = [{"id": f"c{k}", "src": f"s{a}", "dst": f"s{b}",
+                 "bw": draw(st.integers(0, 40)),
+                 "max_delay": draw(st.sampled_from([1e-3, 5.0, 100.0, 1e308])),
+                 "min_pdr": draw(st.floats(0.05, 1.0))}
+                for k, (a, b) in enumerate(_pairs(draw, m, 4), 1)]
+    return {"id": "fuzz", "services": services, "channels": channels}
+
+
+def _mutate(draw, doc, parts):
+    """doc with one field, item, list or the whole document made junk or dropped."""
+    kind = draw(st.sampled_from(["field", "drop", "item", "list", "doc"]))
+    if kind == "doc" or not isinstance(doc, dict):
+        return draw(_JUNK)
+    part = draw(st.sampled_from(parts))
+    items = doc.get(part)
+    if kind == "list":
+        doc[part] = draw(_JUNK)
+    elif isinstance(items, list) and items:
+        i = draw(st.integers(0, len(items) - 1))
+        if kind == "item" or not isinstance(items[i], dict) or not items[i]:
+            items[i] = draw(_JUNK)
+        else:
+            key = draw(st.sampled_from(sorted(items[i])))
+            if kind == "field":
+                items[i][key] = draw(_JUNK)
+            else:
+                del items[i][key]
+    return doc
+
+
+@st.composite
+def _cli_inputs(draw):
+    substrate, request = draw(_substrate_docs()), draw(_request_docs())
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            substrate = _mutate(draw, substrate, ["nodes", "links"])
+        else:
+            request = _mutate(draw, request, ["services", "channels"])
+    number = st.one_of(st.floats(-5.0, 5.0), _JUNK)
+    coeffs = draw(st.none() | st.fixed_dictionaries(
+        {}, optional={"alpha": number, "beta": number, "gamma": number,
+                      "cost_alpha": number, "cost_beta": number}))
+    return substrate, request, coeffs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cli_inputs())
+def test_fuzzed_embed_and_validate_exit_cleanly(inputs):
+    substrate, request, coeffs = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, doc in (("substrate", substrate), ("request", request),
+                          ("coeffs", coeffs)):
+            paths[name] = str(Path(tmp) / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps(doc))
+        embed_argv = ["embed", "--substrate", paths["substrate"],
+                      "--request", paths["request"]]
+        if coeffs is not None:
+            embed_argv += ["--coeffs", paths["coeffs"]]
+        argvs = [(["validate", "--substrate", paths["substrate"]],
+                  {cli.EXIT_OK, cli.EXIT_INPUT}),
+                 (embed_argv, {cli.EXIT_OK, cli.EXIT_BLOCKED, cli.EXIT_INPUT})]
+        for argv, allowed in argvs:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in allowed, (argv[0], err.getvalue())
+            assert "Traceback" not in err.getvalue()
 
 
 def _sim_config(tmp_path, seed=5):

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import json
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anypath_vne import anypath
+from anypath_vne import anypath, embedder, netmodel
 from anypath_vne.anypath import anypath_routes, prune
 from anypath_vne.embedder import (
     Coefficients,
@@ -26,8 +28,11 @@ from anypath_vne.netmodel import (
     NanoService,
     SubstrateNetwork,
     VirtualRequest,
+    fits,
+    natural_key,
     substrate_from_dict,
     substrate_to_dict,
+    suitable_nodes,
 )
 from anypath_vne.scenario import GeneratorConfig, SimulationConfig
 
@@ -118,8 +123,8 @@ def test_select_max_pdr_tie_breaks_by_id():
 def test_select_min_links_prefers_fewest_links(example_net):
     table = anypath_routes(prune(example_net, "n4", 1), "n4")
     # n2 routes over 1 link, n1 over 4, destination itself over 0
-    assert select_min_links(table, ["n1", "n2"]) == "n2"
-    assert select_min_links(table, ["n1", "n2", "n4"]) == "n4"
+    assert select_min_links(table, {"n1", "n2"}.__contains__) == "n2"
+    assert select_min_links(table, {"n1", "n2", "n4"}.__contains__) == "n4"
 
 
 def test_embed_reproduces_reference_mapping(example):
@@ -409,3 +414,256 @@ def test_route_cache_size_is_a_constant_not_a_setting():
         assert "environ" not in source and "getenv" not in source, path.name
     for config in (SimulationConfig, GeneratorConfig, Coefficients):
         assert not any("cache" in f.name for f in dataclasses.fields(config))
+
+
+# --- walks over the shared orders against brute-force oracles ---------------
+
+def _oracle_min_links(table, accepts, bound=math.inf):
+    """min over accepted reached nodes within bound, by (links, cost, natural key)."""
+    feasible = [nid for nid, c in table.cost.items()
+                if math.isfinite(c) and c <= bound and accepts(nid)]
+    return min(feasible, default=None, key=lambda nid: (
+        table.closure_link_count(nid), table.cost[nid], natural_key(nid)))
+
+
+def _oracle_max_pdr(net, service):
+    """min over suitable nodes by (-mean incident pdr, natural key)."""
+    def mean_pdr(nid):
+        pdrs = [l.pdr for l in net.links.values() if nid in (l.a, l.b)]
+        return sum(pdrs) / len(pdrs) if pdrs else 0.0
+
+    candidates = suitable_nodes(net, service)
+    if not candidates:
+        raise NoSuitableNodeError(service.id)
+    return min(candidates, key=lambda nid: (-mean_pdr(nid), natural_key(nid)))
+
+
+def _labelled_substrate(rng):
+    """Random substrate, possibly disconnected, with capability labels.
+
+    Nodes and links are inserted in shuffled order, so index order and
+    natural-key order of the ids differ.
+    """
+    if rng.random() < 0.3:
+        net = _tie_heavy_substrate(rng)
+    else:
+        net = random_substrate(rng, max_nodes=12, connected=rng.random() < 0.7)
+    doc = substrate_to_dict(net)
+    for node in doc["nodes"]:
+        node["functionals"] = [label for label in ("cam", "gpu") if rng.random() < 0.4]
+    rng.shuffle(doc["nodes"])
+    rng.shuffle(doc["links"])
+    return substrate_from_dict(doc)
+
+
+def _random_service(rng, sid="s"):
+    return NanoService(sid, cpu=int(rng.integers(0, 61)), gpu=int(rng.integers(0, 31)),
+                       mem=int(rng.integers(0, 61)),
+                       functionals={label for label in ("cam", "gpu")
+                                    if rng.random() < 0.2})
+
+
+def test_select_min_links_walk_matches_oracle():
+    rng = np.random.default_rng(8101)
+    checked = unreached = 0
+    for _ in range(300):
+        net = _labelled_substrate(rng)
+        dst = str(rng.choice(list(net.nodes)))
+        table = anypath_routes(prune(net, dst, int(rng.integers(0, 80))), dst)
+        finite = sorted(c for c in table.cost.values() if math.isfinite(c))
+        unreached += len(finite) < len(net.nodes)
+        tight = float(rng.choice(finite))
+        bounds = [math.inf, 1e308 / 0.5, sys.float_info.max, 0.0, tight,
+                  math.nextafter(tight, -math.inf), float(rng.uniform(0, 2 * finite[-1]))]
+        for _ in range(3):
+            service = _random_service(rng)
+            suitable = suitable_nodes(net, service)
+            walk_accepts = lambda nid: fits(net.nodes[nid], service)
+            for bound in bounds:
+                assert (select_min_links(table, walk_accepts, bound)
+                        == _oracle_min_links(table, suitable.__contains__, bound))
+                checked += 1
+        # a placed endpoint, and every node but the destination
+        placed = str(rng.choice(list(net.nodes)))
+        for accepts in (placed.__eq__, dst.__ne__):
+            for bound in bounds:
+                assert (select_min_links(table, accepts, bound)
+                        == _oracle_min_links(table, accepts, bound))
+    assert checked == 300 * 3 * 7 and unreached > 50
+
+
+def test_select_min_links_breaks_exact_ties_by_id():
+    # three leaves with identical links to the hub, inserted out of id order
+    net = SubstrateNetwork()
+    for nid in ("hub", "n10", "n3", "n2"):
+        net.add_node(nid, 1, 1, 1)
+    for k, leaf in enumerate(("n10", "n3", "n2"), 1):
+        net.add_link(f"l{k}", leaf, "hub", bw=1, delay=2.0, pdr=0.5)
+    table = anypath_routes(prune(net, "hub", 1), "hub")
+    assert select_min_links(table, "hub".__ne__) == "n2"
+    assert select_min_links(table, {"n10", "n3"}.__contains__) == "n3"
+
+
+def test_select_max_pdr_walk_matches_oracle():
+    rng = np.random.default_rng(8102)
+    blocked = 0
+    for _ in range(300):
+        net = _labelled_substrate(rng)
+        for _ in range(4):
+            service = _random_service(rng)
+            try:
+                expected = _oracle_max_pdr(net, service)
+            except NoSuitableNodeError as exc:
+                with pytest.raises(NoSuitableNodeError) as info:
+                    select_max_pdr(net, service)
+                assert str(info.value) == str(exc)
+                blocked += 1
+            else:
+                assert select_max_pdr(net, service) == expected
+    assert blocked > 20
+
+
+def test_embed_with_the_walks_matches_embed_with_the_oracles(monkeypatch):
+    rng = np.random.default_rng(8103)
+    coeffs = Coefficients(beta=2.0, gamma=100.0)
+    cases = []
+    for _ in range(200):
+        net = _labelled_substrate(rng)
+        request = random_request(rng)
+        for service in request.services.values():
+            service.functionals = frozenset(
+                label for label in ("cam", "gpu") if rng.random() < 0.15)
+        cases.append((substrate_to_dict(net), request))
+    walked = [_outcome(substrate_from_dict(doc), request, coeffs)
+              for doc, request in cases]
+    monkeypatch.setattr(embedder, "select_min_links", _oracle_min_links)
+    monkeypatch.setattr(embedder, "select_max_pdr", _oracle_max_pdr)
+    oracled = [_outcome(substrate_from_dict(doc), request, coeffs)
+               for doc, request in cases]
+    assert walked == oracled
+    reasons = {line.split(" ")[0] for line, _ in walked}
+    assert {"blocked:no", "{\"request\":"} <= reasons
+    kinds = {line[:len("blocked:no feasible")] for line, _ in walked}
+    assert {"blocked:no suitable", "blocked:no feasible"} <= kinds
+
+
+def _blocking_substrate():
+    # n1 and n2 are linked; n3 is isolated; only n2 has a camera
+    net = SubstrateNetwork()
+    net.add_node("n1", cpu=10, gpu=0, mem=0)
+    net.add_node("n2", cpu=10, gpu=0, mem=0, functionals={"cam"})
+    net.add_node("n3", cpu=50, gpu=0, mem=0)
+    net.add_link("l1", "n1", "n2", bw=10, delay=2.0, pdr=0.5)
+    return net
+
+
+def _pair_request(src, dst, bw=1, max_delay=100.0, min_pdr=0.5):
+    request = VirtualRequest("r")
+    request.add_service(src)
+    request.add_service(dst)
+    request.add_channel(Channel("c1", src.id, dst.id, bw=bw, max_delay=max_delay,
+                                min_pdr=min_pdr))
+    return request
+
+
+BLOCKED_CASES = {
+    # anchor s2 fits no node
+    "anchor_fits_nowhere": (
+        _pair_request(NanoService("s1"), NanoService("s2", cpu=100)),
+        NoSuitableNodeError, "no suitable node for service s2"),
+    # anchor s2 goes to n2; s1 fits no node
+    "free_endpoint_fits_nowhere": (
+        _pair_request(NanoService("s1", gpu=1), NanoService("s2", functionals={"cam"})),
+        NoSuitableNodeError, "no suitable node for service s1"),
+    # s1 fits only n3, which has no route to n2
+    "free_endpoint_fits_only_unreachable": (
+        _pair_request(NanoService("s1", cpu=20), NanoService("s2", functionals={"cam"})),
+        NoFeasiblePathError, "no feasible route for channel c1"),
+    # s2 takes half of n2, so s1 fits n1, whose route to n2 costs 4 > 3.9 / 1.0,
+    # and the unreachable n3
+    "tight_bound": (
+        _pair_request(NanoService("s1", cpu=10),
+                      NanoService("s2", cpu=5, functionals={"cam"}),
+                      max_delay=3.9, min_pdr=1.0),
+        NoFeasiblePathError, "no feasible route for channel c1"),
+    # the link is short of bandwidth, so n1 is unreachable whatever the bound
+    "overflowing_bound_without_bandwidth": (
+        _pair_request(NanoService("s1", cpu=10),
+                      NanoService("s2", cpu=5, functionals={"cam"}),
+                      bw=11, max_delay=1e308, min_pdr=0.5),
+        NoFeasiblePathError, "no feasible route for channel c1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCKED_CASES))
+def test_blocked_requests_keep_their_exception_and_message(monkeypatch, case):
+    request, error, message = BLOCKED_CASES[case]
+    net = _blocking_substrate()
+    routes = _count_route_computations(monkeypatch)
+    before = net.snapshot()
+    with pytest.raises(EmbeddingError) as info:
+        embed(net, request, Coefficients())
+    assert type(info.value) is error
+    assert str(info.value) == message
+    assert net.snapshot() == before
+    # a service that fits no node blocks before its channel's table is asked for
+    assert len(routes) == (error is NoFeasiblePathError)
+
+
+# --- eligible-link masks and substrate scans ---------------------------------
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Record the arguments of every call of module.name."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_chain_embed_computes_one_eligible_mask(monkeypatch):
+    net, request = _complexity_instance(np.random.default_rng(601), 120)
+    masks = _count_calls(monkeypatch, anypath, "eligible_mask")
+    embedding = embed(net, request, Coefficients())
+    assert len(embedding.channel_routes) == 12
+    assert len(masks) == 1
+
+
+def test_channel_after_a_link_reservation_gets_a_fresh_mask(monkeypatch):
+    net = SubstrateNetwork()
+    for nid, label in (("n1", "x"), ("n2", "y"), ("n3", "z")):
+        net.add_node(nid, cpu=10, gpu=0, mem=0, functionals={label})
+    net.add_link("l1", "n1", "n2", bw=10, delay=1.0, pdr=1.0)
+    net.add_link("l2", "n1", "n3", bw=10, delay=5.0, pdr=1.0)
+    net.add_link("l3", "n2", "n3", bw=10, delay=10.0, pdr=1.0)
+    request = VirtualRequest("r")
+    for sid, label in (("s1", "x"), ("s2", "y"), ("s3", "z")):
+        request.add_service(NanoService(sid, functionals={label}))
+    # both channels need 6; c1 leaves l1 with 4.  A stale mask would hand c2
+    # the table over l1, whose route from n3 runs through l1
+    request.add_channel(Channel("c1", "s2", "s1", bw=6, max_delay=100.0,
+                                min_pdr=0.5))
+    request.add_channel(Channel("c2", "s3", "s1", bw=6, max_delay=100.0,
+                                min_pdr=0.5))
+    masks = _count_calls(monkeypatch, anypath, "eligible_mask")
+    embedding = embed(net, request, Coefficients())
+    assert [bw for _, bw in masks] == [6, 6]
+    assert embedding.channel_routes["c1"].links == {"l1"}
+    assert embedding.channel_routes["c2"].links == {"l2"}
+
+
+def test_zero_demand_chain_on_1000_nodes_scans_no_substrate(monkeypatch):
+    net, request = _complexity_instance(np.random.default_rng(602), 1000)
+    scans = _count_calls(monkeypatch, netmodel, "suitable_nodes")
+    monkeypatch.setattr(embedder, "suitable_nodes", netmodel.suitable_nodes,
+                        raising=False)
+    checks = _count_calls(monkeypatch, embedder, "fits")
+    embedding = embed(net, request, Coefficients())
+    assert len(set(embedding.service_map.values())) == 1
+    assert scans == []
+    # one check for the first anchor, then two per channel: any node, the walk
+    assert len(checks) == 1 + 2 * 12

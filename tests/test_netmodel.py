@@ -259,7 +259,7 @@ def test_request_json_round_trip(example_request):
 
 @pytest.mark.parametrize("field, value", [
     ("delay", 0.0), ("delay", -1.0), ("delay", math.nan), ("delay", math.inf),
-    ("pdr", 0.0), ("pdr", 1.5), ("pdr", math.nan),
+    ("pdr", 0.0), ("pdr", 1.5), ("pdr", math.nan), ("pdr", 1e-20),
     ("bw", -1), ("bw", 2.5), ("bw", True),
 ])
 def test_link_refuses_bad_values(field, value):

@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anypath_vne.embedder import Coefficients, embed
+from anypath_vne.embedder import (
+    Coefficients,
+    NoFeasiblePathError,
+    NoSuitableNodeError,
+    embed,
+)
 from anypath_vne.netmodel import (
+    Channel,
+    NanoService,
+    VirtualRequest,
     request_from_dict,
     request_to_dict,
     substrate_from_dict,
@@ -53,6 +61,32 @@ def test_second_identical_request_is_blocked(example):
     assert len(outcome.blocked) == 1
     # the GPU-heavy service can no longer be placed anywhere
     assert "s2" in outcome.blocked[0].reason
+
+
+def test_blocked_outcomes_keep_the_typed_cause(example):
+    net, request, coeffs = example
+    no_node = VirtualRequest("no_node")
+    no_node.add_service(NanoService("s1", cpu=10_000))
+    no_path = VirtualRequest("no_path")
+    # only n1 fits s1 and only n4 fits s2, and no route between them costs
+    # as little as 1e-6; the quality term ranks this request first
+    no_path.add_service(NanoService("s1", cpu=30))
+    no_path.add_service(dataclasses.replace(request.services["s2"]))
+    no_path.add_channel(Channel("c1", "s1", "s2", bw=1, max_delay=1e-6,
+                                min_pdr=1.0))
+    outcome = process_window(net, [no_node, request, no_path], coeffs)
+    assert [r.request.id for r in outcome.accepted] == ["example"]
+    assert outcome.accepted[0].error is None and outcome.accepted[0].reason is None
+    causes = {r.request.id: r.error for r in outcome.blocked}
+    assert type(causes["no_node"]) is NoSuitableNodeError
+    assert causes["no_node"].service_id == "s1"
+    assert type(causes["no_path"]) is NoFeasiblePathError
+    assert causes["no_path"].channel_id == "c1"
+    for result in outcome.blocked:
+        assert result.reason == str(result.error)
+        assert result.error.__traceback__ is None
+    assert outcome.blocked[0].reason in ("no suitable node for service s1",
+                                         "no feasible route for channel c1")
 
 
 def test_empty_window(example):
