@@ -11,7 +11,6 @@ from .anypath import (
     Hyperlink,
     PrunedDag,
     anypath_routes,
-    eligible_mask,
     forwarding_cost,
     prune,
     route_closure,

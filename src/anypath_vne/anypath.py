@@ -1,11 +1,11 @@
 """Anypath route computation over a wireless substrate.
 
 A route toward a destination is built in two stages over the links with
-enough spare bandwidth: orient every such link toward the destination by
-unicast distance (dropping ties, which yields a DAG), then run a Dijkstra-like
-sweep that grows per-node forwarding sets in settle order and prices each hop
-as a hyperlink: one broadcast transmission that any member of the forwarding
-set may relay.
+enough spare bandwidth: a unicast Dijkstra orients every such link toward the
+destination as it settles nodes (dropping ties, which yields a DAG), then a
+Dijkstra-like sweep grows per-node forwarding sets in settle order and prices
+each hop as a hyperlink: one broadcast transmission that any member of the
+forwarding set may relay.
 
 Hyperlink metrics for an ordered forwarding set with link reliabilities p_m
 and delays d_m:
@@ -31,10 +31,12 @@ route table's ``cost``, ``forwarding``, ``settle_order`` or ``members``.
 
 A route table depends only on the topology, its destination and which links
 have at least the channel's bandwidth, because link delay and pdr never
-change.  ``route_table`` therefore keeps recent tables on the topology, which
-every clone of a substrate shares; ``add_node``/``add_link`` start a new
-topology with an empty cache.  A cached table is the one a recomputation
-would build, float for float and tie for tie.
+change.  Routing reads that set only through
+``SubstrateNetwork.eligible_links``, never a link's bandwidth.
+``route_table`` keeps recent tables on the topology, which every clone of a
+substrate shares; ``add_node``/``add_link`` start a new topology with an
+empty cache.  A cached table is the one a recomputation would build, float
+for float and tie for tie.
 """
 
 from __future__ import annotations
@@ -59,21 +61,20 @@ class UnreachableSourceError(Exception):
     """Raised when a route closure is requested from a node with no route."""
 
 
-def unicast_distances(net: SubstrateNetwork, dst: str,
-                      bw: int) -> dict[str, float]:
-    """Shortest-path cost to dst under delay/pdr weights, over links with bw >= bw.
+def _orient(topology: Topology, dst: str, eligible: bytes) -> tuple[list, list]:
+    """Unicast Dijkstra toward dst over the eligible links, orienting them as it goes.
 
-    The result maps every node id, in the substrate's insertion order, to its
-    distance (inf when unreachable).  Link costs are positive, so the final
-    distances do not depend on the order in which equal heap keys pop; ties
-    need no extra key.
+    Returns (dist, incoming) by node index: the delay/pdr shortest-path cost
+    (inf when unreachable), and per node v the arcs into v from a farther
+    endpoint, in the order their tails settle.  A neighbour nearer than the
+    settling node has settled already, so its distance is final; a link
+    between equal distances gets no arc.  Link costs are positive, so the
+    distances do not depend on the pop order of equal heap keys.
     """
-    topology = net.topology()
-    # a link short of bandwidth costs inf, which never relaxes a distance
-    weight = [w if link.bw >= bw else INFINITY
-              for link, w in zip(net.links.values(), topology.weight)]
-    adjacency = topology.adjacency
-    dist = [INFINITY] * len(topology.nodes)
+    adjacency, weight, ends = topology.adjacency, topology.weight, topology.ends
+    n = len(topology.nodes)
+    dist = [INFINITY] * n
+    incoming = [[] for _ in range(n)]
     start = topology.index[dst]
     dist[start] = 0.0
     heap = [(0.0, start)]
@@ -82,10 +83,27 @@ def unicast_distances(net: SubstrateNetwork, dst: str,
         if d > dist[u]:
             continue
         for link, v in adjacency[u]:
-            alt = d + weight[link]
-            if alt < dist[v]:
+            if not eligible[link]:
+                continue
+            dv = dist[v]
+            if dv < d:
+                # the arc into v: 2*link + 1 when v is the link's endpoint b
+                incoming[v].append(2 * link + (ends[2 * link + 1] == v))
+            elif (alt := d + weight[link]) < dv:
                 dist[v] = alt
                 heapq.heappush(heap, (alt, v))
+    return dist, incoming
+
+
+def unicast_distances(net: SubstrateNetwork, dst: str,
+                      bw: int) -> dict[str, float]:
+    """Shortest-path cost to dst under delay/pdr weights, over links with bw >= bw.
+
+    The result maps every node id, in the substrate's insertion order, to its
+    distance (inf when unreachable).
+    """
+    topology = net.topology()
+    dist, _ = _orient(topology, dst, net.eligible_links(bw))
     return dict(zip(topology.nodes, dist))
 
 
@@ -115,7 +133,7 @@ class PrunedDag:
 
     dst: str
     topology: Topology
-    incoming: list    # node index -> arc codes headed at it, in link order
+    incoming: list    # node index -> arc codes headed at it, in tail-settle order
 
     @property
     def nodes(self) -> tuple:
@@ -130,21 +148,8 @@ class PrunedDag:
 
 def prune(net: SubstrateNetwork, dst: str, bw: int) -> PrunedDag:
     """Orient each link with bw >= bw from its farther endpoint toward dst; drop ties."""
-    # the distances come keyed by id in node order, so their values are by index
-    dist = list(unicast_distances(net, dst, bw).values())
     topology = net.topology()
-    ends = topology.ends
-    incoming = [[] for _ in dist]
-    for k, link in enumerate(net.links.values()):
-        if link.bw < bw:
-            continue
-        arc = 2 * k
-        da, db = dist[ends[arc]], dist[ends[arc + 1]]
-        if da == db:
-            continue   # equal distance (including both unreachable): no direction
-        if da > db:
-            arc += 1   # from a into b
-        incoming[ends[arc]].append(arc)
+    _, incoming = _orient(topology, dst, net.eligible_links(bw))
     return PrunedDag(dst, topology, incoming)
 
 
@@ -274,6 +279,10 @@ def anypath_routes(dag: PrunedDag, dst: str) -> AnypathRouteTable:
     hyperlink cost plus weighted remaining cost.  The repricing is applied even
     if it raises the predecessor's cost, so a fresh heap entry is pushed on
     every update and stale entries are skipped by value comparison.
+
+    The result does not depend on the order of ``dag.incoming``: an update
+    reads only its predecessor's members, the heap key is total, and parallel
+    links share a tail, so they stay in link order.
     """
     topology = dag.topology
     rank, ends = topology.rank, topology.ends
@@ -304,26 +313,17 @@ def anypath_routes(dag: PrunedDag, dst: str) -> AnypathRouteTable:
     return AnypathRouteTable(topology, dst, cost, forwarding, settle_order)
 
 
-def eligible_mask(net: SubstrateNetwork, bw: int) -> int:
-    """Bitmask over net.links in insertion order: bit i is set if link i has bw >= bw."""
-    bits = "".join(["1" if link.bw >= bw else "0"
-                    for link in reversed(net.links.values())])
-    return int(bits or "0", 2)
-
-
-def route_table(net: SubstrateNetwork, dst: str, bw: int,
-                mask: int) -> AnypathRouteTable:
+def route_table(net: SubstrateNetwork, dst: str, bw: int) -> AnypathRouteTable:
     """Route table toward dst over the links with bw >= bw, from the topology's cache.
 
-    mask is ``eligible_mask(net, bw)``, which a caller may keep while no link
-    bandwidth changes.  The key is dst and that mask, exactly the filter of
+    The key is dst and ``net.eligible_links(bw)``, exactly the filter of
     ``prune``, so a reservation that drops a link below bw leads to a new
     table.  A miss calls ``prune`` and ``anypath_routes`` through this
     module.  The cache keeps the ``ROUTE_CACHE_SIZE`` most recently used
     tables; they are shared, so callers only read them.
     """
     cache = net.topology().routes
-    key = (dst, mask)
+    key = (dst, net.eligible_links(bw))
     # Clones may be embedded from several threads, so the cache is touched
     # only by single, atomic OrderedDict calls: a hit is popped and put back
     # as the newest entry, since a lookup followed by a move could lose the

@@ -214,16 +214,14 @@ def embed(net: SubstrateNetwork, request: VirtualRequest,
 
     Each channel's table comes from ``anypath.route_table``: it is shared
     through the substrate's topology with earlier channels, earlier calls and
-    every clone, and it outlives the call.  The eligible-link mask of a
-    bandwidth is computed once and kept until a reservation takes bandwidth
-    from a link; a reservation that drops a link below a later channel's
-    bandwidth changes the table's key, so that channel gets a table over the
-    links that are left.
+    every clone, and it outlives the call.  Its key holds the substrate's
+    memoised eligible links for the channel's bandwidth; a reservation that
+    drops a link below a later channel's bandwidth changes that key, so the
+    channel gets a table over the links that are left.
     """
     embedding = Embedding(request.id)
     placed = embedding.service_map
     ledger = embedding.ledger
-    masks = {}   # channel bw -> eligible-link mask, until a link is reserved
     try:
         for channel in rank_channels(request, coeffs):
             reverse = channel.src in placed and channel.dst not in placed
@@ -245,10 +243,7 @@ def embed(net: SubstrateNetwork, request: VirtualRequest,
                     raise NoSuitableNodeError(pending.id)
                 accepts = lambda node_id: fits(net.nodes[node_id], pending)
 
-            mask = masks.get(channel.bw)
-            if mask is None:
-                mask = masks[channel.bw] = anypath.eligible_mask(net, channel.bw)
-            table = anypath.route_table(net, n_dst, channel.bw, mask)
+            table = anypath.route_table(net, n_dst, channel.bw)
             selected = select_min_links(table, accepts, channel.max_cost)
             if selected is None:
                 raise NoFeasiblePathError(channel.id)
@@ -258,8 +253,6 @@ def embed(net: SubstrateNetwork, request: VirtualRequest,
 
             nodes, links = anypath.route_closure(table, selected)
             reserve_channel(net, links, channel.bw, ledger)
-            if links:
-                masks.clear()
             flow_src, flow_dst = (n_dst, selected) if reverse else (selected, n_dst)
             embedding.channel_routes[channel.id] = ChannelRoute(
                 channel.id, flow_src, flow_dst,

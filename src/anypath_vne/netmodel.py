@@ -13,6 +13,14 @@ numbers nodes and links densely and is shared by every clone, while the
 mutable bandwidth and node resources stay on ``SubstrateLink`` and
 ``SubstrateNode``.  The topology also carries the route-table cache of
 ``anypath.route_table``, so every clone reuses the tables of the others.
+
+Link bandwidth changes only through ``reserve_channel`` and ``rollback``.
+``SubstrateNetwork.eligible_links`` memoises, per bandwidth, which links have
+at least that much spare; the memo belongs to a capacity state, not to one
+network object.  ``clone`` hands the copy the same memo dict, so a substrate
+and all its untouched clones scan their links once per bandwidth; a
+reservation or rollback that changes link bandwidth, and ``add_link``, give
+that network a fresh memo and leave the shared one alone.
 """
 
 from __future__ import annotations
@@ -132,8 +140,10 @@ class NanoService:
     def __post_init__(self):
         self.functionals = frozenset(self.functionals)
         for name in RESOURCES:
-            if not getattr(self, name) >= 0:
-                raise SchemaError(name, f"service {self.id} has a negative {name} demand")
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise SchemaError(name, f"service {self.id} needs a non-negative "
+                                  f"integer {name} demand")
 
     def demands(self) -> tuple[int, int, int]:
         return (self.cpu, self.gpu, self.mem)
@@ -153,9 +163,9 @@ class Channel:
     def __post_init__(self):
         if self.src == self.dst:
             raise SchemaError("dst", f"channel {self.id} connects a service to itself")
+        if not isinstance(self.bw, int) or isinstance(self.bw, bool) or self.bw < 0:
+            raise SchemaError("bw", f"channel {self.id} needs a non-negative integer bw")
         # the range checks are written so that NaN fails them
-        if not self.bw >= 0:
-            raise SchemaError("bw", f"channel {self.id} has a negative bandwidth")
         if not 0 < self.max_delay < math.inf:
             raise SchemaError("max_delay",
                               f"channel {self.id} needs a finite max_delay > 0")
@@ -242,7 +252,7 @@ class Topology:
                                        for row in self.adjacency)
         self.by_local_pdr = tuple(sorted(range(len(self.nodes)),
                                          key=lambda i: (-local[i], self.rank[i])))
-        self.routes = OrderedDict()   # (destination, eligible-link mask) -> table
+        self.routes = OrderedDict()   # (destination, eligible links) -> table
 
 
 def _mean_pdr(pdrs: list) -> float:
@@ -256,6 +266,7 @@ class SubstrateNetwork:
         self.nodes: dict[str, SubstrateNode] = {}
         self.links: dict[str, SubstrateLink] = {}
         self._topology = None
+        self._eligible = {}   # bw -> eligible_links(bw), shared with clones
 
     def add_node(self, node_id: str, cpu: int, gpu: int, mem: int,
                  functionals: Iterable[str] = ()) -> SubstrateNode:
@@ -273,6 +284,7 @@ class SubstrateNetwork:
         link = SubstrateLink(link_id, a, b, bw, delay, pdr)
         self.links[link_id] = link
         self._topology = None
+        self._eligible = {}
         return link
 
     def topology(self) -> Topology:
@@ -285,8 +297,25 @@ class SubstrateNetwork:
             self._topology = Topology(self)
         return self._topology
 
+    def eligible_links(self, bw: int) -> bytes:
+        """Byte k is 1 when the k-th link has at least bw spare bandwidth, else 0.
+
+        Memoised per bandwidth until link bandwidth changes.  The memo dict
+        is shared with clones and only ever grows by identical values, so it
+        is never cleared: a change of link bandwidth gives this network a
+        new one instead.
+        """
+        memo = self._eligible
+        eligible = memo.get(bw)
+        if eligible is None:
+            eligible = memo[bw] = bytes([link.bw >= bw for link in self.links.values()])
+        return eligible
+
     def clone(self) -> "SubstrateNetwork":
-        """Copy of the capacities; the topology and capability sets are shared."""
+        """Copy of the capacities.
+
+        The topology, the eligible-link memo and the capability sets are shared.
+        """
         dup = SubstrateNetwork()
         for node in self.nodes.values():
             dup.nodes[node.id] = SubstrateNode(
@@ -296,6 +325,7 @@ class SubstrateNetwork:
             dup.links[link.id] = SubstrateLink(
                 link.id, link.a, link.b, link.bw, link.delay, link.pdr, link.bw0)
         dup._topology = self.topology()
+        dup._eligible = self._eligible
         return dup
 
     def snapshot(self) -> tuple:
@@ -306,6 +336,11 @@ class SubstrateNetwork:
         )
 
 
+def _is_int(value) -> bool:
+    """Whether value is an int; bool, a subclass of int, is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate_substrate(net: SubstrateNetwork) -> list[str]:
     """Return a list of invariant violations; an empty list means valid."""
     report = []
@@ -313,7 +348,9 @@ def validate_substrate(net: SubstrateNetwork) -> list[str]:
         for name in RESOURCES:
             avail = getattr(node, name)
             orig = getattr(node, name + "0")
-            if avail < 0 or orig < 0:
+            if not (_is_int(avail) and _is_int(orig)):
+                report.append(f"node {node.id}: non-integer {name} capacity")
+            elif avail < 0 or orig < 0:
                 report.append(f"node {node.id}: negative {name} capacity")
             elif avail > orig:
                 report.append(f"node {node.id}: available {name} exceeds original")
@@ -328,7 +365,9 @@ def validate_substrate(net: SubstrateNetwork) -> list[str]:
             report.append(f"link {link.id}: pdr {link.pdr} outside (0, 1]")
         if link.delay <= 0:
             report.append(f"link {link.id}: non-positive delay {link.delay}")
-        if link.bw < 0 or link.bw0 < 0:
+        if not (_is_int(link.bw) and _is_int(link.bw0)):
+            report.append(f"link {link.id}: non-integer bandwidth")
+        elif link.bw < 0 or link.bw0 < 0:
             report.append(f"link {link.id}: negative bandwidth")
         elif link.bw > link.bw0:
             report.append(f"link {link.id}: available bandwidth exceeds original")
@@ -384,6 +423,8 @@ def reserve_channel(net: SubstrateNetwork, link_ids: Iterable[str],
     for link_id in link_ids:
         net.links[link_id].bw -= bw
         ledger.append(("link", link_id, bw))
+    if link_ids and bw:
+        net._eligible = {}
 
 
 def rollback(net: SubstrateNetwork, ledger: list) -> None:
@@ -398,7 +439,9 @@ def rollback(net: SubstrateNetwork, ledger: list) -> None:
         else:
             _, link_id, dbw = record
             net.links[link_id].bw += dbw
-    ledger.clear()
+    if ledger:
+        net._eligible = {}
+        ledger.clear()
 
 
 # --- JSON-friendly (de)serialization -----------------------------------------

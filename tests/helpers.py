@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
 
-from anypath_vne.anypath import DagEdge
+from anypath_vne.anypath import DagEdge, PrunedDag
 from anypath_vne.netmodel import (
     Channel,
     NanoService,
@@ -67,6 +68,28 @@ def random_substrate(rng: np.random.Generator, max_nodes: int = 8,
         i, j = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
         if i != j and frozenset((i, j)) not in pairs:
             add(i, j)
+    return net
+
+
+def tie_prone_substrate(rng: np.random.Generator, max_nodes: int = 9) -> SubstrateNetwork:
+    """Random substrate with parallel links, ties, isolated parts and bw-0 links.
+
+    Link ends are drawn independently, so a pair may get several links and a
+    node a self-loop.
+    Delays and pdrs come from small sets of exact binary fractions, so equal
+    unicast distances, and links between equal distances, are common.  Few
+    links for the node count leave parts disconnected.
+    """
+    n = int(rng.integers(2, max_nodes + 1))
+    net = SubstrateNetwork()
+    for i in range(1, n + 1):
+        net.add_node(f"n{i}", cpu=10, gpu=10, mem=10)
+    for k in range(1, int(rng.integers(0, 2 * n + 1)) + 1):
+        i, j = (int(x) for x in rng.integers(1, n + 1, size=2))
+        net.add_link(f"l{k}", f"n{i}", f"n{j}",
+                     bw=int(rng.choice([0, 5, 10, 50])),
+                     delay=float(rng.choice([1.0, 2.0, 4.0])),
+                     pdr=float(rng.choice([1.0, 0.5, 0.25])))
     return net
 
 
@@ -162,3 +185,38 @@ def has_cycle(nodes, edges) -> bool:
             if indegree[nxt] == 0:
                 queue.append(nxt)
     return seen != len(nodes)
+
+
+def reference_prune(net: SubstrateNetwork, dst: str, bw: int) -> PrunedDag:
+    """Two-pass orientation: unicast distances, then one pass over the links.
+
+    Independent of ``anypath``: the Dijkstra runs over ``net.links`` and reads
+    each link's bw, and every node's incoming arcs come in link order.  Arc
+    2*k + 1 is link k into its endpoint b, arc 2*k into a.
+    """
+    index = net.topology().index
+    neighbours = {nid: [] for nid in net.nodes}
+    for link in net.links.values():
+        if link.bw >= bw:
+            weight = link.delay / link.pdr
+            neighbours[link.a].append((link.b, weight))
+            neighbours[link.b].append((link.a, weight))
+    dist = {nid: math.inf for nid in net.nodes}
+    dist[dst] = 0.0
+    heap = [(0.0, dst)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, weight in neighbours[u]:
+            if d + weight < dist[v]:
+                dist[v] = d + weight
+                heapq.heappush(heap, (dist[v], v))
+    incoming = [[] for _ in net.nodes]
+    for k, link in enumerate(net.links.values()):
+        da, db = dist[link.a], dist[link.b]
+        if link.bw < bw or da == db:
+            continue
+        head = link.b if da > db else link.a
+        incoming[index[head]].append(2 * k + (da > db))
+    return PrunedDag(dst, net.topology(), incoming)

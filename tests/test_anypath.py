@@ -12,7 +12,6 @@ from anypath_vne.anypath import (
     ROUTE_CACHE_SIZE,
     UnreachableSourceError,
     anypath_routes,
-    eligible_mask,
     forwarding_cost,
     prune,
     route_closure,
@@ -28,6 +27,8 @@ from helpers import (
     has_cycle,
     random_substrate,
     random_tree_substrate,
+    reference_prune,
+    tie_prone_substrate,
 )
 
 pdrs = st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8)
@@ -226,6 +227,36 @@ def test_prune_is_acyclic(seed):
     assert not has_cycle(dag.nodes, [(e.tail, e.head) for e in dag.edges])
 
 
+def test_orientation_matches_the_two_pass_reference():
+    # the fused Dijkstra appends arcs in tail-settle order, the reference in
+    # link order: the arc sets and the whole route tables must agree
+    rng = np.random.default_rng(4040)
+    parallel = ties = unreached = dropped = 0
+    for _ in range(300):
+        net = tie_prone_substrate(rng)
+        pairs = [frozenset((l.a, l.b)) for l in net.links.values()]
+        parallel += len(pairs) - len(set(pairs))
+        for dst in net.nodes:
+            for bw in (0, 5, 10, 50):
+                dag, ref = prune(net, dst, bw), reference_prune(net, dst, bw)
+                assert [sorted(arcs) for arcs in dag.incoming] \
+                    == [sorted(arcs) for arcs in ref.incoming]
+                assert dag.edges == ref.edges
+                dist = unicast_distances(net, dst, bw)
+                unreached += list(dist.values()).count(math.inf)
+                for link in net.links.values():
+                    if link.bw < bw:
+                        dropped += 1
+                    elif link.a != link.b and dist[link.a] == dist[link.b] < math.inf:
+                        ties += 1
+                table, expected = anypath_routes(dag, dst), anypath_routes(ref, dst)
+                assert repr(table.cost) == repr(expected.cost)
+                assert table.forwarding == expected.forwarding
+                assert table.settle_order == expected.settle_order
+    # the corpus covers what the digest substrates lack
+    assert min(parallel, ties, unreached, dropped) > 100
+
+
 @settings(max_examples=200)
 @given(st.integers(0, 2**32 - 1))
 def test_tree_routes_equal_unicast_path_sums(seed):
@@ -330,9 +361,9 @@ def _line_substrate(n_nodes: int) -> SubstrateNetwork:
 
 def test_clones_share_one_route_cache(example_net):
     first, second = example_net.clone(), example_net.clone()
-    table = route_table(first, "n4", 10, eligible_mask(first, 10))
-    assert route_table(second, "n4", 10, eligible_mask(second, 10)) is table
-    assert route_table(example_net, "n4", 10, eligible_mask(example_net, 10)) is table
+    table = route_table(first, "n4", 10)
+    assert route_table(second, "n4", 10) is table
+    assert route_table(example_net, "n4", 10) is table
     assert second.topology().routes is example_net.topology().routes
     assert list(example_net.topology().routes.values()) == [table]
 
@@ -340,14 +371,14 @@ def test_clones_share_one_route_cache(example_net):
 def test_route_cache_keeps_the_most_recently_used_tables():
     net = _line_substrate(ROUTE_CACHE_SIZE + 4)
     cache = net.topology().routes
-    first = route_table(net, "n1", 0, eligible_mask(net, 0))
+    first = route_table(net, "n1", 0)
     for i in range(2, ROUTE_CACHE_SIZE + 1):
-        route_table(net, f"n{i}", 0, eligible_mask(net, 0))
+        route_table(net, f"n{i}", 0)
         assert len(cache) == i
     # a hit makes n1 the newest
-    assert route_table(net, "n1", 0, eligible_mask(net, 0)) is first
+    assert route_table(net, "n1", 0) is first
     for i in range(ROUTE_CACHE_SIZE + 1, ROUTE_CACHE_SIZE + 5):
-        route_table(net, f"n{i}", 0, eligible_mask(net, 0))
+        route_table(net, f"n{i}", 0)
         assert len(cache) == ROUTE_CACHE_SIZE
     # least recently used first: n2..n5 went, n1 outlived them
     assert [dst for dst, _ in cache] == (
@@ -368,7 +399,7 @@ def test_route_cache_stays_consistent_under_threads():
             for _ in range(200):
                 for k in range(len(dsts)):
                     dst = dsts[(k + phase) % len(dsts)]
-                    table = route_table(net, dst, 0, eligible_mask(net, 0))
+                    table = route_table(net, dst, 0)
                     if table.dst != dst or table._cost != expected[dst]:
                         errors.append(f"wrong table for {dst}")
         except Exception as exc:   # reported by the main thread
@@ -391,12 +422,12 @@ def test_route_cache_stays_consistent_under_threads():
 
 def test_add_link_starts_an_empty_route_cache(example_net):
     clone = example_net.clone()
-    old = route_table(example_net, "n4", 0, eligible_mask(example_net, 0))
+    old = route_table(example_net, "n4", 0)
     example_net.add_link("l7", "n1", "n4", bw=100, delay=1.0, pdr=1.0)
     assert len(example_net.topology().routes) == 0
-    new = route_table(example_net, "n4", 0, eligible_mask(example_net, 0))
+    new = route_table(example_net, "n4", 0)
     assert new is not old
     assert route_closure(new, "n1")[1] == {"l7"}
     # a clone made before keeps the old topology and its cache
-    assert route_table(clone, "n4", 0, eligible_mask(clone, 0)) is old
+    assert route_table(clone, "n4", 0) is old
     assert list(example_net.topology().routes.values()) == [new]

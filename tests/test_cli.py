@@ -337,6 +337,26 @@ def test_embed_that_corrupts_the_substrate_exits_internal(example_files, fault):
     assert "exceeds original" in lines[0]
 
 
+def test_embed_that_leaves_a_fractional_bandwidth_exits_internal(
+        example_files, monkeypatch, capsys):
+    substrate, request_file, _ = example_files
+    embed = cli.embed
+
+    def fault(net, request, coeffs):
+        embedding = embed(net, request, coeffs)
+        net.links["l3"].bw -= 0.5   # within [0, original], but not a count
+        return embedding
+
+    monkeypatch.setattr(cli, "embed", fault)
+    code = cli.main(["embed", "--substrate", str(substrate),
+                     "--request", str(request_file)])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL
+    assert out == ""
+    assert err.splitlines() == ["internal error: embedding left the substrate "
+                                "invalid: link l3: non-integer bandwidth"]
+
+
 _JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-10**25, 10**25), st.floats(),
     st.text(max_size=3), st.lists(st.integers(-3, 3), max_size=2),
@@ -443,6 +463,63 @@ def test_fuzzed_embed_and_validate_exit_cleanly(inputs):
                 code = cli.main(argv)
             assert code in allowed, (argv[0], err.getvalue())
             assert "Traceback" not in err.getvalue()
+
+
+# junk whose integers are negative, small or far beyond every bound, so that
+# no drawn config runs more than a dozen iterations of a dozen requests
+_CONFIG_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12), st.sampled_from([10**25, -10**25]),
+    st.floats(), st.text(max_size=3), st.lists(st.integers(-3, 12), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2))
+
+
+@st.composite
+def _simulate_configs(draw):
+    """A tiny simulate config, then maybe a field, a key or the document made junk."""
+    doc = {"iterations": 1, "loads": draw(st.lists(st.integers(1, 6), min_size=1,
+                                                  max_size=2)),
+           "seed": draw(st.integers(0, 2**64))}
+    if draw(st.booleans()):
+        doc["substrate"] = draw(st.sampled_from(["example", "simulation", "ring"]))
+    if draw(st.booleans()):
+        doc["generator"] = draw(st.fixed_dictionaries({}, optional={
+            "services_max": st.integers(2, 6), "bw_max": st.integers(10, 100),
+            "pdr_lo": st.floats(0.0, 1.0), "channel_prob": st.floats(0.0, 1.0),
+            "ordered_pairs": st.booleans(), "extra": st.just(1)}))
+    if draw(st.booleans()):
+        doc["coefficients"] = draw(st.fixed_dictionaries({}, optional={
+            "beta": st.floats(-5.0, 5.0), "gamma": _CONFIG_JUNK,
+            "alpha": st.floats(0.0, 5.0)}))
+    kind = draw(st.sampled_from(["none", "field", "drop", "nested", "doc"]))
+    if kind == "doc":
+        return draw(_CONFIG_JUNK)
+    if kind in ("field", "drop"):
+        key = draw(st.sampled_from(sorted(doc)))
+        if kind == "field":
+            doc[key] = draw(_CONFIG_JUNK)
+        else:
+            del doc[key]
+    elif kind == "nested":
+        part = draw(st.sampled_from(["generator", "coefficients"]))
+        doc[part] = {draw(st.sampled_from(["services_min", "cpu_max", "pdr_hi",
+                                           "gpu_prob", "beta", "cost_alpha"])):
+                     draw(_CONFIG_JUNK)}
+    return doc
+
+
+@settings(max_examples=40, deadline=None)
+@given(_simulate_configs())
+def test_fuzzed_simulate_config_exits_cleanly(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(["simulate", "--config", str(path),
+                             "--out", str(Path(tmp) / "out")])
+    assert code in {cli.EXIT_OK, cli.EXIT_INPUT}, err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def _sim_config(tmp_path, seed=5):

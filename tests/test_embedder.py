@@ -610,7 +610,24 @@ def test_blocked_requests_keep_their_exception_and_message(monkeypatch, case):
     assert len(routes) == (error is NoFeasiblePathError)
 
 
-# --- eligible-link masks and substrate scans ---------------------------------
+# --- eligible-link memo and substrate scans ----------------------------------
+
+def _count_scans(monkeypatch) -> list:
+    """Record the bandwidth of every eligible_links call that scans the links.
+
+    eligible_links scans exactly when its memo has no entry for the bandwidth.
+    """
+    scans = []
+    original = SubstrateNetwork.eligible_links
+
+    def counting(net, bw):
+        if bw not in net._eligible:
+            scans.append(bw)
+        return original(net, bw)
+
+    monkeypatch.setattr(SubstrateNetwork, "eligible_links", counting)
+    return scans
+
 
 def _count_calls(monkeypatch, module, name) -> list:
     """Record the arguments of every call of module.name."""
@@ -627,10 +644,20 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 def test_chain_embed_computes_one_eligible_mask(monkeypatch):
     net, request = _complexity_instance(np.random.default_rng(601), 120)
-    masks = _count_calls(monkeypatch, anypath, "eligible_mask")
+    scans = _count_scans(monkeypatch)
     embedding = embed(net, request, Coefficients())
     assert len(embedding.channel_routes) == 12
-    assert len(masks) == 1
+    assert len(scans) == 1
+
+
+def test_second_embed_on_a_fresh_clone_scans_no_link(monkeypatch):
+    base, request = _complexity_instance(np.random.default_rng(601), 120)
+    scans = _count_scans(monkeypatch)
+    first = embed(base.clone(), request, Coefficients())
+    assert len(scans) == 1
+    second = embed(base.clone(), request, Coefficients())
+    assert len(scans) == 1
+    assert json.dumps(second.to_dict()) == json.dumps(first.to_dict())
 
 
 def test_channel_after_a_link_reservation_gets_a_fresh_mask(monkeypatch):
@@ -643,15 +670,15 @@ def test_channel_after_a_link_reservation_gets_a_fresh_mask(monkeypatch):
     request = VirtualRequest("r")
     for sid, label in (("s1", "x"), ("s2", "y"), ("s3", "z")):
         request.add_service(NanoService(sid, functionals={label}))
-    # both channels need 6; c1 leaves l1 with 4.  A stale mask would hand c2
+    # both channels need 6; c1 leaves l1 with 4.  A stale memo would hand c2
     # the table over l1, whose route from n3 runs through l1
     request.add_channel(Channel("c1", "s2", "s1", bw=6, max_delay=100.0,
                                 min_pdr=0.5))
     request.add_channel(Channel("c2", "s3", "s1", bw=6, max_delay=100.0,
                                 min_pdr=0.5))
-    masks = _count_calls(monkeypatch, anypath, "eligible_mask")
+    scans = _count_scans(monkeypatch)
     embedding = embed(net, request, Coefficients())
-    assert [bw for _, bw in masks] == [6, 6]
+    assert scans == [6, 6]
     assert embedding.channel_routes["c1"].links == {"l1"}
     assert embedding.channel_routes["c2"].links == {"l2"}
 

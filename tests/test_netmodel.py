@@ -1,4 +1,7 @@
+import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anypath_vne.anypath import anypath_routes, prune, route_closure, unicast_distances
-from anypath_vne.embedder import embed
+from anypath_vne.embedder import Coefficients, EmbeddingError, embed
 from anypath_vne.netmodel import (
     Channel,
     InsufficientCapacityError,
@@ -28,7 +31,7 @@ from anypath_vne.netmodel import (
     validate_substrate,
 )
 
-from helpers import random_substrate
+from helpers import random_request, random_substrate
 
 
 def test_validate_example_is_clean(example_net):
@@ -295,6 +298,34 @@ def test_channel_refuses_infinite_max_delay():
     assert info.value.field == "max_delay"
 
 
+@pytest.mark.parametrize("field, value", [
+    ("cpu", 1.5), ("gpu", True), ("mem", -1), ("cpu", "3"), ("gpu", None),
+    ("mem", math.nan),
+])
+def test_service_refuses_bad_demands(field, value):
+    with pytest.raises(SchemaError) as info:
+        NanoService("s1", **{field: value})
+    assert info.value.field == field
+
+
+@pytest.mark.parametrize("value", [2.5, True, -1, math.nan, "3", None])
+def test_channel_refuses_a_bandwidth_that_is_not_a_count(value):
+    with pytest.raises(SchemaError) as info:
+        Channel("c1", "s1", "s2", bw=value, max_delay=10.0, min_pdr=0.5)
+    assert info.value.field == "bw"
+
+
+def test_validate_flags_non_integer_capacities(example_net):
+    example_net.nodes["n2"].cpu = 8.5
+    example_net.nodes["n3"].mem0 = True
+    example_net.links["l1"].bw = 7.5
+    assert validate_substrate(example_net) == [
+        "node n2: non-integer cpu capacity",
+        "node n3: non-integer mem capacity",
+        "link l1: non-integer bandwidth",
+    ]
+
+
 def test_topology_refuses_dangling_endpoint():
     net = SubstrateNetwork()
     net.add_node("n1", 10, 10, 10)
@@ -352,3 +383,139 @@ def test_topology_of_large_substrate_is_compact():
     finally:
         tracemalloc.stop()
     assert size <= 1_000_000
+
+
+# --- eligible-link memo -------------------------------------------------------
+
+def _scan(net: SubstrateNetwork, bw: int) -> bytes:
+    return bytes(link.bw >= bw for link in net.links.values())
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_eligible_links_memo_matches_a_fresh_scan(seed):
+    # random clone, embed, reserve and rollback steps on nets that share memos
+    rng = np.random.default_rng(9100 + seed)
+    nets = [random_substrate(rng, max_nodes=7, connected=seed % 2 == 0)]
+    ledgers = [[]]   # per net, the ledgers that can still be rolled back
+    seen = {0}
+    for _ in range(40):
+        i = int(rng.integers(len(nets)))
+        net = nets[i]
+        step = int(rng.integers(4))
+        if step == 0:
+            nets.append(net.clone())
+            ledgers.append([])
+        elif step == 1:
+            try:
+                embedding = embed(net, random_request(rng), Coefficients())
+            except EmbeddingError:
+                pass
+            else:
+                ledgers[i].append(embedding.ledger)
+        elif step == 2 and net.links:
+            lid = list(net.links)[int(rng.integers(len(net.links)))]
+            ledger = []
+            reserve_channel(net, [lid], int(rng.integers(net.links[lid].bw + 1)),
+                            ledger)
+            ledgers[i].append(ledger)
+        elif ledgers[i]:
+            rollback(net, ledgers[i].pop(int(rng.integers(len(ledgers[i])))))
+        seen.add(int(rng.integers(0, 101)))
+        # fill the memo for a random bandwidth before checking them all, so
+        # later steps meet memos filled at different points
+        net.eligible_links(int(rng.choice(sorted(seen))))
+        for other in nets:
+            for bw in seen:
+                assert other.eligible_links(bw) == _scan(other, bw)
+
+
+def test_reserving_on_a_clone_leaves_the_base_memo_right(example_net):
+    base = example_net
+    full = base.eligible_links(70)
+    clone = base.clone()
+    assert clone.eligible_links(70) is full   # shared: no second scan
+    ledger = []
+    reserve_channel(clone, ["l1"], 10, ledger)   # l1: 70 -> 60
+    assert clone.eligible_links(70) == _scan(clone, 70) != full
+    # the base keeps its memo object and its entry
+    assert base.eligible_links(70) is full
+    assert base._eligible is not clone._eligible
+    rollback(clone, ledger)
+    assert clone.eligible_links(70) == full
+
+
+def test_reserving_on_the_base_leaves_the_clone_memo_right(example_net):
+    base = example_net
+    full = base.eligible_links(80)
+    clone = base.clone()
+    ledger = []
+    reserve_channel(base, ["l2", "l3"], 30, ledger)   # l2: 80 -> 50, l3: 100 -> 70
+    assert base.eligible_links(80) == _scan(base, 80) != full
+    assert clone.eligible_links(80) is full
+    assert clone.eligible_links(60) == _scan(clone, 60)
+    assert base.eligible_links(60) == _scan(base, 60)
+
+
+def test_add_link_starts_a_fresh_memo(example_net):
+    clone = example_net.clone()
+    before = example_net.eligible_links(0)
+    example_net.add_link("l7", "n1", "n4", bw=100, delay=1.0, pdr=1.0)
+    assert example_net.eligible_links(0) == before + b"\x01"
+    assert clone.eligible_links(0) is before
+
+
+def test_clones_share_the_memo_safely_under_threads():
+    # threads embed into and roll back their own clones of one base, so
+    # they fill the base's memo while some of them hold fresh ones
+    rng = np.random.default_rng(9207)
+    base = random_substrate(rng, max_nodes=10, min_nodes=8, extra_edge_factor=2.0)
+    requests = [random_request(rng, max_services=5) for _ in range(6)]
+    bws = range(101)
+    expected = []
+    reserved = 0
+    for request in requests:
+        try:
+            embedding = embed(base.clone(), request, Coefficients())
+        except EmbeddingError as exc:
+            expected.append(str(exc))
+        else:
+            expected.append(json.dumps(embedding.to_dict()))
+            reserved += sum(record[0] == "link" for record in embedding.ledger)
+    assert reserved > 10
+    errors = []
+
+    def work(phase):
+        try:
+            for step in range(60):
+                k = (step + phase) % len(requests)
+                net = base.clone()
+                try:
+                    embedding = embed(net, requests[k], Coefficients())
+                except EmbeddingError as exc:
+                    found, ledger = str(exc), []
+                else:
+                    found, ledger = json.dumps(embedding.to_dict()), embedding.ledger
+                if found != expected[k]:
+                    errors.append(f"request {k} embedded differently")
+                for _ in range(2):
+                    for bw in bws:
+                        if net.eligible_links(bw) != _scan(net, bw):
+                            errors.append(f"stale memo for bw {bw}")
+                    rollback(net, ledger)
+        except Exception as exc:   # reported by the main thread
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for bw in bws:
+        assert base.eligible_links(bw) == _scan(base, bw)
