@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -34,6 +35,7 @@ from .embedder import (
 from .netmodel import (
     RESOURCES,
     SchemaError,
+    _build,
     natural_key,
     request_from_dict,
     substrate_from_dict,
@@ -71,7 +73,8 @@ def _load_json(path: str, what: str) -> dict:
             return json.load(handle)
     except OSError as exc:
         raise SchemaError(what, f"cannot read {path}: {exc.strerror}") from exc
-    except ValueError as exc:   # malformed, or an integer literal too long to parse
+    # malformed, nested too deeply, or an integer literal too long to parse
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(what, f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -112,38 +115,29 @@ def coefficients_from_dict(doc: dict, defaults: Coefficients = None) -> Coeffici
     )
 
 
-def _config_int(doc: dict, key: str, default: int) -> int:
-    value = doc.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(f"config.{key}", f"expected an integer, got {value!r}")
-    return value
-
-
 def simulation_config_from_dict(doc: dict) -> scenario.SimulationConfig:
+    """The config of a JSON object; the config classes check every value."""
     if not isinstance(doc, dict):
         raise SchemaError("config", "expected a JSON object")
     defaults = scenario.SimulationConfig()
-    try:
-        generator = scenario.GeneratorConfig(**doc.get("generator", {}))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError("config.generator", str(exc)) from exc
-    coeffs = coefficients_from_dict(doc.get("coefficients", {}),
-                                    defaults.coefficients)
-    iterations = _config_int(doc, "iterations", defaults.iterations)
-    seed = _config_int(doc, "seed", defaults.seed)
-    try:
-        return scenario.SimulationConfig(
-            substrate=doc.get("substrate", defaults.substrate),
-            loads=tuple(doc.get("loads", defaults.loads)),
-            iterations=iterations,
-            seed=seed,
-            coefficients=coeffs,
-            generator=generator,
-        )
-    except SchemaError as exc:
-        raise SchemaError(f"config.{exc.field}", exc.detail) from exc
-    except (TypeError, ValueError) as exc:
-        raise SchemaError("config", str(exc)) from exc
+    generator = doc.get("generator", {})
+    if not isinstance(generator, dict):
+        raise SchemaError("config.generator", "expected a JSON object")
+    known = {f.name for f in dataclasses.fields(scenario.GeneratorConfig)}
+    for key in generator:
+        if key not in known:
+            raise SchemaError(f"config.generator.{key}", "unknown key")
+    loads = doc.get("loads", list(defaults.loads))
+    if not isinstance(loads, list):
+        raise SchemaError("config.loads", "expected a JSON list")
+    return _build("config", scenario.SimulationConfig,
+                  doc.get("substrate", defaults.substrate),
+                  tuple(loads),
+                  doc.get("iterations", defaults.iterations),
+                  doc.get("seed", defaults.seed),
+                  _build("config", coefficients_from_dict,
+                         doc.get("coefficients", {}), defaults.coefficients),
+                  _build("config.generator", scenario.GeneratorConfig, **generator))
 
 
 def cmd_example(_args) -> int:
@@ -236,8 +230,7 @@ def _write_csv(path: Path, header, rows):
 
 
 def write_results(results: scenario.SimulationResults, out_dir: Path) -> None:
-    """Emit summary.csv, node_usage.csv, link_usage.csv, and raw.csv."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Emit summary.csv, node_usage.csv, link_usage.csv, and raw.csv into out_dir."""
     summary_rows = []
     for summary in results.summaries:
         for metric, mean, std in [
@@ -284,13 +277,15 @@ def cmd_simulate(args) -> int:
     cfg = scenario.SimulationConfig()
     if args.config:
         cfg = simulation_config_from_dict(_load_json(args.config, "config"))
-    results = scenario.run_simulation(cfg)
     out_dir = Path(args.out)
-    write_results(results, out_dir)
-    print(f"wrote {out_dir / 'summary.csv'}")
-    print(f"wrote {out_dir / 'node_usage.csv'}")
-    print(f"wrote {out_dir / 'link_usage.csv'}")
-    print(f"wrote {out_dir / 'raw.csv'}")
+    try:   # before the sweep, so a bad path fails at once
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SchemaError("out", f"cannot create directory {out_dir}: "
+                          f"{exc.strerror or exc}") from exc
+    write_results(scenario.run_simulation(cfg), out_dir)
+    for name in ("summary.csv", "node_usage.csv", "link_usage.csv", "raw.csv"):
+        print(f"wrote {out_dir / name}")
     return EXIT_OK
 
 

@@ -342,7 +342,12 @@ def _is_int(value) -> bool:
 
 
 def validate_substrate(net: SubstrateNetwork) -> list[str]:
-    """Return a list of invariant violations; an empty list means valid."""
+    """Return a list of invariant violations; an empty list means valid.
+
+    Only what the constructors cannot see is checked: capacities, which change
+    after construction, against their originals, and links against the nodes
+    and each other (dangling endpoints, self-loops, duplicate pairs).
+    """
     report = []
     for node in net.nodes.values():
         for name in RESOURCES:
@@ -361,10 +366,6 @@ def validate_substrate(net: SubstrateNetwork) -> list[str]:
         for end in (link.a, link.b):
             if end not in net.nodes:
                 report.append(f"link {link.id}: dangling endpoint {end}")
-        if not (0.0 < link.pdr <= 1.0):
-            report.append(f"link {link.id}: pdr {link.pdr} outside (0, 1]")
-        if link.delay <= 0:
-            report.append(f"link {link.id}: non-positive delay {link.delay}")
         if not (_is_int(link.bw) and _is_int(link.bw0)):
             report.append(f"link {link.id}: non-integer bandwidth")
         elif link.bw < 0 or link.bw0 < 0:
@@ -473,10 +474,10 @@ def _functionals(doc: dict, where: str) -> frozenset:
     return frozenset(value)
 
 
-def _build(where: str, make, *args):
-    """make(*args), with a model check's field name prefixed by where."""
+def _build(where: str, make, /, *args, **kwargs):
+    """make(*args, **kwargs), with a model check's field name prefixed by where."""
     try:
-        return make(*args)
+        return make(*args, **kwargs)
     except SchemaError as exc:
         raise SchemaError(f"{where}.{exc.field}", exc.detail) from exc
 
@@ -499,8 +500,6 @@ def substrate_to_dict(net: SubstrateNetwork) -> dict:
 def substrate_from_dict(doc: dict) -> SubstrateNetwork:
     """Build a substrate from JSON data; capacities are taken as originals."""
     net = SubstrateNetwork()
-    if not isinstance(doc, dict):
-        raise SchemaError("substrate", "expected a JSON object")
     nodes = _require(doc, "nodes", list, "substrate")
     links = _require(doc, "links", list, "substrate")
     for i, nd in enumerate(nodes):
@@ -540,11 +539,9 @@ def request_to_dict(request: VirtualRequest) -> dict:
 
 
 def request_from_dict(doc: dict) -> VirtualRequest:
-    if not isinstance(doc, dict):
-        raise SchemaError("request", "expected a JSON object")
-    request = VirtualRequest(str(doc.get("id", "request")))
     services = _require(doc, "services", list, "request")
     channels = _require(doc, "channels", list, "request")
+    request = VirtualRequest(str(doc.get("id", "request")))
     for i, sd in enumerate(services):
         where = f"services[{i}]"
         service = _build(where, NanoService,

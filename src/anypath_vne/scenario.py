@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedder import Coefficients
-from .metrics import LinkUsage, MetricsReport, NodeUsage, metrics_report
+from .metrics import LinkUsage, NodeUsage, metrics_report
 from .netmodel import (Channel, NanoService, SchemaError, SubstrateNetwork,
-                       VirtualRequest)
+                       VirtualRequest, natural_key)
 from .windowing import process_window
 
 
@@ -91,13 +91,27 @@ MAX_LOAD = 10_000
 # most iterations of one sweep; each iteration spawns an RNG stream and
 # embeds every load level once
 MAX_ITERATIONS = 10_000
+_REAL = (int, float)
+
+
+def _check(name: str, value, kinds, low, high):
+    """value when it is one of kinds, not a bool, in [low, high]; else a
+    SchemaError naming the field.  The type is tested first, so no comparison
+    meets a string or None, and NaN fails the range."""
+    if not (isinstance(value, kinds) and not isinstance(value, bool)
+            and low <= value <= high):
+        kind = "an integer" if kinds is int else "a number"
+        raise SchemaError(name, f"expected {kind} in [{low}, {high}], got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Sampling ranges for random virtual requests.
 
-    Integer ranges are inclusive and lie within ``GENERATOR_LIMITS``.
+    Integer ranges are inclusive and lie within ``GENERATOR_LIMITS``.  A bad
+    value raises a SchemaError naming its field; a range whose minimum exceeds
+    its maximum names the maximum.
     """
 
     services_min: int = 2
@@ -121,24 +135,22 @@ class GeneratorConfig:
 
     def __post_init__(self):
         for name, (floor, ceiling) in GENERATOR_LIMITS.items():
-            low, high = getattr(self, f"{name}_min"), getattr(self, f"{name}_max")
-            if not all(isinstance(v, int) and not isinstance(v, bool)
-                       for v in (low, high)):
-                raise TypeError(f"{name}_min and {name}_max must be integers")
-            if not floor <= low <= high <= ceiling:
-                raise ValueError(
-                    f"need {floor} <= {name}_min <= {name}_max <= {ceiling}")
-        if not 0.0 < self.pdr_lo <= self.pdr_hi <= 1.0:
-            raise ValueError("need 0 < pdr_lo <= pdr_hi <= 1")
-        if not (0.0 <= self.gpu_prob <= 1.0 and 0.0 <= self.channel_prob <= 1.0):
-            raise ValueError("gpu_prob and channel_prob must lie in [0, 1]")
+            low = _check(f"{name}_min", getattr(self, f"{name}_min"), int, floor, ceiling)
+            _check(f"{name}_max", getattr(self, f"{name}_max"), int, low, ceiling)
+        # pdr_lo > 0: the least positive float is its floor
+        low = _check("pdr_lo", self.pdr_lo, _REAL, math.ulp(0.0), 1)
+        _check("pdr_hi", self.pdr_hi, _REAL, low, 1)
+        _check("gpu_prob", self.gpu_prob, _REAL, 0, 1)
+        _check("channel_prob", self.channel_prob, _REAL, 0, 1)
         if not isinstance(self.ordered_pairs, bool):
-            raise TypeError("ordered_pairs must be true or false")
+            raise SchemaError("ordered_pairs",
+                              f"expected true or false, got {self.ordered_pairs!r}")
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Substrate choice, load sweep, and reproducibility settings."""
+    """Substrate choice, load sweep, and reproducibility settings; a bad value
+    raises a SchemaError naming its field."""
 
     substrate: str = "simulation"
     loads: tuple = (10, 20, 30, 40, 50)
@@ -150,19 +162,18 @@ class SimulationConfig:
     generator: GeneratorConfig = GeneratorConfig()
 
     def __post_init__(self):
-        if not 1 <= self.iterations <= MAX_ITERATIONS:
-            raise SchemaError("iterations",
-                              f"iterations must lie in 1..{MAX_ITERATIONS}")
-        if not self.loads or not all(
-                isinstance(load, int) and not isinstance(load, bool)
-                and 1 <= load <= MAX_LOAD
-                for load in self.loads):
-            raise ValueError(
-                f"loads must be a non-empty list of integers in 1..{MAX_LOAD}")
-        if self.seed < 0:
-            raise SchemaError("seed", "seed must be non-negative")
-        if self.substrate not in SUBSTRATE_FIXTURES:
-            raise ValueError(f"unknown substrate fixture {self.substrate!r}")
+        if not (isinstance(self.substrate, str) and self.substrate in SUBSTRATE_FIXTURES):
+            raise SchemaError("substrate", f"expected one of {sorted(SUBSTRATE_FIXTURES)}, "
+                              f"got {self.substrate!r}")
+        if not (isinstance(self.loads, tuple) and self.loads):
+            raise SchemaError("loads", f"expected a non-empty tuple, got {self.loads!r}")
+        for load in self.loads:
+            _check("loads", load, int, 1, MAX_LOAD)
+        _check("iterations", self.iterations, int, 1, MAX_ITERATIONS)
+        _check("seed", self.seed, int, 0, math.inf)
+        for name, kind in (("coefficients", Coefficients), ("generator", GeneratorConfig)):
+            if not isinstance(getattr(self, name), kind):
+                raise SchemaError(name, f"expected a {kind.__name__}")
 
 
 def _sample_channel_attrs(rng, cfg: GeneratorConfig):
@@ -294,46 +305,41 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResults:
     """
     base = SUBSTRATE_FIXTURES[cfg.substrate]()
     results = SimulationResults(cfg)
-    reports: dict[int, list[MetricsReport]] = {load: [] for load in cfg.loads}
+    # per load, each node's (services, cpu, gpu, mem) and each link's (channels,
+    # bw) used, summed over the windows as int64; the counts are ints, so the
+    # sums are exact and sum / n equals their mean
+    node_sums = dict.fromkeys(cfg.loads, 0)
+    link_sums = dict.fromkeys(cfg.loads, 0)
     for iteration, child in enumerate(iteration_streams(cfg)):
         pool = iteration_pool(cfg, child)
         for load in cfg.loads:
             net = base.clone()
             outcome = process_window(net, pool[:load], cfg.coefficients)
             report = metrics_report(base, net, outcome, cfg.coefficients)
-            reports[load].append(report)
             results.raw_rows.append(RawRow(
                 iteration, load,
                 len(outcome.accepted), len(outcome.blocked),
                 report.acceptance_ratio, report.revenue, report.cost,
                 report.rc_ratio))
+            node_sums[load] += np.array([(u.services, u.cpu_used, u.gpu_used, u.mem_used)
+                                         for u in report.node_usage], dtype=np.int64)
+            link_sums[load] += np.array([(u.channels, u.bw_used)
+                                         for u in report.link_usage], dtype=np.int64)
     for load in cfg.loads:
-        rows = reports[load]
+        rows = [row for row in results.raw_rows if row.load == load]
         acc = _mean_std([r.acceptance_ratio for r in rows])
         rev = _mean_std([r.revenue for r in rows])
         cst = _mean_std([r.cost for r in rows])
         rc = _mean_std([r.rc_ratio for r in rows])
         results.summaries.append(LoadSummary(load, *acc, *rev, *cst, *rc))
         usage = UsageSummary(load)
-        node_count = len(rows[0].node_usage)
-        for idx in range(node_count):
-            cells = [r.node_usage[idx] for r in rows]
-            first = cells[0]
-            usage.node_rows.append(NodeUsage(
-                first.node,
-                float(np.mean([c.services for c in cells])),
-                float(np.mean([c.cpu_used for c in cells])), first.cpu_total,
-                float(np.mean([c.gpu_used for c in cells])), first.gpu_total,
-                float(np.mean([c.mem_used for c in cells])), first.mem_total,
-            ))
-        link_count = len(rows[0].link_usage)
-        for idx in range(link_count):
-            cells = [r.link_usage[idx] for r in rows]
-            first = cells[0]
-            usage.link_rows.append(LinkUsage(
-                first.link,
-                float(np.mean([c.channels for c in cells])),
-                float(np.mean([c.bw_used for c in cells])), first.bw_total,
-            ))
+        for nid, (services, cpu, gpu, mem) in zip(sorted(base.nodes, key=natural_key),
+                                                  (node_sums[load] / len(rows)).tolist()):
+            node = base.nodes[nid]
+            usage.node_rows.append(NodeUsage(nid, services, cpu, node.cpu0,
+                                             gpu, node.gpu0, mem, node.mem0))
+        for lid, (channels, bw) in zip(sorted(base.links, key=natural_key),
+                                       (link_sums[load] / len(rows)).tolist()):
+            usage.link_rows.append(LinkUsage(lid, channels, bw, base.links[lid].bw0))
         results.usage.append(usage)
     return results

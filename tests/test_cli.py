@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anypath_vne import cli
+from anypath_vne import cli, scenario
 from anypath_vne.netmodel import SchemaError, substrate_to_dict
 from anypath_vne.scenario import example_fixture
 
@@ -125,6 +125,45 @@ def test_oversized_integer_literal_is_input_error(example_files):
     assert detail["field"] == "substrate"
 
 
+@pytest.mark.parametrize("command", ["validate", "embed", "simulate"])
+def test_deeply_nested_json_is_input_error(example_files, tmp_path, command):
+    substrate, request_file, _ = example_files
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    argv, field = {
+        "validate": (["validate", "--substrate", str(deep)], "substrate"),
+        "embed": (["embed", "--substrate", str(substrate), "--request", str(deep)],
+                  "request"),
+        "simulate": (["simulate", "--config", str(deep), "--out",
+                      str(tmp_path / "out")], "config"),
+    }[command]
+    detail = _assert_input_error(_run_cli(*argv))
+    assert detail["field"] == field
+    assert "deep.json" in detail["error"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_out_that_cannot_be_a_directory_fails_before_the_sweep(
+        tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+
+    def sweep(cfg):
+        raise AssertionError("the sweep ran before the output directory was made")
+
+    monkeypatch.setattr(cli.scenario, "run_simulation", sweep)
+    for out in (blocker / "sub", blocker):
+        assert cli.main(["simulate", "--out", str(out)]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        detail = json.loads(lines[0])
+        assert detail["field"] == "out"
+        assert str(out) in detail["error"]
+    assert blocker.read_text() == ""
+
+
 def test_unknown_flag_is_input_error(capsys):
     assert cli.main(["simulate", "--bogus"]) == cli.EXIT_INPUT
 
@@ -185,15 +224,35 @@ def test_simulate_bad_config_is_input_error(tmp_path, config):
 
 
 def test_simulate_config_bounds_name_the_field():
-    for doc, field in [({"generator": {"delay_max": 10**30}}, "config.generator"),
-                       ({"generator": {"services_max": 101}}, "config.generator"),
-                       ({"loads": [10**21]}, "config"),
-                       ({"iterations": 10**21}, "config.iterations"),
-                       ({"iterations": 10_001}, "config.iterations"),
-                       ({"seed": -1}, "config.seed")]:
+    # a bad value: the config class names the field, and the CLI prefixes it
+    for doc, field in [({"generator": {"delay_max": 10**30}}, "generator.delay_max"),
+                       ({"generator": {"services_max": 101}}, "generator.services_max"),
+                       ({"generator": {"pdr_lo": 0.9, "pdr_hi": 0.8}}, "generator.pdr_hi"),
+                       ({"loads": [10**21]}, "loads"),
+                       ({"loads": []}, "loads"),
+                       ({"substrate": "nope"}, "substrate"),
+                       ({"iterations": 10**21}, "iterations"),
+                       ({"iterations": 10_001}, "iterations"),
+                       ({"seed": -1}, "seed")]:
         with pytest.raises(SchemaError) as info:
             cli.simulation_config_from_dict(doc)
-        assert info.value.field == field
+        assert info.value.field == f"config.{field}", doc
+        with pytest.raises(SchemaError) as direct:
+            if "generator" in doc:
+                scenario.GeneratorConfig(**doc["generator"])
+            else:
+                scenario.SimulationConfig(**{key: tuple(value) if key == "loads" else value
+                                             for key, value in doc.items()})
+        assert direct.value.field == field.removeprefix("generator."), doc
+    # a bad JSON shape is refused by the CLI alone
+    for doc, field in [({"generator": {"bogus": 1}}, "config.generator.bogus"),
+                       ({"generator": [1]}, "config.generator"),
+                       ({"loads": 10}, "config.loads"),
+                       ({"coefficients": {"beta": "x"}}, "config.coefficients.beta"),
+                       ([], "config")]:
+        with pytest.raises(SchemaError) as info:
+            cli.simulation_config_from_dict(doc)
+        assert info.value.field == field, doc
 
 
 @pytest.mark.parametrize("key", ["iterations", "seed"])

@@ -39,10 +39,19 @@ def test_validate_example_is_clean(example_net):
 
 
 def test_validate_flags_zero_pdr(example_net):
-    example_net.links["l3"].pdr = 0.0
-    report = validate_substrate(example_net)
-    assert len(report) == 1
-    assert "l3" in report[0]
+    # a zero pdr is refused where the link is built, so no substrate that
+    # validate_substrate sees can hold one
+    doc = substrate_to_dict(example_net)
+    doc["links"][2]["pdr"] = 0.0
+    with pytest.raises(SchemaError) as info:
+        substrate_from_dict(doc)
+    assert info.value.field == "links[2].pdr"
+    assert "l3" in str(info.value)
+    with pytest.raises(SchemaError) as info:
+        example_net.add_link("l7", "n1", "n5", bw=1, delay=1.0, pdr=0.0)
+    assert info.value.field == "pdr"
+    assert "l7" in str(info.value) and "l7" not in example_net.links
+    assert validate_substrate(example_net) == []
 
 
 def test_validate_flags_dangling_endpoint():

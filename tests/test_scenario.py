@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from anypath_vne.scenario import (
     MAX_ITERATIONS,
     GeneratorConfig,
     SimulationConfig,
+    _mean_std,
     example_fixture,
     generate_request,
     iteration_pool,
@@ -108,25 +110,77 @@ def test_simulation_config_validation():
             SimulationConfig(iterations=iterations)
         assert info.value.field == "iterations"
     SimulationConfig(iterations=MAX_ITERATIONS)
-    for loads in [(), (0, 10), (10, -5), (2.5,), (10, 10_001)]:
-        with pytest.raises(ValueError):
-            SimulationConfig(loads=loads)
-    with pytest.raises(ValueError):
-        SimulationConfig(seed=-1)
-    for bad in [{"services_min": 1}, {"services_max": 1},
-                {"cpu_min": 3, "cpu_max": 2}, {"delay_min": 60},
-                {"cpu_min": -5, "cpu_max": -1}, {"delay_min": 0},
-                {"pdr_lo": 0.0}, {"pdr_lo": 0.9, "pdr_hi": 0.8},
-                {"pdr_hi": 1.5}, {"gpu_prob": -0.1}, {"channel_prob": 2.0},
-                {"services_max": 101}, {"delay_max": 10**30}, {"bw_max": 10**6 + 1}]:
-        with pytest.raises(ValueError):
+    cases = [({"loads": loads}, "loads")
+             for loads in [(), (0, 10), (10, -5), (2.5,), (10, 10_001)]]
+    cases += [({"seed": -1}, "seed"), ({"substrate": "nope"}, "substrate")]
+    for kwargs, field in cases:
+        with pytest.raises(SchemaError) as info:
+            SimulationConfig(**kwargs)
+        assert info.value.field == field, kwargs
+    # a range whose minimum exceeds its maximum names the maximum
+    for bad, field in [({"services_min": 1}, "services_min"),
+                       ({"services_max": 1}, "services_max"),
+                       ({"cpu_min": 3, "cpu_max": 2}, "cpu_max"),
+                       ({"delay_min": 60}, "delay_max"),
+                       ({"cpu_min": -5, "cpu_max": -1}, "cpu_min"),
+                       ({"delay_min": 0}, "delay_min"), ({"pdr_lo": 0.0}, "pdr_lo"),
+                       ({"pdr_lo": 0.9, "pdr_hi": 0.8}, "pdr_hi"),
+                       ({"pdr_hi": 1.5}, "pdr_hi"), ({"gpu_prob": -0.1}, "gpu_prob"),
+                       ({"channel_prob": 2.0}, "channel_prob"),
+                       ({"services_max": 101}, "services_max"),
+                       ({"delay_max": 10**30}, "delay_max"),
+                       ({"bw_max": 10**6 + 1}, "bw_max"),
+                       ({"cpu_max": 1.5}, "cpu_max"), ({"delay_max": math.inf}, "delay_max"),
+                       ({"mem_min": True}, "mem_min"),
+                       ({"ordered_pairs": "yes"}, "ordered_pairs"),
+                       ({"ordered_pairs": 1}, "ordered_pairs")]:
+        with pytest.raises(SchemaError) as info:
             GeneratorConfig(**bad)
-    for bad in [{"cpu_max": 1.5}, {"delay_max": math.inf}, {"mem_min": True},
-                {"ordered_pairs": "yes"}, {"ordered_pairs": 1}]:
-        with pytest.raises(TypeError):
-            GeneratorConfig(**bad)
-    with pytest.raises(ValueError):
-        SimulationConfig(substrate="nope")
+        assert info.value.field == field, bad
+    # the bounds themselves are accepted
+    GeneratorConfig(services_min=2, services_max=100, delay_min=1, delay_max=10**6,
+                    cpu_min=0, pdr_lo=1, pdr_hi=1, gpu_prob=0, channel_prob=1)
+    SimulationConfig(loads=(1, 10_000), seed=0, substrate="example")
+
+
+# junk for each field: a string, a bool, a float, NaN, None, a list and
+# 10**30; where one of them is valid (a bool for ordered_pairs, 10**30 for
+# seed), another junk value of that kind takes its place
+_INT_JUNK = ["3", True, 2.5, 2.0, math.nan, None, [3], 10**30]
+_REAL_JUNK = ["0.5", True, math.nan, math.inf, None, [0.5], 10**30]
+_FIELD_JUNK = {
+    **{f.name: _INT_JUNK for f in dataclasses.fields(GeneratorConfig)
+       if f.name.endswith(("_min", "_max"))},
+    **{name: _REAL_JUNK for name in ("gpu_prob", "channel_prob", "pdr_lo", "pdr_hi")},
+    "ordered_pairs": ["yes", 1, 0.0, math.nan, None, [True], 10**30],
+    "substrate": ["nope", True, 1.5, math.nan, None, ["simulation"], 10**30],
+    "loads": ["10", True, 1.5, math.nan, None, [10], 10**30, (),
+              ("10",), (True,), (1.5,), (math.nan,), (None,), ([10],), (10**30,)],
+    "iterations": _INT_JUNK,
+    # any non-negative integer seeds a SeedSequence, so 10**30 is valid
+    "seed": ["3", True, 2.5, math.nan, None, [3], -10**30],
+    "coefficients": ["x", True, 1.5, math.nan, None, [1.0], 10**30, {}],
+    "generator": ["x", True, 1.5, math.nan, None, [2], 10**30, {}],
+}
+_JUNK_CASES = [(config, name, value)
+               for config in (GeneratorConfig, SimulationConfig)
+               for name in (f.name for f in dataclasses.fields(config))
+               for value in _FIELD_JUNK[name]]
+
+
+@pytest.mark.parametrize("config, name, value", _JUNK_CASES,
+                         ids=[f"{c.__name__}.{n}={v!r:.12}" for c, n, v in _JUNK_CASES])
+def test_config_junk_raises_schema_error_naming_the_field(config, name, value):
+    with pytest.raises(SchemaError) as info:
+        config(**{name: value})
+    assert type(info.value) is SchemaError
+    assert info.value.field == name
+
+
+def test_every_config_field_has_junk_cases():
+    names = {f.name for config in (GeneratorConfig, SimulationConfig)
+             for f in dataclasses.fields(config)}
+    assert names == set(_FIELD_JUNK)
 
 
 def test_run_simulation_deterministic_and_shaped():
@@ -178,3 +232,41 @@ def test_run_simulation_loads_use_fresh_substrates():
     for iteration in (0, 1):
         rows = {r.load: r for r in results.raw_rows if r.iteration == iteration}
         assert rows[6].revenue >= rows[3].revenue
+
+
+def test_run_simulation_aggregates_like_the_per_window_reports():
+    # reference: every window's report is kept, each usage cell averaged with
+    # np.mean and each metric with _mean_std; a repeated load is aggregated
+    # over all of its windows, once per repeat
+    cfg = SimulationConfig(iterations=5, loads=(6, 12, 6), seed=13,
+                           generator=GeneratorConfig(bw_min=0, channel_prob=0.6))
+    results = run_simulation(cfg)
+    base = simulation_substrate()
+    reports = {load: [] for load in cfg.loads}
+    for stream in iteration_streams(cfg):
+        pool = iteration_pool(cfg, stream)
+        for load in cfg.loads:
+            net = base.clone()
+            outcome = process_window(net, pool[:load], cfg.coefficients)
+            reports[load].append(metrics_report(base, net, outcome, cfg.coefficients))
+    assert [s.load for s in results.summaries] == [u.load for u in results.usage] \
+        == list(cfg.loads)
+    for summary, usage in zip(results.summaries, results.usage):
+        rows = reports[summary.load]
+        for name, prefix in [("acceptance_ratio", "acceptance"), ("revenue", "revenue"),
+                             ("cost", "cost"), ("rc_ratio", "rc")]:
+            expected = _mean_std([getattr(r, name) for r in rows])
+            found = (getattr(summary, f"{prefix}_mean"), getattr(summary, f"{prefix}_std"))
+            assert repr(found) == repr(expected)
+        for i, row in enumerate(usage.node_rows):
+            cells = [r.node_usage[i] for r in rows]
+            assert row.node == cells[0].node
+            for name in ("services", "cpu_used", "gpu_used", "mem_used"):
+                assert getattr(row, name) == float(np.mean([getattr(c, name) for c in cells]))
+            assert (row.cpu_total, row.gpu_total, row.mem_total) \
+                == (cells[0].cpu_total, cells[0].gpu_total, cells[0].mem_total)
+        for i, row in enumerate(usage.link_rows):
+            cells = [r.link_usage[i] for r in rows]
+            assert (row.link, row.bw_total) == (cells[0].link, cells[0].bw_total)
+            for name in ("channels", "bw_used"):
+                assert getattr(row, name) == float(np.mean([getattr(c, name) for c in cells]))
