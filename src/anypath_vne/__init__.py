@@ -11,11 +11,9 @@ from .anypath import (
     Hyperlink,
     PrunedDag,
     anypath_routes,
-    forwarding_cost,
     prune,
     route_closure,
     route_table,
-    unicast_distances,
 )
 from .embedder import (
     ChannelRoute,
@@ -45,11 +43,9 @@ from .netmodel import (
     SubstrateNode,
     VirtualRequest,
     fits,
-    local_pdr,
     reserve_channel,
     reserve_service,
     rollback,
-    suitable_nodes,
     validate_substrate,
 )
 from .scenario import (

@@ -26,8 +26,8 @@ forwarding member is an arc code 2*link + side whose head is
 sweep's heap key is (cost, natural-key rank, index), so equal costs settle in
 ``natural_key`` order of the ids; a closure's link set is an int bitmask over
 link indices.  String ids and ``DagEdge`` objects are made only at the
-boundary, when a caller reads ``unicast_distances``, ``PrunedDag.edges`` or a
-route table's ``cost``, ``forwarding``, ``settle_order`` or ``members``.
+boundary: by ``PrunedDag.edges``, a route table's ``members`` and
+``route_closure``.
 
 A route table depends only on the topology, its destination and which links
 have at least the channel's bandwidth, because link delay and pdr never
@@ -46,7 +46,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Sequence
 
 from .netmodel import SubstrateNetwork, Topology
 
@@ -93,18 +92,6 @@ def _orient(topology: Topology, dst: str, eligible: bytes) -> tuple[list, list]:
                 dist[v] = alt
                 heapq.heappush(heap, (alt, v))
     return dist, incoming
-
-
-def unicast_distances(net: SubstrateNetwork, dst: str,
-                      bw: int) -> dict[str, float]:
-    """Shortest-path cost to dst under delay/pdr weights, over links with bw >= bw.
-
-    The result maps every node id, in the substrate's insertion order, to its
-    distance (inf when unreachable).
-    """
-    topology = net.topology()
-    dist, _ = _orient(topology, dst, net.eligible_links(bw))
-    return dict(zip(topology.nodes, dist))
 
 
 @dataclass(frozen=True)
@@ -177,16 +164,6 @@ def _expected_time(members, pdr, delay, head, cost) -> float:
     return worst / reliability + remaining
 
 
-def forwarding_cost(members: Sequence[DagEdge], cost: dict) -> float:
-    """Expected anypath transmission time of a transmitter, given cost[m.head].
-
-    members is the priority-ordered forwarding set.
-    """
-    return _expected_time(range(len(members)), [m.pdr for m in members],
-                          [m.delay for m in members], [m.head for m in members],
-                          cost)
-
-
 @dataclass
 class Hyperlink:
     """A transmitter and its priority-ordered forwarding set."""
@@ -198,54 +175,34 @@ class Hyperlink:
 class AnypathRouteTable:
     """Per-node forwarding sets and expected anypath transmission times to dst.
 
-    The table holds lists over node indices; the id-keyed views are built on
-    first read.  ``ranked`` orders the reached nodes the way candidate
-    selection prefers them, so a selection walks it and stops at the first
-    node that qualifies.
+    Every field is a list over node indices; ``members`` turns one node's
+    forwarding set into DagEdges.  ``ranked`` orders the reached nodes the
+    way candidate selection prefers them, so a selection walks it and stops
+    at the first node that qualifies.
     """
 
     def __init__(self, topology: Topology, dst: str, cost: list,
                  forwarding: list, settle_order: list):
         self.topology = topology
         self.dst = dst
-        self._cost = cost                  # node index -> float (inf if unreachable)
-        self._forwarding = forwarding      # node index -> tuple of arc codes
-        self._settle_order = settle_order  # reached node indices in ascending cost
-
-    @cached_property
-    def cost(self) -> dict:
-        """Node id -> expected anypath transmission time to dst (inf if unreachable)."""
-        return dict(zip(self.topology.nodes, self._cost))
-
-    @cached_property
-    def forwarding(self) -> dict:
-        """Node id -> forwarding set as a tuple of DagEdges."""
-        return {nid: self.members(nid) for nid in self.topology.nodes}
-
-    @cached_property
-    def settle_order(self) -> list:
-        """Reached node ids in ascending cost."""
-        nodes = self.topology.nodes
-        return [nodes[i] for i in self._settle_order]
+        self.cost = cost                  # node index -> float (inf if unreachable)
+        self.forwarding = forwarding      # node index -> tuple of arc codes
+        self.settle_order = settle_order  # reached node indices in ascending cost
 
     def members(self, node_id: str) -> tuple:
         """Forwarding set of node_id as DagEdges, in priority order."""
         return tuple(_edge(self.topology, arc)
-                     for arc in self._forwarding[self.topology.index[node_id]])
-
-    def closure_link_count(self, node_id: str) -> int:
-        """Number of distinct substrate links used by the route from node_id."""
-        return self.link_counts[self.topology.index[node_id]]
+                     for arc in self.forwarding[self.topology.index[node_id]])
 
     @cached_property
     def link_counts(self) -> dict:
         """Reached node index -> number of distinct links its route uses."""
         # Forwarding sets point strictly downhill in cost, so settle order is a
         # topological order; accumulate link sets as bitmasks over link indices.
-        ends, forwarding = self.topology.ends, self._forwarding
+        ends, forwarding = self.topology.ends, self.forwarding
         masks = {}
         counts = {}
-        for u in self._settle_order:
+        for u in self.settle_order:
             mask = 0
             for arc in forwarding[u]:
                 mask |= masks[ends[arc]] | (1 << (arc >> 1))
@@ -260,7 +217,7 @@ class AnypathRouteTable:
         The rank is unique, so this is a strict order.  The table is shared
         and read-only, so the order is sorted once per table.
         """
-        counts, cost = self.link_counts, self._cost
+        counts, cost = self.link_counts, self.cost
         # stable sorts, least significant key first; without equal costs
         # (link count, cost) is already unique and the rank pass is skipped
         order = list(counts)
@@ -343,9 +300,9 @@ def route_closure(table: AnypathRouteTable, src: str):
         return set(), set()
     topology = table.topology
     start = topology.index.get(src)
-    if start is None or table._cost[start] == INFINITY:
+    if start is None or table.cost[start] == INFINITY:
         raise UnreachableSourceError(f"node {src} has no route to {table.dst}")
-    ends, forwarding = topology.ends, table._forwarding
+    ends, forwarding = topology.ends, table.forwarding
     nodes = {start}
     links = set()
     stack = [start]

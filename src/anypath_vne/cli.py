@@ -20,7 +20,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -78,55 +77,56 @@ def _load_json(path: str, what: str) -> dict:
         raise SchemaError(what, f"malformed JSON in {path}: {exc}") from exc
 
 
-def _coefficient(value, where: str) -> float:
-    """value as a float; refuses strings, bools, NaN and infinities."""
-    try:
-        finite = (isinstance(value, (int, float)) and not isinstance(value, bool)
-                  and math.isfinite(value))
-    except OverflowError:   # an int too large for a float
-        finite = False
-    if not finite:
-        raise SchemaError(where, f"expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _alpha_triple(value, where: str) -> tuple:
-    if isinstance(value, dict):
-        return tuple(_coefficient(value.get(name), f"{where}.{name}")
-                     for name in RESOURCES)
-    return (_coefficient(value, where),) * 3
+# JSON key -> Coefficients field
+_COEFFICIENT_FIELDS = {"alpha": "alpha", "beta": "beta", "cost_alpha": "alpha_cost",
+                       "cost_beta": "beta_cost", "gamma": "gamma"}
 
 
 def coefficients_from_dict(doc: dict, defaults: Coefficients = None) -> Coefficients:
-    base = defaults or Coefficients()
+    """The weights of a JSON object over defaults; ``Coefficients`` checks them.
+
+    An alpha key holds one number for every resource or a {"cpu", "gpu",
+    "mem"} object.  A bad value is named by its key, and by its resource when
+    it sits in such an object.
+    """
     if not isinstance(doc, dict):
         raise SchemaError("coefficients", "expected a JSON object")
-    alpha = (_alpha_triple(doc["alpha"], "coefficients.alpha")
-             if "alpha" in doc else base.alpha)
-    alpha_cost = (_alpha_triple(doc["cost_alpha"], "coefficients.cost_alpha")
-                  if "cost_alpha" in doc else base.alpha_cost)
-    return Coefficients(
-        alpha=alpha,
-        beta=_coefficient(doc.get("beta", base.beta), "coefficients.beta"),
-        alpha_cost=alpha_cost,
-        beta_cost=_coefficient(doc.get("cost_beta", base.beta_cost),
-                               "coefficients.cost_beta"),
-        gamma=_coefficient(doc.get("gamma", base.gamma), "coefficients.gamma"),
-    )
+    fields = {}
+    for key, name in _COEFFICIENT_FIELDS.items():
+        if key in doc:
+            value = doc[key]
+            if name.startswith("alpha"):
+                value = (tuple(value.get(resource) for resource in RESOURCES)
+                         if isinstance(value, dict) else (value,) * 3)
+            fields[name] = value
+    try:
+        return dataclasses.replace(defaults or Coefficients(), **fields)
+    except SchemaError as exc:
+        field, _, resource = exc.field.partition(".")
+        key = next(k for k, f in _COEFFICIENT_FIELDS.items() if f == field)
+        if resource and isinstance(doc[key], dict):
+            key += f".{resource}"
+        raise SchemaError(f"coefficients.{key}", exc.detail) from exc
+
+
+def _refuse_unknown_keys(doc: dict, config_class, where: str) -> None:
+    """Refuse a key of doc that is not a field of config_class, naming it."""
+    known = {f.name for f in dataclasses.fields(config_class)}
+    for key in doc:
+        if key not in known:
+            raise SchemaError(f"{where}.{key}", "unknown key")
 
 
 def simulation_config_from_dict(doc: dict) -> scenario.SimulationConfig:
     """The config of a JSON object; the config classes check every value."""
     if not isinstance(doc, dict):
         raise SchemaError("config", "expected a JSON object")
+    _refuse_unknown_keys(doc, scenario.SimulationConfig, "config")
     defaults = scenario.SimulationConfig()
     generator = doc.get("generator", {})
     if not isinstance(generator, dict):
         raise SchemaError("config.generator", "expected a JSON object")
-    known = {f.name for f in dataclasses.fields(scenario.GeneratorConfig)}
-    for key in generator:
-        if key not in known:
-            raise SchemaError(f"config.generator.{key}", "unknown key")
+    _refuse_unknown_keys(generator, scenario.GeneratorConfig, "config.generator")
     loads = doc.get("loads", list(defaults.loads))
     if not isinstance(loads, list):
         raise SchemaError("config.loads", "expected a JSON list")
@@ -223,14 +223,20 @@ def cmd_embed(args) -> int:
 
 
 def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+    try:
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise SchemaError("out", f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def write_results(results: scenario.SimulationResults, out_dir: Path) -> None:
-    """Emit summary.csv, node_usage.csv, link_usage.csv, and raw.csv into out_dir."""
+    """Emit summary.csv, node_usage.csv, link_usage.csv, and raw.csv into out_dir.
+
+    A file that cannot be written raises a SchemaError naming ``out``.
+    """
     summary_rows = []
     for summary in results.summaries:
         for metric, mean, std in [

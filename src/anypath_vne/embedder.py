@@ -30,8 +30,10 @@ from dataclasses import dataclass, field
 
 from . import anypath
 from .netmodel import (
+    RESOURCES,
     Channel,
     NanoService,
+    SchemaError,
     SubstrateNetwork,
     VirtualRequest,
     fits,
@@ -62,13 +64,33 @@ class NoFeasiblePathError(EmbeddingError):
         super().__init__(f"no feasible route for channel {channel_id}")
 
 
+def _weight(name: str, value) -> float:
+    """value as a float; a string, bool, NaN, infinity or an int too large for
+    a float raises a SchemaError naming the field."""
+    try:
+        finite = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                  and math.isfinite(value))
+    except OverflowError:   # an int too large for a float
+        finite = False
+    if not finite:
+        raise SchemaError(name, f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _resource_sum(weights: tuple, service: NanoService) -> float:
+    return weights[0] * service.cpu + weights[1] * service.gpu + weights[2] * service.mem
+
+
 @dataclass(frozen=True)
 class Coefficients:
     """Revenue/cost/ordering weights.
 
     alpha and alpha_cost weight node resources in (cpu, gpu, mem) order; beta
     and beta_cost weight channel bandwidth; gamma weights the reliability over
-    delay quality term used only for ordering.
+    delay quality term used only for ordering.  Every weight is stored as a
+    float.  An alpha that is not a 3-tuple, or a weight that is not a finite
+    number, raises a SchemaError naming the field (``alpha.cpu`` for one
+    resource of an alpha).
     """
 
     alpha: tuple = (1.0, 1.0, 1.0)
@@ -77,13 +99,22 @@ class Coefficients:
     beta_cost: float = 1.0
     gamma: float = 0.0
 
+    def __post_init__(self):
+        for name in ("alpha", "alpha_cost"):
+            value = getattr(self, name)
+            if not (isinstance(value, tuple) and len(value) == 3):
+                raise SchemaError(name, f"expected a (cpu, gpu, mem) tuple, got {value!r}")
+            object.__setattr__(self, name, tuple(
+                _weight(f"{name}.{resource}", weight)
+                for resource, weight in zip(RESOURCES, value)))
+        for name in ("beta", "beta_cost", "gamma"):
+            object.__setattr__(self, name, _weight(name, getattr(self, name)))
+
     def node_term(self, service: NanoService) -> float:
-        a = self.alpha
-        return a[0] * service.cpu + a[1] * service.gpu + a[2] * service.mem
+        return _resource_sum(self.alpha, service)
 
     def node_cost_term(self, service: NanoService) -> float:
-        a = self.alpha_cost
-        return a[0] * service.cpu + a[1] * service.gpu + a[2] * service.mem
+        return _resource_sum(self.alpha_cost, service)
 
 
 @dataclass
@@ -171,7 +202,7 @@ def select_min_links(table: anypath.AnypathRouteTable, accepts,
     at most bound and for which accepts(node_id) is true; None when there is
     none.  A node without a route is never chosen, whatever the bound.
     """
-    cost, nodes = table._cost, table.topology.nodes
+    cost, nodes = table.cost, table.topology.nodes
     # an unreached node costs inf, above every finite limit
     limit = min(bound, sys.float_info.max)
     for i in table.ranked:
@@ -258,7 +289,7 @@ def embed(net: SubstrateNetwork, request: VirtualRequest,
                 channel.id, flow_src, flow_dst,
                 frozenset(nodes), frozenset(links),
                 _flow_hyperlinks(table, nodes, reverse),
-                table._cost[table.topology.index[selected]])
+                table.cost[table.topology.index[selected]])
 
         # services with no incident channel are placed on their own
         for sid in sorted(request.services, key=natural_key):

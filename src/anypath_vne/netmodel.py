@@ -145,9 +145,6 @@ class NanoService:
                 raise SchemaError(name, f"service {self.id} needs a non-negative "
                                   f"integer {name} demand")
 
-    def demands(self) -> tuple[int, int, int]:
-        return (self.cpu, self.gpu, self.mem)
-
 
 @dataclass
 class Channel:
@@ -213,9 +210,10 @@ class Topology:
     forwarding member's link quality and its head; ``weight`` is the unicast
     cost delay / pdr per link.  ``adjacency[i]`` holds a (link, neighbour) pair
     per link at node i, in link order, and ``rank[i]`` is the position of node
-    i's id in ``natural_key`` order.  ``by_local_pdr`` lists the node indices
-    by descending ``local_pdr``, ties in ``rank`` order: the order in which
-    anchor placement tries the nodes.
+    i's id in ``natural_key`` order.  ``local_pdr[i]`` is the mean pdr of node
+    i's links, 0 when it has none, and ``by_local_pdr`` lists the node indices
+    by descending local pdr, ties in ``rank`` order: the order in which anchor
+    placement tries the nodes.
 
     ``routes`` is the one mutable member: the route-table cache that
     ``anypath.route_table`` fills, least recently used first.
@@ -381,22 +379,11 @@ def validate_substrate(net: SubstrateNetwork) -> list[str]:
     return report
 
 
-def local_pdr(net: SubstrateNetwork, node_id: str) -> float:
-    """Mean delivery ratio over the node's incident links; 0 when isolated."""
-    topology = net.topology()
-    return topology.local_pdr[topology.index[node_id]]
-
-
 def fits(node: SubstrateNode, service: NanoService) -> bool:
     """Whether the node's available resources and capabilities satisfy the service."""
     return (service.cpu <= node.cpu and service.gpu <= node.gpu
             and service.mem <= node.mem
             and service.functionals <= node.functionals)
-
-
-def suitable_nodes(net: SubstrateNetwork, service: NanoService) -> set[str]:
-    """Nodes that fit the service."""
-    return {node.id for node in net.nodes.values() if fits(node, service)}
 
 
 def reserve_service(net: SubstrateNetwork, node_id: str,

@@ -7,15 +7,69 @@ import math
 
 import numpy as np
 
-from anypath_vne.anypath import DagEdge, PrunedDag
+from anypath_vne.anypath import DagEdge, PrunedDag, _expected_time, _orient
 from anypath_vne.netmodel import (
     Channel,
     NanoService,
     SubstrateNetwork,
     VirtualRequest,
+    fits,
     reserve_channel,
     reserve_service,
 )
+
+
+# --- id-keyed views of the library's index-based kernels and tables ---------
+
+def unicast_distances(net: SubstrateNetwork, dst: str, bw: int) -> dict[str, float]:
+    """Node id -> delay/pdr shortest-path cost to dst over links with bw >= bw.
+
+    Runs the library's fused Dijkstra, ``anypath._orient``; inf when unreachable.
+    """
+    topology = net.topology()
+    dist, _ = _orient(topology, dst, net.eligible_links(bw))
+    return dict(zip(topology.nodes, dist))
+
+
+def forwarding_cost(members, cost: dict) -> float:
+    """Expected anypath transmission time over DagEdge members, given cost[m.head].
+
+    Runs the library's pricing kernel, ``anypath._expected_time``.
+    """
+    return _expected_time(range(len(members)), [m.pdr for m in members],
+                          [m.delay for m in members], [m.head for m in members],
+                          cost)
+
+
+def cost_by_id(table) -> dict[str, float]:
+    """Node id -> route cost of a route table, in the substrate's node order."""
+    return dict(zip(table.topology.nodes, table.cost))
+
+
+def forwarding_by_id(table) -> dict[str, tuple]:
+    """Node id -> forwarding set of a route table, as DagEdges."""
+    return {nid: table.members(nid) for nid in table.topology.nodes}
+
+
+def settled_ids(table) -> list[str]:
+    """Reached node ids of a route table, in ascending cost."""
+    return [table.topology.nodes[i] for i in table.settle_order]
+
+
+def link_count(table, node_id: str) -> int:
+    """Distinct links of node_id's route, from the table's ``link_counts``."""
+    return table.link_counts[table.topology.index[node_id]]
+
+
+def local_pdr(net: SubstrateNetwork, node_id: str) -> float:
+    """The topology's mean pdr over node_id's links; 0 when it has none."""
+    topology = net.topology()
+    return topology.local_pdr[topology.index[node_id]]
+
+
+def suitable_nodes(net: SubstrateNetwork, service: NanoService) -> set[str]:
+    """Ids of every node that ``fits`` the service, by a scan of the substrate."""
+    return {nid for nid, node in net.nodes.items() if fits(node, service)}
 
 
 def example_after_steps(example, steps: int) -> SubstrateNetwork:
@@ -140,11 +194,12 @@ def eatt_recursive(table) -> dict[str, float]:
     remaining cost by direct recursion.
     """
     memo = {table.dst: 0.0}
+    forwarding = forwarding_by_id(table)
 
     def evaluate(node: str) -> float:
         if node in memo:
             return memo[node]
-        members = table.forwarding[node]
+        members = forwarding[node]
         if not members:
             memo[node] = math.inf
             return math.inf
@@ -163,7 +218,7 @@ def eatt_recursive(table) -> dict[str, float]:
         memo[node] = delay / reliability + remaining
         return memo[node]
 
-    for node in table.settle_order:
+    for node in settled_ids(table):
         evaluate(node)
     return memo
 

@@ -11,11 +11,7 @@ import numpy as np
 import pytest
 
 from anypath_vne import cli
-from anypath_vne.anypath import (
-    anypath_routes,
-    forwarding_cost,
-    prune,
-)
+from anypath_vne.anypath import anypath_routes, prune
 from anypath_vne.embedder import (
     Coefficients,
     EmbeddingError,
@@ -39,13 +35,16 @@ from anypath_vne.scenario import SimulationConfig, example_fixture, run_simulati
 from anypath_vne.windowing import process_window
 
 from helpers import (
+    cost_by_id,
     eatt_recursive,
     example_after_steps,
+    forwarding_cost,
     forwarding_set,
     has_cycle,
     random_request,
     random_substrate,
     random_tree_substrate,
+    settled_ids,
 )
 
 
@@ -85,20 +84,18 @@ def test_criterion_1_worked_example_golden():
 
 def test_criterion_2_eatt_values():
     example = example_fixture()
-    table1 = anypath_routes(
-        prune(example[0], "n4", 50), "n4")
-    assert table1.cost["n1"] == pytest.approx(21.212, abs=1e-3)
+    cost1 = cost_by_id(anypath_routes(prune(example[0], "n4", 50), "n4"))
+    assert cost1["n1"] == pytest.approx(21.212, abs=1e-3)
 
     net2 = example_after_steps(example_fixture(), steps=2)
-    table2 = anypath_routes(prune(net2, "n1", 30), "n1")
-    assert table2.cost["n5"] == pytest.approx(37.778, abs=1e-3)
+    cost2 = cost_by_id(anypath_routes(prune(net2, "n1", 30), "n1"))
+    assert cost2["n5"] == pytest.approx(37.778, abs=1e-3)
 
     net3 = example_after_steps(example_fixture(), steps=3)
-    table3 = anypath_routes(prune(net3, "n4", 10), "n4")
-    assert table3.cost["n5"] == pytest.approx(27.619, abs=1e-3)
+    cost3 = cost_by_id(anypath_routes(prune(net3, "n4", 10), "n4"))
+    assert cost3["n5"] == pytest.approx(27.619, abs=1e-3)
     report("criterion 2 (route cost values)",
-           f"{table1.cost['n1']:.3f}, {table2.cost['n5']:.3f}, "
-           f"{table3.cost['n5']:.3f}")
+           f"{cost1['n1']:.3f}, {cost2['n5']:.3f}, {cost3['n5']:.3f}")
 
 
 def test_criterion_3_simulation_reproduction():
@@ -150,8 +147,9 @@ def test_criterion_4c_singleton_forwarding_matches_unicast():
     for _ in range(1000):
         net, parent = random_tree_substrate(rng)
         table = anypath_routes(prune(net, "n1", 1), "n1")
+        cost = cost_by_id(table)
         for nid in net.nodes:
-            assert len(table.forwarding[nid]) <= 1
+            assert len(table.members(nid)) <= 1
             expected = 0.0
             walk = nid
             while walk != "n1":
@@ -159,7 +157,7 @@ def test_criterion_4c_singleton_forwarding_matches_unicast():
                 link = net.links[link_id]
                 expected += link.delay / link.pdr
                 walk = up
-            assert table.cost[nid] == pytest.approx(expected, abs=1e-9)
+            assert cost[nid] == pytest.approx(expected, abs=1e-9)
     report("criterion 4c (singleton forwarding = unicast)", "1000 random trees")
 
 
@@ -185,7 +183,7 @@ def test_criterion_4d_conservation_and_rollback():
                     gpu=int(rng.integers(0, node.gpu + 1)),
                     mem=int(rng.integers(0, node.mem + 1)))
                 reserve_service(net, nid, svc, ledger)
-                for k, amount in enumerate(svc.demands()):
+                for k, amount in enumerate((svc.cpu, svc.gpu, svc.mem)):
                     spent_nodes[nid][k] += amount
         for nid, node in net.nodes.items():
             assert (node.cpu0 - node.cpu, node.gpu0 - node.gpu,
@@ -277,8 +275,9 @@ def test_criterion_5_recomputation_oracle():
         dst = list(net.nodes)[int(rng.integers(0, len(net.nodes)))]
         table = anypath_routes(prune(net, dst, 0), dst)
         recomputed = eatt_recursive(table)
-        for nid in table.settle_order:
-            assert table.cost[nid] == pytest.approx(recomputed[nid], abs=1e-9)
+        cost = cost_by_id(table)
+        for nid in settled_ids(table):
+            assert cost[nid] == pytest.approx(recomputed[nid], abs=1e-9)
         settled_total += len(table.settle_order)
     assert settled_total >= 1000
     report("criterion 5 (independent recomputation oracle)",

@@ -12,23 +12,27 @@ from anypath_vne.anypath import (
     ROUTE_CACHE_SIZE,
     UnreachableSourceError,
     anypath_routes,
-    forwarding_cost,
     prune,
     route_closure,
     route_table,
-    unicast_distances,
 )
 from anypath_vne.netmodel import SubstrateNetwork
 
 from helpers import (
+    cost_by_id,
     eatt_recursive,
     example_after_steps,
+    forwarding_by_id,
+    forwarding_cost,
     forwarding_set,
     has_cycle,
+    link_count,
     random_substrate,
     random_tree_substrate,
     reference_prune,
+    settled_ids,
     tie_prone_substrate,
+    unicast_distances,
 )
 
 pdrs = st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8)
@@ -53,10 +57,10 @@ def test_bandwidth_filter_after_reservations(example):
     dag = prune(net, "n1", 30)
     assert {e.link_id for e in dag.edges} == {"l2", "l3", "l5", "l6"}
     assert dag.nodes == tuple(net.nodes)
-    # the table's dicts follow the substrate's insertion order, not string hashing
+    # the table's lists are indexed in the substrate's insertion order
     table = anypath_routes(dag, "n1")
-    assert list(table.cost) == list(net.nodes)
-    assert list(table.forwarding) == list(net.nodes)
+    assert table.topology.nodes == tuple(net.nodes)
+    assert len(table.cost) == len(table.forwarding) == len(net.nodes)
 
 
 def test_bandwidth_filter_extremes(example_net):
@@ -154,17 +158,18 @@ def test_forwarder_weights_sum_to_one(ps):
 def test_anypath_example_toward_n4(example_net):
     dag = prune(example_net, "n4", 50)
     table = anypath_routes(dag, "n4")
-    assert table.cost["n4"] == 0.0
-    assert table.cost["n1"] == pytest.approx(21.2121, abs=1e-3)
-    assert [m.head for m in table.forwarding["n1"]] == ["n2", "n3"]
-    assert [m.link_id for m in table.forwarding["n2"]] == ["l3"]
-    assert [m.link_id for m in table.forwarding["n3"]] == ["l4"]
+    cost = cost_by_id(table)
+    assert cost["n4"] == 0.0
+    assert cost["n1"] == pytest.approx(21.2121, abs=1e-3)
+    assert [m.head for m in table.members("n1")] == ["n2", "n3"]
+    assert [m.link_id for m in table.members("n2")] == ["l3"]
+    assert [m.link_id for m in table.members("n3")] == ["l4"]
 
 
 def test_anypath_example_second_channel_state(example):
     net = example_after_steps(example, steps=2)
     table = anypath_routes(prune(net, "n1", 30), "n1")
-    assert table.cost["n5"] == pytest.approx(37.7778, abs=1e-3)
+    assert cost_by_id(table)["n5"] == pytest.approx(37.7778, abs=1e-3)
     n5_closure = route_closure(table, "n5")
     assert n5_closure[1] == {"l2", "l5"}
 
@@ -174,10 +179,10 @@ def test_anypath_example_third_channel_state(example):
     dag = prune(net, "n4", 10)
     assert {e.link_id for e in dag.edges} == {"l1", "l3", "l4", "l5", "l6"}
     table = anypath_routes(dag, "n4")
-    assert table.cost["n5"] == pytest.approx(27.619, abs=1e-3)
-    assert [(m.head, m.link_id) for m in table.forwarding["n5"]] \
+    assert cost_by_id(table)["n5"] == pytest.approx(27.619, abs=1e-3)
+    assert [(m.head, m.link_id) for m in table.members("n5")] \
         == [("n4", "l6"), ("n3", "l5")]
-    assert [(m.head, m.link_id) for m in table.forwarding["n3"]] == [("n4", "l4")]
+    assert [(m.head, m.link_id) for m in table.members("n3")] == [("n4", "l4")]
     assert route_closure(table, "n5")[1] == {"l4", "l5", "l6"}
 
 
@@ -189,7 +194,7 @@ def test_anypath_chain_equals_link_cost_sum():
     net.add_link("l2", "n2", "n3", bw=10, delay=4.0, pdr=0.8)
     net.add_link("l3", "n3", "n4", bw=10, delay=9.0, pdr=0.9)
     table = anypath_routes(prune(net, "n1", 1), "n1")
-    assert table.cost["n4"] == pytest.approx(9 / 0.9 + 4 / 0.8 + 10 / 0.5, abs=1e-9)
+    assert cost_by_id(table)["n4"] == pytest.approx(9 / 0.9 + 4 / 0.8 + 10 / 0.5, abs=1e-9)
 
 
 def test_route_closure_example_routes(example_net):
@@ -213,8 +218,8 @@ def test_route_closure_unreachable_raises(example_net):
 
 def test_closure_link_count_matches_closure(example_net):
     table = anypath_routes(prune(example_net, "n4", 1), "n4")
-    for nid in table.settle_order:
-        assert table.closure_link_count(nid) == len(route_closure(table, nid)[1])
+    for nid in settled_ids(table):
+        assert link_count(table, nid) == len(route_closure(table, nid)[1])
 
 
 @settings(max_examples=200)
@@ -263,6 +268,7 @@ def test_tree_routes_equal_unicast_path_sums(seed):
     rng = np.random.default_rng(seed)
     net, parent = random_tree_substrate(rng)
     table = anypath_routes(prune(net, "n1", 1), "n1")
+    cost = cost_by_id(table)
     for nid in net.nodes:
         expected = 0.0
         walk = nid
@@ -271,9 +277,9 @@ def test_tree_routes_equal_unicast_path_sums(seed):
             link = net.links[link_id]
             expected += link.delay / link.pdr
             walk = up
-        assert table.cost[nid] == pytest.approx(expected, abs=1e-9)
+        assert cost[nid] == pytest.approx(expected, abs=1e-9)
         if nid != "n1":
-            assert len(table.forwarding[nid]) == 1
+            assert len(table.members(nid)) == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -284,8 +290,9 @@ def test_routes_match_recursive_recomputation(seed):
     dst = list(net.nodes)[int(rng.integers(0, len(net.nodes)))]
     table = anypath_routes(prune(net, dst, 0), dst)
     recomputed = eatt_recursive(table)
-    for nid in table.settle_order:
-        assert table.cost[nid] == pytest.approx(recomputed[nid], abs=1e-9)
+    cost = cost_by_id(table)
+    for nid in settled_ids(table):
+        assert cost[nid] == pytest.approx(recomputed[nid], abs=1e-9)
 
 
 @settings(max_examples=200)
@@ -295,21 +302,22 @@ def test_route_table_invariants(seed):
     net = random_substrate(rng, connected=False, extra_edge_factor=2.0)
     dst = list(net.nodes)[int(rng.integers(0, len(net.nodes)))]
     table = anypath_routes(prune(net, dst, 0), dst)
-    assert table.cost[dst] == 0.0
-    assert table.forwarding[dst] == ()
-    for nid, cost in table.cost.items():
+    costs, forwarding = cost_by_id(table), forwarding_by_id(table)
+    assert costs[dst] == 0.0
+    assert forwarding[dst] == ()
+    for nid, cost in costs.items():
         if cost < math.inf:
-            for member in table.forwarding[nid]:
-                assert table.cost[member.head] < cost
+            for member in forwarding[nid]:
+                assert costs[member.head] < cost
         else:
-            assert table.forwarding[nid] == ()
+            assert forwarding[nid] == ()
 
 
 def test_route_table_serialization(example_net):
     table = anypath_routes(prune(example_net, "n4", 50), "n4")
     assert table.dst == "n4"
-    assert table.cost["n1"] == pytest.approx(21.2121, abs=1e-3)
-    assert [m.link_id for m in table.forwarding["n1"]] == ["l1", "l2"]
+    assert cost_by_id(table)["n1"] == pytest.approx(21.2121, abs=1e-3)
+    assert [m.link_id for m in table.members("n1")] == ["l1", "l2"]
 
 
 # sha256 over every route table of the seeded corpus below: each node's cost
@@ -327,11 +335,12 @@ def test_route_tables_match_reference():
         for dst in net.nodes:
             for bw in (0, 50):
                 table = anypath_routes(prune(net, dst, bw), dst)
+                cost, forwarding = cost_by_id(table), forwarding_by_id(table)
                 for nid in net.nodes:
-                    digest.update(repr((nid, table.cost[nid],
-                                        [m.link_id for m in table.forwarding[nid]])).encode())
-                digest.update(repr([(nid, table.closure_link_count(nid))
-                                    for nid in table.settle_order]).encode())
+                    digest.update(repr((nid, cost[nid],
+                                        [m.link_id for m in forwarding[nid]])).encode())
+                digest.update(repr([(nid, link_count(table, nid))
+                                    for nid in settled_ids(table)]).encode())
     assert digest.hexdigest() == ROUTE_TABLES_SHA256
 
 
@@ -345,9 +354,10 @@ def test_equal_costs_settle_in_natural_key_order():
     net.add_link("l3", "x", "n10", bw=10, delay=1.0, pdr=0.9)
     net.add_link("l4", "x", "n2", bw=10, delay=1.0, pdr=0.9)
     table = anypath_routes(prune(net, "dst", 1), "dst")
-    assert table.cost["n2"] == table.cost["n10"]
-    assert table.settle_order == ["dst", "n2", "n10", "x"]
-    assert [m.head for m in table.forwarding["x"]] == ["n2", "n10"]
+    cost = cost_by_id(table)
+    assert cost["n2"] == cost["n10"]
+    assert settled_ids(table) == ["dst", "n2", "n10", "x"]
+    assert [m.head for m in table.members("x")] == ["n2", "n10"]
 
 
 def _line_substrate(n_nodes: int) -> SubstrateNetwork:
@@ -391,7 +401,7 @@ def test_route_cache_stays_consistent_under_threads():
     # cores at different phases, so hits race with other threads' evictions
     net = _line_substrate(ROUTE_CACHE_SIZE + 4)
     dsts = [f"n{i}" for i in range(1, ROUTE_CACHE_SIZE + 3)]
-    expected = {dst: anypath_routes(prune(net, dst, 0), dst)._cost for dst in dsts}
+    expected = {dst: anypath_routes(prune(net, dst, 0), dst).cost for dst in dsts}
     errors = []
 
     def work(phase):
@@ -400,7 +410,7 @@ def test_route_cache_stays_consistent_under_threads():
                 for k in range(len(dsts)):
                     dst = dsts[(k + phase) % len(dsts)]
                     table = route_table(net, dst, 0)
-                    if table.dst != dst or table._cost != expected[dst]:
+                    if table.dst != dst or table.cost != expected[dst]:
                         errors.append(f"wrong table for {dst}")
         except Exception as exc:   # reported by the main thread
             errors.append(repr(exc))

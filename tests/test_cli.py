@@ -162,6 +162,17 @@ def test_simulate_out_that_cannot_be_a_directory_fails_before_the_sweep(
         assert detail["field"] == "out"
         assert str(out) in detail["error"]
     assert blocker.read_text() == ""
+    # a CSV path that is a directory is only met when writing, after the
+    # sweep, and exits 3 naming out as well
+    monkeypatch.undo()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"iterations": 1, "loads": [2]}))
+    out = tmp_path / "o2"
+    (out / "summary.csv").mkdir(parents=True)
+    detail = _assert_input_error(_run_cli("simulate", "--config", str(config),
+                                          "--out", str(out)))
+    assert detail["field"] == "out"
+    assert str(out / "summary.csv") in detail["error"]
 
 
 def test_unknown_flag_is_input_error(capsys):
@@ -214,6 +225,8 @@ def _assert_input_error(proc) -> dict:
     {"iterations": 1, "loads": [10**21]},
     {"iterations": 1, "loads": [10, 10_001]},
     {"iterations": 10**21},
+    # misspelt keys would run the 100-iteration default if ignored
+    {"iteration": 1, "sed": 4},
 ])
 def test_simulate_bad_config_is_input_error(tmp_path, config):
     path = tmp_path / "config.json"
@@ -246,6 +259,7 @@ def test_simulate_config_bounds_name_the_field():
         assert direct.value.field == field.removeprefix("generator."), doc
     # a bad JSON shape is refused by the CLI alone
     for doc, field in [({"generator": {"bogus": 1}}, "config.generator.bogus"),
+                       ({"iteration": 1, "sed": 4}, "config.iteration"),
                        ({"generator": [1]}, "config.generator"),
                        ({"loads": 10}, "config.loads"),
                        ({"coefficients": {"beta": "x"}}, "config.coefficients.beta"),

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anypath_vne import anypath, embedder, netmodel
-from anypath_vne.anypath import anypath_routes, prune
+from anypath_vne import anypath, embedder
+from anypath_vne.anypath import anypath_routes, prune, route_closure
 from anypath_vne.embedder import (
     Coefficients,
     EmbeddingError,
@@ -32,11 +32,10 @@ from anypath_vne.netmodel import (
     natural_key,
     substrate_from_dict,
     substrate_to_dict,
-    suitable_nodes,
 )
 from anypath_vne.scenario import GeneratorConfig, SimulationConfig
 
-from helpers import random_request, random_substrate
+from helpers import cost_by_id, random_request, random_substrate, suitable_nodes
 from test_acceptance import _complexity_instance
 
 
@@ -419,15 +418,19 @@ def test_route_cache_size_is_a_constant_not_a_setting():
 # --- walks over the shared orders against brute-force oracles ---------------
 
 def _oracle_min_links(table, accepts, bound=math.inf):
-    """min over accepted reached nodes within bound, by (links, cost, natural key)."""
-    feasible = [nid for nid, c in table.cost.items()
+    """min over accepted reached nodes within bound, by (links, cost, natural key).
+
+    A node's links are counted from its route closure.
+    """
+    cost = cost_by_id(table)
+    feasible = [nid for nid, c in cost.items()
                 if math.isfinite(c) and c <= bound and accepts(nid)]
     return min(feasible, default=None, key=lambda nid: (
-        table.closure_link_count(nid), table.cost[nid], natural_key(nid)))
+        len(route_closure(table, nid)[1]), cost[nid], natural_key(nid)))
 
 
 def _oracle_max_pdr(net, service):
-    """min over suitable nodes by (-mean incident pdr, natural key)."""
+    """min over the nodes that fit, by a ``fits`` scan, by (-mean incident pdr, natural key)."""
     def mean_pdr(nid):
         pdrs = [l.pdr for l in net.links.values() if nid in (l.a, l.b)]
         return sum(pdrs) / len(pdrs) if pdrs else 0.0
@@ -470,7 +473,7 @@ def test_select_min_links_walk_matches_oracle():
         net = _labelled_substrate(rng)
         dst = str(rng.choice(list(net.nodes)))
         table = anypath_routes(prune(net, dst, int(rng.integers(0, 80))), dst)
-        finite = sorted(c for c in table.cost.values() if math.isfinite(c))
+        finite = sorted(c for c in table.cost if math.isfinite(c))
         unreached += len(finite) < len(net.nodes)
         tight = float(rng.choice(finite))
         bounds = [math.inf, 1e308 / 0.5, sys.float_info.max, 0.0, tight,
@@ -685,12 +688,8 @@ def test_channel_after_a_link_reservation_gets_a_fresh_mask(monkeypatch):
 
 def test_zero_demand_chain_on_1000_nodes_scans_no_substrate(monkeypatch):
     net, request = _complexity_instance(np.random.default_rng(602), 1000)
-    scans = _count_calls(monkeypatch, netmodel, "suitable_nodes")
-    monkeypatch.setattr(embedder, "suitable_nodes", netmodel.suitable_nodes,
-                        raising=False)
     checks = _count_calls(monkeypatch, embedder, "fits")
     embedding = embed(net, request, Coefficients())
     assert len(set(embedding.service_map.values())) == 1
-    assert scans == []
     # one check for the first anchor, then two per channel: any node, the walk
     assert len(checks) == 1 + 2 * 12

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anypath_vne.anypath import anypath_routes, prune, route_closure, unicast_distances
+from anypath_vne.anypath import anypath_routes, prune, route_closure
 from anypath_vne.embedder import Coefficients, EmbeddingError, embed
 from anypath_vne.netmodel import (
     Channel,
@@ -18,7 +18,6 @@ from anypath_vne.netmodel import (
     SchemaError,
     SubstrateNetwork,
     Topology,
-    local_pdr,
     natural_key,
     request_from_dict,
     request_to_dict,
@@ -27,11 +26,16 @@ from anypath_vne.netmodel import (
     rollback,
     substrate_from_dict,
     substrate_to_dict,
-    suitable_nodes,
     validate_substrate,
 )
 
-from helpers import random_request, random_substrate
+from helpers import (
+    local_pdr,
+    random_request,
+    random_substrate,
+    suitable_nodes,
+    unicast_distances,
+)
 
 
 def test_validate_example_is_clean(example_net):
@@ -217,7 +221,7 @@ def test_random_reserves_conserve_and_roll_back(seed):
                               gpu=int(rng.integers(0, node.gpu + 1)),
                               mem=int(rng.integers(0, node.mem + 1)))
             reserve_service(net, nid, svc, ledger)
-            for k, amount in enumerate(svc.demands()):
+            for k, amount in enumerate((svc.cpu, svc.gpu, svc.mem)):
                 spent_nodes[nid][k] += amount
     # conservation: original minus available equals everything reserved
     for nid, node in net.nodes.items():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from anypath_vne.embedder import Coefficients
 from anypath_vne.metrics import metrics_report
 from anypath_vne.netmodel import SchemaError, request_to_dict, validate_substrate
 from anypath_vne.scenario import (
@@ -145,9 +146,13 @@ def test_simulation_config_validation():
 
 # junk for each field: a string, a bool, a float, NaN, None, a list and
 # 10**30; where one of them is valid (a bool for ordered_pairs, 10**30 for
-# seed), another junk value of that kind takes its place
+# seed or a weight), another junk value of that kind takes its place
 _INT_JUNK = ["3", True, 2.5, 2.0, math.nan, None, [3], 10**30]
 _REAL_JUNK = ["0.5", True, math.nan, math.inf, None, [0.5], 10**30]
+# a weight is any finite number that fits a float
+_WEIGHT_JUNK = ["0.5", True, math.nan, -math.inf, None, [0.5], 10**400]
+# an alpha is a (cpu, gpu, mem) tuple, not one number or a list
+_TRIPLE_JUNK = ["1", True, 1.5, math.nan, None, [1.0, 1.0, 1.0], 10**30, (1.0, 1.0)]
 _FIELD_JUNK = {
     **{f.name: _INT_JUNK for f in dataclasses.fields(GeneratorConfig)
        if f.name.endswith(("_min", "_max"))},
@@ -161,9 +166,12 @@ _FIELD_JUNK = {
     "seed": ["3", True, 2.5, math.nan, None, [3], -10**30],
     "coefficients": ["x", True, 1.5, math.nan, None, [1.0], 10**30, {}],
     "generator": ["x", True, 1.5, math.nan, None, [2], 10**30, {}],
+    **{name: _WEIGHT_JUNK for name in ("beta", "beta_cost", "gamma")},
+    **{name: _TRIPLE_JUNK for name in ("alpha", "alpha_cost")},
 }
+_CONFIGS = (GeneratorConfig, SimulationConfig, Coefficients)
 _JUNK_CASES = [(config, name, value)
-               for config in (GeneratorConfig, SimulationConfig)
+               for config in _CONFIGS
                for name in (f.name for f in dataclasses.fields(config))
                for value in _FIELD_JUNK[name]]
 
@@ -178,8 +186,7 @@ def test_config_junk_raises_schema_error_naming_the_field(config, name, value):
 
 
 def test_every_config_field_has_junk_cases():
-    names = {f.name for config in (GeneratorConfig, SimulationConfig)
-             for f in dataclasses.fields(config)}
+    names = {f.name for config in _CONFIGS for f in dataclasses.fields(config)}
     assert names == set(_FIELD_JUNK)
 
 
