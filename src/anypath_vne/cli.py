@@ -12,6 +12,11 @@ Input schemas (JSON):
       where alpha/cost_alpha are a number or a {"cpu", "gpu", "mem"} object
   simulation config: {"substrate"?, "loads"?, "iterations"?, "seed"?,
       "coefficients"?, "generator"?}
+
+Loading checks only the JSON shape and the ids; the constructor each value
+feeds checks it, so the library refuses exactly what loading refuses, and a
+boolean is refused for every number.  An unknown key in coefficients, in an
+alpha object or in a simulation config exits 3 naming it.
 """
 
 from __future__ import annotations
@@ -59,8 +64,6 @@ _EXAMPLE_BW = {"l1": 20, "l2": 0, "l3": 50, "l4": 10, "l5": 60, "l6": 90}
 
 def fmt(value) -> str:
     """Render numbers with 6 significant digits; integers stay integral."""
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, int):
         return str(value)
     return f"{value:.6g}"
@@ -91,13 +94,17 @@ def coefficients_from_dict(doc: dict, defaults: Coefficients = None) -> Coeffici
     """
     if not isinstance(doc, dict):
         raise SchemaError("coefficients", "expected a JSON object")
+    _refuse_unknown_keys(doc, _COEFFICIENT_FIELDS, "coefficients")
     fields = {}
     for key, name in _COEFFICIENT_FIELDS.items():
         if key in doc:
             value = doc[key]
             if name.startswith("alpha"):
-                value = (tuple(value.get(resource) for resource in RESOURCES)
-                         if isinstance(value, dict) else (value,) * 3)
+                if isinstance(value, dict):
+                    _refuse_unknown_keys(value, RESOURCES, f"coefficients.{key}")
+                    value = tuple(value.get(resource) for resource in RESOURCES)
+                else:
+                    value = (value,) * 3
             fields[name] = value
     try:
         return dataclasses.replace(defaults or Coefficients(), **fields)
@@ -109,9 +116,8 @@ def coefficients_from_dict(doc: dict, defaults: Coefficients = None) -> Coeffici
         raise SchemaError(f"coefficients.{key}", exc.detail) from exc
 
 
-def _refuse_unknown_keys(doc: dict, config_class, where: str) -> None:
-    """Refuse a key of doc that is not a field of config_class, naming it."""
-    known = {f.name for f in dataclasses.fields(config_class)}
+def _refuse_unknown_keys(doc: dict, known, where: str) -> None:
+    """Refuse a key of doc that is not in the collection known, naming it."""
     for key in doc:
         if key not in known:
             raise SchemaError(f"{where}.{key}", "unknown key")
@@ -121,12 +127,13 @@ def simulation_config_from_dict(doc: dict) -> scenario.SimulationConfig:
     """The config of a JSON object; the config classes check every value."""
     if not isinstance(doc, dict):
         raise SchemaError("config", "expected a JSON object")
-    _refuse_unknown_keys(doc, scenario.SimulationConfig, "config")
+    _refuse_unknown_keys(doc, scenario.SimulationConfig.__dataclass_fields__, "config")
     defaults = scenario.SimulationConfig()
     generator = doc.get("generator", {})
     if not isinstance(generator, dict):
         raise SchemaError("config.generator", "expected a JSON object")
-    _refuse_unknown_keys(generator, scenario.GeneratorConfig, "config.generator")
+    _refuse_unknown_keys(generator, scenario.GeneratorConfig.__dataclass_fields__,
+                         "config.generator")
     loads = doc.get("loads", list(defaults.loads))
     if not isinstance(loads, list):
         raise SchemaError("config.loads", "expected a JSON list")

@@ -31,11 +31,14 @@ from dataclasses import dataclass, field
 from . import anypath
 from .netmodel import (
     RESOURCES,
+    _HUGE,
+    _REAL,
     Channel,
     NanoService,
     SchemaError,
     SubstrateNetwork,
     VirtualRequest,
+    _check,
     fits,
     natural_key,
     reserve_channel,
@@ -62,19 +65,6 @@ class NoFeasiblePathError(EmbeddingError):
     def __init__(self, channel_id: str):
         self.channel_id = channel_id
         super().__init__(f"no feasible route for channel {channel_id}")
-
-
-def _weight(name: str, value) -> float:
-    """value as a float; a string, bool, NaN, infinity or an int too large for
-    a float raises a SchemaError naming the field."""
-    try:
-        finite = (isinstance(value, (int, float)) and not isinstance(value, bool)
-                  and math.isfinite(value))
-    except OverflowError:   # an int too large for a float
-        finite = False
-    if not finite:
-        raise SchemaError(name, f"expected a finite number, got {value!r}")
-    return float(value)
 
 
 def _resource_sum(weights: tuple, service: NanoService) -> float:
@@ -105,10 +95,11 @@ class Coefficients:
             if not (isinstance(value, tuple) and len(value) == 3):
                 raise SchemaError(name, f"expected a (cpu, gpu, mem) tuple, got {value!r}")
             object.__setattr__(self, name, tuple(
-                _weight(f"{name}.{resource}", weight)
+                float(_check(f"{name}.{resource}", weight, _REAL, -_HUGE, _HUGE))
                 for resource, weight in zip(RESOURCES, value)))
         for name in ("beta", "beta_cost", "gamma"):
-            object.__setattr__(self, name, _weight(name, getattr(self, name)))
+            object.__setattr__(self, name, float(
+                _check(name, getattr(self, name), _REAL, -_HUGE, _HUGE)))
 
     def node_term(self, service: NanoService) -> float:
         return _resource_sum(self.alpha, service)

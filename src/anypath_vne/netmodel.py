@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -67,6 +68,38 @@ class SchemaError(ValueError):
         super().__init__(f"{field_name}: {message}")
 
 
+_REAL = (int, float)   # a bool, though an int, is refused by _check
+# the least positive float: a delay or min_pdr must exceed zero
+_TINY = math.ulp(0.0)
+# every number fits a float, so arithmetic on it never raises OverflowError
+_HUGE = sys.float_info.max
+
+
+def _check(name: str, value, kinds, low, high, owner=None):
+    """value when it is one of kinds, not a bool, in [low, high]; else a
+    SchemaError naming the field, and the owner object by its id when given.
+    The type is tested first, so no comparison meets a string or None, and
+    NaN fails the range."""
+    if not (isinstance(value, kinds) and not isinstance(value, bool)
+            and low <= value <= high):
+        kind = "an integer" if kinds is int else "a number"
+        label = "" if owner is None else f"{type(owner).__name__} {owner.id}: "
+        raise SchemaError(name, f"{label}expected {kind} in [{low}, {high}], "
+                          f"got {value!r}")
+    return value
+
+
+def _check_functionals(owner) -> frozenset:
+    """owner.functionals as a frozenset; else a SchemaError naming the field.
+    A bare str or a dict is refused."""
+    value = owner.functionals
+    if not isinstance(value, (list, tuple, set, frozenset)) or (
+            value and not all(isinstance(label, str) for label in value)):
+        raise SchemaError("functionals", f"{type(owner).__name__} {owner.id}: "
+                          f"expected a list of strings, got {value!r}")
+    return frozenset(value)
+
+
 @dataclass
 class SubstrateNode:
     """A compute node. cpu/gpu/mem are the mutable available units."""
@@ -81,12 +114,10 @@ class SubstrateNode:
     mem0: int = None
 
     def __post_init__(self):
-        self.functionals = frozenset(self.functionals)
-        for name in RESOURCES:
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise SchemaError(name,
-                                  f"node {self.id} needs a non-negative integer {name}")
+        _check("cpu", self.cpu, int, 0, _HUGE, self)
+        _check("gpu", self.gpu, int, 0, _HUGE, self)
+        _check("mem", self.mem, int, 0, _HUGE, self)
+        self.functionals = _check_functionals(self)
         # original capacities default to the initial available amounts
         if self.cpu0 is None:
             self.cpu0 = self.cpu
@@ -101,7 +132,7 @@ class SubstrateNode:
 
 @dataclass
 class SubstrateLink:
-    """An undirected link with symmetric delay/reliability in both directions."""
+    """An undirected link with symmetric delay and pdr, both stored as floats."""
 
     id: str
     a: str
@@ -112,16 +143,12 @@ class SubstrateLink:
     bw0: int = None
 
     def __post_init__(self):
+        _check("bw", self.bw, int, 0, _HUGE, self)
+        self.delay = float(_check("delay", self.delay, _REAL, _TINY, _HUGE, self))
+        # below 2**-53, 1 - pdr rounds to 1 and a hyperlink's reliability to 0
+        self.pdr = float(_check("pdr", self.pdr, _REAL, 2.0 ** -53, 1, self))
         if self.bw0 is None:
             self.bw0 = self.bw
-        # the range checks are written so that NaN fails them
-        if not isinstance(self.bw, int) or isinstance(self.bw, bool) or self.bw < 0:
-            raise SchemaError("bw", f"link {self.id} needs a non-negative integer bw")
-        if not 0 < self.delay < math.inf:
-            raise SchemaError("delay", f"link {self.id} needs a finite delay > 0")
-        # below 2**-53, 1 - pdr rounds to 1 and a hyperlink's reliability to 0
-        if not 2.0 ** -53 <= self.pdr <= 1:
-            raise SchemaError("pdr", f"link {self.id} needs pdr in [2**-53, 1]")
 
     def endpoints(self) -> frozenset:
         return frozenset((self.a, self.b))
@@ -138,17 +165,15 @@ class NanoService:
     functionals: frozenset = frozenset()
 
     def __post_init__(self):
-        self.functionals = frozenset(self.functionals)
-        for name in RESOURCES:
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise SchemaError(name, f"service {self.id} needs a non-negative "
-                                  f"integer {name} demand")
+        _check("cpu", self.cpu, int, 0, _HUGE, self)
+        _check("gpu", self.gpu, int, 0, _HUGE, self)
+        _check("mem", self.mem, int, 0, _HUGE, self)
+        self.functionals = _check_functionals(self)
 
 
 @dataclass
 class Channel:
-    """A directed flow between two services with bandwidth/quality demands."""
+    """A directed flow with bandwidth/quality demands; max_delay, min_pdr are floats."""
 
     id: str
     src: str
@@ -160,14 +185,10 @@ class Channel:
     def __post_init__(self):
         if self.src == self.dst:
             raise SchemaError("dst", f"channel {self.id} connects a service to itself")
-        if not isinstance(self.bw, int) or isinstance(self.bw, bool) or self.bw < 0:
-            raise SchemaError("bw", f"channel {self.id} needs a non-negative integer bw")
-        # the range checks are written so that NaN fails them
-        if not 0 < self.max_delay < math.inf:
-            raise SchemaError("max_delay",
-                              f"channel {self.id} needs a finite max_delay > 0")
-        if not 0 < self.min_pdr <= 1:
-            raise SchemaError("min_pdr", f"channel {self.id} needs min_pdr in (0, 1]")
+        _check("bw", self.bw, int, 0, _HUGE, self)
+        self.max_delay = float(_check("max_delay", self.max_delay, _REAL,
+                                      _TINY, _HUGE, self))
+        self.min_pdr = float(_check("min_pdr", self.min_pdr, _REAL, _TINY, 1, self))
 
     @property
     def max_cost(self) -> float:
@@ -270,7 +291,7 @@ class SubstrateNetwork:
                  functionals: Iterable[str] = ()) -> SubstrateNode:
         if node_id in self.nodes:
             raise SchemaError("id", f"duplicate node id {node_id}")
-        node = SubstrateNode(node_id, cpu, gpu, mem, frozenset(functionals))
+        node = SubstrateNode(node_id, cpu, gpu, mem, functionals)
         self.nodes[node_id] = node
         self._topology = None
         return node
@@ -434,31 +455,28 @@ def rollback(net: SubstrateNetwork, ledger: list) -> None:
 
 # --- JSON-friendly (de)serialization -----------------------------------------
 
-def _require(doc: dict, key: str, types, where: str):
+def _require(doc: dict, key: str, where: str):
+    """doc[key]; a SchemaError when doc is not an object or lacks the key."""
     if not isinstance(doc, dict):
         raise SchemaError(where, "expected a JSON object")
     if key not in doc:
         raise SchemaError(f"{where}.{key}", "missing required field")
-    value = doc[key]
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise SchemaError(f"{where}.{key}", f"expected {types}, got {type(value).__name__}")
+    return doc[key]
+
+
+def _list(doc: dict, key: str, where: str) -> list:
+    value = _require(doc, key, where)
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}.{key}", "expected a JSON list")
     return value
 
 
-def _float(doc: dict, key: str, where: str) -> float:
-    """A required number as a float; an int too large for a float is refused."""
-    value = _require(doc, key, (int, float), where)
-    try:
-        return float(value)
-    except OverflowError:
-        raise SchemaError(f"{where}.{key}", "number too large for a float") from None
-
-
-def _functionals(doc: dict, where: str) -> frozenset:
-    value = doc.get("functionals", [])
-    if not isinstance(value, list) or not all(isinstance(f, str) for f in value):
-        raise SchemaError(f"{where}.functionals", "expected a list of strings")
-    return frozenset(value)
+def _id(doc: dict, key: str, where: str) -> str:
+    """A required id, string or integer, as a string."""
+    value = _require(doc, key, where)
+    if not isinstance(value, (str, int)) or isinstance(value, bool):
+        raise SchemaError(f"{where}.{key}", f"expected a string or an int, got {value!r}")
+    return str(value)
 
 
 def _build(where: str, make, /, *args, **kwargs):
@@ -485,27 +503,24 @@ def substrate_to_dict(net: SubstrateNetwork) -> dict:
 
 
 def substrate_from_dict(doc: dict) -> SubstrateNetwork:
-    """Build a substrate from JSON data; capacities are taken as originals."""
+    """Build a substrate from JSON data; capacities are taken as originals.
+
+    Only the document's shape and its ids are checked here; the constructors
+    check every value, named by its place (``links[2].pdr``).
+    """
     net = SubstrateNetwork()
-    nodes = _require(doc, "nodes", list, "substrate")
-    links = _require(doc, "links", list, "substrate")
+    nodes = _list(doc, "nodes", "substrate")
+    links = _list(doc, "links", "substrate")
     for i, nd in enumerate(nodes):
         where = f"nodes[{i}]"
-        _build(where, net.add_node,
-               str(_require(nd, "id", (str, int), where)),
-               _require(nd, "cpu", int, where),
-               _require(nd, "gpu", int, where),
-               _require(nd, "mem", int, where),
-               _functionals(nd, where))
+        _build(where, net.add_node, _id(nd, "id", where),
+               _require(nd, "cpu", where), _require(nd, "gpu", where),
+               _require(nd, "mem", where), nd.get("functionals", ()))
     for i, ld in enumerate(links):
         where = f"links[{i}]"
-        _build(where, net.add_link,
-               str(_require(ld, "id", (str, int), where)),
-               str(_require(ld, "a", (str, int), where)),
-               str(_require(ld, "b", (str, int), where)),
-               _require(ld, "bw", int, where),
-               _float(ld, "delay", where),
-               _float(ld, "pdr", where))
+        _build(where, net.add_link, _id(ld, "id", where), _id(ld, "a", where),
+               _id(ld, "b", where), _require(ld, "bw", where),
+               _require(ld, "delay", where), _require(ld, "pdr", where))
     return net
 
 
@@ -526,26 +541,21 @@ def request_to_dict(request: VirtualRequest) -> dict:
 
 
 def request_from_dict(doc: dict) -> VirtualRequest:
-    services = _require(doc, "services", list, "request")
-    channels = _require(doc, "channels", list, "request")
+    """Build a request from JSON data; checked as ``substrate_from_dict`` is."""
+    services = _list(doc, "services", "request")
+    channels = _list(doc, "channels", "request")
     request = VirtualRequest(str(doc.get("id", "request")))
     for i, sd in enumerate(services):
         where = f"services[{i}]"
-        service = _build(where, NanoService,
-                         str(_require(sd, "id", (str, int), where)),
-                         _require(sd, "cpu", int, where),
-                         _require(sd, "gpu", int, where),
-                         _require(sd, "mem", int, where),
-                         _functionals(sd, where))
+        service = _build(where, NanoService, _id(sd, "id", where),
+                         _require(sd, "cpu", where), _require(sd, "gpu", where),
+                         _require(sd, "mem", where), sd.get("functionals", ()))
         _build(where, request.add_service, service)
     for i, cd in enumerate(channels):
         where = f"channels[{i}]"
-        channel = _build(where, Channel,
-                         str(_require(cd, "id", (str, int), where)),
-                         str(_require(cd, "src", (str, int), where)),
-                         str(_require(cd, "dst", (str, int), where)),
-                         _require(cd, "bw", int, where),
-                         _float(cd, "max_delay", where),
-                         _float(cd, "min_pdr", where))
+        channel = _build(where, Channel, _id(cd, "id", where), _id(cd, "src", where),
+                         _id(cd, "dst", where), _require(cd, "bw", where),
+                         _require(cd, "max_delay", where),
+                         _require(cd, "min_pdr", where))
         _build(where, request.add_channel, channel)
     return request

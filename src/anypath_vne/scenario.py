@@ -16,8 +16,8 @@ import numpy as np
 
 from .embedder import Coefficients
 from .metrics import LinkUsage, NodeUsage, metrics_report
-from .netmodel import (Channel, NanoService, SchemaError, SubstrateNetwork,
-                       VirtualRequest, natural_key)
+from .netmodel import (_REAL, Channel, NanoService, SchemaError, SubstrateNetwork,
+                       VirtualRequest, _check, natural_key)
 from .windowing import process_window
 
 
@@ -91,18 +91,6 @@ MAX_LOAD = 10_000
 # most iterations of one sweep; each iteration spawns an RNG stream and
 # embeds every load level once
 MAX_ITERATIONS = 10_000
-_REAL = (int, float)
-
-
-def _check(name: str, value, kinds, low, high):
-    """value when it is one of kinds, not a bool, in [low, high]; else a
-    SchemaError naming the field.  The type is tested first, so no comparison
-    meets a string or None, and NaN fails the range."""
-    if not (isinstance(value, kinds) and not isinstance(value, bool)
-            and low <= value <= high):
-        kind = "an integer" if kinds is int else "a number"
-        raise SchemaError(name, f"expected {kind} in [{low}, {high}], got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)

@@ -227,6 +227,8 @@ def _assert_input_error(proc) -> dict:
     {"iterations": 10**21},
     # misspelt keys would run the 100-iteration default if ignored
     {"iteration": 1, "sed": 4},
+    {"iterations": 1, "coefficients": {"gama": 1}},
+    {"iterations": 1, "coefficients": {"alpha": {"cpu": 1, "gpu": 1, "mem": 1, "net": 1}}},
 ])
 def test_simulate_bad_config_is_input_error(tmp_path, config):
     path = tmp_path / "config.json"
@@ -263,6 +265,10 @@ def test_simulate_config_bounds_name_the_field():
                        ({"generator": [1]}, "config.generator"),
                        ({"loads": 10}, "config.loads"),
                        ({"coefficients": {"beta": "x"}}, "config.coefficients.beta"),
+                       ({"coefficients": {"gama": 1}}, "config.coefficients.gama"),
+                       ({"coefficients": {"alpha": {"cpu": 1, "gpu": 1, "mem": 1,
+                                                    "net": "x"}}},
+                        "config.coefficients.alpha.net"),
                        ([], "config")]:
         with pytest.raises(SchemaError) as info:
             cli.simulation_config_from_dict(doc)
@@ -348,6 +354,11 @@ def test_embed_bad_input_is_input_error(example_files, case):
     assert detail["field"] == field
 
 
+def test_fmt_keeps_integers_and_bools_integral():
+    assert [cli.fmt(v) for v in (True, 7, 10**20, 0.5, 1 / 3)] \
+        == ["True", "7", "100000000000000000000", "0.5", "0.333333"]
+
+
 def test_embed_bad_coefficients_is_input_error(example_files, tmp_path):
     substrate, request_file, _ = example_files
     coeffs = tmp_path / "bad_coeffs.json"
@@ -360,6 +371,11 @@ def test_embed_bad_coefficients_is_input_error(example_files, tmp_path):
         ({"alpha": -math.inf}, "coefficients.alpha"),
         ({"cost_alpha": {"cpu": 1, "gpu": "nan", "mem": 1}},
          "coefficients.cost_alpha.gpu"),
+        # an unknown key is refused, not ignored
+        ({"gama": 1}, "coefficients.gama"),
+        ({"alpha": {"cpu": 1, "gpu": 1, "mem": 1, "net": "x"}}, "coefficients.alpha.net"),
+        ({"cost_alpha": {"cpu": 1, "gpu": 1, "mem": 1, "disk": 1}},
+         "coefficients.cost_alpha.disk"),
     ]:
         coeffs.write_text(json.dumps(doc))
         detail = _assert_input_error(_run_cli(

@@ -6,7 +6,17 @@ import pytest
 
 from anypath_vne.embedder import Coefficients
 from anypath_vne.metrics import metrics_report
-from anypath_vne.netmodel import SchemaError, request_to_dict, validate_substrate
+from anypath_vne.netmodel import (
+    Channel,
+    NanoService,
+    SchemaError,
+    SubstrateLink,
+    SubstrateNode,
+    request_from_dict,
+    request_to_dict,
+    substrate_from_dict,
+    validate_substrate,
+)
 from anypath_vne.scenario import (
     MAX_ITERATIONS,
     GeneratorConfig,
@@ -153,6 +163,10 @@ _REAL_JUNK = ["0.5", True, math.nan, math.inf, None, [0.5], 10**30]
 _WEIGHT_JUNK = ["0.5", True, math.nan, -math.inf, None, [0.5], 10**400]
 # an alpha is a (cpu, gpu, mem) tuple, not one number or a list
 _TRIPLE_JUNK = ["1", True, 1.5, math.nan, None, [1.0, 1.0, 1.0], 10**30, (1.0, 1.0)]
+# junk for every number of a model class; 10**400 does not fit a float
+_NUMBER_JUNK = ["x", None, True, math.nan, math.inf, -math.inf, [1], 10**400]
+_COUNT_JUNK = _NUMBER_JUNK + [-1, 2.0, 2.5]
+_DELAY_JUNK = _NUMBER_JUNK + [0, 0.0, -1.0]
 _FIELD_JUNK = {
     **{f.name: _INT_JUNK for f in dataclasses.fields(GeneratorConfig)
        if f.name.endswith(("_min", "_max"))},
@@ -168,26 +182,79 @@ _FIELD_JUNK = {
     "generator": ["x", True, 1.5, math.nan, None, [2], 10**30, {}],
     **{name: _WEIGHT_JUNK for name in ("beta", "beta_cost", "gamma")},
     **{name: _TRIPLE_JUNK for name in ("alpha", "alpha_cost")},
+    **{name: _COUNT_JUNK for name in ("cpu", "gpu", "mem", "bw")},
+    "delay": _DELAY_JUNK,
+    "max_delay": _DELAY_JUNK,
+    # below 2**-53 a link's pdr rounds 1 - pdr to 1
+    "pdr": _DELAY_JUNK + [1.5, 1e-20],
+    "min_pdr": _DELAY_JUNK + [1.5],
+    "functionals": ["GPS", {"GPS": 1}, 5, None, True, [1], ["GPS", None], "x"],
 }
-_CONFIGS = (GeneratorConfig, SimulationConfig, Coefficients)
+# the valid arguments each class is built from, one field replaced by junk
+_CONFIGS = {
+    GeneratorConfig: {},
+    SimulationConfig: {},
+    Coefficients: {},
+    SubstrateNode: {"id": "n1", "cpu": 1, "gpu": 1, "mem": 1},
+    NanoService: {"id": "s1", "cpu": 0, "gpu": 0, "mem": 0},
+    SubstrateLink: {"id": "l1", "a": "n1", "b": "n2", "bw": 1, "delay": 1.0, "pdr": 0.9},
+    Channel: {"id": "c1", "src": "s1", "dst": "s2", "bw": 1, "max_delay": 1.0,
+              "min_pdr": 0.9},
+}
+# fields no constructor checks: ids, and the original capacities of a clone
+_UNCHECKED = {"id", "a", "b", "src", "dst", "cpu0", "gpu0", "mem0", "bw0"}
 _JUNK_CASES = [(config, name, value)
                for config in _CONFIGS
                for name in (f.name for f in dataclasses.fields(config))
+               if name not in _UNCHECKED
                for value in _FIELD_JUNK[name]]
 
 
-@pytest.mark.parametrize("config, name, value", _JUNK_CASES,
-                         ids=[f"{c.__name__}.{n}={v!r:.12}" for c, n, v in _JUNK_CASES])
+def _case_ids(cases):
+    return [f"{c.__name__}.{n}={v!r:.12}" for c, n, v in cases]
+
+
+@pytest.mark.parametrize("config, name, value", _JUNK_CASES, ids=_case_ids(_JUNK_CASES))
 def test_config_junk_raises_schema_error_naming_the_field(config, name, value):
+    args = _CONFIGS[config]
     with pytest.raises(SchemaError) as info:
-        config(**{name: value})
+        config(**{**args, name: value})
     assert type(info.value) is SchemaError
     assert info.value.field == name
+    if "id" in args:   # a model's message names the object
+        assert args["id"] in str(info.value)
 
 
 def test_every_config_field_has_junk_cases():
     names = {f.name for config in _CONFIGS for f in dataclasses.fields(config)}
-    assert names == set(_FIELD_JUNK)
+    assert names - _UNCHECKED == set(_FIELD_JUNK)
+    for config, args in _CONFIGS.items():   # the base arguments are valid
+        config(**args)
+
+
+# where each model class sits in a JSON document, and the document it sits in
+_DOCUMENTS = {
+    SubstrateNode: ("nodes", substrate_from_dict),
+    SubstrateLink: ("links", substrate_from_dict),
+    NanoService: ("services", request_from_dict),
+    Channel: ("channels", request_from_dict),
+}
+_READER_CASES = [case for case in _JUNK_CASES if case[0] in _DOCUMENTS]
+
+
+@pytest.mark.parametrize("config, name, value", _READER_CASES,
+                         ids=_case_ids(_READER_CASES))
+def test_reader_junk_raises_schema_error_naming_the_place(config, name, value):
+    node, service = _CONFIGS[SubstrateNode], _CONFIGS[NanoService]
+    doc = {"nodes": [node, {**node, "id": "n2"}], "links": [_CONFIGS[SubstrateLink]],
+           "services": [service, {**service, "id": "s2"}], "channels": [_CONFIGS[Channel]]}
+    part, reader = _DOCUMENTS[config]
+    reader(doc)   # valid before the junk goes in
+    doc[part][0] = {**doc[part][0], name: value}
+    with pytest.raises(SchemaError) as info:
+        reader(doc)
+    assert type(info.value) is SchemaError
+    assert info.value.field == f"{part}[0].{name}"
 
 
 def test_run_simulation_deterministic_and_shaped():
