@@ -13,18 +13,22 @@ Input schemas (JSON):
   simulation config: {"substrate"?, "loads"?, "iterations"?, "seed"?,
       "coefficients"?, "generator"?}
 
+Every JSON object refuses a key it does not know, naming it
+(``services[0].functionls``), and every key is named after the field it sets.
 Loading checks only the JSON shape and the ids; the constructor each value
 feeds checks it, so the library refuses exactly what loading refuses, and a
-boolean is refused for every number.  An unknown key in coefficients, in an
-alpha object or in a simulation config exits 3 naming it.
+boolean is refused for every number.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -40,6 +44,7 @@ from .netmodel import (
     RESOURCES,
     SchemaError,
     _build,
+    _object,
     natural_key,
     request_from_dict,
     substrate_from_dict,
@@ -80,71 +85,43 @@ def _load_json(path: str, what: str) -> dict:
         raise SchemaError(what, f"malformed JSON in {path}: {exc}") from exc
 
 
-# JSON key -> Coefficients field
-_COEFFICIENT_FIELDS = {"alpha": "alpha", "beta": "beta", "cost_alpha": "alpha_cost",
-                       "cost_beta": "beta_cost", "gamma": "gamma"}
-
-
 def coefficients_from_dict(doc: dict, defaults: Coefficients = None) -> Coefficients:
     """The weights of a JSON object over defaults; ``Coefficients`` checks them.
 
-    An alpha key holds one number for every resource or a {"cpu", "gpu",
-    "mem"} object.  A bad value is named by its key, and by its resource when
-    it sits in such an object.
+    Every key is a ``Coefficients`` field.  An alpha key holds one number for
+    every resource or a {"cpu", "gpu", "mem"} object.  A bad value is named
+    by its key, and by its resource when it sits in such an object.
     """
-    if not isinstance(doc, dict):
-        raise SchemaError("coefficients", "expected a JSON object")
-    _refuse_unknown_keys(doc, _COEFFICIENT_FIELDS, "coefficients")
-    fields = {}
-    for key, name in _COEFFICIENT_FIELDS.items():
-        if key in doc:
-            value = doc[key]
-            if name.startswith("alpha"):
-                if isinstance(value, dict):
-                    _refuse_unknown_keys(value, RESOURCES, f"coefficients.{key}")
-                    value = tuple(value.get(resource) for resource in RESOURCES)
-                else:
-                    value = (value,) * 3
-            fields[name] = value
+    fields = dict(_object(doc, "coefficients", (), Coefficients.__dataclass_fields__))
+    for key in ("alpha", "cost_alpha"):
+        if isinstance(fields.get(key), dict):
+            alpha = _object(fields[key], f"coefficients.{key}", RESOURCES)
+            fields[key] = tuple(alpha[resource] for resource in RESOURCES)
+        elif key in fields:
+            fields[key] = (fields[key],) * 3
     try:
         return dataclasses.replace(defaults or Coefficients(), **fields)
     except SchemaError as exc:
-        field, _, resource = exc.field.partition(".")
-        key = next(k for k, f in _COEFFICIENT_FIELDS.items() if f == field)
-        if resource and isinstance(doc[key], dict):
-            key += f".{resource}"
-        raise SchemaError(f"coefficients.{key}", exc.detail) from exc
-
-
-def _refuse_unknown_keys(doc: dict, known, where: str) -> None:
-    """Refuse a key of doc that is not in the collection known, naming it."""
-    for key in doc:
-        if key not in known:
-            raise SchemaError(f"{where}.{key}", "unknown key")
+        key = exc.field.partition(".")[0]
+        # one number given for every resource is named by its key alone
+        field = exc.field if isinstance(doc[key], dict) else key
+        raise SchemaError(f"coefficients.{field}", exc.detail) from exc
 
 
 def simulation_config_from_dict(doc: dict) -> scenario.SimulationConfig:
     """The config of a JSON object; the config classes check every value."""
-    if not isinstance(doc, dict):
-        raise SchemaError("config", "expected a JSON object")
-    _refuse_unknown_keys(doc, scenario.SimulationConfig.__dataclass_fields__, "config")
-    defaults = scenario.SimulationConfig()
-    generator = doc.get("generator", {})
-    if not isinstance(generator, dict):
-        raise SchemaError("config.generator", "expected a JSON object")
-    _refuse_unknown_keys(generator, scenario.GeneratorConfig.__dataclass_fields__,
-                         "config.generator")
-    loads = doc.get("loads", list(defaults.loads))
-    if not isinstance(loads, list):
-        raise SchemaError("config.loads", "expected a JSON list")
-    return _build("config", scenario.SimulationConfig,
-                  doc.get("substrate", defaults.substrate),
-                  tuple(loads),
-                  doc.get("iterations", defaults.iterations),
-                  doc.get("seed", defaults.seed),
-                  _build("config", coefficients_from_dict,
-                         doc.get("coefficients", {}), defaults.coefficients),
-                  _build("config.generator", scenario.GeneratorConfig, **generator))
+    fields = dict(_object(doc, "config", (),
+                          scenario.SimulationConfig.__dataclass_fields__))
+    if isinstance(fields.get("loads"), list):
+        fields["loads"] = tuple(fields["loads"])
+    fields["coefficients"] = _build("config", coefficients_from_dict,
+                                    fields.get("coefficients", {}),
+                                    scenario.SimulationConfig.coefficients)
+    generator = _object(fields.get("generator", {}), "config.generator", (),
+                        scenario.GeneratorConfig.__dataclass_fields__)
+    fields["generator"] = _build("config.generator", scenario.GeneratorConfig,
+                                 **generator)
+    return _build("config", scenario.SimulationConfig, **fields)
 
 
 def cmd_example(_args) -> int:
@@ -229,61 +206,55 @@ def cmd_embed(args) -> int:
     return EXIT_OK
 
 
-def _write_csv(path: Path, header, rows):
-    try:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise SchemaError("out", f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
 def write_results(results: scenario.SimulationResults, out_dir: Path) -> None:
     """Emit summary.csv, node_usage.csv, link_usage.csv, and raw.csv into out_dir.
 
-    A file that cannot be written raises a SchemaError naming ``out``.
+    All or none: each file is written under a temporary name, and the four
+    are renamed into place only after all are written.  A file that cannot
+    be written, or a CSV path that is a directory, raises a SchemaError
+    naming ``out`` and leaves every CSV as it was.
     """
-    summary_rows = []
-    for summary in results.summaries:
-        for metric, mean, std in [
-            ("acceptance_ratio", summary.acceptance_mean, summary.acceptance_std),
-            ("revenue", summary.revenue_mean, summary.revenue_std),
-            ("cost", summary.cost_mean, summary.cost_std),
-            ("rc_ratio", summary.rc_mean, summary.rc_std),
-        ]:
-            summary_rows.append([summary.load, metric, fmt(mean), fmt(std)])
-    _write_csv(out_dir / "summary.csv",
-               ["load", "metric", "mean", "stddev"], summary_rows)
-
-    node_rows = []
-    link_rows = []
-    for usage in results.usage:
-        for row in usage.node_rows:
-            node_rows.append([usage.load, row.node, fmt(row.services),
-                              fmt(row.cpu_used), row.cpu_total,
-                              fmt(row.gpu_used), row.gpu_total,
-                              fmt(row.mem_used), row.mem_total])
-        for row in usage.link_rows:
-            link_rows.append([usage.load, row.link, fmt(row.channels),
-                              fmt(row.bw_used), row.bw_total])
-    _write_csv(out_dir / "node_usage.csv",
-               ["load", "node", "services_mean",
-                "cpu_used_mean", "cpu_total", "gpu_used_mean", "gpu_total",
-                "mem_used_mean", "mem_total"], node_rows)
-    _write_csv(out_dir / "link_usage.csv",
-               ["load", "link", "channels_mean", "bw_used_mean", "bw_total"],
-               link_rows)
-
-    raw_rows = [
-        [row.iteration, row.load, row.accepted, row.blocked,
-         fmt(row.acceptance_ratio), fmt(row.revenue), fmt(row.cost),
-         fmt(row.rc_ratio)]
-        for row in results.raw_rows
-    ]
-    _write_csv(out_dir / "raw.csv",
-               ["iteration", "load", "accepted", "blocked",
-                "acceptance_ratio", "revenue", "cost", "rc_ratio"], raw_rows)
+    tables = {
+        "summary.csv": (["load", "metric", "mean", "stddev"], [
+            [s.load, metric, fmt(mean), fmt(std)]
+            for s in results.summaries
+            for metric, mean, std in [("acceptance_ratio", s.acceptance_mean,
+                                       s.acceptance_std),
+                                      ("revenue", s.revenue_mean, s.revenue_std),
+                                      ("cost", s.cost_mean, s.cost_std),
+                                      ("rc_ratio", s.rc_mean, s.rc_std)]]),
+        "node_usage.csv": (["load", "node", "services_mean", "cpu_used_mean", "cpu_total",
+                            "gpu_used_mean", "gpu_total", "mem_used_mean", "mem_total"], [
+            [usage.load, row.node, fmt(row.services), fmt(row.cpu_used), row.cpu_total,
+             fmt(row.gpu_used), row.gpu_total, fmt(row.mem_used), row.mem_total]
+            for usage in results.usage for row in usage.node_rows]),
+        "link_usage.csv": (["load", "link", "channels_mean", "bw_used_mean", "bw_total"], [
+            [usage.load, row.link, fmt(row.channels), fmt(row.bw_used), row.bw_total]
+            for usage in results.usage for row in usage.link_rows]),
+        "raw.csv": (["iteration", "load", "accepted", "blocked",
+                     "acceptance_ratio", "revenue", "cost", "rc_ratio"], [
+            [row.iteration, row.load, row.accepted, row.blocked, fmt(row.acceptance_ratio),
+             fmt(row.revenue), fmt(row.cost), fmt(row.rc_ratio)]
+            for row in results.raw_rows]),
+    }
+    temporaries = {out_dir / f".{name}.tmp": out_dir / name for name in tables}
+    try:
+        for (temporary, path), (header, rows) in zip(temporaries.items(),
+                                                     tables.values()):
+            if path.is_dir():   # its rename would fail after the others are done
+                raise IsADirectoryError(errno.EISDIR, "Is a directory")
+            with open(temporary, "w", newline="") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(header)
+                writer.writerows(rows)
+        for temporary, path in temporaries.items():
+            os.replace(temporary, path)
+    except OSError as exc:
+        raise SchemaError("out", f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:   # only a failure leaves one behind
+        for temporary in temporaries:
+            with contextlib.suppress(OSError):
+                temporary.unlink()
 
 
 def cmd_simulate(args) -> int:

@@ -39,6 +39,7 @@ from .netmodel import (
     SubstrateNetwork,
     VirtualRequest,
     _check,
+    _shown,
     fits,
     natural_key,
     reserve_channel,
@@ -75,8 +76,8 @@ def _resource_sum(weights: tuple, service: NanoService) -> float:
 class Coefficients:
     """Revenue/cost/ordering weights.
 
-    alpha and alpha_cost weight node resources in (cpu, gpu, mem) order; beta
-    and beta_cost weight channel bandwidth; gamma weights the reliability over
+    alpha and cost_alpha weight node resources in (cpu, gpu, mem) order; beta
+    and cost_beta weight channel bandwidth; gamma weights the reliability over
     delay quality term used only for ordering.  Every weight is stored as a
     float.  An alpha that is not a 3-tuple, or a weight that is not a finite
     number, raises a SchemaError naming the field (``alpha.cpu`` for one
@@ -85,19 +86,20 @@ class Coefficients:
 
     alpha: tuple = (1.0, 1.0, 1.0)
     beta: float = 1.0
-    alpha_cost: tuple = (1.0, 1.0, 1.0)
-    beta_cost: float = 1.0
+    cost_alpha: tuple = (1.0, 1.0, 1.0)
+    cost_beta: float = 1.0
     gamma: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha", "alpha_cost"):
+        for name in ("alpha", "cost_alpha"):
             value = getattr(self, name)
             if not (isinstance(value, tuple) and len(value) == 3):
-                raise SchemaError(name, f"expected a (cpu, gpu, mem) tuple, got {value!r}")
+                raise SchemaError(name, "expected a (cpu, gpu, mem) tuple, "
+                                  f"got {_shown(value)}")
             object.__setattr__(self, name, tuple(
                 float(_check(f"{name}.{resource}", weight, _REAL, -_HUGE, _HUGE))
                 for resource, weight in zip(RESOURCES, value)))
-        for name in ("beta", "beta_cost", "gamma"):
+        for name in ("beta", "cost_beta", "gamma"):
             object.__setattr__(self, name, float(
                 _check(name, getattr(self, name), _REAL, -_HUGE, _HUGE)))
 
@@ -105,7 +107,7 @@ class Coefficients:
         return _resource_sum(self.alpha, service)
 
     def node_cost_term(self, service: NanoService) -> float:
-        return _resource_sum(self.alpha_cost, service)
+        return _resource_sum(self.cost_alpha, service)
 
 
 @dataclass

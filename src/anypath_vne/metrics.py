@@ -32,7 +32,7 @@ def cost(request: VirtualRequest, embedding: Embedding,
          coeffs: Coefficients) -> float:
     """Weighted resources actually consumed; each channel pays per route link."""
     value = sum(coeffs.node_cost_term(s) for s in request.services.values())
-    value += coeffs.beta_cost * sum(
+    value += coeffs.cost_beta * sum(
         c.bw * len(embedding.channel_routes[c.id].links)
         for c in request.channels)
     return value

@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import reprlib
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -75,6 +76,15 @@ _TINY = math.ulp(0.0)
 _HUGE = sys.float_info.max
 
 
+def _shown(value) -> str:
+    """A short repr of value for an error message, at most 80 characters; an
+    int too long for repr (over 4300 digits) is shown by its size."""
+    try:
+        return reprlib.repr(value)[:80]
+    except ValueError:
+        return f"an int of {value.bit_length()} bits"
+
+
 def _check(name: str, value, kinds, low, high, owner=None):
     """value when it is one of kinds, not a bool, in [low, high]; else a
     SchemaError naming the field, and the owner object by its id when given.
@@ -85,7 +95,7 @@ def _check(name: str, value, kinds, low, high, owner=None):
         kind = "an integer" if kinds is int else "a number"
         label = "" if owner is None else f"{type(owner).__name__} {owner.id}: "
         raise SchemaError(name, f"{label}expected {kind} in [{low}, {high}], "
-                          f"got {value!r}")
+                          f"got {_shown(value)}")
     return value
 
 
@@ -96,7 +106,7 @@ def _check_functionals(owner) -> frozenset:
     if not isinstance(value, (list, tuple, set, frozenset)) or (
             value and not all(isinstance(label, str) for label in value)):
         raise SchemaError("functionals", f"{type(owner).__name__} {owner.id}: "
-                          f"expected a list of strings, got {value!r}")
+                          f"expected a list of strings, got {_shown(value)}")
     return frozenset(value)
 
 
@@ -455,28 +465,40 @@ def rollback(net: SubstrateNetwork, ledger: list) -> None:
 
 # --- JSON-friendly (de)serialization -----------------------------------------
 
-def _require(doc: dict, key: str, where: str):
-    """doc[key]; a SchemaError when doc is not an object or lacks the key."""
+def _object(doc: dict, where: str, required, optional=()) -> dict:
+    """doc when it is a JSON object holding every key of required and no key
+    outside required and optional; else a SchemaError naming the place
+    (``where``, or ``where.key`` for a missing or unknown key)."""
     if not isinstance(doc, dict):
         raise SchemaError(where, "expected a JSON object")
-    if key not in doc:
-        raise SchemaError(f"{where}.{key}", "missing required field")
-    return doc[key]
-
-
-def _list(doc: dict, key: str, where: str) -> list:
-    value = _require(doc, key, where)
-    if not isinstance(value, list):
-        raise SchemaError(f"{where}.{key}", "expected a JSON list")
-    return value
+    for key in required:
+        if key not in doc:
+            raise SchemaError(f"{where}.{key}", "missing required field")
+    for key in doc:
+        if key not in required and key not in optional:
+            raise SchemaError(f"{where}.{key}", "unknown key")
+    return doc
 
 
 def _id(doc: dict, key: str, where: str) -> str:
-    """A required id, string or integer, as a string."""
-    value = _require(doc, key, where)
+    """The id doc[key], string or integer, as a string."""
+    value = doc[key]
     if not isinstance(value, (str, int)) or isinstance(value, bool):
-        raise SchemaError(f"{where}.{key}", f"expected a string or an int, got {value!r}")
+        raise SchemaError(f"{where}.{key}",
+                          f"expected a string or an int, got {_shown(value)}")
     return str(value)
+
+
+def _objects(doc: dict, key: str, where: str, ids, values, optional=()):
+    """(place, fields) of each JSON object in the list doc[key]; fields holds
+    the ids as strings, the values and those of optional the object has."""
+    items = doc[key]
+    if not isinstance(items, list):
+        raise SchemaError(f"{where}.{key}", "expected a JSON list")
+    for i, item in enumerate(items):
+        place = f"{key}[{i}]"
+        item = _object(item, place, ids + values, optional)
+        yield place, {**item, **{name: _id(item, name, place) for name in ids}}
 
 
 def _build(where: str, make, /, *args, **kwargs):
@@ -505,22 +527,18 @@ def substrate_to_dict(net: SubstrateNetwork) -> dict:
 def substrate_from_dict(doc: dict) -> SubstrateNetwork:
     """Build a substrate from JSON data; capacities are taken as originals.
 
-    Only the document's shape and its ids are checked here; the constructors
-    check every value, named by its place (``links[2].pdr``).
+    Only the document's shape and its ids are checked here, and every object
+    refuses a key it does not know; the constructors check every value,
+    named by its place (``links[2].pdr``).
     """
+    doc = _object(doc, "substrate", ("nodes", "links"))
     net = SubstrateNetwork()
-    nodes = _list(doc, "nodes", "substrate")
-    links = _list(doc, "links", "substrate")
-    for i, nd in enumerate(nodes):
-        where = f"nodes[{i}]"
-        _build(where, net.add_node, _id(nd, "id", where),
-               _require(nd, "cpu", where), _require(nd, "gpu", where),
-               _require(nd, "mem", where), nd.get("functionals", ()))
-    for i, ld in enumerate(links):
-        where = f"links[{i}]"
-        _build(where, net.add_link, _id(ld, "id", where), _id(ld, "a", where),
-               _id(ld, "b", where), _require(ld, "bw", where),
-               _require(ld, "delay", where), _require(ld, "pdr", where))
+    for where, fields in _objects(doc, "nodes", "substrate", ("id",), RESOURCES,
+                                  ("functionals",)):
+        _build(where, net.add_node, fields.pop("id"), **fields)
+    for where, fields in _objects(doc, "links", "substrate", ("id", "a", "b"),
+                                  ("bw", "delay", "pdr")):
+        _build(where, net.add_link, fields.pop("id"), **fields)
     return net
 
 
@@ -542,20 +560,12 @@ def request_to_dict(request: VirtualRequest) -> dict:
 
 def request_from_dict(doc: dict) -> VirtualRequest:
     """Build a request from JSON data; checked as ``substrate_from_dict`` is."""
-    services = _list(doc, "services", "request")
-    channels = _list(doc, "channels", "request")
-    request = VirtualRequest(str(doc.get("id", "request")))
-    for i, sd in enumerate(services):
-        where = f"services[{i}]"
-        service = _build(where, NanoService, _id(sd, "id", where),
-                         _require(sd, "cpu", where), _require(sd, "gpu", where),
-                         _require(sd, "mem", where), sd.get("functionals", ()))
-        _build(where, request.add_service, service)
-    for i, cd in enumerate(channels):
-        where = f"channels[{i}]"
-        channel = _build(where, Channel, _id(cd, "id", where), _id(cd, "src", where),
-                         _id(cd, "dst", where), _require(cd, "bw", where),
-                         _require(cd, "max_delay", where),
-                         _require(cd, "min_pdr", where))
-        _build(where, request.add_channel, channel)
+    doc = _object(doc, "request", ("services", "channels"), ("id",))
+    request = VirtualRequest(_id(doc, "id", "request") if "id" in doc else "request")
+    for where, fields in _objects(doc, "services", "request", ("id",), RESOURCES,
+                                  ("functionals",)):
+        _build(where, request.add_service, _build(where, NanoService, **fields))
+    for where, fields in _objects(doc, "channels", "request", ("id", "src", "dst"),
+                                  ("bw", "max_delay", "min_pdr")):
+        _build(where, request.add_channel, _build(where, Channel, **fields))
     return request

@@ -17,7 +17,7 @@ import numpy as np
 from .embedder import Coefficients
 from .metrics import LinkUsage, NodeUsage, metrics_report
 from .netmodel import (_REAL, Channel, NanoService, SchemaError, SubstrateNetwork,
-                       VirtualRequest, _check, natural_key)
+                       VirtualRequest, _check, _shown, natural_key)
 from .windowing import process_window
 
 
@@ -131,8 +131,8 @@ class GeneratorConfig:
         _check("gpu_prob", self.gpu_prob, _REAL, 0, 1)
         _check("channel_prob", self.channel_prob, _REAL, 0, 1)
         if not isinstance(self.ordered_pairs, bool):
-            raise SchemaError("ordered_pairs",
-                              f"expected true or false, got {self.ordered_pairs!r}")
+            raise SchemaError("ordered_pairs", "expected true or false, "
+                              f"got {_shown(self.ordered_pairs)}")
 
 
 @dataclass(frozen=True)
@@ -146,15 +146,16 @@ class SimulationConfig:
     seed: int = 1
     coefficients: Coefficients = Coefficients(
         alpha=(1.0, 1.0, 1.0), beta=3.0,
-        alpha_cost=(1.0, 1.0, 1.0), beta_cost=3.0, gamma=3000.0)
+        cost_alpha=(1.0, 1.0, 1.0), cost_beta=3.0, gamma=3000.0)
     generator: GeneratorConfig = GeneratorConfig()
 
     def __post_init__(self):
         if not (isinstance(self.substrate, str) and self.substrate in SUBSTRATE_FIXTURES):
             raise SchemaError("substrate", f"expected one of {sorted(SUBSTRATE_FIXTURES)}, "
-                              f"got {self.substrate!r}")
+                              f"got {_shown(self.substrate)}")
         if not (isinstance(self.loads, tuple) and self.loads):
-            raise SchemaError("loads", f"expected a non-empty tuple, got {self.loads!r}")
+            raise SchemaError("loads",
+                              f"expected a non-empty tuple, got {_shown(self.loads)}")
         for load in self.loads:
             _check("loads", load, int, 1, MAX_LOAD)
         _check("iterations", self.iterations, int, 1, MAX_ITERATIONS)

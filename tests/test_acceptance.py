@@ -242,7 +242,7 @@ def test_criterion_4g_single_link_routes_unit_ratio():
         beta = float(rng.uniform(0.5, 4.0))
         alpha = tuple(float(x) for x in rng.uniform(0.5, 2.0, size=3))
         coeffs = Coefficients(alpha=alpha, beta=beta,
-                              alpha_cost=alpha, beta_cost=beta)
+                              cost_alpha=alpha, cost_beta=beta)
         net = SubstrateNetwork()
         cpu1 = int(rng.integers(1, 40))
         mem2 = int(rng.integers(1, 40))

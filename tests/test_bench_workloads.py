@@ -1,0 +1,26 @@
+"""Smoke test of the benchmark workloads: each one sets up, runs one item and
+passes its reference check against the library as it is.
+
+The workloads import library entry points of their own (``request_to_dict``,
+``iteration_pool``, ``Embedding.to_dict``, ``cli.main``), so this fails as
+soon as one of them is removed or changes its output.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.mark.parametrize("name", ["mesh10-sweep", "chain-1000", "spread-240"])
+def test_workload_runs_one_checked_item(name, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # leave bench/ as it is
+    workloads = importlib.import_module("workloads")
+    workload = workloads.WORKLOADS[name](1, tmp_path)
+    ops = workload.setup() + workload.run_item(0) + workload.check_reference()
+    assert ops
+    assert [op for op in ops if op.failed] == []

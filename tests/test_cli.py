@@ -175,6 +175,27 @@ def test_simulate_out_that_cannot_be_a_directory_fails_before_the_sweep(
     assert str(out / "summary.csv") in detail["error"]
 
 
+@pytest.mark.parametrize("blocked", ["raw.csv", ".raw.csv.tmp"])
+def test_write_results_writes_all_four_csvs_or_none(tmp_path, blocked):
+    # raw.csv is written last; a directory in the way of the file or of its
+    # temporary fails the write after the other three are rendered
+    results = scenario.run_simulation(scenario.SimulationConfig(iterations=1, loads=(2,)))
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    (out / "summary.csv").write_text("old")
+    with pytest.raises(SchemaError) as info:
+        cli.write_results(results, out)
+    assert info.value.field == "out"
+    assert str(out / "raw.csv") in str(info.value)
+    assert (out / "summary.csv").read_text() == "old"
+    assert sorted(path.name for path in out.iterdir()) == sorted([blocked, "summary.csv"])
+    (out / blocked).rmdir()
+    cli.write_results(results, out)
+    assert sorted(path.name for path in out.iterdir()) \
+        == ["link_usage.csv", "node_usage.csv", "raw.csv", "summary.csv"]
+    assert (out / "summary.csv").read_text().startswith("load,metric")
+
+
 def test_unknown_flag_is_input_error(capsys):
     assert cli.main(["simulate", "--bogus"]) == cli.EXIT_INPUT
 
@@ -295,6 +316,12 @@ def _replace(part, index, value):
     return edit
 
 
+def _put(key, value):
+    def edit(doc):
+        doc[key] = value
+    return edit
+
+
 def _append_copy(part, index):
     def edit(doc):
         doc[part].append(dict(doc[part][index]))
@@ -338,6 +365,19 @@ BAD_EMBED_INPUTS = {
     "bool_node_cpu": ("substrate", _set("nodes", 1, "cpu", True), "nodes[1].cpu"),
     "max_delay_infinite": ("request", _set("channels", 1, "max_delay", math.inf),
                            "channels[1].max_delay"),
+    # a misspelt key is refused in every object, not dropped with its value
+    "misspelt_node_functionals": ("substrate", _set("nodes", 0, "functionls", ["GPS"]),
+                                  "nodes[0].functionls"),
+    "misspelt_link_key": ("substrate", _set("links", 1, "pdrr", 0.5), "links[1].pdrr"),
+    "misspelt_service_functionals": ("request",
+                                     _set("services", 0, "functionls", ["GPS"]),
+                                     "services[0].functionls"),
+    "misspelt_channel_key": ("request", _set("channels", 2, "max_dealy", 1.0),
+                             "channels[2].max_dealy"),
+    "unknown_substrate_key": ("substrate", _put("node", []), "substrate.node"),
+    "unknown_request_key": ("request", _put("service", []), "request.service"),
+    "request_id_null": ("request", _put("id", None), "request.id"),
+    "request_id_list": ("request", _put("id", ["app"]), "request.id"),
 }
 
 

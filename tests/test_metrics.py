@@ -96,7 +96,7 @@ def test_single_link_routes_give_unit_ratio():
     request.add_service(NanoService("s2", mem=20))
     request.add_channel(Channel("c1", "s1", "s2", bw=10, max_delay=100.0,
                                 min_pdr=0.5))
-    coeffs = Coefficients(beta=2.0, beta_cost=2.0)
+    coeffs = Coefficients(beta=2.0, cost_beta=2.0)
     outcome = process_window(net, [request], coeffs)
     assert len(outcome.accepted) == 1
     assert len(outcome.accepted[0].embedding.channel_routes["c1"].links) == 1

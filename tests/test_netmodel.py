@@ -321,6 +321,26 @@ def test_service_refuses_bad_demands(field, value):
     assert info.value.field == field
 
 
+@pytest.mark.parametrize("make, field", [
+    # repr raises ValueError for an int of more than 4300 digits
+    (lambda: NanoService("s", cpu=10**5000), "cpu"),
+    (lambda: NanoService("s", functionals="x" * 10**6), "functionals"),
+    (lambda: SubstrateNetwork().add_link("l1", "a", "b", bw=1, delay=1.0,
+                                         pdr=[0.5] * 10**5), "pdr"),
+    (lambda: request_from_dict({"id": ["x" * 10**6], "services": [], "channels": []}),
+     "request.id"),
+    (lambda: substrate_from_dict({"nodes": [{"id": {"x": "y" * 10**6}, "cpu": 1,
+                                             "gpu": 1, "mem": 1}], "links": []}),
+     "nodes[0].id"),
+], ids=["huge_int", "long_string", "long_list", "long_request_id", "object_node_id"])
+def test_a_refused_value_gives_a_short_message(make, field):
+    with pytest.raises(SchemaError) as info:
+        make()
+    assert type(info.value) is SchemaError
+    assert info.value.field == field
+    assert len(str(info.value)) < 200
+
+
 @pytest.mark.parametrize("value", [2.5, True, -1, math.nan, "3", None])
 def test_channel_refuses_a_bandwidth_that_is_not_a_count(value):
     with pytest.raises(SchemaError) as info:

@@ -180,8 +180,8 @@ _FIELD_JUNK = {
     "seed": ["3", True, 2.5, math.nan, None, [3], -10**30],
     "coefficients": ["x", True, 1.5, math.nan, None, [1.0], 10**30, {}],
     "generator": ["x", True, 1.5, math.nan, None, [2], 10**30, {}],
-    **{name: _WEIGHT_JUNK for name in ("beta", "beta_cost", "gamma")},
-    **{name: _TRIPLE_JUNK for name in ("alpha", "alpha_cost")},
+    **{name: _WEIGHT_JUNK for name in ("beta", "cost_beta", "gamma")},
+    **{name: _TRIPLE_JUNK for name in ("alpha", "cost_alpha")},
     **{name: _COUNT_JUNK for name in ("cpu", "gpu", "mem", "bw")},
     "delay": _DELAY_JUNK,
     "max_delay": _DELAY_JUNK,
@@ -246,9 +246,12 @@ _READER_CASES = [case for case in _JUNK_CASES if case[0] in _DOCUMENTS]
                          ids=_case_ids(_READER_CASES))
 def test_reader_junk_raises_schema_error_naming_the_place(config, name, value):
     node, service = _CONFIGS[SubstrateNode], _CONFIGS[NanoService]
-    doc = {"nodes": [node, {**node, "id": "n2"}], "links": [_CONFIGS[SubstrateLink]],
-           "services": [service, {**service, "id": "s2"}], "channels": [_CONFIGS[Channel]]}
     part, reader = _DOCUMENTS[config]
+    # each reader gets its own document: a key of the other is unknown to it
+    doc = ({"nodes": [node, {**node, "id": "n2"}], "links": [_CONFIGS[SubstrateLink]]}
+           if reader is substrate_from_dict else
+           {"services": [service, {**service, "id": "s2"}],
+            "channels": [_CONFIGS[Channel]]})
     reader(doc)   # valid before the junk goes in
     doc[part][0] = {**doc[part][0], name: value}
     with pytest.raises(SchemaError) as info:
