@@ -17,7 +17,9 @@ Every JSON object refuses a key it does not know, naming it
 (``services[0].functionls``), and every key is named after the field it sets.
 Loading checks only the JSON shape and the ids; the constructor each value
 feeds checks it, so the library refuses exactly what loading refuses, and a
-boolean is refused for every number.
+boolean is refused for every number.  A link joins two distinct nodes of the
+document, at most one link per pair, so a substrate that loads is valid;
+``embed`` checks it again only after embedding, for exit 4.
 """
 
 from __future__ import annotations
@@ -166,20 +168,12 @@ def cmd_example(_args) -> int:
 
 def cmd_validate(args) -> int:
     net = substrate_from_dict(_load_json(args.substrate, "substrate"))
-    report = validate_substrate(net)
-    for violation in report:
-        print(violation)
-    if report:
-        return EXIT_INPUT
     print(f"substrate ok: {len(net.nodes)} nodes, {len(net.links)} links")
     return EXIT_OK
 
 
 def cmd_embed(args) -> int:
     net = substrate_from_dict(_load_json(args.substrate, "substrate"))
-    violations = validate_substrate(net)
-    if violations:
-        raise SchemaError("substrate", "; ".join(violations))
     request = request_from_dict(_load_json(args.request, "request"))
     coeffs = Coefficients()
     if args.coeffs:
@@ -188,7 +182,7 @@ def cmd_embed(args) -> int:
         embedding = embed(net, request, coeffs)
     except EmbeddingError as exc:
         embedding, blocked = None, exc
-    # the input passed these checks, so a violation now is the embedder's fault
+    # loading refuses an invalid substrate, so a violation now is the embedder's fault
     violations = validate_substrate(net)
     if violations:
         print("internal error: embedding left the substrate invalid: "

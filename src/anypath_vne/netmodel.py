@@ -85,6 +85,14 @@ def _shown(value) -> str:
         return f"an int of {value.bit_length()} bits"
 
 
+def _cut(name) -> str:
+    """An id or key for an error message: a string of at most 80 characters
+    as it is, a longer one cut to 80, anything else as ``_shown`` gives it."""
+    if not isinstance(name, str):
+        return _shown(name)
+    return name if len(name) <= 80 else name[:77] + "..."
+
+
 def _check(name: str, value, kinds, low, high, owner=None):
     """value when it is one of kinds, not a bool, in [low, high]; else a
     SchemaError naming the field, and the owner object by its id when given.
@@ -93,7 +101,7 @@ def _check(name: str, value, kinds, low, high, owner=None):
     if not (isinstance(value, kinds) and not isinstance(value, bool)
             and low <= value <= high):
         kind = "an integer" if kinds is int else "a number"
-        label = "" if owner is None else f"{type(owner).__name__} {owner.id}: "
+        label = "" if owner is None else f"{type(owner).__name__} {_cut(owner.id)}: "
         raise SchemaError(name, f"{label}expected {kind} in [{low}, {high}], "
                           f"got {_shown(value)}")
     return value
@@ -105,44 +113,45 @@ def _check_functionals(owner) -> frozenset:
     value = owner.functionals
     if not isinstance(value, (list, tuple, set, frozenset)) or (
             value and not all(isinstance(label, str) for label in value)):
-        raise SchemaError("functionals", f"{type(owner).__name__} {owner.id}: "
+        raise SchemaError("functionals", f"{type(owner).__name__} {_cut(owner.id)}: "
                           f"expected a list of strings, got {_shown(value)}")
     return frozenset(value)
 
 
 @dataclass
 class SubstrateNode:
-    """A compute node. cpu/gpu/mem are the mutable available units."""
+    """A compute node. cpu/gpu/mem are the mutable available units, and
+    cpu0/gpu0/mem0 the capacities it was built with."""
 
     id: str
     cpu: int
     gpu: int
     mem: int
     functionals: frozenset = frozenset()
-    cpu0: int = None
-    gpu0: int = None
-    mem0: int = None
+    cpu0: int = field(init=False)
+    gpu0: int = field(init=False)
+    mem0: int = field(init=False)
 
     def __post_init__(self):
-        _check("cpu", self.cpu, int, 0, _HUGE, self)
-        _check("gpu", self.gpu, int, 0, _HUGE, self)
-        _check("mem", self.mem, int, 0, _HUGE, self)
+        self.cpu0 = _check("cpu", self.cpu, int, 0, _HUGE, self)
+        self.gpu0 = _check("gpu", self.gpu, int, 0, _HUGE, self)
+        self.mem0 = _check("mem", self.mem, int, 0, _HUGE, self)
         self.functionals = _check_functionals(self)
-        # original capacities default to the initial available amounts
-        if self.cpu0 is None:
-            self.cpu0 = self.cpu
-        if self.gpu0 is None:
-            self.gpu0 = self.gpu
-        if self.mem0 is None:
-            self.mem0 = self.mem
 
     def available(self) -> tuple[int, int, int]:
         return (self.cpu, self.gpu, self.mem)
 
+    def _copy(self) -> "SubstrateNode":
+        dup = object.__new__(SubstrateNode)   # checked when self was built
+        dup.id, dup.cpu, dup.gpu, dup.mem = self.id, self.cpu, self.gpu, self.mem
+        dup.functionals, dup.cpu0, dup.gpu0, dup.mem0 = (
+            self.functionals, self.cpu0, self.gpu0, self.mem0)
+        return dup
+
 
 @dataclass
 class SubstrateLink:
-    """An undirected link with symmetric delay and pdr, both stored as floats."""
+    """An undirected link with symmetric float delay and pdr; bw0 is its built bw."""
 
     id: str
     a: str
@@ -150,18 +159,19 @@ class SubstrateLink:
     bw: int
     delay: float
     pdr: float
-    bw0: int = None
+    bw0: int = field(init=False)
 
     def __post_init__(self):
-        _check("bw", self.bw, int, 0, _HUGE, self)
+        self.bw0 = _check("bw", self.bw, int, 0, _HUGE, self)
         self.delay = float(_check("delay", self.delay, _REAL, _TINY, _HUGE, self))
         # below 2**-53, 1 - pdr rounds to 1 and a hyperlink's reliability to 0
         self.pdr = float(_check("pdr", self.pdr, _REAL, 2.0 ** -53, 1, self))
-        if self.bw0 is None:
-            self.bw0 = self.bw
 
-    def endpoints(self) -> frozenset:
-        return frozenset((self.a, self.b))
+    def _copy(self) -> "SubstrateLink":
+        dup = object.__new__(SubstrateLink)   # checked when self was built
+        dup.id, dup.a, dup.b, dup.bw = self.id, self.a, self.b, self.bw
+        dup.delay, dup.pdr, dup.bw0 = self.delay, self.pdr, self.bw0
+        return dup
 
 
 @dataclass
@@ -194,7 +204,8 @@ class Channel:
 
     def __post_init__(self):
         if self.src == self.dst:
-            raise SchemaError("dst", f"channel {self.id} connects a service to itself")
+            raise SchemaError("dst", f"channel {_cut(self.id)} connects a service "
+                              "to itself")
         _check("bw", self.bw, int, 0, _HUGE, self)
         self.max_delay = float(_check("max_delay", self.max_delay, _REAL,
                                       _TINY, _HUGE, self))
@@ -216,17 +227,17 @@ class VirtualRequest:
 
     def add_service(self, service: NanoService) -> NanoService:
         if service.id in self.services:
-            raise SchemaError("id", f"duplicate service id {service.id}")
+            raise SchemaError("id", f"duplicate service id {_cut(service.id)}")
         self.services[service.id] = service
         return service
 
     def add_channel(self, channel: Channel) -> Channel:
         for end, sid in (("src", channel.src), ("dst", channel.dst)):
             if sid not in self.services:
-                raise SchemaError(
-                    end, f"channel {channel.id} references unknown service {sid}")
+                raise SchemaError(end, f"channel {_cut(channel.id)} references "
+                                  f"unknown service {_cut(sid)}")
         if any(c.id == channel.id for c in self.channels):
-            raise SchemaError("id", f"duplicate channel id {channel.id}")
+            raise SchemaError("id", f"duplicate channel id {_cut(channel.id)}")
         self.channels.append(channel)
         return channel
 
@@ -262,11 +273,7 @@ class Topology:
         ends, delay, pdr, weight = [], [], [], []
         adjacency = [[] for _ in self.nodes]
         for k, link in enumerate(net.links.values()):
-            try:
-                a, b = self.index[link.a], self.index[link.b]
-            except KeyError as exc:
-                raise SchemaError(f"links[{k}]", f"link {link.id} has dangling "
-                                  f"endpoint {exc.args[0]}") from None
+            a, b = self.index[link.a], self.index[link.b]
             ends += (a, b)
             delay += (link.delay, link.delay)
             pdr += (link.pdr, link.pdr)
@@ -300,7 +307,7 @@ class SubstrateNetwork:
     def add_node(self, node_id: str, cpu: int, gpu: int, mem: int,
                  functionals: Iterable[str] = ()) -> SubstrateNode:
         if node_id in self.nodes:
-            raise SchemaError("id", f"duplicate node id {node_id}")
+            raise SchemaError("id", f"duplicate node id {_cut(node_id)}")
         node = SubstrateNode(node_id, cpu, gpu, mem, functionals)
         self.nodes[node_id] = node
         self._topology = None
@@ -308,20 +315,21 @@ class SubstrateNetwork:
 
     def add_link(self, link_id: str, a: str, b: str, bw: int,
                  delay: float, pdr: float) -> SubstrateLink:
+        """Add a link between two nodes; self-loops and parallel links are allowed."""
         if link_id in self.links:
-            raise SchemaError("id", f"duplicate link id {link_id}")
+            raise SchemaError("id", f"duplicate link id {_cut(link_id)}")
         link = SubstrateLink(link_id, a, b, bw, delay, pdr)
+        for end, node_id in (("a", a), ("b", b)):
+            if node_id not in self.nodes:
+                raise SchemaError(end, f"link {_cut(link_id)}: endpoint "
+                                  f"{_cut(node_id)} is not a node")
         self.links[link_id] = link
         self._topology = None
         self._eligible = {}
         return link
 
     def topology(self) -> Topology:
-        """The static structure, built on first use after the last add_node/add_link.
-
-        Raises SchemaError naming the link when a link has an endpoint that is
-        not a node.
-        """
+        """The static structure, built on first use after the last add_node/add_link."""
         if self._topology is None:
             self._topology = Topology(self)
         return self._topology
@@ -344,15 +352,13 @@ class SubstrateNetwork:
         """Copy of the capacities.
 
         The topology, the eligible-link memo and the capability sets are shared.
+        Nodes and links are copied field by field, without the checks they
+        passed when built; copying their ``__dict__`` instead makes later
+        attribute reads, on the copy and the original, slower on CPython 3.11.
         """
         dup = SubstrateNetwork()
-        for node in self.nodes.values():
-            dup.nodes[node.id] = SubstrateNode(
-                node.id, node.cpu, node.gpu, node.mem, node.functionals,
-                node.cpu0, node.gpu0, node.mem0)
-        for link in self.links.values():
-            dup.links[link.id] = SubstrateLink(
-                link.id, link.a, link.b, link.bw, link.delay, link.pdr, link.bw0)
+        dup.nodes = {nid: node._copy() for nid, node in self.nodes.items()}
+        dup.links = {lid: link._copy() for lid, link in self.links.items()}
         dup._topology = self.topology()
         dup._eligible = self._eligible
         return dup
@@ -373,40 +379,23 @@ def _is_int(value) -> bool:
 def validate_substrate(net: SubstrateNetwork) -> list[str]:
     """Return a list of invariant violations; an empty list means valid.
 
-    Only what the constructors cannot see is checked: capacities, which change
-    after construction, against their originals, and links against the nodes
-    and each other (dangling endpoints, self-loops, duplicate pairs).
+    A substrate's structure and values are checked once, when it is built, so
+    only what changes afterwards is checked here: each capacity against its
+    original.
     """
+    capacities = [(f"node {_cut(node.id)}", f"{name} capacity", getattr(node, name),
+                   getattr(node, name + "0"))
+                  for node in net.nodes.values() for name in RESOURCES]
+    capacities += [(f"link {_cut(link.id)}", "bandwidth", link.bw, link.bw0)
+                   for link in net.links.values()]
     report = []
-    for node in net.nodes.values():
-        for name in RESOURCES:
-            avail = getattr(node, name)
-            orig = getattr(node, name + "0")
-            if not (_is_int(avail) and _is_int(orig)):
-                report.append(f"node {node.id}: non-integer {name} capacity")
-            elif avail < 0 or orig < 0:
-                report.append(f"node {node.id}: negative {name} capacity")
-            elif avail > orig:
-                report.append(f"node {node.id}: available {name} exceeds original")
-    seen_pairs = {}
-    for link in net.links.values():
-        if link.a == link.b:
-            report.append(f"link {link.id}: self-loop at {link.a}")
-        for end in (link.a, link.b):
-            if end not in net.nodes:
-                report.append(f"link {link.id}: dangling endpoint {end}")
-        if not (_is_int(link.bw) and _is_int(link.bw0)):
-            report.append(f"link {link.id}: non-integer bandwidth")
-        elif link.bw < 0 or link.bw0 < 0:
-            report.append(f"link {link.id}: negative bandwidth")
-        elif link.bw > link.bw0:
-            report.append(f"link {link.id}: available bandwidth exceeds original")
-        pair = link.endpoints()
-        if pair in seen_pairs:
-            report.append(
-                f"link {link.id}: duplicates pair of link {seen_pairs[pair]}")
-        else:
-            seen_pairs[pair] = link.id
+    for owner, what, avail, orig in capacities:
+        if not (_is_int(avail) and _is_int(orig)):
+            report.append(f"{owner}: non-integer {what}")
+        elif avail < 0 or orig < 0:
+            report.append(f"{owner}: negative {what}")
+        elif avail > orig:
+            report.append(f"{owner}: available {what} exceeds original")
     return report
 
 
@@ -476,17 +465,20 @@ def _object(doc: dict, where: str, required, optional=()) -> dict:
             raise SchemaError(f"{where}.{key}", "missing required field")
     for key in doc:
         if key not in required and key not in optional:
-            raise SchemaError(f"{where}.{key}", "unknown key")
+            raise SchemaError(f"{where}.{_cut(key)}", "unknown key")
     return doc
 
 
 def _id(doc: dict, key: str, where: str) -> str:
     """The id doc[key], string or integer, as a string."""
     value = doc[key]
-    if not isinstance(value, (str, int)) or isinstance(value, bool):
-        raise SchemaError(f"{where}.{key}",
-                          f"expected a string or an int, got {_shown(value)}")
-    return str(value)
+    try:
+        if isinstance(value, (str, int)) and not isinstance(value, bool):
+            return str(value)
+    except ValueError:   # str() refuses an int of more than 4300 digits
+        pass
+    raise SchemaError(f"{where}.{key}", "expected a string or an int of at most "
+                      f"4300 digits, got {_shown(value)}")
 
 
 def _objects(doc: dict, key: str, where: str, ids, values, optional=()):
@@ -529,16 +521,26 @@ def substrate_from_dict(doc: dict) -> SubstrateNetwork:
 
     Only the document's shape and its ids are checked here, and every object
     refuses a key it does not know; the constructors check every value,
-    named by its place (``links[2].pdr``).
+    named by its place (``links[2].pdr``).  Unlike the library, the format
+    refuses a self-loop and a second link between one pair of nodes.
     """
     doc = _object(doc, "substrate", ("nodes", "links"))
     net = SubstrateNetwork()
     for where, fields in _objects(doc, "nodes", "substrate", ("id",), RESOURCES,
                                   ("functionals",)):
         _build(where, net.add_node, fields.pop("id"), **fields)
+    pairs = {}   # endpoints -> id of the link that joins them
     for where, fields in _objects(doc, "links", "substrate", ("id", "a", "b"),
                                   ("bw", "delay", "pdr")):
-        _build(where, net.add_link, fields.pop("id"), **fields)
+        link_id, a, b = fields.pop("id"), fields["a"], fields["b"]
+        if a == b:
+            raise SchemaError(f"{where}.b", f"link {_cut(link_id)} is a "
+                              f"self-loop at {_cut(a)}")
+        earlier = pairs.setdefault(frozenset((a, b)), link_id)
+        if earlier != link_id:
+            raise SchemaError(where, f"link {_cut(link_id)} joins the pair of "
+                              f"link {_cut(earlier)}")
+        _build(where, net.add_link, link_id, **fields)
     return net
 
 

@@ -3,7 +3,9 @@ passes its reference check against the library as it is.
 
 The workloads import library entry points of their own (``request_to_dict``,
 ``iteration_pool``, ``Embedding.to_dict``, ``cli.main``), so this fails as
-soon as one of them is removed or changes its output.
+soon as one of them is removed or changes its output.  The per-layer tracer
+names library functions by string, so a guard checks that each still exists:
+a removed or renamed one would silently read 0 in the traced metrics.
 """
 
 import importlib
@@ -24,3 +26,25 @@ def test_workload_runs_one_checked_item(name, tmp_path, monkeypatch):
     ops = workload.setup() + workload.run_item(0) + workload.check_reference()
     assert ops
     assert [op for op in ops if op.failed] == []
+
+
+# targets whose functions the library no longer has; the tracer reports each
+# as "not found" and its metrics read 0 until the benchmark is retargeted
+_DEAD_TARGETS = {"bandwidth_subgraph", "unicast_distances",
+                 "AnypathRouteTable.closure_link_count", "suitable_nodes"}
+
+
+def test_every_traced_function_exists_in_the_library(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # leave bench/ as it is
+    tracer = importlib.import_module("tracer")
+    missing = []
+    for _, module_name, attr in tracer.TARGETS + tracer.COUNTED:
+        if attr in _DEAD_TARGETS:
+            continue
+        target = importlib.import_module(f"{tracer.PACKAGE}.{module_name}")
+        for part in attr.split("."):
+            target = getattr(target, part, None)
+        if not callable(target):
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []

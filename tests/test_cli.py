@@ -63,10 +63,14 @@ def test_validate_dirty_substrate(tmp_path, capsys):
                       "delay": 1.0, "pdr": 0.9}]}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
+    # the endpoint is checked where the link is added, while loading
     assert cli.main(["validate", "--substrate", str(path)]) == cli.EXIT_INPUT
-    out = capsys.readouterr().out
-    assert "l1" in out and "n9" in out
-    # a value out of range is refused while loading, before any cross check
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    detail = json.loads(captured.err)
+    assert detail["field"] == "links[0].b"
+    assert "l1" in detail["error"] and "n9" in detail["error"]
+    # a value out of range is refused before the endpoints are looked up
     doc["links"][0]["pdr"] = 2.0
     path.write_text(json.dumps(doc))
     assert cli.main(["validate", "--substrate", str(path)]) == cli.EXIT_INPUT
@@ -359,6 +363,12 @@ BAD_EMBED_INPUTS = {
     # 1 - pdr rounds to 1, so the anypath sweep would divide by zero
     "link_pdr_vanishing": ("substrate", _set("links", 0, "pdr", 1e-20), "links[0].pdr"),
     "negative_link_bw": ("substrate", _set("links", 5, "bw", -1), "links[5].bw"),
+    # the structure is checked while loading too, naming the link's field
+    "link_endpoint_not_a_node": ("substrate", _set("links", 2, "a", "n9"), "links[2].a"),
+    "link_self_loop": ("substrate", _set("links", 0, "b", "n1"), "links[0].b"),
+    # l2 turned into n2 -> n1 repeats the pair of l1 (n1 -> n2)
+    "link_repeats_pair": ("substrate", lambda doc: doc["links"][1].update(a="n2", b="n1"),
+                          "links[1]"),
     "negative_node_cpu": ("substrate", _set("nodes", 0, "cpu", -1), "nodes[0].cpu"),
     "negative_node_gpu": ("substrate", _set("nodes", 2, "gpu", -3), "nodes[2].gpu"),
     "negative_node_mem": ("substrate", _set("nodes", 4, "mem", -1), "nodes[4].mem"),

@@ -16,7 +16,9 @@ from anypath_vne.netmodel import (
     InsufficientCapacityError,
     NanoService,
     SchemaError,
+    SubstrateLink,
     SubstrateNetwork,
+    SubstrateNode,
     Topology,
     natural_key,
     request_from_dict,
@@ -58,25 +60,44 @@ def test_validate_flags_zero_pdr(example_net):
     assert validate_substrate(example_net) == []
 
 
-def test_validate_flags_dangling_endpoint():
+def test_add_link_refuses_an_endpoint_that_is_not_a_node():
     net = SubstrateNetwork()
     net.add_node("n1", 10, 10, 10)
-    net.add_link("l1", "n1", "ghost", bw=5, delay=1.0, pdr=0.9)
-    report = validate_substrate(net)
-    assert len(report) == 1
-    assert "ghost" in report[0] and "l1" in report[0]
+    topology = net.topology()
+    with pytest.raises(SchemaError) as info:
+        net.add_link("l1", "n1", "ghost", bw=5, delay=1.0, pdr=0.9)
+    assert info.value.field == "b"
+    assert "l1" in str(info.value) and "ghost" in str(info.value)
+    with pytest.raises(SchemaError) as info:
+        net.add_link("l1", "ghost", "n1", bw=5, delay=1.0, pdr=0.9)
+    assert info.value.field == "a"
+    # nothing was added, so the topology that was built still stands
+    assert net.links == {} and net.topology() is topology
 
 
-def test_validate_flags_duplicate_pair_and_self_loop():
+@pytest.mark.parametrize("second, field, earlier", [
+    ({"id": "l2", "a": "n1", "b": "n1"}, "links[1].b", None),
+    ({"id": "l2", "a": "n2", "b": "n1"}, "links[1]", "l1"),
+], ids=["self_loop", "repeated_pair"])
+def test_substrate_format_refuses_self_loops_and_repeated_pairs(second, field, earlier):
+    doc = {"nodes": [{"id": f"n{i}", "cpu": 1, "gpu": 1, "mem": 1} for i in (1, 2)],
+           "links": [{"id": "l1", "a": "n1", "b": "n2", "bw": 5, "delay": 1.0,
+                      "pdr": 0.9}]}
+    doc["links"].append({**doc["links"][0], **second})
+    with pytest.raises(SchemaError) as info:
+        substrate_from_dict(doc)
+    assert info.value.field == field
+    assert "l2" in str(info.value)
+    if earlier:
+        assert earlier in str(info.value)
+    # the library itself allows both, and routes over them
     net = SubstrateNetwork()
-    net.add_node("n1", 1, 1, 1)
-    net.add_node("n2", 1, 1, 1)
-    net.add_link("l1", "n1", "n2", bw=5, delay=1.0, pdr=0.9)
-    net.add_link("l2", "n2", "n1", bw=5, delay=1.0, pdr=0.9)
-    net.add_link("l3", "n1", "n1", bw=5, delay=1.0, pdr=0.9)
-    messages = "\n".join(validate_substrate(net))
-    assert "duplicates" in messages
-    assert "self-loop" in messages
+    for node_id in ("n1", "n2"):
+        net.add_node(node_id, 1, 1, 1)
+    for link in doc["links"]:
+        net.add_link(link.pop("id"), **link)
+    assert validate_substrate(net) == []
+    assert len(net.topology().link_ids) == 2
 
 
 def test_link_cost_values():
@@ -332,13 +353,37 @@ def test_service_refuses_bad_demands(field, value):
     (lambda: substrate_from_dict({"nodes": [{"id": {"x": "y" * 10**6}, "cpu": 1,
                                              "gpu": 1, "mem": 1}], "links": []}),
      "nodes[0].id"),
-], ids=["huge_int", "long_string", "long_list", "long_request_id", "object_node_id"])
+    # str() refuses an int of more than 4300 digits
+    (lambda: request_from_dict({"id": 10**5000, "services": [], "channels": []}),
+     "request.id"),
+    (lambda: substrate_from_dict({"nodes": [{"id": 10**5000, "cpu": 1, "gpu": 1,
+                                             "mem": 1}], "links": []}),
+     "nodes[0].id"),
+], ids=["huge_int", "long_string", "long_list", "long_request_id", "object_node_id",
+        "huge_int_request_id", "huge_int_node_id"])
 def test_a_refused_value_gives_a_short_message(make, field):
     with pytest.raises(SchemaError) as info:
         make()
     assert type(info.value) is SchemaError
     assert info.value.field == field
     assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize("node, field", [
+    ({"id": "n" * 10**6, "cpu": -1, "gpu": 1, "mem": 1}, "nodes[0].cpu"),
+    ({"id": "n1", "cpu": 1, "gpu": 1, "mem": 1, "k" * 10**6: 0}, "nodes[0]." + "k" * 77),
+], ids=["long_id", "long_unknown_key"])
+def test_a_long_id_or_key_gives_a_short_message(node, field):
+    with pytest.raises(SchemaError) as info:
+        substrate_from_dict({"nodes": [node], "links": []})
+    assert info.value.field.startswith(field)
+    assert len(str(info.value)) < 300
+
+
+def test_a_short_id_is_shown_as_it_is():
+    with pytest.raises(SchemaError) as info:
+        NanoService("x" * 80, cpu=-1)
+    assert f"NanoService {'x' * 80}: " in str(info.value)
 
 
 @pytest.mark.parametrize("value", [2.5, True, -1, math.nan, "3", None])
@@ -359,19 +404,40 @@ def test_validate_flags_non_integer_capacities(example_net):
     ]
 
 
-def test_topology_refuses_dangling_endpoint():
-    net = SubstrateNetwork()
-    net.add_node("n1", 10, 10, 10)
-    net.add_link("l1", "n1", "ghost", bw=5, delay=1.0, pdr=0.9)
-    with pytest.raises(SchemaError) as info:
-        net.topology()
-    assert info.value.field == "links[0]"
-    assert "l1" in str(info.value) and "ghost" in str(info.value)
-
-
 def test_clone_shares_topology(example_net):
     assert example_net.clone().topology() is example_net.topology()
     assert example_net.clone().clone().topology() is example_net.topology()
+
+
+def test_clone_of_a_reserved_substrate_keeps_the_originals(example_net):
+    ledger = []
+    reserve_service(example_net, "n1", NanoService("s1", cpu=4, mem=2), ledger)
+    reserve_channel(example_net, ["l1"], 7, ledger)
+    base = example_net.snapshot()
+    work = example_net.clone()
+    # dataclass equality compares every field, the originals included
+    for mine, theirs in ((work.nodes, example_net.nodes), (work.links, example_net.links)):
+        assert mine == theirs
+        assert all(mine[key] is not theirs[key] for key in mine)
+    node, link = work.nodes["n1"], work.links["l1"]
+    original = example_net.nodes["n1"]
+    assert (node.cpu, node.cpu0) == (original.cpu0 - 4, original.cpu0)
+    assert (link.bw, link.bw0) == (example_net.links["l1"].bw0 - 7,
+                                   example_net.links["l1"].bw0)
+    assert node.functionals is original.functionals
+    assert validate_substrate(work) == []
+    reserve_service(work, "n1", NanoService("s2", cpu=1), [])
+    reserve_channel(work, ["l1"], 3, [])
+    assert example_net.snapshot() == base
+    assert work.snapshot() != base
+
+
+def test_originals_are_not_constructor_arguments():
+    with pytest.raises(TypeError):
+        SubstrateNode("n", 1, 1, 1, cpu0=1)
+    with pytest.raises(TypeError):
+        SubstrateLink("l", "a", "b", 1, 1.0, 0.5, bw0=1)
+    assert SubstrateNode("n", 3, 2, 1).available() == (3, 2, 1)
 
 
 def test_add_link_rebuilds_topology_and_routes_use_the_link(example_net):
