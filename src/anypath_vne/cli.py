@@ -208,28 +208,22 @@ def write_results(results: scenario.SimulationResults, out_dir: Path) -> None:
     be written, or a CSV path that is a directory, raises a SchemaError
     naming ``out`` and leaves every CSV as it was.
     """
+    raw_header = [column.name for column in dataclasses.fields(scenario.RawRow)]
     tables = {
         "summary.csv": (["load", "metric", "mean", "stddev"], [
-            [s.load, metric, fmt(mean), fmt(std)]
-            for s in results.summaries
-            for metric, mean, std in [("acceptance_ratio", s.acceptance_mean,
-                                       s.acceptance_std),
-                                      ("revenue", s.revenue_mean, s.revenue_std),
-                                      ("cost", s.cost_mean, s.cost_std),
-                                      ("rc_ratio", s.rc_mean, s.rc_std)]]),
+            [summary.load, name, fmt(mean), fmt(std)]
+            for summary in results.summaries
+            for name, (mean, std) in summary.stats.items()]),
         "node_usage.csv": (["load", "node", "services_mean", "cpu_used_mean", "cpu_total",
                             "gpu_used_mean", "gpu_total", "mem_used_mean", "mem_total"], [
-            [usage.load, row.node, fmt(row.services), fmt(row.cpu_used), row.cpu_total,
+            [summary.load, row.node, fmt(row.services), fmt(row.cpu_used), row.cpu_total,
              fmt(row.gpu_used), row.gpu_total, fmt(row.mem_used), row.mem_total]
-            for usage in results.usage for row in usage.node_rows]),
+            for summary in results.summaries for row in summary.node_rows]),
         "link_usage.csv": (["load", "link", "channels_mean", "bw_used_mean", "bw_total"], [
-            [usage.load, row.link, fmt(row.channels), fmt(row.bw_used), row.bw_total]
-            for usage in results.usage for row in usage.link_rows]),
-        "raw.csv": (["iteration", "load", "accepted", "blocked",
-                     "acceptance_ratio", "revenue", "cost", "rc_ratio"], [
-            [row.iteration, row.load, row.accepted, row.blocked, fmt(row.acceptance_ratio),
-             fmt(row.revenue), fmt(row.cost), fmt(row.rc_ratio)]
-            for row in results.raw_rows]),
+            [summary.load, row.link, fmt(row.channels), fmt(row.bw_used), row.bw_total]
+            for summary in results.summaries for row in summary.link_rows]),
+        "raw.csv": (raw_header, [[fmt(getattr(row, name)) for name in raw_header]
+                                 for row in results.raw_rows]),
     }
     temporaries = {out_dir / f".{name}.tmp": out_dir / name for name in tables}
     try:

@@ -46,14 +46,25 @@ _NATURAL_KEY_CACHE = 1 << 14
 def natural_key(identifier: str) -> tuple:
     """Sort key that orders embedded integers numerically (n2 before n10).
 
-    The raw string is appended so ids that only differ in zero padding still
-    compare deterministically.  The key is a pure function of the id and an
-    immutable tuple, so it is computed once per id and then served from a
-    bounded cache.
+    The key is the id's parts, then the raw string, so ids that only differ
+    in zero padding still compare deterministically.  Only the digit runs
+    become numbers, so the parts alternate text and number, a prefix sorts
+    first, and two keys always compare.  The key is a pure function of the
+    id and an immutable tuple, so it is computed once per id and then served
+    from a bounded cache.
     """
-    parts = tuple(int(part) if part.isdigit() else part
-                  for part in _DIGIT_RUN.split(identifier))
-    return parts + (identifier,)
+    parts = _DIGIT_RUN.split(identifier)
+    parts[1::2] = map(_run_value, parts[1::2])
+    return tuple(parts), identifier
+
+
+def _run_value(run: str):
+    """The number a digit run spells; a run too long for int() (over 4300
+    digits by default) sorts after every shorter one."""
+    try:
+        return int(run)
+    except ValueError:
+        return math.inf
 
 
 class InsufficientCapacityError(Exception):
@@ -118,6 +129,17 @@ def _check_functionals(owner) -> frozenset:
     return frozenset(value)
 
 
+def _check_ids(owner, names=("id",)):
+    """Refuse an id or endpoint of owner, named in names after "id", that is
+    not a string, with a SchemaError naming the field; an endpoint's names
+    owner by its id."""
+    for name in names:
+        value = getattr(owner, name)
+        if not isinstance(value, str):
+            label = type(owner).__name__ + ("" if name == "id" else f" {_cut(owner.id)}")
+            raise SchemaError(name, f"{label}: expected a string, got {_shown(value)}")
+
+
 @dataclass
 class SubstrateNode:
     """A compute node. cpu/gpu/mem are the mutable available units, and
@@ -133,6 +155,7 @@ class SubstrateNode:
     mem0: int = field(init=False)
 
     def __post_init__(self):
+        _check_ids(self)
         self.cpu0 = _check("cpu", self.cpu, int, 0, _HUGE, self)
         self.gpu0 = _check("gpu", self.gpu, int, 0, _HUGE, self)
         self.mem0 = _check("mem", self.mem, int, 0, _HUGE, self)
@@ -162,6 +185,7 @@ class SubstrateLink:
     bw0: int = field(init=False)
 
     def __post_init__(self):
+        _check_ids(self, ("id", "a", "b"))
         self.bw0 = _check("bw", self.bw, int, 0, _HUGE, self)
         self.delay = float(_check("delay", self.delay, _REAL, _TINY, _HUGE, self))
         # below 2**-53, 1 - pdr rounds to 1 and a hyperlink's reliability to 0
@@ -185,6 +209,7 @@ class NanoService:
     functionals: frozenset = frozenset()
 
     def __post_init__(self):
+        _check_ids(self)
         _check("cpu", self.cpu, int, 0, _HUGE, self)
         _check("gpu", self.gpu, int, 0, _HUGE, self)
         _check("mem", self.mem, int, 0, _HUGE, self)
@@ -203,6 +228,7 @@ class Channel:
     min_pdr: float
 
     def __post_init__(self):
+        _check_ids(self, ("id", "src", "dst"))
         if self.src == self.dst:
             raise SchemaError("dst", f"channel {_cut(self.id)} connects a service "
                               "to itself")
@@ -224,6 +250,9 @@ class VirtualRequest:
     id: str
     services: dict = field(default_factory=dict)   # service id -> NanoService
     channels: list = field(default_factory=list)   # list[Channel]
+
+    def __post_init__(self):
+        _check_ids(self)
 
     def add_service(self, service: NanoService) -> NanoService:
         if service.id in self.services:
@@ -306,9 +335,9 @@ class SubstrateNetwork:
 
     def add_node(self, node_id: str, cpu: int, gpu: int, mem: int,
                  functionals: Iterable[str] = ()) -> SubstrateNode:
+        node = SubstrateNode(node_id, cpu, gpu, mem, functionals)
         if node_id in self.nodes:
             raise SchemaError("id", f"duplicate node id {_cut(node_id)}")
-        node = SubstrateNode(node_id, cpu, gpu, mem, functionals)
         self.nodes[node_id] = node
         self._topology = None
         return node
@@ -316,9 +345,9 @@ class SubstrateNetwork:
     def add_link(self, link_id: str, a: str, b: str, bw: int,
                  delay: float, pdr: float) -> SubstrateLink:
         """Add a link between two nodes; self-loops and parallel links are allowed."""
+        link = SubstrateLink(link_id, a, b, bw, delay, pdr)
         if link_id in self.links:
             raise SchemaError("id", f"duplicate link id {_cut(link_id)}")
-        link = SubstrateLink(link_id, a, b, bw, delay, pdr)
         for end, node_id in (("a", a), ("b", b)):
             if node_id not in self.nodes:
                 raise SchemaError(end, f"link {_cut(link_id)}: endpoint "

@@ -232,26 +232,17 @@ class RawRow:
     rc_ratio: float
 
 
+# the per-window metrics of raw.csv, each summarised per load, in summary.csv's row order
+METRICS = ("acceptance_ratio", "revenue", "cost", "rc_ratio")
+
+
 @dataclass
 class LoadSummary:
-    """Mean and sample standard deviation of each metric at one load level."""
+    """One load level: each metric's mean and sample standard deviation, and
+    each node's and link's mean usage, over the iterations."""
 
     load: int
-    acceptance_mean: float
-    acceptance_std: float
-    revenue_mean: float
-    revenue_std: float
-    cost_mean: float
-    cost_std: float
-    rc_mean: float
-    rc_std: float
-
-
-@dataclass
-class UsageSummary:
-    """Per-load usage means across iterations (totals are fixed by the substrate)."""
-
-    load: int
+    stats: dict = field(default_factory=dict)       # metric name -> (mean, stddev)
     node_rows: list = field(default_factory=list)   # list[NodeUsage]
     link_rows: list = field(default_factory=list)   # list[LinkUsage]
 
@@ -259,9 +250,8 @@ class UsageSummary:
 @dataclass
 class SimulationResults:
     config: SimulationConfig
-    raw_rows: list = field(default_factory=list)
-    summaries: list = field(default_factory=list)
-    usage: list = field(default_factory=list)
+    raw_rows: list = field(default_factory=list)    # list[RawRow]
+    summaries: list = field(default_factory=list)   # list[LoadSummary], one per load
 
 
 def _mean_std(values) -> tuple[float, float]:
@@ -306,29 +296,23 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResults:
             outcome = process_window(net, pool[:load], cfg.coefficients)
             report = metrics_report(base, net, outcome, cfg.coefficients)
             results.raw_rows.append(RawRow(
-                iteration, load,
-                len(outcome.accepted), len(outcome.blocked),
-                report.acceptance_ratio, report.revenue, report.cost,
-                report.rc_ratio))
+                iteration, load, len(outcome.accepted), len(outcome.blocked),
+                *(getattr(report, name) for name in METRICS)))
             node_sums[load] += np.array([(u.services, u.cpu_used, u.gpu_used, u.mem_used)
                                          for u in report.node_usage], dtype=np.int64)
             link_sums[load] += np.array([(u.channels, u.bw_used)
                                          for u in report.link_usage], dtype=np.int64)
     for load in cfg.loads:
         rows = [row for row in results.raw_rows if row.load == load]
-        acc = _mean_std([r.acceptance_ratio for r in rows])
-        rev = _mean_std([r.revenue for r in rows])
-        cst = _mean_std([r.cost for r in rows])
-        rc = _mean_std([r.rc_ratio for r in rows])
-        results.summaries.append(LoadSummary(load, *acc, *rev, *cst, *rc))
-        usage = UsageSummary(load)
+        summary = LoadSummary(load, {name: _mean_std([getattr(r, name) for r in rows])
+                                     for name in METRICS})
         for nid, (services, cpu, gpu, mem) in zip(sorted(base.nodes, key=natural_key),
                                                   (node_sums[load] / len(rows)).tolist()):
             node = base.nodes[nid]
-            usage.node_rows.append(NodeUsage(nid, services, cpu, node.cpu0,
-                                             gpu, node.gpu0, mem, node.mem0))
+            summary.node_rows.append(NodeUsage(nid, services, cpu, node.cpu0,
+                                               gpu, node.gpu0, mem, node.mem0))
         for lid, (channels, bw) in zip(sorted(base.links, key=natural_key),
                                        (link_sums[load] / len(rows)).tolist()):
-            usage.link_rows.append(LinkUsage(lid, channels, bw, base.links[lid].bw0))
-        results.usage.append(usage)
+            summary.link_rows.append(LinkUsage(lid, channels, bw, base.links[lid].bw0))
+        results.summaries.append(summary)
     return results

@@ -104,19 +104,19 @@ def test_criterion_3_simulation_reproduction():
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     by_load = {s.load: s for s in results.summaries}
+    acceptance = {l: by_load[l].stats["acceptance_ratio"][0] for l in (10, 20, 30, 40, 50)}
     for load in (10, 20, 30):
-        assert by_load[load].acceptance_mean >= 0.9
-    assert by_load[50].acceptance_mean >= 0.5
-    revenues = [by_load[l].revenue_mean for l in (10, 20, 30, 40, 50)]
-    costs = [by_load[l].cost_mean for l in (10, 20, 30, 40, 50)]
+        assert acceptance[load] >= 0.9
+    assert acceptance[50] >= 0.5
+    revenues = [by_load[l].stats["revenue"][0] for l in (10, 20, 30, 40, 50)]
+    costs = [by_load[l].stats["cost"][0] for l in (10, 20, 30, 40, 50)]
     assert all(a < b for a, b in zip(revenues, revenues[1:]))
     assert all(a < b for a, b in zip(costs, costs[1:]))
-    rcs = {l: by_load[l].rc_mean for l in (10, 20, 30, 40, 50)}
+    rcs = {l: by_load[l].stats["rc_ratio"][0] for l in (10, 20, 30, 40, 50)}
     assert all(rc > 1.0 for rc in rcs.values())
     assert rcs[30] >= rcs[40] >= rcs[50]
     report("criterion 3 (simulation sweep)",
-           f"acceptance {by_load[10].acceptance_mean:.3f}/"
-           f"{by_load[30].acceptance_mean:.3f}/{by_load[50].acceptance_mean:.3f}"
+           f"acceptance {acceptance[10]:.3f}/{acceptance[30]:.3f}/{acceptance[50]:.3f}"
            f" at loads 10/30/50, R/C {rcs[10]:.3f}->{rcs[50]:.3f}, {elapsed:.1f}s")
 
 

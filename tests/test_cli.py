@@ -326,13 +326,21 @@ def _put(key, value):
     return edit
 
 
+def _rename(old, new):
+    """Give the id old the name new wherever the document holds it."""
+    def edit(doc):
+        doc.update(json.loads(json.dumps(doc).replace(json.dumps(old), json.dumps(new))))
+    return edit
+
+
 def _append_copy(part, index):
     def edit(doc):
         doc[part].append(dict(doc[part][index]))
     return edit
 
 
-# (file, edit of its JSON document, field named by the error)
+# (file, edit of its JSON document, field named by the error); None marks an
+# odd but valid id, which embed and validate treat like any other
 BAD_EMBED_INPUTS = {
     "min_pdr_zero": ("request", _set("channels", 0, "min_pdr", 0), "channels[0].min_pdr"),
     "min_pdr_above_one": ("request", _set("channels", 1, "min_pdr", 1.5),
@@ -388,6 +396,14 @@ BAD_EMBED_INPUTS = {
     "unknown_request_key": ("request", _put("service", []), "request.service"),
     "request_id_null": ("request", _put("id", None), "request.id"),
     "request_id_list": ("request", _put("id", ["app"]), "request.id"),
+    # "²" is a digit to str.isdigit but not to int(); 5000 digits are too many for int()
+    "node_id_superscript_digit": ("substrate", _rename("n1", "n1²"), None),
+    "node_id_5000_digit_run": ("substrate", _rename("n1", "n" + "1" * 5000), None),
+    "service_id_superscript_digit": ("request", _rename("s1", "s1²"), None),
+    "service_id_5000_digit_run": ("request", _rename("s1", "s" + "1" * 5000), None),
+    # an id whose parts are a prefix of another's ("n" of "n1") sorts first
+    "node_id_prefix_of_another": ("substrate", _rename("n2", "n"), None),
+    "service_id_prefix_of_another": ("request", _rename("s2", "s"), None),
 }
 
 
@@ -399,8 +415,15 @@ def test_embed_bad_input_is_input_error(example_files, case):
     doc = json.loads(path.read_text())
     edit(doc)
     path.write_text(json.dumps(doc))
-    detail = _assert_input_error(_run_cli("embed", "--substrate", str(substrate),
-                                          "--request", str(request_file)))
+    embedded = _run_cli("embed", "--substrate", str(substrate),
+                        "--request", str(request_file))
+    if field is None:
+        assert (embedded.returncode, embedded.stderr) == (cli.EXIT_OK, "")
+        if target == "substrate":   # validate reads no request
+            validated = _run_cli("validate", "--substrate", str(substrate))
+            assert (validated.returncode, validated.stderr) == (cli.EXIT_OK, "")
+        return
+    detail = _assert_input_error(embedded)
     assert detail["field"] == field
 
 

@@ -20,6 +20,7 @@ from anypath_vne.netmodel import (
     SubstrateNetwork,
     SubstrateNode,
     Topology,
+    VirtualRequest,
     natural_key,
     request_from_dict,
     request_to_dict,
@@ -216,8 +217,15 @@ def test_rollback_empty_ledger_is_noop(example_net):
 
 
 def test_natural_key_orders_numeric_suffixes():
-    ids = ["n10", "n2", "n1", "l20", "l3"]
-    assert sorted(ids, key=natural_key) == ["l3", "l20", "n1", "n2", "n10"]
+    ids = ["n10", "n2", "n1", "l20", "l3", "n", "n1a2", "n1a"]
+    assert sorted(ids, key=natural_key) \
+        == ["l3", "l20", "n", "n1", "n1a", "n1a2", "n2", "n10"]
+    # a superscript two is a digit to str.isdigit, but not part of a digit run
+    assert natural_key("²") == (("²",), "²")
+    assert natural_key("n1²") == (("n", 1, "²"), "n1²")
+    # a run too long for int() sorts after every shorter number
+    long = "n" + "1" * 5000
+    assert sorted([long, "n2", "n1²"], key=natural_key) == ["n1²", "n2", long]
 
 
 @settings(max_examples=200)
@@ -298,29 +306,33 @@ def test_request_json_round_trip(example_request):
     ("delay", 0.0), ("delay", -1.0), ("delay", math.nan), ("delay", math.inf),
     ("pdr", 0.0), ("pdr", 1.5), ("pdr", math.nan), ("pdr", 1e-20),
     ("bw", -1), ("bw", 2.5), ("bw", True),
+    ("id", ["l1"]), ("id", 1), ("a", ["x"]), ("a", 5), ("b", ("y",)), ("b", 5),
 ])
 def test_link_refuses_bad_values(field, value):
-    attrs = {"bw": 10, "delay": 1.0, "pdr": 0.9, field: value}
+    attrs = {"id": "l1", "a": "a", "b": "b", "bw": 10, "delay": 1.0, "pdr": 0.9,
+             field: value}
     net = SubstrateNetwork()
     with pytest.raises(SchemaError) as info:
-        net.add_link("l1", "a", "b", **attrs)
+        net.add_link(*attrs.values())
     assert info.value.field == field
     assert net.links == {}
 
 
 @pytest.mark.parametrize("field, value", [
     ("cpu", -1), ("gpu", -5), ("mem", -1), ("cpu", True), ("gpu", 2.5),
-    ("mem", "3"), ("cpu", None),
+    ("mem", "3"), ("cpu", None), ("id", ["n1"]), ("id", 5),
 ])
 def test_node_refuses_bad_capacities(field, value):
-    attrs = {"cpu": 10, "gpu": 10, "mem": 10, field: value}
+    attrs = {"id": "n2", "cpu": 10, "gpu": 10, "mem": 10, field: value}
     net = SubstrateNetwork()
     with pytest.raises(SchemaError) as info:
-        net.add_node("n1", **attrs)
+        net.add_node(*attrs.values())
     assert info.value.field == field
     assert net.nodes == {}
-    doc = {"nodes": [{"id": "n1", "cpu": 1, "gpu": 1, "mem": 1},
-                     {"id": "n2", **attrs}], "links": []}
+    doc = {"nodes": [{"id": "n1", "cpu": 1, "gpu": 1, "mem": 1}, attrs], "links": []}
+    if attrs["id"] == 5:   # a JSON id may be an int; the reader makes it a string
+        assert list(substrate_from_dict(doc).nodes) == ["n1", "5"]
+        return
     with pytest.raises(SchemaError) as info:
         substrate_from_dict(doc)
     assert info.value.field == f"nodes[1].{field}"
@@ -334,11 +346,11 @@ def test_channel_refuses_infinite_max_delay():
 
 @pytest.mark.parametrize("field, value", [
     ("cpu", 1.5), ("gpu", True), ("mem", -1), ("cpu", "3"), ("gpu", None),
-    ("mem", math.nan),
+    ("mem", math.nan), ("id", ["s1"]), ("id", 1),
 ])
 def test_service_refuses_bad_demands(field, value):
     with pytest.raises(SchemaError) as info:
-        NanoService("s1", **{field: value})
+        NanoService(**{"id": "s1", field: value})
     assert info.value.field == field
 
 
@@ -359,8 +371,13 @@ def test_service_refuses_bad_demands(field, value):
     (lambda: substrate_from_dict({"nodes": [{"id": 10**5000, "cpu": 1, "gpu": 1,
                                              "mem": 1}], "links": []}),
      "nodes[0].id"),
+    # the library takes only string ids and endpoints
+    (lambda: VirtualRequest(10**5000), "id"),
+    (lambda: Channel("c1", "s1", ["s2"] * 10**5, bw=1, max_delay=1.0, min_pdr=0.5),
+     "dst"),
 ], ids=["huge_int", "long_string", "long_list", "long_request_id", "object_node_id",
-        "huge_int_request_id", "huge_int_node_id"])
+        "huge_int_request_id", "huge_int_node_id", "huge_int_library_request_id",
+        "long_list_channel_dst"])
 def test_a_refused_value_gives_a_short_message(make, field):
     with pytest.raises(SchemaError) as info:
         make()

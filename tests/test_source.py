@@ -1,0 +1,52 @@
+"""Static checks of the package source with ``ast``, in place of a linter:
+every import is used, and every module-level private name is referenced."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "anypath_vne"
+TREES = {path.name: ast.parse(path.read_text(), path.name)
+         for path in sorted(SOURCE.glob("*.py"))}
+
+
+def _read_names(tree) -> set:
+    """The names a module reads, those in quoted annotations included."""
+    names = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    for node in ast.walk(tree):
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        for part in ast.walk(annotation) if annotation else ():
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                names |= _read_names(ast.parse(part.value, mode="eval"))
+    return names
+
+
+# the package's __init__ imports only to re-export
+@pytest.mark.parametrize("module", sorted(set(TREES) - {"__init__.py"}))
+def test_every_import_is_used(module):
+    tree = TREES[module]
+    imported = {alias.asname or alias.name.partition(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    assert sorted(imported - _read_names(tree)) == []
+
+
+def test_every_private_module_name_is_referenced():
+    private = {(module, name) for module, tree in TREES.items()
+               for node in tree.body
+               for name in ([node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                            else [target.id for target in getattr(node, "targets", [])
+                                  + [getattr(node, "target", None)]
+                                  if isinstance(target, ast.Name)])
+               if name.startswith("_") and not name.startswith("__")}
+    referenced = set()
+    for tree in TREES.values():
+        referenced |= _read_names(tree)
+        referenced |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        referenced |= {alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted((module, name) for module, name in private if name not in referenced) == []
