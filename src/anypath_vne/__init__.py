@@ -8,7 +8,6 @@ transmission time.
 
 from .anypath import (
     AnypathRouteTable,
-    Hyperlink,
     PrunedDag,
     anypath_routes,
     prune,

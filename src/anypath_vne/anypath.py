@@ -25,9 +25,9 @@ forwarding member is an arc code 2*link + side whose head is
 ``topology.ends[arc]`` and whose tail is ``topology.ends[arc ^ 1]``.  The
 sweep's heap key is (cost, natural-key rank, index), so equal costs settle in
 ``natural_key`` order of the ids; a closure's link set is an int bitmask over
-link indices.  String ids and ``DagEdge`` objects are made only at the
-boundary: by ``PrunedDag.edges``, a route table's ``members`` and
-``route_closure``.
+link indices.  Indices become ids only at the boundary: in ``route_closure``,
+and in ``embedder.ChannelRoute.to_dict``, the one place a route's hyperlinks
+are built, from its forwarding arcs.  Only ``PrunedDag.edges`` makes DagEdges.
 
 A route table depends only on the topology, its destination and which links
 have at least the channel's bandwidth, because link delay and pdr never
@@ -164,21 +164,12 @@ def _expected_time(members, pdr, delay, head, cost) -> float:
     return worst / reliability + remaining
 
 
-@dataclass
-class Hyperlink:
-    """A transmitter and its priority-ordered forwarding set."""
-
-    transmitter: str
-    members: tuple             # tuple[DagEdge, ...], each headed at a relay
-
-
 class AnypathRouteTable:
     """Per-node forwarding sets and expected anypath transmission times to dst.
 
-    Every field is a list over node indices; ``members`` turns one node's
-    forwarding set into DagEdges.  ``ranked`` orders the reached nodes the
-    way candidate selection prefers them, so a selection walks it and stops
-    at the first node that qualifies.
+    Every field is a list over node indices.  ``ranked`` orders the reached
+    nodes the way candidate selection prefers them, so a selection walks it
+    and stops at the first node that qualifies.
     """
 
     def __init__(self, topology: Topology, dst: str, cost: list,
@@ -188,11 +179,6 @@ class AnypathRouteTable:
         self.cost = cost                  # node index -> float (inf if unreachable)
         self.forwarding = forwarding      # node index -> tuple of arc codes
         self.settle_order = settle_order  # reached node indices in ascending cost
-
-    def members(self, node_id: str) -> tuple:
-        """Forwarding set of node_id as DagEdges, in priority order."""
-        return tuple(_edge(self.topology, arc)
-                     for arc in self.forwarding[self.topology.index[node_id]])
 
     @cached_property
     def link_counts(self) -> dict:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from . import anypath
 from .netmodel import (
@@ -37,6 +38,7 @@ from .netmodel import (
     NanoService,
     SchemaError,
     SubstrateNetwork,
+    Topology,
     VirtualRequest,
     _check,
     _shown,
@@ -112,20 +114,47 @@ class Coefficients:
 
 @dataclass
 class ChannelRoute:
-    """Realized route of one channel, oriented in the data-flow direction."""
+    """Realized route of one channel, oriented in the data-flow direction.
+
+    ``arcs`` are the route's forwarding-set arc codes on ``topology``, turned
+    into flow direction (``arc ^ 1`` for a route computed backwards), by
+    transmitter in natural-key order; a transmitter's arcs are in priority
+    order, or by relay in natural-key order when transposed.  The route's
+    hyperlinks exist only in ``to_dict``, built from these arcs.
+    """
 
     channel_id: str
     src_node: str
     dst_node: str
-    nodes: frozenset
     links: frozenset
-    hyperlinks: tuple          # tuple[anypath.Hyperlink, ...]
     eatt: float                # realized route cost checked against the bound
+    topology: Topology
+    arcs: tuple
+
+    def to_dict(self) -> dict:
+        topology = self.topology
+        nodes, ends, link_ids = topology.nodes, topology.ends, topology.link_ids
+        return {
+            "id": self.channel_id,
+            "src_node": self.src_node,
+            "dst_node": self.dst_node,
+            "eatt": self.eatt,
+            "links": sorted(self.links, key=natural_key),
+            "hyperlinks": [
+                {"transmitter": nodes[tail],
+                 "members": [{"node": nodes[ends[arc]], "link": link_ids[arc >> 1]}
+                             for arc in arcs]}
+                for tail, arcs in groupby(self.arcs, key=lambda arc: ends[arc ^ 1])
+            ],
+        }
 
 
 @dataclass
 class Embedding:
-    """Accepted mapping of one request plus the ledger that produced it."""
+    """Accepted mapping of one request plus the ledger that produced it.
+
+    ``to_dict`` is the ``embed`` JSON, the one place hyperlinks are built.
+    """
 
     request_id: str
     service_map: dict = field(default_factory=dict)   # service id -> node id
@@ -137,23 +166,8 @@ class Embedding:
             "request": self.request_id,
             "services": {sid: self.service_map[sid]
                          for sid in sorted(self.service_map, key=natural_key)},
-            "channels": [
-                {
-                    "id": route.channel_id,
-                    "src_node": route.src_node,
-                    "dst_node": route.dst_node,
-                    "eatt": route.eatt,
-                    "links": sorted(route.links, key=natural_key),
-                    "hyperlinks": [
-                        {"transmitter": h.transmitter,
-                         "members": [{"node": m.head, "link": m.link_id}
-                                     for m in h.members]}
-                        for h in route.hyperlinks
-                    ],
-                }
-                for route in (self.channel_routes[cid] for cid in
-                              sorted(self.channel_routes, key=natural_key))
-            ],
+            "channels": [self.channel_routes[cid].to_dict()
+                         for cid in sorted(self.channel_routes, key=natural_key)],
         }
 
 
@@ -193,10 +207,11 @@ def select_min_links(table: anypath.AnypathRouteTable, accepts,
 
     Walks ``table.ranked`` and returns the first node id whose route cost is
     at most bound and for which accepts(node_id) is true; None when there is
-    none.  A node without a route is never chosen, whatever the bound.
+    none.  A node whose cost is inf is never chosen, whatever the bound.
     """
     cost, nodes = table.cost, table.topology.nodes
-    # an unreached node costs inf, above every finite limit
+    # a reached node's cost can overflow to inf while its unicast distance is
+    # finite; route_closure refuses such a node, so an inf bound must not admit it
     limit = min(bound, sys.float_info.max)
     for i in table.ranked:
         if cost[i] <= limit and accepts(nodes[i]):
@@ -204,22 +219,15 @@ def select_min_links(table: anypath.AnypathRouteTable, accepts,
     return None
 
 
-def _flow_hyperlinks(table, closure_nodes, reverse: bool) -> tuple:
-    """Hyperlinks of the closure, transposed when the route was computed backwards."""
-    if not reverse:
-        return tuple(
-            anypath.Hyperlink(nid, members)
-            for nid in sorted(closure_nodes, key=natural_key)
-            if (members := table.members(nid)))
-    transposed: dict[str, list] = {}
-    for nid in closure_nodes:
-        for member in table.members(nid):
-            transposed.setdefault(member.head, []).append(anypath.DagEdge(
-                member.head, nid, member.link_id, member.delay, member.pdr))
-    return tuple(
-        anypath.Hyperlink(nid, tuple(sorted(transposed[nid],
-                                            key=lambda m: natural_key(m.head))))
-        for nid in sorted(transposed, key=natural_key))
+def _flow_arcs(table: anypath.AnypathRouteTable, closure, reverse: bool) -> tuple:
+    """The forwarding arcs of the closure's nodes, ordered as ``ChannelRoute.arcs``."""
+    rank, ends, index = table.topology.rank, table.topology.ends, table.topology.index
+    arcs = [arc ^ reverse for nid in closure for arc in table.forwarding[index[nid]]]
+    if reverse:
+        arcs.sort(key=lambda arc: rank[ends[arc]])
+    # stable, so a transmitter's arcs keep their order
+    arcs.sort(key=lambda arc: rank[ends[arc ^ 1]])
+    return tuple(arcs)
 
 
 def embed(net: SubstrateNetwork, request: VirtualRequest,
@@ -279,10 +287,9 @@ def embed(net: SubstrateNetwork, request: VirtualRequest,
             reserve_channel(net, links, channel.bw, ledger)
             flow_src, flow_dst = (n_dst, selected) if reverse else (selected, n_dst)
             embedding.channel_routes[channel.id] = ChannelRoute(
-                channel.id, flow_src, flow_dst,
-                frozenset(nodes), frozenset(links),
-                _flow_hyperlinks(table, nodes, reverse),
-                table.cost[table.topology.index[selected]])
+                channel.id, flow_src, flow_dst, frozenset(links),
+                table.cost[table.topology.index[selected]],
+                table.topology, _flow_arcs(table, nodes, reverse))
 
         # services with no incident channel are placed on their own
         for sid in sorted(request.services, key=natural_key):

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from anypath_vne.anypath import DagEdge, PrunedDag, _expected_time, _orient
+from anypath_vne.anypath import DagEdge, PrunedDag, _edge, _expected_time, _orient
 from anypath_vne.netmodel import (
     Channel,
     NanoService,
@@ -46,9 +46,15 @@ def cost_by_id(table) -> dict[str, float]:
     return dict(zip(table.topology.nodes, table.cost))
 
 
+def members(table, node_id: str) -> tuple:
+    """Forwarding set of node_id in a route table, as DagEdges in priority order."""
+    topology = table.topology
+    return tuple(_edge(topology, arc) for arc in table.forwarding[topology.index[node_id]])
+
+
 def forwarding_by_id(table) -> dict[str, tuple]:
     """Node id -> forwarding set of a route table, as DagEdges."""
-    return {nid: table.members(nid) for nid in table.topology.nodes}
+    return {nid: members(table, nid) for nid in table.topology.nodes}
 
 
 def settled_ids(table) -> list[str]:

@@ -27,6 +27,7 @@ from helpers import (
     forwarding_set,
     has_cycle,
     link_count,
+    members,
     random_substrate,
     random_tree_substrate,
     reference_prune,
@@ -161,9 +162,9 @@ def test_anypath_example_toward_n4(example_net):
     cost = cost_by_id(table)
     assert cost["n4"] == 0.0
     assert cost["n1"] == pytest.approx(21.2121, abs=1e-3)
-    assert [m.head for m in table.members("n1")] == ["n2", "n3"]
-    assert [m.link_id for m in table.members("n2")] == ["l3"]
-    assert [m.link_id for m in table.members("n3")] == ["l4"]
+    assert [m.head for m in members(table, "n1")] == ["n2", "n3"]
+    assert [m.link_id for m in members(table, "n2")] == ["l3"]
+    assert [m.link_id for m in members(table, "n3")] == ["l4"]
 
 
 def test_anypath_example_second_channel_state(example):
@@ -180,9 +181,9 @@ def test_anypath_example_third_channel_state(example):
     assert {e.link_id for e in dag.edges} == {"l1", "l3", "l4", "l5", "l6"}
     table = anypath_routes(dag, "n4")
     assert cost_by_id(table)["n5"] == pytest.approx(27.619, abs=1e-3)
-    assert [(m.head, m.link_id) for m in table.members("n5")] \
+    assert [(m.head, m.link_id) for m in members(table, "n5")] \
         == [("n4", "l6"), ("n3", "l5")]
-    assert [(m.head, m.link_id) for m in table.members("n3")] == [("n4", "l4")]
+    assert [(m.head, m.link_id) for m in members(table, "n3")] == [("n4", "l4")]
     assert route_closure(table, "n5")[1] == {"l4", "l5", "l6"}
 
 
@@ -279,7 +280,7 @@ def test_tree_routes_equal_unicast_path_sums(seed):
             walk = up
         assert cost[nid] == pytest.approx(expected, abs=1e-9)
         if nid != "n1":
-            assert len(table.members(nid)) == 1
+            assert len(members(table, nid)) == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -317,7 +318,7 @@ def test_route_table_serialization(example_net):
     table = anypath_routes(prune(example_net, "n4", 50), "n4")
     assert table.dst == "n4"
     assert cost_by_id(table)["n1"] == pytest.approx(21.2121, abs=1e-3)
-    assert [m.link_id for m in table.members("n1")] == ["l1", "l2"]
+    assert [m.link_id for m in members(table, "n1")] == ["l1", "l2"]
 
 
 # sha256 over every route table of the seeded corpus below: each node's cost
@@ -357,7 +358,7 @@ def test_equal_costs_settle_in_natural_key_order():
     cost = cost_by_id(table)
     assert cost["n2"] == cost["n10"]
     assert settled_ids(table) == ["dst", "n2", "n10", "x"]
-    assert [m.head for m in table.members("x")] == ["n2", "n10"]
+    assert [m.head for m in members(table, "x")] == ["n2", "n10"]
 
 
 def _line_substrate(n_nodes: int) -> SubstrateNetwork:

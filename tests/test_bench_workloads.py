@@ -10,9 +10,12 @@ a removed or renamed one would silently read 0 in the traced metrics.
 
 import importlib
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
+
+from anypath_vne.anypath import PrunedDag
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -48,3 +51,5 @@ def test_every_traced_function_exists_in_the_library(monkeypatch):
         if not callable(target):
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+    # read, not called, by tracer._route_hook to key each traced route table
+    assert isinstance(getattr(PrunedDag, "edges", None), cached_property)

@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import math
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +35,15 @@ from anypath_vne.netmodel import (
     substrate_from_dict,
     substrate_to_dict,
 )
-from anypath_vne.scenario import GeneratorConfig, SimulationConfig
+from anypath_vne.scenario import GeneratorConfig, SimulationConfig, run_simulation
 
-from helpers import cost_by_id, random_request, random_substrate, suitable_nodes
+from helpers import (
+    cost_by_id,
+    random_request,
+    random_substrate,
+    settled_ids,
+    suitable_nodes,
+)
 from test_acceptance import _complexity_instance
 
 
@@ -209,11 +217,11 @@ def test_embed_reversed_case_transposes_route():
     embedding = embed(net, request, Coefficients())
     assert embedding.service_map["s1"] == "n1"
     assert embedding.service_map["s2"] == "n3"
-    route = embedding.channel_routes["c2"]
-    assert route.src_node == "n1" and route.dst_node == "n3"
-    transmitters = {h.transmitter: [m.head for m in h.members]
-                    for h in route.hyperlinks}
-    assert transmitters == {"n1": ["n2"], "n2": ["n3"]}
+    route = embedding.channel_routes["c2"].to_dict()
+    assert route["src_node"] == "n1" and route["dst_node"] == "n3"
+    assert [(h["transmitter"], [(m["node"], m["link"]) for m in h["members"]])
+            for h in route["hyperlinks"]] == [("n1", [("n2", "l1")]),
+                                              ("n2", [("n3", "l2")])]
 
 
 def test_embed_is_deterministic(example):
@@ -233,6 +241,47 @@ def test_embedding_serialization(example):
     assert c1["id"] == "c1"
     assert c1["links"] == ["l1", "l2", "l3", "l4"]
     assert {h["transmitter"] for h in c1["hyperlinks"]} == {"n1", "n2", "n3"}
+
+
+def test_embed_and_its_json_build_no_dag_edge(example, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("DagEdge built")
+
+    monkeypatch.setattr(anypath, "_edge", refuse)
+    monkeypatch.setattr(anypath, "DagEdge", refuse)
+    net, request, coeffs = example
+    doc = embed(net, request, coeffs).to_dict()
+    assert [len(c["hyperlinks"]) for c in doc["channels"]] == [3, 2, 2]
+    results = run_simulation(SimulationConfig(iterations=2, loads=(10, 40)))
+    assert len(results.raw_rows) == 4
+
+
+def test_channel_routes_keep_no_route_table(monkeypatch):
+    rng = np.random.default_rng(20240)
+    tables = []
+    original = anypath.anypath_routes
+
+    def recording(dag, dst):
+        table = original(dag, dst)
+        tables.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(anypath, "anypath_routes", recording)
+    embeddings = []
+    for _ in range(20):
+        net = random_substrate(rng, max_nodes=10)
+        for _ in range(3):
+            try:
+                embedding = embed(net, random_request(rng), Coefficients())
+            except EmbeddingError:
+                continue
+            embeddings.append((embedding, json.dumps(embedding.to_dict())))
+        net.topology().routes.clear()
+    gc.collect()
+    assert len(tables) > 20 and len(embeddings) > 20
+    assert [table for table in tables if table() is not None] == []
+    for embedding, line in embeddings:
+        assert json.dumps(embedding.to_dict()) == line
 
 
 def _count_route_computations(monkeypatch) -> list:
@@ -381,6 +430,30 @@ def _outcome(net, request, coeffs) -> tuple:
     except EmbeddingError as exc:
         line = f"blocked:{exc}"
     return line, net.snapshot()
+
+
+def test_embed_output_does_not_depend_on_node_insertion_order():
+    # the JSON orders transmitters, and transposed members, by natural key;
+    # shuffling only the nodes keeps each link and its position, so every
+    # float sum, and with it every cost and tie, is unchanged
+    rng = np.random.default_rng(20241)
+    coeffs = Coefficients(beta=2.0, gamma=100.0)
+    transmitters = 0
+    for _ in range(200):
+        doc = substrate_to_dict(random_substrate(rng, max_nodes=12))
+        ordered = substrate_from_dict(doc)
+        rng.shuffle(doc["nodes"])
+        shuffled = substrate_from_dict(doc)
+        for _ in range(3):
+            request = random_request(rng)
+            line, after = _outcome(ordered, request, coeffs)
+            shuffled_line, shuffled_after = _outcome(shuffled, request, coeffs)
+            assert shuffled_line == line
+            assert sorted(map(sorted, shuffled_after)) == sorted(map(sorted, after))
+            if not line.startswith("blocked:"):
+                transmitters += sum(len(c["hyperlinks"]) > 1
+                                    for c in json.loads(line)["channels"])
+    assert transmitters > 50
 
 
 def test_warm_route_cache_gives_the_outputs_of_fresh_tables(monkeypatch):
@@ -598,6 +671,30 @@ BLOCKED_CASES = {
 }
 
 
+def test_embed_never_selects_a_node_whose_cost_overflows():
+    # P's unicast distance is finite over l3, but once B joins its forwarding
+    # set over l4, whose delay is the float maximum, its cost overflows to inf;
+    # max_delay / min_pdr overflows to inf too
+    net = SubstrateNetwork()
+    net.add_node("D", cpu=10, gpu=0, mem=0)
+    net.add_node("A", cpu=0, gpu=0, mem=0)
+    net.add_node("B", cpu=0, gpu=0, mem=0)
+    net.add_node("P", cpu=0, gpu=5, mem=0)
+    net.add_link("l1", "A", "D", bw=1, delay=1.0, pdr=0.99)
+    net.add_link("l2", "B", "D", bw=1, delay=2.0, pdr=0.99)
+    net.add_link("l3", "P", "A", bw=1, delay=10.0, pdr=0.99)
+    net.add_link("l4", "P", "B", bw=1, delay=sys.float_info.max, pdr=0.5)
+    request = _pair_request(NanoService("s1", gpu=5), NanoService("s2", cpu=10),
+                            max_delay=sys.float_info.max, min_pdr=1e-300)
+    assert request.channels[0].max_cost == math.inf
+    table = anypath_routes(prune(net, "D", 1), "D")
+    assert "P" in settled_ids(table) and cost_by_id(table)["P"] == math.inf
+    before = net.snapshot()
+    with pytest.raises(NoFeasiblePathError):
+        embed(net, request, Coefficients())
+    assert net.snapshot() == before
+
+
 @pytest.mark.parametrize("case", sorted(BLOCKED_CASES))
 def test_blocked_requests_keep_their_exception_and_message(monkeypatch, case):
     request, error, message = BLOCKED_CASES[case]
@@ -684,6 +781,26 @@ def test_channel_after_a_link_reservation_gets_a_fresh_mask(monkeypatch):
     assert scans == [6, 6]
     assert embedding.channel_routes["c1"].links == {"l1"}
     assert embedding.channel_routes["c2"].links == {"l2"}
+
+
+@pytest.mark.parametrize("bw, rescans", [(0, 0), (1, 1)])
+def test_only_a_link_debit_gives_a_fresh_mask(monkeypatch, bw, rescans):
+    net = SubstrateNetwork()
+    net.add_node("n1", cpu=10, gpu=0, mem=0, functionals={"x"})
+    net.add_node("n2", cpu=10, gpu=0, mem=0, functionals={"y"})
+    net.add_link("l1", "n1", "n2", bw=10, delay=1.0, pdr=1.0)
+    request = VirtualRequest("r")
+    for sid, label in (("s1", "x"), ("s2", "y"), ("s3", "x")):
+        request.add_service(NanoService(sid, functionals={label}))
+    # both channels route over l1; a debit of 0 changes no link's eligibility
+    for cid, src in (("c1", "s1"), ("c2", "s3")):
+        request.add_channel(Channel(cid, src, "s2", bw=bw, max_delay=100.0,
+                                    min_pdr=0.5))
+    scans = _count_scans(monkeypatch)
+    embedding = embed(net, request, Coefficients())
+    assert {cid: route.links for cid, route in embedding.channel_routes.items()} \
+        == {"c1": {"l1"}, "c2": {"l1"}}
+    assert scans == [bw] * (1 + rescans)
 
 
 def test_zero_demand_chain_on_1000_nodes_scans_no_substrate(monkeypatch):

@@ -150,10 +150,10 @@ def _doubled(net, requests, coeffs):
 
 
 def _shape(route):
-    """Everything of a route except its eatt and its members' delays."""
-    return (route.src_node, route.dst_node, route.nodes, route.links,
-            [(h.transmitter, [(m.tail, m.head, m.link_id, m.pdr) for m in h.members])
-             for h in route.hyperlinks])
+    """Everything of a route's JSON except its eatt."""
+    doc = route.to_dict()
+    del doc["eatt"]
+    return doc
 
 
 def test_doubling_every_delay_doubles_every_eatt_and_changes_nothing_else():
