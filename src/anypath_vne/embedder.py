@@ -116,11 +116,11 @@ class Coefficients:
 class ChannelRoute:
     """Realized route of one channel, oriented in the data-flow direction.
 
-    ``arcs`` are the route's forwarding-set arc codes on ``topology``, turned
+    ``arcs`` are the arcs of ``anypath.route_closure`` on ``topology``, turned
     into flow direction (``arc ^ 1`` for a route computed backwards), by
     transmitter in natural-key order; a transmitter's arcs are in priority
-    order, or by relay in natural-key order when transposed.  The route's
-    hyperlinks exist only in ``to_dict``, built from these arcs.
+    order, or by relay in natural-key order when transposed.  ``links`` are
+    their link ids.  Hyperlinks exist only in ``to_dict``, built from the arcs.
     """
 
     channel_id: str
@@ -219,10 +219,10 @@ def select_min_links(table: anypath.AnypathRouteTable, accepts,
     return None
 
 
-def _flow_arcs(table: anypath.AnypathRouteTable, closure, reverse: bool) -> tuple:
-    """The forwarding arcs of the closure's nodes, ordered as ``ChannelRoute.arcs``."""
-    rank, ends, index = table.topology.rank, table.topology.ends, table.topology.index
-    arcs = [arc ^ reverse for nid in closure for arc in table.forwarding[index[nid]]]
+def _flow_arcs(topology: Topology, closure: list, reverse: bool) -> tuple:
+    """The arcs of ``anypath.route_closure``, ordered as ``ChannelRoute.arcs``."""
+    rank, ends = topology.rank, topology.ends
+    arcs = [arc ^ reverse for arc in closure]
     if reverse:
         arcs.sort(key=lambda arc: rank[ends[arc]])
     # stable, so a transmitter's arcs keep their order
@@ -283,13 +283,15 @@ def embed(net: SubstrateNetwork, request: VirtualRequest,
                 reserve_service(net, selected, pending, ledger)
                 placed[pending.id] = selected
 
-            nodes, links = anypath.route_closure(table, selected)
+            topology = table.topology
+            closure = anypath.route_closure(table, selected)
+            links = frozenset(topology.link_ids[arc >> 1] for arc in closure)
             reserve_channel(net, links, channel.bw, ledger)
             flow_src, flow_dst = (n_dst, selected) if reverse else (selected, n_dst)
             embedding.channel_routes[channel.id] = ChannelRoute(
-                channel.id, flow_src, flow_dst, frozenset(links),
-                table.cost[table.topology.index[selected]],
-                table.topology, _flow_arcs(table, nodes, reverse))
+                channel.id, flow_src, flow_dst, links,
+                table.cost[topology.index[selected]],
+                topology, _flow_arcs(topology, closure, reverse))
 
         # services with no incident channel are placed on their own
         for sid in sorted(request.services, key=natural_key):

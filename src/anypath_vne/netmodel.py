@@ -281,17 +281,17 @@ class Topology:
     forwarding member's link quality and its head; ``weight`` is the unicast
     cost delay / pdr per link.  ``adjacency[i]`` holds a (link, neighbour) pair
     per link at node i, in link order, and ``rank[i]`` is the position of node
-    i's id in ``natural_key`` order.  ``local_pdr[i]`` is the mean pdr of node
-    i's links, 0 when it has none, and ``by_local_pdr`` lists the node indices
-    by descending local pdr, ties in ``rank`` order: the order in which anchor
-    placement tries the nodes.
+    i's id in ``natural_key`` order.  ``by_local_pdr`` lists the node indices
+    by descending local pdr, the mean pdr of a node's links (0 when it has
+    none), ties in ``rank`` order: the order in which anchor placement tries
+    the nodes.
 
     ``routes`` is the one mutable member: the route-table cache that
     ``anypath.route_table`` fills, least recently used first.
     """
 
     __slots__ = ("nodes", "index", "rank", "link_ids", "ends", "delay", "pdr",
-                 "weight", "adjacency", "local_pdr", "by_local_pdr", "routes")
+                 "weight", "adjacency", "by_local_pdr", "routes")
 
     def __init__(self, net: "SubstrateNetwork"):
         self.nodes = tuple(net.nodes)
@@ -313,8 +313,7 @@ class Topology:
         self.ends, self.delay, self.pdr = tuple(ends), tuple(delay), tuple(pdr)
         self.weight = tuple(weight)
         self.adjacency = tuple(tuple(row) for row in adjacency)
-        self.local_pdr = local = tuple(_mean_pdr([pdr[2 * k] for k, _ in row])
-                                       for row in self.adjacency)
+        local = [_mean_pdr([pdr[2 * k] for k, _ in row]) for row in self.adjacency]
         self.by_local_pdr = tuple(sorted(range(len(self.nodes)),
                                          key=lambda i: (-local[i], self.rank[i])))
         self.routes = OrderedDict()   # (destination, eligible links) -> table

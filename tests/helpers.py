@@ -7,7 +7,14 @@ import math
 
 import numpy as np
 
-from anypath_vne.anypath import DagEdge, PrunedDag, _edge, _expected_time, _orient
+from anypath_vne.anypath import (
+    DagEdge,
+    PrunedDag,
+    _edge,
+    _expected_time,
+    _orient,
+    route_closure,
+)
 from anypath_vne.netmodel import (
     Channel,
     NanoService,
@@ -67,10 +74,20 @@ def link_count(table, node_id: str) -> int:
     return table.link_counts[table.topology.index[node_id]]
 
 
+def closure_ids(table, src: str) -> tuple[set, set]:
+    """(node ids, link ids) of src's ``route_closure``; empty sets when src is dst."""
+    topology = table.topology
+    nodes, ends = topology.nodes, topology.ends
+    arcs = route_closure(table, src)
+    return ({nodes[ends[arc]] for arc in arcs} | {nodes[ends[arc ^ 1]] for arc in arcs},
+            {topology.link_ids[arc >> 1] for arc in arcs})
+
+
 def local_pdr(net: SubstrateNetwork, node_id: str) -> float:
-    """The topology's mean pdr over node_id's links; 0 when it has none."""
+    """Mean pdr over node_id's links, from the topology's adjacency; 0 when it has none."""
     topology = net.topology()
-    return topology.local_pdr[topology.index[node_id]]
+    pdrs = [topology.pdr[2 * link] for link, _ in topology.adjacency[topology.index[node_id]]]
+    return sum(pdrs) / len(pdrs) if pdrs else 0.0
 
 
 def suitable_nodes(net: SubstrateNetwork, service: NanoService) -> set[str]:

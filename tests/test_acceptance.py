@@ -139,7 +139,7 @@ def test_criterion_4b_pruned_graphs_acyclic():
                                extra_edge_factor=2.0)
         dst = list(net.nodes)[int(rng.integers(0, len(net.nodes)))]
         dag = prune(net, dst, 0)
-        assert not has_cycle(dag.nodes, [(e.tail, e.head) for e in dag.edges])
+        assert not has_cycle(dag.topology.nodes, [(e.tail, e.head) for e in dag.edges])
     report("criterion 4b (pruned graphs acyclic)", "1000 random substrates")
 
 

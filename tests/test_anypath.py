@@ -2,6 +2,7 @@ import hashlib
 import math
 import sys
 import threading
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from anypath_vne.anypath import (
 from anypath_vne.netmodel import SubstrateNetwork
 
 from helpers import (
+    closure_ids,
     cost_by_id,
     eatt_recursive,
     example_after_steps,
@@ -57,7 +59,7 @@ def test_bandwidth_filter_after_reservations(example):
     net = example_after_steps(example, steps=2)
     dag = prune(net, "n1", 30)
     assert {e.link_id for e in dag.edges} == {"l2", "l3", "l5", "l6"}
-    assert dag.nodes == tuple(net.nodes)
+    assert dag.topology.nodes == tuple(net.nodes)
     # the table's lists are indexed in the substrate's insertion order
     table = anypath_routes(dag, "n1")
     assert table.topology.nodes == tuple(net.nodes)
@@ -171,8 +173,7 @@ def test_anypath_example_second_channel_state(example):
     net = example_after_steps(example, steps=2)
     table = anypath_routes(prune(net, "n1", 30), "n1")
     assert cost_by_id(table)["n5"] == pytest.approx(37.7778, abs=1e-3)
-    n5_closure = route_closure(table, "n5")
-    assert n5_closure[1] == {"l2", "l5"}
+    assert closure_ids(table, "n5")[1] == {"l2", "l5"}
 
 
 def test_anypath_example_third_channel_state(example):
@@ -184,7 +185,7 @@ def test_anypath_example_third_channel_state(example):
     assert [(m.head, m.link_id) for m in members(table, "n5")] \
         == [("n4", "l6"), ("n3", "l5")]
     assert [(m.head, m.link_id) for m in members(table, "n3")] == [("n4", "l4")]
-    assert route_closure(table, "n5")[1] == {"l4", "l5", "l6"}
+    assert closure_ids(table, "n5")[1] == {"l4", "l5", "l6"}
 
 
 def test_anypath_chain_equals_link_cost_sum():
@@ -200,14 +201,15 @@ def test_anypath_chain_equals_link_cost_sum():
 
 def test_route_closure_example_routes(example_net):
     table = anypath_routes(prune(example_net, "n4", 50), "n4")
-    nodes, links = route_closure(table, "n1")
+    nodes, links = closure_ids(table, "n1")
     assert links == {"l1", "l2", "l3", "l4"}
     assert nodes == {"n1", "n2", "n3", "n4"}
 
 
 def test_route_closure_source_equals_destination(example_net):
     table = anypath_routes(prune(example_net, "n4", 1), "n4")
-    assert route_closure(table, "n4") == (set(), set())
+    assert route_closure(table, "n4") == []
+    assert closure_ids(table, "n4") == (set(), set())
 
 
 def test_route_closure_unreachable_raises(example_net):
@@ -217,10 +219,38 @@ def test_route_closure_unreachable_raises(example_net):
         route_closure(table, "n9")
 
 
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1))
+def test_route_closure_is_each_route_nodes_forwarding_set_once(seed):
+    rng = np.random.default_rng(seed)
+    net = tie_prone_substrate(rng)
+    dst = list(net.nodes)[int(rng.integers(0, len(net.nodes)))]
+    table = anypath_routes(prune(net, dst, 0), dst)
+    nodes, ends = table.topology.nodes, table.topology.ends
+    forwarding = forwarding_by_id(table)
+    for src in settled_ids(table):
+        route, todo = set(), [src]
+        while todo:
+            node = todo.pop()
+            if node not in route:
+                route.add(node)
+                todo += [m.head for m in forwarding[node]]
+        arcs = route_closure(table, src)
+        groups = [(nodes[tail], tuple(group))
+                  for tail, group in groupby(arcs, key=lambda arc: ends[arc ^ 1])]
+        # one contiguous group per transmitter, its arcs in priority order
+        assert len({tail for tail, _ in groups}) == len(groups)
+        assert {tail for tail, _ in groups} == route - {dst}
+        for tail, group in groups:
+            assert group == table.forwarding[table.topology.index[tail]]
+
+
 def test_closure_link_count_matches_closure(example_net):
     table = anypath_routes(prune(example_net, "n4", 1), "n4")
     for nid in settled_ids(table):
-        assert link_count(table, nid) == len(route_closure(table, nid)[1])
+        # each link of a route is one arc of its closure
+        assert link_count(table, nid) == len(closure_ids(table, nid)[1]) \
+            == len(route_closure(table, nid))
 
 
 @settings(max_examples=200)
@@ -230,7 +260,7 @@ def test_prune_is_acyclic(seed):
     net = random_substrate(rng, connected=False, extra_edge_factor=2.0)
     dst = list(net.nodes)[int(rng.integers(0, len(net.nodes)))]
     dag = prune(net, dst, 0)
-    assert not has_cycle(dag.nodes, [(e.tail, e.head) for e in dag.edges])
+    assert not has_cycle(dag.topology.nodes, [(e.tail, e.head) for e in dag.edges])
 
 
 def test_orientation_matches_the_two_pass_reference():
@@ -361,6 +391,23 @@ def test_equal_costs_settle_in_natural_key_order():
     assert [m.head for m in members(table, "x")] == ["n2", "n10"]
 
 
+def test_a_predecessor_at_exactly_the_settled_cost_does_not_join():
+    # settling n3 reprices n2 to 8 + 0.5 * 8 = 12.0, exactly n1's cost; n1
+    # settles first by rank, and n2 must not add l4, or its forwarding set
+    # would no longer point strictly downhill
+    net = SubstrateNetwork()
+    for i in range(4):
+        net.add_node(f"n{i}", 1, 1, 1)
+    for link, a, b, delay, pdr in (("l1", "n0", "n1", 6.0, 0.5), ("l2", "n0", "n2", 8.0, 0.5),
+                                   ("l3", "n0", "n3", 6.0, 0.75), ("l4", "n1", "n2", 2.0, 1.0),
+                                   ("l5", "n2", "n3", 8.0, 1.0)):
+        net.add_link(link, a, b, bw=10, delay=delay, pdr=pdr)
+    table = anypath_routes(prune(net, "n0", 1), "n0")
+    assert cost_by_id(table)["n1"] == cost_by_id(table)["n2"] == 12.0
+    assert [m.link_id for m in members(table, "n2")] == ["l2", "l5"]
+    assert link_count(table, "n2") == 3
+
+
 def _line_substrate(n_nodes: int) -> SubstrateNetwork:
     net = SubstrateNetwork()
     for i in range(1, n_nodes + 1):
@@ -438,7 +485,7 @@ def test_add_link_starts_an_empty_route_cache(example_net):
     assert len(example_net.topology().routes) == 0
     new = route_table(example_net, "n4", 0)
     assert new is not old
-    assert route_closure(new, "n1")[1] == {"l7"}
+    assert closure_ids(new, "n1")[1] == {"l7"}
     # a clone made before keeps the old topology and its cache
     assert route_table(clone, "n4", 0) is old
     assert list(example_net.topology().routes.values()) == [new]

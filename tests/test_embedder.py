@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anypath_vne import anypath, embedder
-from anypath_vne.anypath import anypath_routes, prune, route_closure
+from anypath_vne.anypath import anypath_routes, prune
 from anypath_vne.embedder import (
     Coefficients,
     EmbeddingError,
@@ -38,6 +38,7 @@ from anypath_vne.netmodel import (
 from anypath_vne.scenario import GeneratorConfig, SimulationConfig, run_simulation
 
 from helpers import (
+    closure_ids,
     cost_by_id,
     random_request,
     random_substrate,
@@ -254,6 +255,17 @@ def test_embed_and_its_json_build_no_dag_edge(example, monkeypatch):
     assert [len(c["hyperlinks"]) for c in doc["channels"]] == [3, 2, 2]
     results = run_simulation(SimulationConfig(iterations=2, loads=(10, 40)))
     assert len(results.raw_rows) == 4
+
+
+def test_embed_asks_anypath_for_each_channels_closure_once(example, monkeypatch):
+    # the per-layer anypath.closure span of the benchmark tracer rebinds
+    # anypath.route_closure, so embed must call it through the module
+    calls = _count_calls(monkeypatch, anypath, "route_closure")
+    net, request, coeffs = example
+    embedding = embed(net, request, coeffs)
+    assert len(embedding.channel_routes) == 3
+    assert [(table.dst, src) for table, src in calls] \
+        == [("n4", "n1"), ("n1", "n5"), ("n5", "n4")]
 
 
 def test_channel_routes_keep_no_route_table(monkeypatch):
@@ -499,7 +511,7 @@ def _oracle_min_links(table, accepts, bound=math.inf):
     feasible = [nid for nid, c in cost.items()
                 if math.isfinite(c) and c <= bound and accepts(nid)]
     return min(feasible, default=None, key=lambda nid: (
-        len(route_closure(table, nid)[1]), cost[nid], natural_key(nid)))
+        len(closure_ids(table, nid)[1]), cost[nid], natural_key(nid)))
 
 
 def _oracle_max_pdr(net, service):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anypath_vne.anypath import anypath_routes, prune, route_closure
+from anypath_vne.anypath import anypath_routes, prune
 from anypath_vne.embedder import Coefficients, EmbeddingError, embed
 from anypath_vne.netmodel import (
     Channel,
@@ -33,6 +33,7 @@ from anypath_vne.netmodel import (
 )
 
 from helpers import (
+    closure_ids,
     local_pdr,
     random_request,
     random_substrate,
@@ -465,8 +466,8 @@ def test_add_link_rebuilds_topology_and_routes_use_the_link(example_net):
     assert after is not before
     assert after.link_ids[-1] == "l7"
     assert unicast_distances(example_net, "n4", 0)["n1"] == 1.0
-    assert route_closure(anypath_routes(prune(example_net, "n4", 1), "n4"),
-                         "n1")[1] == {"l7"}
+    assert closure_ids(anypath_routes(prune(example_net, "n4", 1), "n4"),
+                       "n1")[1] == {"l7"}
 
 
 def test_reservations_on_a_clone_leave_the_topology_alone(
