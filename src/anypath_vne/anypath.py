@@ -24,11 +24,11 @@ Everything inside runs on the dense integer ids of the substrate's shared
 forwarding member is an arc code 2*link + side whose head is
 ``topology.ends[arc]`` and whose tail is ``topology.ends[arc ^ 1]``.  The
 sweep's heap key is (cost, natural-key rank, index), so equal costs settle in
-``natural_key`` order of the ids; a closure's link set is an int bitmask over
-link indices.  ``route_closure`` hands a route out as its forwarding arcs, and
-ids appear only at the boundary: the link ids that ``embedder.embed`` reserves
-and the hyperlinks of ``embedder.ChannelRoute.to_dict``.  Only
-``PrunedDag.edges`` makes DagEdges.
+``natural_key`` order of the ids; the sweep counts a route's links with an
+int bitmask over link indices.  ``route_closure`` hands a route out as its
+forwarding arcs, and ids appear only at the boundary: the link ids that
+``embedder.embed`` reserves and the hyperlinks of
+``embedder.ChannelRoute.to_dict``.  Only ``PrunedDag.edges`` makes DagEdges.
 
 A route table depends only on the topology, its destination and which links
 have at least the channel's bandwidth, because link delay and pdr never
@@ -160,54 +160,22 @@ def _expected_time(members, pdr, delay, head, cost) -> float:
     return worst / reliability + remaining
 
 
+@dataclass(frozen=True)
 class AnypathRouteTable:
     """Per-node forwarding sets and expected anypath transmission times to dst.
 
-    Every field is a list over node indices.  ``ranked`` orders the reached
-    nodes the way candidate selection prefers them, so a selection walks it
-    and stops at the first node that qualifies.
+    ``cost`` and ``forwarding`` are lists over node indices.  ``ranked``
+    orders the reached nodes the way candidate selection prefers them, so a
+    selection walks it and stops at the first node that qualifies.  Tables
+    are shared through the route cache and never written after they are built.
     """
 
-    def __init__(self, topology: Topology, dst: str, cost: list,
-                 forwarding: list, settle_order: list):
-        self.topology = topology
-        self.dst = dst
-        self.cost = cost                  # node index -> float (inf if unreachable)
-        self.forwarding = forwarding      # node index -> tuple of arc codes
-        self.settle_order = settle_order  # reached node indices in ascending cost
-
-    @cached_property
-    def link_counts(self) -> dict:
-        """Reached node index -> number of distinct links its route uses."""
-        # Forwarding sets point strictly downhill in cost, so settle order is a
-        # topological order; accumulate link sets as bitmasks over link indices.
-        ends, forwarding = self.topology.ends, self.forwarding
-        masks = {}
-        counts = {}
-        for u in self.settle_order:
-            mask = 0
-            for arc in forwarding[u]:
-                mask |= masks[ends[arc]] | (1 << (arc >> 1))
-            masks[u] = mask
-            counts[u] = mask.bit_count()
-        return counts
-
-    @cached_property
-    def ranked(self) -> list:
-        """Reached node indices by (link count, cost, natural-key rank).
-
-        The rank is unique, so this is a strict order.  The table is shared
-        and read-only, so the order is sorted once per table.
-        """
-        counts, cost = self.link_counts, self.cost
-        # stable sorts, least significant key first; without equal costs
-        # (link count, cost) is already unique and the rank pass is skipped
-        order = list(counts)
-        if len(set(map(cost.__getitem__, order))) < len(order):
-            order.sort(key=self.topology.rank.__getitem__)
-        order.sort(key=cost.__getitem__)
-        order.sort(key=counts.__getitem__)
-        return order
+    topology: Topology
+    dst: str
+    cost: list           # node index -> float (inf if unreachable)
+    forwarding: list     # node index -> tuple of arc codes
+    settle_order: list   # reached node indices in ascending cost
+    ranked: list         # reached node indices by (link count, cost, natural-key rank)
 
 
 def anypath_routes(dag: PrunedDag, dst: str) -> AnypathRouteTable:
@@ -218,6 +186,10 @@ def anypath_routes(dag: PrunedDag, dst: str) -> AnypathRouteTable:
     hyperlink cost plus weighted remaining cost.  The repricing is applied even
     if it raises the predecessor's cost, so a fresh heap entry is pushed on
     every update and stale entries are skipped by value comparison.
+
+    A settled node's forwarding set is final and its heads settled before it,
+    so its route's links are counted as it settles.  The reached nodes are then
+    ranked by (link count, cost, natural-key rank), a strict order.
 
     The result does not depend on the order of ``dag.incoming``: an update
     reads only its predecessor's members, the heap key is total, and parallel
@@ -231,6 +203,8 @@ def anypath_routes(dag: PrunedDag, dst: str) -> AnypathRouteTable:
     cost = [INFINITY] * n
     forwarding = [()] * n
     settled = [False] * n
+    masks = [0] * n    # node index -> its route's links, as a bitmask
+    links = [0] * n    # node index -> number of distinct links its route uses
     settle_order = []
     start = topology.index[dst]
     cost[start] = 0.0
@@ -241,6 +215,11 @@ def anypath_routes(dag: PrunedDag, dst: str) -> AnypathRouteTable:
             continue
         settled[u] = True
         settle_order.append(u)
+        mask = 0
+        for arc in forwarding[u]:
+            mask |= masks[ends[arc]] | (1 << (arc >> 1))
+        masks[u] = mask
+        links[u] = mask.bit_count()
         for arc in incoming[u]:
             pred = ends[arc ^ 1]
             if settled[pred] or cost[pred] <= settled_cost:
@@ -249,7 +228,11 @@ def anypath_routes(dag: PrunedDag, dst: str) -> AnypathRouteTable:
             cost[pred] = _expected_time(members, pdr, delay, ends, cost)
             forwarding[pred] = members
             heapq.heappush(heap, (cost[pred], rank[pred], pred))
-    return AnypathRouteTable(topology, dst, cost, forwarding, settle_order)
+    # stable sorts, least significant key first
+    ranked = sorted(settle_order, key=rank.__getitem__)
+    ranked.sort(key=cost.__getitem__)
+    ranked.sort(key=links.__getitem__)
+    return AnypathRouteTable(topology, dst, cost, forwarding, settle_order, ranked)
 
 
 def route_table(net: SubstrateNetwork, dst: str, bw: int) -> AnypathRouteTable:

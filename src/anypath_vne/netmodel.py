@@ -450,8 +450,8 @@ def reserve_service(net: SubstrateNetwork, node_id: str,
 
 def reserve_channel(net: SubstrateNetwork, link_ids: Iterable[str],
                     bw: int, ledger: list) -> None:
-    """Debit the channel bandwidth from every link of its route."""
-    link_ids = sorted(link_ids, key=natural_key)
+    """Debit the channel bandwidth once from each distinct link of its route."""
+    link_ids = sorted(set(link_ids), key=natural_key)
     for link_id in link_ids:
         if net.links[link_id].bw < bw:
             raise InsufficientCapacityError(
@@ -464,7 +464,12 @@ def reserve_channel(net: SubstrateNetwork, link_ids: Iterable[str],
 
 
 def rollback(net: SubstrateNetwork, ledger: list) -> None:
-    """Undo the records of the ledger list in reverse order and empty it."""
+    """Undo the records of the ledger list in reverse order and empty it.
+
+    Like ``reserve_channel``, it gives the network a fresh eligible-links memo
+    only when a link's bandwidth changes.
+    """
+    fresh = False
     for record in reversed(ledger):
         if record[0] == "node":
             _, node_id, dcpu, dgpu, dmem = record
@@ -475,9 +480,10 @@ def rollback(net: SubstrateNetwork, ledger: list) -> None:
         else:
             _, link_id, dbw = record
             net.links[link_id].bw += dbw
-    if ledger:
+            fresh = fresh or dbw != 0
+    if fresh:
         net._eligible = {}
-        ledger.clear()
+    ledger.clear()
 
 
 # --- JSON-friendly (de)serialization -----------------------------------------

@@ -70,8 +70,11 @@ def settled_ids(table) -> list[str]:
 
 
 def link_count(table, node_id: str) -> int:
-    """Distinct links of node_id's route, from the table's ``link_counts``."""
-    return table.link_counts[table.topology.index[node_id]]
+    """Distinct links of node_id's route, counted over its ``route_closure``.
+
+    Independent of the sweep's own counts, which only order ``table.ranked``.
+    """
+    return len({arc >> 1 for arc in route_closure(table, node_id)})
 
 
 def closure_ids(table, src: str) -> tuple[set, set]:

@@ -17,7 +17,7 @@ from anypath_vne.anypath import (
     route_closure,
     route_table,
 )
-from anypath_vne.netmodel import SubstrateNetwork
+from anypath_vne.netmodel import SubstrateNetwork, natural_key
 
 from helpers import (
     closure_ids,
@@ -245,12 +245,25 @@ def test_route_closure_is_each_route_nodes_forwarding_set_once(seed):
             assert group == table.forwarding[table.topology.index[tail]]
 
 
-def test_closure_link_count_matches_closure(example_net):
-    table = anypath_routes(prune(example_net, "n4", 1), "n4")
-    for nid in settled_ids(table):
-        # each link of a route is one arc of its closure
-        assert link_count(table, nid) == len(closure_ids(table, nid)[1]) \
-            == len(route_closure(table, nid))
+def test_ranked_orders_by_closure_links_then_cost_then_natural_key(example_net):
+    # the sweep counts links as nodes settle and always sorts by rank; the
+    # reference counts each route's closure and sorts by the ids themselves
+    tables = [anypath_routes(prune(example_net, dst, bw), dst)
+              for dst in example_net.nodes for bw in (1, 50)]
+    rng = np.random.default_rng(1818)
+    for _ in range(300):
+        net = tie_prone_substrate(rng)
+        for dst in net.nodes:
+            table = anypath_routes(prune(net, dst, 0), dst)
+            costs = [table.cost[i] for i in table.settle_order]
+            if len(set(costs)) < len(costs):
+                tables.append(table)
+    assert len(tables) > 200
+    for table in tables:
+        cost = cost_by_id(table)
+        expected = sorted(settled_ids(table), key=lambda nid: (
+            link_count(table, nid), cost[nid], natural_key(nid)))
+        assert [table.topology.nodes[i] for i in table.ranked] == expected
 
 
 @settings(max_examples=200)

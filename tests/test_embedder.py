@@ -815,6 +815,33 @@ def test_only_a_link_debit_gives_a_fresh_mask(monkeypatch, bw, rescans):
     assert scans == [bw] * (1 + rescans)
 
 
+@pytest.mark.parametrize("bw, blocker, rescans",
+                         [(1, "path", 0), (0, "node", 0), (1, "node", 1)])
+def test_only_undoing_a_link_debit_gives_a_fresh_mask(monkeypatch, bw, blocker,
+                                                       rescans):
+    net = SubstrateNetwork()
+    net.add_node("n1", cpu=10, gpu=0, mem=0, functionals={"x"})
+    net.add_node("n2", cpu=10, gpu=0, mem=0, functionals={"y"})
+    net.add_link("l1", "n1", "n2", bw=10, delay=1.0, pdr=1.0)
+    request = VirtualRequest("r")
+    for sid, label in (("s1", "x"), ("s2", "y"), ("s3", "z")):
+        request.add_service(NanoService(sid, functionals={label}))
+    if blocker == "path":
+        # no route costs as little as 1e-6: blocked with only s2 placed
+        request.add_channel(Channel("c1", "s1", "s2", bw=bw, max_delay=1e-6,
+                                    min_pdr=1.0))
+    else:
+        # c1 debits l1 by bw, then no node fits s3
+        for cid, src in (("c1", "s1"), ("c2", "s3")):
+            request.add_channel(Channel(cid, src, "s2", bw=bw, max_delay=100.0,
+                                        min_pdr=0.5))
+    scans = _count_scans(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(EmbeddingError):
+            embed(net, request, Coefficients())
+    assert scans == [bw] * (1 + rescans)
+
+
 def test_zero_demand_chain_on_1000_nodes_scans_no_substrate(monkeypatch):
     net, request = _complexity_instance(np.random.default_rng(602), 1000)
     checks = _count_calls(monkeypatch, embedder, "fits")

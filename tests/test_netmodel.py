@@ -190,6 +190,18 @@ def test_reserve_channel_empty_set_is_noop(example_net):
     assert len(ledger) == 0
 
 
+def test_reserve_channel_charges_a_repeated_link_once(example_net):
+    ledger = []
+    reserve_channel(example_net, ["l1", "l1"], 40, ledger)
+    assert example_net.links["l1"].bw == 30
+    assert ledger == [("link", "l1", 40)]
+    assert validate_substrate(example_net) == []
+    # l1 has 30 left: one more debit of 40 is refused, however often it is named
+    with pytest.raises(InsufficientCapacityError):
+        reserve_channel(example_net, ["l1", "l1"], 40, ledger)
+    assert example_net.links["l1"].bw == 30
+
+
 def test_reserve_channel_insufficient_leaves_links_untouched(example_net):
     ledger = []
     before = example_net.snapshot()
