@@ -20,12 +20,12 @@ plus the w-weighted mean of its members' own costs.  ``_expected_time`` is
 the one place these formulas are computed.
 
 Everything inside runs on the dense integer ids of the substrate's shared
-``netmodel.Topology``: node i is the i-th node id, and a DAG edge or
-forwarding member is an arc code 2*link + side whose head is
-``topology.ends[arc]`` and whose tail is ``topology.ends[arc ^ 1]``.  The
-sweep's heap key is (cost, natural-key rank, index), so equal costs settle in
-``natural_key`` order of the ids; the sweep counts a route's links with an
-int bitmask over link indices.  ``route_closure`` hands a route out as its
+``netmodel.Topology``: node i is the i-th node id in ``natural_key`` order,
+and a DAG edge or forwarding member is an arc code 2*link + side whose head
+is ``topology.ends[arc]`` and whose tail is ``topology.ends[arc ^ 1]``.  The
+sweep's heap key is (cost, index), so equal costs settle in ``natural_key``
+order of the ids; the sweep counts a route's links with an int bitmask over
+link indices.  ``route_closure`` hands a route out as its
 forwarding arcs, and ids appear only at the boundary: the link ids that
 ``embedder.embed`` reserves and the hyperlinks of
 ``embedder.ChannelRoute.to_dict``.  Only ``PrunedDag.edges`` makes DagEdges.
@@ -175,7 +175,7 @@ class AnypathRouteTable:
     cost: list           # node index -> float (inf if unreachable)
     forwarding: list     # node index -> tuple of arc codes
     settle_order: list   # reached node indices in ascending cost
-    ranked: list         # reached node indices by (link count, cost, natural-key rank)
+    ranked: list         # reached node indices by (link count, cost, index)
 
 
 def anypath_routes(dag: PrunedDag, dst: str) -> AnypathRouteTable:
@@ -189,14 +189,14 @@ def anypath_routes(dag: PrunedDag, dst: str) -> AnypathRouteTable:
 
     A settled node's forwarding set is final and its heads settled before it,
     so its route's links are counted as it settles.  The reached nodes are then
-    ranked by (link count, cost, natural-key rank), a strict order.
+    ranked by (link count, cost, index), a strict order.
 
     The result does not depend on the order of ``dag.incoming``: an update
     reads only its predecessor's members, the heap key is total, and parallel
     links share a tail, so they stay in link order.
     """
     topology = dag.topology
-    rank, ends = topology.rank, topology.ends
+    ends = topology.ends
     pdr, delay = topology.pdr, topology.delay
     incoming = dag.incoming
     n = len(topology.nodes)
@@ -208,9 +208,9 @@ def anypath_routes(dag: PrunedDag, dst: str) -> AnypathRouteTable:
     settle_order = []
     start = topology.index[dst]
     cost[start] = 0.0
-    heap = [(0.0, rank[start], start)]
+    heap = [(0.0, start)]
     while heap:
-        settled_cost, _, u = heapq.heappop(heap)
+        settled_cost, u = heapq.heappop(heap)
         if settled[u] or settled_cost != cost[u]:
             continue
         settled[u] = True
@@ -227,9 +227,9 @@ def anypath_routes(dag: PrunedDag, dst: str) -> AnypathRouteTable:
             members = forwarding[pred] + (arc,)
             cost[pred] = _expected_time(members, pdr, delay, ends, cost)
             forwarding[pred] = members
-            heapq.heappush(heap, (cost[pred], rank[pred], pred))
+            heapq.heappush(heap, (cost[pred], pred))
     # stable sorts, least significant key first
-    ranked = sorted(settle_order, key=rank.__getitem__)
+    ranked = sorted(settle_order)
     ranked.sort(key=cost.__getitem__)
     ranked.sort(key=links.__getitem__)
     return AnypathRouteTable(topology, dst, cost, forwarding, settle_order, ranked)

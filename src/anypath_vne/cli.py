@@ -31,6 +31,7 @@ import dataclasses
 import errno
 import json
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -146,7 +147,7 @@ def cmd_example(_args) -> int:
         print(f"  {cid}: {route.src_node} -> {route.dst_node} via {{{links}}}"
               f" (eatt {fmt(route.eatt)})")
     print("residual node resources (cpu, gpu, mem):")
-    for nid in sorted(net.nodes, key=natural_key):
+    for nid in net.topology().nodes:
         node = net.nodes[nid]
         print(f"  {nid}: ({node.cpu}, {node.gpu}, {node.mem})")
     print("residual link bandwidth:")
@@ -306,6 +307,10 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
+    # a reader that stops early (``| head``) ends the process as it would a C
+    # tool, by SIGPIPE, not with a BrokenPipeError traceback
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -221,18 +221,21 @@ def select_min_links(table: anypath.AnypathRouteTable, accepts,
 
 def _flow_arcs(topology: Topology, closure: list, reverse: bool) -> tuple:
     """The arcs of ``anypath.route_closure``, ordered as ``ChannelRoute.arcs``."""
-    rank, ends = topology.rank, topology.ends
+    ends = topology.ends
     arcs = [arc ^ reverse for arc in closure]
     if reverse:
-        arcs.sort(key=lambda arc: rank[ends[arc]])
+        arcs.sort(key=ends.__getitem__)
     # stable, so a transmitter's arcs keep their order
-    arcs.sort(key=lambda arc: rank[ends[arc ^ 1]])
+    arcs.sort(key=lambda arc: ends[arc ^ 1])
     return tuple(arcs)
 
 
 def embed(net: SubstrateNetwork, request: VirtualRequest,
           coeffs: Coefficients) -> Embedding:
     """Embed the whole request or raise an EmbeddingError after a full rollback.
+
+    Any exception, not only an EmbeddingError, undoes every reservation of
+    the call before it propagates, so the substrate is never left half debited.
 
     Per ranked channel, routes run toward an anchor service: the source when
     only the source is placed (links are symmetric, so the chosen route is
@@ -300,7 +303,7 @@ def embed(net: SubstrateNetwork, request: VirtualRequest,
                 node_id = select_max_pdr(net, service)
                 reserve_service(net, node_id, service, ledger)
                 placed[sid] = node_id
-    except EmbeddingError:
+    except BaseException:
         rollback(net, ledger)
         raise
     return embedding

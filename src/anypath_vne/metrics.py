@@ -114,7 +114,7 @@ def usage_report(before: SubstrateNetwork, after: SubstrateNetwork,
                   before.nodes[nid].gpu0,
                   before.nodes[nid].mem - after.nodes[nid].mem,
                   before.nodes[nid].mem0)
-        for nid in sorted(before.nodes, key=natural_key)
+        for nid in before.topology().nodes
     ]
     link_rows = [
         LinkUsage(lid, routed[lid],

@@ -248,8 +248,8 @@ class VirtualRequest:
     """A directed service graph; channel order is the arrival order."""
 
     id: str
-    services: dict = field(default_factory=dict)   # service id -> NanoService
-    channels: list = field(default_factory=list)   # list[Channel]
+    services: dict = field(default_factory=dict, init=False)   # id -> NanoService
+    channels: list = field(default_factory=list, init=False)   # list[Channel]
 
     def __post_init__(self):
         _check_ids(self)
@@ -274,30 +274,28 @@ class VirtualRequest:
 class Topology:
     """Static structure of a substrate on dense integer ids, and its route-table cache.
 
-    Node i is the i-th node id in insertion order and link k the k-th link.
+    Node i is the i-th node id in ``natural_key`` order, so a tie broken by
+    id is broken by index, and link k the k-th link in insertion order.
     Arc 2*k + s is link k directed into its endpoint ``ends[2*k + s]`` (s = 0
     for endpoint a, 1 for b); ``ends[arc ^ 1]`` is its tail, ``arc >> 1`` its
     link.  ``delay`` and ``pdr`` are kept per arc, so one index reads both a
     forwarding member's link quality and its head; ``weight`` is the unicast
     cost delay / pdr per link.  ``adjacency[i]`` holds a (link, neighbour) pair
-    per link at node i, in link order, and ``rank[i]`` is the position of node
-    i's id in ``natural_key`` order.  ``by_local_pdr`` lists the node indices
-    by descending local pdr, the mean pdr of a node's links (0 when it has
-    none), ties in ``rank`` order: the order in which anchor placement tries
-    the nodes.
+    per link at node i, in link order.  ``by_local_pdr`` lists the node
+    indices by descending local pdr, the mean pdr of a node's links (0 when it
+    has none), ties by index: the order in which anchor placement tries the
+    nodes.
 
     ``routes`` is the one mutable member: the route-table cache that
     ``anypath.route_table`` fills, least recently used first.
     """
 
-    __slots__ = ("nodes", "index", "rank", "link_ids", "ends", "delay", "pdr",
+    __slots__ = ("nodes", "index", "link_ids", "ends", "delay", "pdr",
                  "weight", "adjacency", "by_local_pdr", "routes")
 
     def __init__(self, net: "SubstrateNetwork"):
-        self.nodes = tuple(net.nodes)
+        self.nodes = tuple(sorted(net.nodes, key=natural_key))
         self.index = {nid: i for i, nid in enumerate(self.nodes)}
-        rank = {nid: r for r, nid in enumerate(sorted(self.nodes, key=natural_key))}
-        self.rank = tuple(rank[nid] for nid in self.nodes)
         self.link_ids = tuple(net.links)
         ends, delay, pdr, weight = [], [], [], []
         adjacency = [[] for _ in self.nodes]
@@ -314,8 +312,7 @@ class Topology:
         self.weight = tuple(weight)
         self.adjacency = tuple(tuple(row) for row in adjacency)
         local = [_mean_pdr([pdr[2 * k] for k, _ in row]) for row in self.adjacency]
-        self.by_local_pdr = tuple(sorted(range(len(self.nodes)),
-                                         key=lambda i: (-local[i], self.rank[i])))
+        self.by_local_pdr = tuple(sorted(range(len(self.nodes)), key=lambda i: -local[i]))
         self.routes = OrderedDict()   # (destination, eligible links) -> table
 
 

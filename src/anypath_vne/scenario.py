@@ -306,7 +306,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResults:
         rows = [row for row in results.raw_rows if row.load == load]
         summary = LoadSummary(load, {name: _mean_std([getattr(r, name) for r in rows])
                                      for name in METRICS})
-        for nid, (services, cpu, gpu, mem) in zip(sorted(base.nodes, key=natural_key),
+        for nid, (services, cpu, gpu, mem) in zip(base.topology().nodes,
                                                   (node_sums[load] / len(rows)).tolist()):
             node = base.nodes[nid]
             summary.node_rows.append(NodeUsage(nid, services, cpu, node.cpu0,

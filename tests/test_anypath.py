@@ -57,12 +57,15 @@ def test_unicast_distance_isolated_is_infinite(example_net):
 
 def test_bandwidth_filter_after_reservations(example):
     net = example_after_steps(example, steps=2)
+    # two isolated nodes, inserted out of natural-key order
+    net.add_node("n10", 1, 1, 1)
+    net.add_node("n9", 1, 1, 1)
     dag = prune(net, "n1", 30)
     assert {e.link_id for e in dag.edges} == {"l2", "l3", "l5", "l6"}
-    assert dag.topology.nodes == tuple(net.nodes)
-    # the table's lists are indexed in the substrate's insertion order
+    assert dag.topology.nodes == ("n1", "n2", "n3", "n4", "n5", "n9", "n10")
+    # the table's lists are indexed in natural-key order, not insertion order
     table = anypath_routes(dag, "n1")
-    assert table.topology.nodes == tuple(net.nodes)
+    assert table.topology.nodes == tuple(sorted(net.nodes, key=natural_key))
     assert len(table.cost) == len(table.forwarding) == len(net.nodes)
 
 

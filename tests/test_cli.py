@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -517,6 +518,36 @@ def test_embed_that_leaves_a_fractional_bandwidth_exits_internal(
     assert out == ""
     assert err.splitlines() == ["internal error: embedding left the substrate "
                                 "invalid: link l3: non-integer bandwidth"]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_embed_into_a_pipe_closed_early_ends_by_sigpipe(tmp_path):
+    # on a 1 000-node chain the one route crosses every link, so the JSON is
+    # far larger than a pipe holds and the CLI is still writing when the
+    # reader stops, as with ``anypath-vne embed ... | head -c 100``
+    n = 1000
+    nodes = [{"id": f"n{i}", "cpu": 1, "gpu": 1, "mem": 1} for i in range(1, n + 1)]
+    nodes[0]["functionals"], nodes[-1]["functionals"] = ["head"], ["tail"]
+    links = [{"id": f"l{i}", "a": f"n{i}", "b": f"n{i + 1}", "bw": 10,
+              "delay": 1.0, "pdr": 1.0} for i in range(1, n)]
+    services = [{"id": "s1", "cpu": 0, "gpu": 0, "mem": 0, "functionals": ["head"]},
+                {"id": "s2", "cpu": 0, "gpu": 0, "mem": 0, "functionals": ["tail"]}]
+    channels = [{"id": "c1", "src": "s1", "dst": "s2", "bw": 1,
+                 "max_delay": 1e6, "min_pdr": 0.5}]
+    substrate, request = tmp_path / "substrate.json", tmp_path / "request.json"
+    substrate.write_text(json.dumps({"nodes": nodes, "links": links}))
+    request.write_text(json.dumps({"services": services, "channels": channels}))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    with subprocess.Popen(
+            [sys.executable, "-m", "anypath_vne.cli", "embed", "--substrate",
+             str(substrate), "--request", str(request)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+    assert proc.returncode == -signal.SIGPIPE
+    assert head.startswith(b'{\n  "request": "request"')
+    assert stderr == b""
 
 
 _JUNK = st.one_of(

@@ -40,10 +40,12 @@ from anypath_vne.scenario import GeneratorConfig, SimulationConfig, run_simulati
 from helpers import (
     closure_ids,
     cost_by_id,
+    forwarding_by_id,
     random_request,
     random_substrate,
     settled_ids,
     suitable_nodes,
+    tie_prone_substrate,
 )
 from test_acceptance import _complexity_instance
 
@@ -466,6 +468,72 @@ def test_embed_output_does_not_depend_on_node_insertion_order():
                 transmitters += sum(len(c["hyperlinks"]) > 1
                                     for c in json.loads(line)["channels"])
     assert transmitters > 50
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_any_exception_in_embed_rolls_back_every_reservation(example, monkeypatch, error):
+    # the second channel's reservation fails after n1, n4, n5 and l1-l4 are debited
+    net, request, coeffs = example
+    before = net.snapshot()
+    reserve_channel = embedder.reserve_channel
+    calls = []
+
+    def fault(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise error("injected")
+        return reserve_channel(*args)
+
+    monkeypatch.setattr(embedder, "reserve_channel", fault)
+    with pytest.raises(error, match="injected"):
+        embed(net, request, coeffs)
+    assert len(calls) == 2
+    assert net.snapshot() == before
+
+
+def _with_nodes_in(net, order) -> SubstrateNetwork:
+    """A copy of net whose nodes are inserted in order; links keep theirs."""
+    dup = SubstrateNetwork()
+    for nid in order:
+        node = net.nodes[nid]
+        dup.add_node(nid, node.cpu, node.gpu, node.mem, node.functionals)
+    for link in net.links.values():
+        dup.add_link(link.id, link.a, link.b, link.bw, link.delay, link.pdr)
+    return dup
+
+
+def _route_tables(net) -> list:
+    """Every route table of net toward each node at bw 0 and 10, by id."""
+    tables = []
+    for dst in sorted(net.nodes, key=natural_key):
+        for bw in (0, 10):
+            table = anypath_routes(prune(net, dst, bw), dst)
+            tables.append((cost_by_id(table), forwarding_by_id(table),
+                           settled_ids(table),
+                           [table.topology.nodes[i] for i in table.ranked]))
+    return tables
+
+
+def test_routes_and_embeds_do_not_depend_on_node_insertion_order():
+    # tie-prone nets add parallel links, self-loops and equal costs, which the
+    # JSON format refuses, so each net is rebuilt by hand
+    rng = np.random.default_rng(20251)
+    coeffs = Coefficients(beta=2.0, gamma=100.0)
+    nets = [random_substrate(rng, max_nodes=14) for _ in range(100)]
+    nets += [tie_prone_substrate(rng, max_nodes=14) for _ in range(100)]
+    shuffled_orders = 0
+    for ordered in nets:
+        order = [str(nid) for nid in rng.permutation(list(ordered.nodes))]
+        shuffled_orders += order != list(ordered.nodes)
+        shuffled = _with_nodes_in(ordered, order)
+        assert _route_tables(shuffled) == _route_tables(ordered)
+        for _ in range(3):
+            request = random_request(rng)
+            line, after = _outcome(ordered, request, coeffs)
+            shuffled_line, shuffled_after = _outcome(shuffled, request, coeffs)
+            assert shuffled_line == line
+            assert sorted(map(sorted, shuffled_after)) == sorted(map(sorted, after))
+    assert shuffled_orders > 180
 
 
 def test_warm_route_cache_gives_the_outputs_of_fresh_tables(monkeypatch):

@@ -315,6 +315,16 @@ def test_request_json_round_trip(example_request):
     assert [c.id for c in clone.channels] == ["c1", "c2", "c3"]
 
 
+@pytest.mark.parametrize("given", [
+    {"services": {"x": NanoService("s1")}},
+    {"channels": [Channel("c1", "s1", "s2", bw=1, max_delay=1.0, min_pdr=0.5)]},
+], ids=["services", "channels"])
+def test_request_takes_services_and_channels_only_through_add(given):
+    # add_service and add_channel check ids and endpoints; the constructor does not
+    with pytest.raises(TypeError):
+        VirtualRequest("r", **given)
+
+
 @pytest.mark.parametrize("field, value", [
     ("delay", 0.0), ("delay", -1.0), ("delay", math.nan), ("delay", math.inf),
     ("pdr", 0.0), ("pdr", 1.5), ("pdr", math.nan), ("pdr", 1e-20),
