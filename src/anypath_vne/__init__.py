@@ -30,9 +30,7 @@ from .metrics import (
     MetricsReport,
     cost,
     metrics_report,
-    ratios,
     revenue,
-    usage_report,
 )
 from .netmodel import (
     Channel,

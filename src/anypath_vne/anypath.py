@@ -148,7 +148,7 @@ def _expected_time(members, pdr, delay, head, cost) -> float:
     for m in members:
         miss *= 1.0 - pdr[m]
         d = delay[m]
-        if d > worst:
+        if d > worst:    # >= is equivalent: an equal delay leaves the same maximum
             worst = d
     reliability = 1.0 - miss
     remaining = 0.0

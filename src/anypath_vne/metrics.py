@@ -38,23 +38,6 @@ def cost(request: VirtualRequest, embedding: Embedding,
     return value
 
 
-def ratios(outcome: WindowOutcome) -> tuple[float, float]:
-    """(acceptance ratio, blocking ratio) of the window; they sum to 1."""
-    total = len(outcome.results)
-    if total == 0:
-        raise EmptyWindowError("window contains no requests")
-    acceptance = len(outcome.accepted) / total
-    return acceptance, 1.0 - acceptance
-
-
-def embedding_revenue(outcome: WindowOutcome, coeffs: Coefficients) -> float:
-    return sum(revenue(r.request, coeffs) for r in outcome.accepted)
-
-
-def embedding_cost(outcome: WindowOutcome, coeffs: Coefficients) -> float:
-    return sum(cost(r.request, r.embedding, coeffs) for r in outcome.accepted)
-
-
 @dataclass
 class NodeUsage:
     """Hosted services and used cpu/gpu/mem of one node; means when aggregated."""
@@ -92,46 +75,42 @@ class MetricsReport:
     link_usage: list = field(default_factory=list)
 
 
-def usage_report(before: SubstrateNetwork, after: SubstrateNetwork,
-                 outcome: WindowOutcome) -> tuple[list, list]:
-    """Per-node and per-link usage from the before/after capacity deltas."""
+def metrics_report(before: SubstrateNetwork, after: SubstrateNetwork,
+                   outcome: WindowOutcome, coeffs: Coefficients) -> MetricsReport:
+    """Score one processed window in one pass over its accepted requests.
+
+    The pass prices each accepted request and counts the services each node
+    hosts and the channels each link routes; used capacity is the before/after
+    capacity delta.
+    """
+    if not outcome.results:
+        raise EmptyWindowError("window contains no requests")
     if (set(before.nodes) != set(after.nodes)
             or set(before.links) != set(after.links)):
         raise TopologyMismatchError("before/after snapshots differ in topology")
-    hosted = {nid: 0 for nid in before.nodes}
-    routed = {lid: 0 for lid in before.links}
-    for result in outcome.accepted:
+    accepted = outcome.accepted
+    acceptance = len(accepted) / len(outcome.results)
+    revenues, costs = [], []
+    hosted = dict.fromkeys(before.nodes, 0)
+    routed = dict.fromkeys(before.links, 0)
+    for result in accepted:
+        revenues.append(revenue(result.request, coeffs))
+        costs.append(cost(result.request, result.embedding, coeffs))
         for node_id in result.embedding.service_map.values():
             hosted[node_id] += 1
         for route in result.embedding.channel_routes.values():
             for link_id in route.links:
                 routed[link_id] += 1
-    node_rows = [
-        NodeUsage(nid, hosted[nid],
-                  before.nodes[nid].cpu - after.nodes[nid].cpu,
-                  before.nodes[nid].cpu0,
-                  before.nodes[nid].gpu - after.nodes[nid].gpu,
-                  before.nodes[nid].gpu0,
-                  before.nodes[nid].mem - after.nodes[nid].mem,
-                  before.nodes[nid].mem0)
-        for nid in before.topology().nodes
-    ]
-    link_rows = [
-        LinkUsage(lid, routed[lid],
-                  before.links[lid].bw - after.links[lid].bw,
-                  before.links[lid].bw0)
-        for lid in sorted(before.links, key=natural_key)
-    ]
-    return node_rows, link_rows
-
-
-def metrics_report(before: SubstrateNetwork, after: SubstrateNetwork,
-                   outcome: WindowOutcome, coeffs: Coefficients) -> MetricsReport:
-    """Assemble the full report for one processed window."""
-    acceptance, blocking = ratios(outcome)
-    total_revenue = embedding_revenue(outcome, coeffs)
-    total_cost = embedding_cost(outcome, coeffs)
+    total_revenue, total_cost = sum(revenues), sum(costs)
     rc = total_revenue / total_cost if total_cost > 0 else math.nan
-    node_rows, link_rows = usage_report(before, after, outcome)
-    return MetricsReport(acceptance, blocking, total_revenue, total_cost,
+    node_rows = []
+    for nid in before.topology().nodes:
+        was, now = before.nodes[nid], after.nodes[nid]
+        node_rows.append(NodeUsage(nid, hosted[nid], was.cpu - now.cpu, was.cpu0,
+                                   was.gpu - now.gpu, was.gpu0,
+                                   was.mem - now.mem, was.mem0))
+    link_rows = [LinkUsage(lid, routed[lid], before.links[lid].bw - after.links[lid].bw,
+                           before.links[lid].bw0)
+                 for lid in sorted(before.links, key=natural_key)]
+    return MetricsReport(acceptance, 1.0 - acceptance, total_revenue, total_cost,
                          rc, node_rows, link_rows)

@@ -18,25 +18,22 @@ def request_quality_revenue(request: VirtualRequest,
 
 @dataclass
 class RequestOutcome:
-    """Result of one embedding attempt within a window."""
+    """Result of one embedding attempt within a window: an embedding or an error."""
 
     request: VirtualRequest
-    accepted: bool
     embedding: Embedding = None
     error: EmbeddingError = None   # why a blocked request was blocked
 
     @property
-    def reason(self) -> str:
-        """The block's message; None when the request was accepted."""
-        return None if self.error is None else str(self.error)
+    def accepted(self) -> bool:
+        return self.error is None
 
 
 @dataclass
 class WindowOutcome:
-    """Per-request outcomes in processing order plus the mutated substrate."""
+    """Per-request outcomes in processing order."""
 
     results: list = field(default_factory=list)
-    substrate: SubstrateNetwork = None
 
     @property
     def accepted(self) -> list:
@@ -56,15 +53,15 @@ def process_window(net: SubstrateNetwork, requests,
     """
     ranked = sorted(requests,
                     key=lambda r: -request_quality_revenue(r, coeffs))
-    outcome = WindowOutcome(substrate=net)
+    outcome = WindowOutcome()
     for request in ranked:
         try:
             embedding = embed(net, request, coeffs)
         except EmbeddingError as exc:
             # without its traceback the error keeps no frame of embed alive
             outcome.results.append(
-                RequestOutcome(request, False, error=exc.with_traceback(None)))
+                RequestOutcome(request, error=exc.with_traceback(None)))
         else:
             outcome.results.append(
-                RequestOutcome(request, True, embedding=embedding))
+                RequestOutcome(request, embedding))
     return outcome

@@ -19,7 +19,7 @@ from anypath_vne.embedder import (
     pair_quality_revenue,
     rank_channels,
 )
-from anypath_vne.metrics import embedding_cost, embedding_revenue, ratios
+from anypath_vne.metrics import metrics_report
 from anypath_vne.netmodel import (
     Channel,
     NanoService,
@@ -206,9 +206,10 @@ def test_criterion_4e_ratios_partition():
                     for _ in range(int(rng.integers(1, 4)))]
         for i, request in enumerate(requests):
             request.id = f"r{i + 1}"
+        before = net.clone()
         outcome = process_window(net, requests, coeffs)
-        acceptance, blocking = ratios(outcome)
-        assert acceptance + blocking == 1.0
+        scores = metrics_report(before, net, outcome, coeffs)
+        assert scores.acceptance_ratio + scores.blocking_ratio == 1.0
         assert len(outcome.accepted) + len(outcome.blocked) == len(requests)
     report("criterion 4e (acceptance + blocking = 1)", "1000 random windows")
 
@@ -258,12 +259,12 @@ def test_criterion_4g_single_link_routes_unit_ratio():
         request.add_channel(Channel("c1", "s1", "s2",
                                     bw=int(rng.integers(1, 50)),
                                     max_delay=1000.0, min_pdr=0.5))
+        before = net.clone()
         outcome = process_window(net, [request], coeffs)
         assert len(outcome.accepted) == 1
         assert len(outcome.accepted[0].embedding
                    .channel_routes["c1"].links) == 1
-        assert (embedding_revenue(outcome, coeffs)
-                / embedding_cost(outcome, coeffs)) == 1.0
+        assert metrics_report(before, net, outcome, coeffs).rc_ratio == 1.0
     report("criterion 4g (single-link routes give R/C = 1)",
            "1000 forced two-node embeddings")
 

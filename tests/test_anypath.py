@@ -17,6 +17,7 @@ from anypath_vne.anypath import (
     route_closure,
     route_table,
 )
+from anypath_vne.embedder import select_min_links
 from anypath_vne.netmodel import SubstrateNetwork, natural_key
 
 from helpers import (
@@ -422,6 +423,28 @@ def test_a_predecessor_at_exactly_the_settled_cost_does_not_join():
     assert cost_by_id(table)["n1"] == cost_by_id(table)["n2"] == 12.0
     assert [m.link_id for m in members(table, "n2")] == ["l2", "l5"]
     assert link_count(table, "n2") == 3
+
+
+def test_equal_cost_nodes_rank_by_index_even_when_they_settle_out_of_order():
+    # n2 and n3 cost 1.333e20 and settle in index order; n1 reaches n0 through
+    # n3 over a 1.0 hop, which the float sum absorbs (1.0 + 1.333e20 ==
+    # 1.333e20), so n1 settles after n2 at an equal cost, and only the rank
+    # pass's index sort puts n1 ahead of n2 among the 4-link routes
+    net = SubstrateNetwork()
+    for i in range(7):
+        net.add_node(f"n{i}", 1, 1, 1)
+    for link, a, b, delay, pdr in (("l1", "n0", "n4", 1.0, 1.0), ("l2", "n0", "n6", 0.5, 1.0),
+                                   ("l3", "n6", "n5", 0.5, 1.0), ("l4", "n3", "n0", 1.0, 0.5),
+                                   ("l5", "n3", "n4", 1e20, 0.5), ("l6", "n2", "n0", 1.0, 0.5),
+                                   ("l7", "n2", "n5", 1e20, 0.5), ("l8", "n1", "n3", 1.0, 1.0)):
+        net.add_link(link, a, b, bw=10, delay=delay, pdr=pdr)
+    table = anypath_routes(prune(net, "n0", 1), "n0")
+    assert settled_ids(table) == ["n0", "n6", "n4", "n5", "n2", "n3", "n1"]
+    costs = cost_by_id(table)
+    assert costs["n2"] == costs["n3"] == costs["n1"] == 1.3333333333333333e20
+    assert [link_count(table, nid) for nid in ("n2", "n3", "n1")] == [4, 3, 4]
+    assert [table.topology.nodes[i] for i in table.ranked[-3:]] == ["n3", "n1", "n2"]
+    assert select_min_links(table, {"n1", "n2"}.__contains__) == "n1"
 
 
 def _line_substrate(n_nodes: int) -> SubstrateNetwork:

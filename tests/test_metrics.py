@@ -1,18 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
-from anypath_vne.embedder import Coefficients, embed
+from anypath_vne.embedder import Coefficients, Embedding, EmbeddingError, embed
 from anypath_vne.metrics import (
     EmptyWindowError,
     TopologyMismatchError,
     cost,
-    embedding_cost,
-    embedding_revenue,
     metrics_report,
-    ratios,
     revenue,
-    usage_report,
 )
 from anypath_vne.netmodel import (
     Channel,
@@ -21,7 +18,9 @@ from anypath_vne.netmodel import (
     VirtualRequest,
 )
 from anypath_vne.scenario import example_fixture
-from anypath_vne.windowing import WindowOutcome, process_window
+from anypath_vne.windowing import RequestOutcome, WindowOutcome, process_window
+
+from helpers import random_request, random_substrate
 
 
 @pytest.fixture
@@ -60,30 +59,37 @@ def test_cost_all_colocated_equals_node_term():
     assert cost(request, embedding, Coefficients()) == 15.0
 
 
-def test_ratios():
+def test_ratios(example_net):
     outcome = WindowOutcome()
-    for accepted in [True] * 9 + [False]:
-        outcome.results.append(type("R", (), {"accepted": accepted})())
-    assert ratios(outcome) == (0.9, pytest.approx(0.1))
+    for i in range(10):
+        request = VirtualRequest(f"r{i}")
+        outcome.results.append(
+            RequestOutcome(request, Embedding(request.id)) if i < 9
+            else RequestOutcome(request, error=EmbeddingError("blocked")))
+    report = metrics_report(example_net, example_net.clone(), outcome,
+                            Coefficients())
+    assert (report.acceptance_ratio, report.blocking_ratio) \
+        == (0.9, pytest.approx(0.1))
 
 
-def test_ratios_empty_window_raises():
+def test_ratios_empty_window_raises(example_net):
     with pytest.raises(EmptyWindowError):
-        ratios(WindowOutcome())
+        metrics_report(example_net, example_net.clone(), WindowOutcome(),
+                       Coefficients())
 
 
 def test_ratios_example_window(example_window):
-    _, _, outcome, _ = example_window
-    assert ratios(outcome) == (1.0, 0.0)
+    report = metrics_report(*example_window)
+    assert (report.acceptance_ratio, report.blocking_ratio) == (1.0, 0.0)
 
 
 def test_revenue_over_cost_example(example_window):
-    _, _, outcome, _ = example_window
-    plain = Coefficients()
-    assert embedding_revenue(outcome, plain) == 310.0
-    assert embedding_cost(outcome, plain) == 510.0
-    assert embedding_revenue(outcome, plain) / embedding_cost(outcome, plain) \
-        == pytest.approx(310 / 510, abs=1e-9)
+    before, after, outcome, _ = example_window
+    report = metrics_report(before, after, outcome, Coefficients())
+    assert report.revenue == 310.0
+    assert report.cost == 510.0
+    assert report.rc_ratio == report.revenue / report.cost
+    assert report.rc_ratio == pytest.approx(310 / 510, abs=1e-9)
 
 
 def test_single_link_routes_give_unit_ratio():
@@ -97,18 +103,18 @@ def test_single_link_routes_give_unit_ratio():
     request.add_channel(Channel("c1", "s1", "s2", bw=10, max_delay=100.0,
                                 min_pdr=0.5))
     coeffs = Coefficients(beta=2.0, cost_beta=2.0)
+    before = net.clone()
     outcome = process_window(net, [request], coeffs)
     assert len(outcome.accepted) == 1
     assert len(outcome.accepted[0].embedding.channel_routes["c1"].links) == 1
-    assert embedding_revenue(outcome, coeffs) / embedding_cost(outcome, coeffs) \
+    assert metrics_report(before, net, outcome, coeffs).rc_ratio \
         == pytest.approx(1.0)
 
 
-def test_usage_report_example(example_window):
-    before, after, outcome, _ = example_window
-    node_rows, link_rows = usage_report(before, after, outcome)
-    nodes = {row.node: row for row in node_rows}
-    links = {row.link: row for row in link_rows}
+def test_report_usage_example(example_window):
+    report = metrics_report(*example_window)
+    nodes = {row.node: row for row in report.node_usage}
+    links = {row.link: row for row in report.link_usage}
     assert nodes["n1"].services == 1
     assert (nodes["n1"].cpu_used, nodes["n1"].cpu_total) == (50, 50)
     assert (nodes["n4"].services, nodes["n4"].cpu_used, nodes["n4"].gpu_used,
@@ -121,27 +127,50 @@ def test_usage_report_example(example_window):
     assert links["l6"].channels == 1
 
 
-def test_usage_report_empty_window(example_net):
-    node_rows, link_rows = usage_report(example_net, example_net.clone(),
-                                        WindowOutcome())
-    assert all(row.services == 0 and row.cpu_used == 0 for row in node_rows)
-    assert all(row.channels == 0 and row.bw_used == 0 for row in link_rows)
-
-
-def test_usage_report_topology_mismatch(example_net):
-    other = example_net.clone()
+def test_report_topology_mismatch(example_window):
+    before, _, outcome, coeffs = example_window
+    other = before.clone()
     other.add_node("extra", 1, 1, 1)
     with pytest.raises(TopologyMismatchError):
-        usage_report(example_net, other, WindowOutcome())
+        metrics_report(before, other, outcome, coeffs)
 
 
-def test_usage_conserves_demand(example_window):
-    before, after, outcome, _ = example_window
-    node_rows, _ = usage_report(before, after, outcome)
-    total_cpu_used = sum(row.cpu_used for row in node_rows)
-    demanded = sum(s.cpu for r in outcome.accepted
-                   for s in r.request.services.values())
-    assert total_cpu_used == demanded
+def test_report_checks_the_window_before_the_topology(example_net):
+    other = example_net.clone()
+    other.add_node("extra", 1, 1, 1)
+    with pytest.raises(EmptyWindowError):
+        metrics_report(example_net, other, WindowOutcome(), Coefficients())
+
+
+def test_usage_conserves_demand():
+    # the reservation ledgers of the accepted embeddings are an oracle for
+    # usage that does not read the before/after capacity deltas
+    rng = np.random.default_rng(405)
+    coeffs = Coefficients(beta=2.0, gamma=50.0)
+    accepted = 0
+    for _ in range(300):
+        net = random_substrate(rng, max_nodes=5)
+        requests = [random_request(rng, max_services=3)
+                    for _ in range(int(rng.integers(1, 4)))]
+        for i, request in enumerate(requests):
+            request.id = f"r{i + 1}"
+        before = net.clone()
+        outcome = process_window(net, requests, coeffs)
+        report = metrics_report(before, net, outcome, coeffs)
+        hosted = {nid: [0, 0, 0, 0] for nid in net.nodes}
+        routed = {lid: [0, 0] for lid in net.links}
+        for result in outcome.accepted:
+            for kind, rid, *amounts in result.embedding.ledger:
+                counts = hosted[rid] if kind == "node" else routed[rid]
+                counts[0] += 1
+                for k, amount in enumerate(amounts, 1):
+                    counts[k] += amount
+            accepted += 1
+        assert {row.node: [row.services, row.cpu_used, row.gpu_used, row.mem_used]
+                for row in report.node_usage} == hosted
+        assert {row.link: [row.channels, row.bw_used]
+                for row in report.link_usage} == routed
+    assert accepted >= 200   # the corpus stays meaningful
 
 
 def test_metrics_report_example(example_window):
@@ -161,6 +190,8 @@ def test_metrics_report_nan_ratio_when_nothing_accepted(example):
     report = metrics_report(before, net, outcome, coeffs)
     assert report.acceptance_ratio == 0.0
     assert math.isnan(report.rc_ratio)
+    assert all(row.services == 0 and row.cpu_used == 0 for row in report.node_usage)
+    assert all(row.channels == 0 and row.bw_used == 0 for row in report.link_usage)
 
 
 def test_cost_monotone_in_route_links(example_window):

@@ -48,7 +48,6 @@ def test_single_request_window_accepted(example):
     outcome = process_window(net, [request], coeffs)
     assert len(outcome.accepted) == 1
     assert len(outcome.blocked) == 0
-    assert outcome.substrate is net
 
 
 def test_second_identical_request_is_blocked(example):
@@ -60,7 +59,7 @@ def test_second_identical_request_is_blocked(example):
     assert len(outcome.accepted) == 1
     assert len(outcome.blocked) == 1
     # the GPU-heavy service can no longer be placed anywhere
-    assert "s2" in outcome.blocked[0].reason
+    assert "s2" in str(outcome.blocked[0].error)
 
 
 def test_blocked_outcomes_keep_the_typed_cause(example):
@@ -76,17 +75,18 @@ def test_blocked_outcomes_keep_the_typed_cause(example):
                                 min_pdr=1.0))
     outcome = process_window(net, [no_node, request, no_path], coeffs)
     assert [r.request.id for r in outcome.accepted] == ["example"]
-    assert outcome.accepted[0].error is None and outcome.accepted[0].reason is None
+    assert outcome.accepted[0].error is None
+    assert outcome.accepted[0].embedding is not None
     causes = {r.request.id: r.error for r in outcome.blocked}
     assert type(causes["no_node"]) is NoSuitableNodeError
     assert causes["no_node"].service_id == "s1"
     assert type(causes["no_path"]) is NoFeasiblePathError
     assert causes["no_path"].channel_id == "c1"
     for result in outcome.blocked:
-        assert result.reason == str(result.error)
+        assert result.embedding is None
         assert result.error.__traceback__ is None
-    assert outcome.blocked[0].reason in ("no suitable node for service s1",
-                                         "no feasible route for channel c1")
+    assert str(outcome.blocked[0].error) in ("no suitable node for service s1",
+                                             "no feasible route for channel c1")
 
 
 def test_empty_window(example):
@@ -127,6 +127,9 @@ def test_ratios_partition_and_replay_equivalence(seed):
     replay_net = net.clone()
     outcome = process_window(net, requests, coeffs)
     assert len(outcome.accepted) + len(outcome.blocked) == len(requests)
+    for result in outcome.results:
+        assert result.accepted == (result.embedding is not None) \
+            == (result.error is None)
     # replaying only the accepted requests in processed order gives the same state
     for result in outcome.results:
         if result.accepted:
@@ -170,8 +173,8 @@ def test_doubling_every_delay_doubles_every_eatt_and_changes_nothing_else():
         net2, requests2, coeffs2 = _doubled(net, requests, coeffs)
         first = process_window(net, requests, coeffs)
         second = process_window(net2, requests2, coeffs2)
-        assert [(r.request.id, r.accepted, r.reason) for r in first.results] \
-            == [(r.request.id, r.accepted, r.reason) for r in second.results]
+        assert [(r.request.id, r.accepted, str(r.error)) for r in first.results] \
+            == [(r.request.id, r.accepted, str(r.error)) for r in second.results]
         assert net.snapshot() == net2.snapshot()
         for one, two in zip(first.accepted, second.accepted):
             assert one.embedding.service_map == two.embedding.service_map

@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Run the benchmark on two git refs in alternating pairs and record every pair.
+
+    python3 tools/pairs.py PARENT CHANGE --pairs 10 --seconds 8 --out pairs.json
+
+Both refs are checked out as detached ``git worktree``s in a temporary
+directory, which is removed on exit.  Pair k runs
+``python3 bench/run.py --workload all --seed k --seconds S`` once in each
+worktree; the parent runs first in odd pairs and the change in even ones, so
+neither side always runs on a warmer or cooler machine.  The run stops at the
+first non-zero exit or ``"correct": false``.
+
+The output JSON holds the core count, the Python version, every pair's values
+and host-speed scales, and for each ``workload.metric`` the median and
+quartiles of both sides and how many pairs the change won.  A metric's
+direction is its ``better`` in ``BENCHMARK.json``.  Only the standard library
+is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def directions(benchmark: dict) -> dict:
+    """Metric name -> "higher" or "lower", from BENCHMARK.json's metric lists."""
+    return {m["name"]: m["better"]
+            for m in benchmark["end_to_end"] + benchmark["per_layer"]}
+
+
+def _spread(values: list) -> dict:
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list, better: dict) -> dict:
+    """Per ``workload.metric``: both sides' median and quartiles, and the change's wins.
+
+    Each pair maps "parent" and "change" to {"workload.metric": value}.  A
+    pair is a win when the change is strictly better in the metric's
+    direction; a metric without a direction has ``wins`` None.
+    """
+    summary = {}
+    for name in pairs[0]["parent"]:
+        values = {side: [pair[side][name] for pair in pairs] for side in SIDES}
+        direction = better.get(name.split(".", 1)[1])
+        wins = None
+        if direction is not None:
+            sign = 1 if direction == "higher" else -1
+            wins = sum(sign * (change - parent) > 0
+                       for parent, change in zip(values["parent"], values["change"]))
+        summary[name] = {"better": direction, "pairs": len(pairs), "wins": wins,
+                         **{side: _spread(values[side]) for side in SIDES}}
+    return summary
+
+
+def run_bench(tree: Path, seed: int, seconds: float) -> tuple[dict, dict]:
+    """One ``--workload all`` run: its metric values and each workload's host-speed scale."""
+    argv = [sys.executable, "bench/run.py", "--workload", "all",
+            "--seed", str(seed), "--seconds", str(seconds)]
+    child = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    lines = child.stdout.splitlines()
+    if child.returncode != 0 or not lines:
+        sys.exit(f"bench/run.py failed in {tree} (exit {child.returncode}):\n{child.stderr}")
+    result = json.loads(lines[-1])
+    if not result["correct"]:
+        sys.exit(f"bench/run.py reported correct: false in {tree} at seed {seed}")
+    scales = {}
+    for line in lines[:-1]:
+        fields = line.split()
+        if len(fields) >= 3 and fields[1] == "host_speed_scale":
+            scales[fields[0]] = float(fields[2])
+    return {name: body["value"] for name, body in result["metrics"].items()}, scales
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1 or args.seconds <= 0:
+        parser.error("--pairs and --seconds must be positive")
+    refs = {"parent": git("rev-parse", "--verify", args.parent + "^{commit}"),
+            "change": git("rev-parse", "--verify", args.change + "^{commit}")}
+    better = directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    pairs = []
+    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
+        trees = {side: Path(tmp) / side for side in SIDES}
+        try:
+            for side in SIDES:
+                git("worktree", "add", "--detach", str(trees[side]), refs[side])
+            for seed in range(1, args.pairs + 1):
+                order = SIDES if seed % 2 else SIDES[::-1]
+                pair = {"seed": seed, "first": order[0], "scale": {}}
+                for side in order:
+                    pair[side], pair["scale"][side] = run_bench(trees[side], seed,
+                                                                args.seconds)
+                pairs.append(pair)
+                print(f"pair {seed}/{args.pairs} done", file=sys.stderr, flush=True)
+        finally:
+            for side in SIDES:
+                if trees[side].exists():
+                    git("worktree", "remove", "--force", str(trees[side]))
+            git("worktree", "prune")
+    report = {"parent": refs["parent"], "change": refs["change"],
+              "seconds": args.seconds, "nproc": os.cpu_count(),
+              "python": platform.python_version(), "pairs": pairs,
+              "summary": summarize(pairs, better)}
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
