@@ -32,12 +32,11 @@ forwarding arcs, and ids appear only at the boundary: the link ids that
 
 A route table depends only on the topology, its destination and which links
 have at least the channel's bandwidth, because link delay and pdr never
-change.  Routing reads that set only through
-``SubstrateNetwork.eligible_links``, never a link's bandwidth.
-``route_table`` keeps recent tables on the topology, which every clone of a
-substrate shares; ``add_node``/``add_link`` start a new topology with an
-empty cache.  A cached table is the one a recomputation would build, float
-for float and tie for tie.
+change.  Routing reads that set only through ``eligible_links``, never a
+link's bandwidth.  A table miss is one function of that key, ``_table``, and
+one process-wide ``lru_cache`` keeps its recent tables; clones share a
+topology, so they share its tables.  A cached table is the one a
+recomputation would build, float for float and tie for tie.
 """
 
 from __future__ import annotations
@@ -45,15 +44,16 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 
-from .netmodel import SubstrateNetwork, Topology
+from .netmodel import SchemaError, SubstrateNetwork, Topology, _cut
 
 INFINITY = math.inf
-# route tables kept per topology.  With 16, a 20-iteration default sweep makes
-# 10 323 lookups for 72 distinct keys and computes 242 tables, and a table of
-# a 240-node substrate holds about 50 kB.
+# route tables kept.  By _table.cache_info(), 16 (32) entries miss 242 (87) of
+# a 20-iteration default sweep's 10 323 lookups, 934 (930) of 3 spread-240
+# episodes' 1 035 and 3 (3) of 3 chain-1000 items' 36.  A 240-node table holds
+# about 50 kB.
 ROUTE_CACHE_SIZE = 16
 
 
@@ -129,10 +129,12 @@ class PrunedDag:
         return [_edge(self.topology, arc) for arc in sorted(chain(*self.incoming))]
 
 
-def prune(net: SubstrateNetwork, dst: str, bw: int) -> PrunedDag:
-    """Orient each link with bw >= bw from its farther endpoint toward dst; drop ties."""
-    topology = net.topology()
-    _, incoming = _orient(topology, dst, net.eligible_links(bw))
+def prune(topology: Topology, dst: str, eligible: bytes) -> PrunedDag:
+    """Orient each eligible link from its farther endpoint toward dst; drop
+    ties.  A dst that is not a node raises a SchemaError."""
+    if dst not in topology.index:
+        raise SchemaError("dst", f"{_cut(dst)} is not a node")
+    _, incoming = _orient(topology, dst, eligible)
     return PrunedDag(dst, topology, incoming)
 
 
@@ -235,28 +237,19 @@ def anypath_routes(dag: PrunedDag, dst: str) -> AnypathRouteTable:
     return AnypathRouteTable(topology, dst, cost, forwarding, settle_order, ranked)
 
 
-def route_table(net: SubstrateNetwork, dst: str, bw: int) -> AnypathRouteTable:
-    """Route table toward dst over the links with bw >= bw, from the topology's cache.
+@lru_cache(maxsize=ROUTE_CACHE_SIZE)
+def _table(topology: Topology, dst: str, eligible: bytes) -> AnypathRouteTable:
+    """A table miss: ``prune`` and ``anypath_routes``, called through this module."""
+    return anypath_routes(prune(topology, dst, eligible), dst)
 
-    The key is dst and ``net.eligible_links(bw)``, exactly the filter of
-    ``prune``, so a reservation that drops a link below bw leads to a new
-    table.  A miss calls ``prune`` and ``anypath_routes`` through this
-    module.  The cache keeps the ``ROUTE_CACHE_SIZE`` most recently used
-    tables; they are shared, so callers only read them.
+
+def route_table(net: SubstrateNetwork, dst: str, bw: int) -> AnypathRouteTable:
+    """Route table toward dst over the links with bw >= bw, from the route cache.
+
+    The key is the topology, dst and ``net.eligible_links(bw)``, so a
+    reservation that drops a link below bw leads to a new table.
     """
-    cache = net.topology().routes
-    key = (dst, net.eligible_links(bw))
-    # Clones may be embedded from several threads, so the cache is touched
-    # only by single, atomic OrderedDict calls: a hit is popped and put back
-    # as the newest entry, since a lookup followed by a move could lose the
-    # key to another thread's eviction in between.
-    table = cache.pop(key, None)
-    if table is None:
-        table = anypath_routes(prune(net, dst, bw), dst)
-    cache[key] = table
-    if len(cache) > ROUTE_CACHE_SIZE:
-        cache.popitem(last=False)
-    return table
+    return _table(net.topology(), dst, net.eligible_links(bw))
 
 
 def route_closure(table: AnypathRouteTable, src: str) -> list:

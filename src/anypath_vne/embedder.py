@@ -8,11 +8,10 @@ physical links within the channel's cost bound.  Every reservation lands in a
 ledger so a failure at any point restores the substrate exactly and blocks
 the request.
 
-Route tables come from ``anypath.route_table``, which keeps them on the
-substrate's shared topology keyed by destination and eligible links.  Every
-channel of every ``embed`` call, on the substrate and on all its clones,
-reuses a table built for the same pair while it is cached, and the reuse
-is exact.
+Route tables come from ``anypath.route_table``, whose process-wide cache is
+keyed by the shared topology, destination and eligible links: every channel
+of every ``embed`` call, on a substrate or its clones, reuses a cached table
+built for the same key, and the reuse is exact.
 
 Nodes are chosen by walking orders computed once and shared, not by scanning
 the substrate: a route table's ``ranked`` order for the channel's free

@@ -11,8 +11,8 @@ Link delay and pdr never change after construction, so the static structure
 of a substrate is kept apart from its capacities: ``SubstrateNetwork.topology``
 numbers nodes and links densely and is shared by every clone, while the
 mutable bandwidth and node resources stay on ``SubstrateLink`` and
-``SubstrateNode``.  The topology also carries the route-table cache of
-``anypath.route_table``, so every clone reuses the tables of the others.
+``SubstrateNode``.  The topology is immutable; ``anypath.route_table`` keys
+its cache on it, so every clone reuses the tables of the others.
 
 Link bandwidth changes only through ``reserve_channel`` and ``rollback``.
 ``SubstrateNetwork.eligible_links`` memoises, per bandwidth, which links have
@@ -30,7 +30,6 @@ import math
 import re
 import reprlib
 import sys
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -272,7 +271,7 @@ class VirtualRequest:
 
 
 class Topology:
-    """Static structure of a substrate on dense integer ids, and its route-table cache.
+    """Immutable static structure of a substrate on dense integer ids.
 
     Node i is the i-th node id in ``natural_key`` order, so a tie broken by
     id is broken by index, and link k the k-th link in insertion order.
@@ -284,14 +283,11 @@ class Topology:
     per link at node i, in link order.  ``by_local_pdr`` lists the node
     indices by descending local pdr, the mean pdr of a node's links (0 when it
     has none), ties by index: the order in which anchor placement tries the
-    nodes.
-
-    ``routes`` is the one mutable member: the route-table cache that
-    ``anypath.route_table`` fills, least recently used first.
+    nodes.  It hashes by identity, as a key of ``anypath``'s route cache.
     """
 
     __slots__ = ("nodes", "index", "link_ids", "ends", "delay", "pdr",
-                 "weight", "adjacency", "by_local_pdr", "routes")
+                 "weight", "adjacency", "by_local_pdr")
 
     def __init__(self, net: "SubstrateNetwork"):
         self.nodes = tuple(sorted(net.nodes, key=natural_key))
@@ -313,7 +309,6 @@ class Topology:
         self.adjacency = tuple(tuple(row) for row in adjacency)
         local = [_mean_pdr([pdr[2 * k] for k, _ in row]) for row in self.adjacency]
         self.by_local_pdr = tuple(sorted(range(len(self.nodes)), key=lambda i: -local[i]))
-        self.routes = OrderedDict()   # (destination, eligible links) -> table
 
 
 def _mean_pdr(pdrs: list) -> float:
@@ -365,11 +360,12 @@ class SubstrateNetwork:
         Memoised per bandwidth until link bandwidth changes.  The memo dict
         is shared with clones and only ever grows by identical values, so it
         is never cleared: a change of link bandwidth gives this network a
-        new one instead.
+        new one instead.  A new bw that is not a count raises a SchemaError.
         """
         memo = self._eligible
         eligible = memo.get(bw)
         if eligible is None:
+            _check("bw", bw, int, 0, _HUGE)
             eligible = memo[bw] = bytes([link.bw >= bw for link in self.links.values()])
         return eligible
 
@@ -434,7 +430,9 @@ def fits(node: SubstrateNode, service: NanoService) -> bool:
 def reserve_service(net: SubstrateNetwork, node_id: str,
                     service: NanoService, ledger: list) -> None:
     """Debit the service's cpu/gpu/mem demands from the node."""
-    node = net.nodes[node_id]
+    node = net.nodes.get(node_id)
+    if node is None:
+        raise SchemaError("node_id", f"{_cut(node_id)} is not a node")
     if (service.cpu > node.cpu or service.gpu > node.gpu
             or service.mem > node.mem):
         raise InsufficientCapacityError(
@@ -447,8 +445,14 @@ def reserve_service(net: SubstrateNetwork, node_id: str,
 
 def reserve_channel(net: SubstrateNetwork, link_ids: Iterable[str],
                     bw: int, ledger: list) -> None:
-    """Debit the channel bandwidth once from each distinct link of its route."""
-    link_ids = sorted(set(link_ids), key=natural_key)
+    """Debit the channel bandwidth once from each distinct link of its route;
+    a bad bw or link id raises a SchemaError before any debit."""
+    _check("bw", bw, int, 0, _HUGE)
+    link_ids = set(link_ids)
+    unknown = link_ids.difference(net.links)    # one lookup per id, not per link
+    if unknown:
+        raise SchemaError("link_ids", f"{_cut(min(unknown, key=repr))} is not a link")
+    link_ids = sorted(link_ids, key=natural_key)
     for link_id in link_ids:
         if net.links[link_id].bw < bw:
             raise InsufficientCapacityError(

@@ -158,6 +158,8 @@ class SimulationConfig:
                               f"expected a non-empty tuple, got {_shown(self.loads)}")
         for load in self.loads:
             _check("loads", load, int, 1, MAX_LOAD)
+        if len(set(self.loads)) != len(self.loads):
+            raise SchemaError("loads", f"each load appears once, got {_shown(self.loads)}")
         _check("iterations", self.iterations, int, 1, MAX_ITERATIONS)
         _check("seed", self.seed, int, 0, math.inf)
         for name, kind in (("coefficients", Coefficients), ("generator", GeneratorConfig)):

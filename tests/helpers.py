@@ -8,11 +8,14 @@ import math
 import numpy as np
 
 from anypath_vne.anypath import (
+    AnypathRouteTable,
     DagEdge,
     PrunedDag,
     _edge,
     _expected_time,
     _orient,
+    anypath_routes,
+    prune,
     route_closure,
 )
 from anypath_vne.netmodel import (
@@ -27,6 +30,12 @@ from anypath_vne.netmodel import (
 
 
 # --- id-keyed views of the library's index-based kernels and tables ---------
+
+def table(net: SubstrateNetwork, dst: str, bw: int) -> AnypathRouteTable:
+    """The route table toward dst over the links with bw >= bw, computed afresh
+    by the library's kernels, outside the route cache."""
+    return anypath_routes(prune(net.topology(), dst, net.eligible_links(bw)), dst)
+
 
 def unicast_distances(net: SubstrateNetwork, dst: str, bw: int) -> dict[str, float]:
     """Node id -> delay/pdr shortest-path cost to dst over links with bw >= bw.

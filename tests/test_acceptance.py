@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from anypath_vne import cli
-from anypath_vne.anypath import anypath_routes, prune
+from anypath_vne.anypath import prune
 from anypath_vne.embedder import (
     Coefficients,
     EmbeddingError,
@@ -34,6 +34,7 @@ from anypath_vne.netmodel import (
 from anypath_vne.scenario import SimulationConfig, example_fixture, run_simulation
 from anypath_vne.windowing import process_window
 
+import helpers
 from helpers import (
     cost_by_id,
     eatt_recursive,
@@ -85,15 +86,15 @@ def test_criterion_1_worked_example_golden():
 
 def test_criterion_2_eatt_values():
     example = example_fixture()
-    cost1 = cost_by_id(anypath_routes(prune(example[0], "n4", 50), "n4"))
+    cost1 = cost_by_id(helpers.table(example[0], "n4", 50))
     assert cost1["n1"] == pytest.approx(21.212, abs=1e-3)
 
     net2 = example_after_steps(example_fixture(), steps=2)
-    cost2 = cost_by_id(anypath_routes(prune(net2, "n1", 30), "n1"))
+    cost2 = cost_by_id(helpers.table(net2, "n1", 30))
     assert cost2["n5"] == pytest.approx(37.778, abs=1e-3)
 
     net3 = example_after_steps(example_fixture(), steps=3)
-    cost3 = cost_by_id(anypath_routes(prune(net3, "n4", 10), "n4"))
+    cost3 = cost_by_id(helpers.table(net3, "n4", 10))
     assert cost3["n5"] == pytest.approx(27.619, abs=1e-3)
     report("criterion 2 (route cost values)",
            f"{cost1['n1']:.3f}, {cost2['n5']:.3f}, {cost3['n5']:.3f}")
@@ -138,7 +139,7 @@ def test_criterion_4b_pruned_graphs_acyclic():
         net = random_substrate(rng, connected=bool(rng.random() < 0.7),
                                extra_edge_factor=2.0)
         dst = list(net.nodes)[int(rng.integers(0, len(net.nodes)))]
-        dag = prune(net, dst, 0)
+        dag = prune(net.topology(), dst, net.eligible_links(0))
         assert not has_cycle(dag.topology.nodes, [(e.tail, e.head) for e in dag.edges])
     report("criterion 4b (pruned graphs acyclic)", "1000 random substrates")
 
@@ -147,7 +148,7 @@ def test_criterion_4c_singleton_forwarding_matches_unicast():
     rng = np.random.default_rng(403)
     for _ in range(1000):
         net, parent = random_tree_substrate(rng)
-        table = anypath_routes(prune(net, "n1", 1), "n1")
+        table = helpers.table(net, "n1", 1)
         cost = cost_by_id(table)
         for nid in net.nodes:
             assert len(members(table, nid)) <= 1
@@ -275,7 +276,7 @@ def test_criterion_5_recomputation_oracle():
     for _ in range(500):
         net = random_substrate(rng, max_nodes=6, extra_edge_factor=2.0)
         dst = list(net.nodes)[int(rng.integers(0, len(net.nodes)))]
-        table = anypath_routes(prune(net, dst, 0), dst)
+        table = helpers.table(net, dst, 0)
         recomputed = eatt_recursive(table)
         cost = cost_by_id(table)
         for nid in settled_ids(table):

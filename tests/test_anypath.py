@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anypath_vne import anypath
 from anypath_vne.anypath import (
     ROUTE_CACHE_SIZE,
     UnreachableSourceError,
@@ -18,8 +19,9 @@ from anypath_vne.anypath import (
     route_table,
 )
 from anypath_vne.embedder import select_min_links
-from anypath_vne.netmodel import SubstrateNetwork, natural_key
+from anypath_vne.netmodel import SchemaError, SubstrateNetwork, natural_key
 
+import helpers
 from helpers import (
     closure_ids,
     cost_by_id,
@@ -61,7 +63,7 @@ def test_bandwidth_filter_after_reservations(example):
     # two isolated nodes, inserted out of natural-key order
     net.add_node("n10", 1, 1, 1)
     net.add_node("n9", 1, 1, 1)
-    dag = prune(net, "n1", 30)
+    dag = prune(net.topology(), "n1", net.eligible_links(30))
     assert {e.link_id for e in dag.edges} == {"l2", "l3", "l5", "l6"}
     assert dag.topology.nodes == ("n1", "n2", "n3", "n4", "n5", "n9", "n10")
     # the table's lists are indexed in natural-key order, not insertion order
@@ -71,16 +73,17 @@ def test_bandwidth_filter_after_reservations(example):
 
 
 def test_bandwidth_filter_extremes(example_net):
-    assert {e.link_id for e in prune(example_net, "n4", 1).edges} \
+    topology = example_net.topology()
+    assert {e.link_id for e in prune(topology, "n4", example_net.eligible_links(1)).edges} \
         == {"l1", "l2", "l3", "l4", "l5", "l6"}
-    assert prune(example_net, "n4", 101).edges == []
+    assert prune(topology, "n4", example_net.eligible_links(101)).edges == []
     assert unicast_distances(example_net, "n4", 101) \
         == {"n1": math.inf, "n2": math.inf, "n3": math.inf,
             "n4": 0.0, "n5": math.inf}
 
 
 def test_prune_example_orientation(example_net):
-    dag = prune(example_net, "n4", 1)
+    dag = prune(example_net.topology(), "n4", example_net.eligible_links(1))
     oriented = {(e.tail, e.head) for e in dag.edges}
     assert oriented == {("n1", "n2"), ("n1", "n3"), ("n2", "n4"),
                         ("n3", "n4"), ("n5", "n3"), ("n5", "n4")}
@@ -93,7 +96,7 @@ def test_prune_drops_equal_distance_links():
     net.add_link("l1", "a", "dst", bw=10, delay=10.0, pdr=0.5)
     net.add_link("l2", "b", "dst", bw=10, delay=10.0, pdr=0.5)
     net.add_link("l3", "a", "b", bw=10, delay=5.0, pdr=0.9)
-    dag = prune(net, "dst", 1)
+    dag = prune(net.topology(), "dst", net.eligible_links(1))
     assert {e.link_id for e in dag.edges} == {"l1", "l2"}
 
 
@@ -102,7 +105,7 @@ def test_prune_single_neighbor():
     net.add_node("a", 1, 1, 1)
     net.add_node("dst", 1, 1, 1)
     net.add_link("l1", "a", "dst", bw=10, delay=1.0, pdr=0.9)
-    dag = prune(net, "dst", 1)
+    dag = prune(net.topology(), "dst", net.eligible_links(1))
     assert [(e.tail, e.head) for e in dag.edges] == [("a", "dst")]
 
 
@@ -163,7 +166,7 @@ def test_forwarder_weights_sum_to_one(ps):
 
 
 def test_anypath_example_toward_n4(example_net):
-    dag = prune(example_net, "n4", 50)
+    dag = prune(example_net.topology(), "n4", example_net.eligible_links(50))
     table = anypath_routes(dag, "n4")
     cost = cost_by_id(table)
     assert cost["n4"] == 0.0
@@ -175,14 +178,14 @@ def test_anypath_example_toward_n4(example_net):
 
 def test_anypath_example_second_channel_state(example):
     net = example_after_steps(example, steps=2)
-    table = anypath_routes(prune(net, "n1", 30), "n1")
+    table = helpers.table(net, "n1", 30)
     assert cost_by_id(table)["n5"] == pytest.approx(37.7778, abs=1e-3)
     assert closure_ids(table, "n5")[1] == {"l2", "l5"}
 
 
 def test_anypath_example_third_channel_state(example):
     net = example_after_steps(example, steps=3)
-    dag = prune(net, "n4", 10)
+    dag = prune(net.topology(), "n4", net.eligible_links(10))
     assert {e.link_id for e in dag.edges} == {"l1", "l3", "l4", "l5", "l6"}
     table = anypath_routes(dag, "n4")
     assert cost_by_id(table)["n5"] == pytest.approx(27.619, abs=1e-3)
@@ -199,26 +202,26 @@ def test_anypath_chain_equals_link_cost_sum():
     net.add_link("l1", "n1", "n2", bw=10, delay=10.0, pdr=0.5)
     net.add_link("l2", "n2", "n3", bw=10, delay=4.0, pdr=0.8)
     net.add_link("l3", "n3", "n4", bw=10, delay=9.0, pdr=0.9)
-    table = anypath_routes(prune(net, "n1", 1), "n1")
+    table = helpers.table(net, "n1", 1)
     assert cost_by_id(table)["n4"] == pytest.approx(9 / 0.9 + 4 / 0.8 + 10 / 0.5, abs=1e-9)
 
 
 def test_route_closure_example_routes(example_net):
-    table = anypath_routes(prune(example_net, "n4", 50), "n4")
+    table = helpers.table(example_net, "n4", 50)
     nodes, links = closure_ids(table, "n1")
     assert links == {"l1", "l2", "l3", "l4"}
     assert nodes == {"n1", "n2", "n3", "n4"}
 
 
 def test_route_closure_source_equals_destination(example_net):
-    table = anypath_routes(prune(example_net, "n4", 1), "n4")
+    table = helpers.table(example_net, "n4", 1)
     assert route_closure(table, "n4") == []
     assert closure_ids(table, "n4") == (set(), set())
 
 
 def test_route_closure_unreachable_raises(example_net):
     example_net.add_node("n9", 1, 1, 1)
-    table = anypath_routes(prune(example_net, "n4", 1), "n4")
+    table = helpers.table(example_net, "n4", 1)
     with pytest.raises(UnreachableSourceError):
         route_closure(table, "n9")
 
@@ -229,7 +232,7 @@ def test_route_closure_is_each_route_nodes_forwarding_set_once(seed):
     rng = np.random.default_rng(seed)
     net = tie_prone_substrate(rng)
     dst = list(net.nodes)[int(rng.integers(0, len(net.nodes)))]
-    table = anypath_routes(prune(net, dst, 0), dst)
+    table = helpers.table(net, dst, 0)
     nodes, ends = table.topology.nodes, table.topology.ends
     forwarding = forwarding_by_id(table)
     for src in settled_ids(table):
@@ -252,13 +255,13 @@ def test_route_closure_is_each_route_nodes_forwarding_set_once(seed):
 def test_ranked_orders_by_closure_links_then_cost_then_natural_key(example_net):
     # the sweep counts links as nodes settle and always sorts by rank; the
     # reference counts each route's closure and sorts by the ids themselves
-    tables = [anypath_routes(prune(example_net, dst, bw), dst)
+    tables = [helpers.table(example_net, dst, bw)
               for dst in example_net.nodes for bw in (1, 50)]
     rng = np.random.default_rng(1818)
     for _ in range(300):
         net = tie_prone_substrate(rng)
         for dst in net.nodes:
-            table = anypath_routes(prune(net, dst, 0), dst)
+            table = helpers.table(net, dst, 0)
             costs = [table.cost[i] for i in table.settle_order]
             if len(set(costs)) < len(costs):
                 tables.append(table)
@@ -276,7 +279,7 @@ def test_prune_is_acyclic(seed):
     rng = np.random.default_rng(seed)
     net = random_substrate(rng, connected=False, extra_edge_factor=2.0)
     dst = list(net.nodes)[int(rng.integers(0, len(net.nodes)))]
-    dag = prune(net, dst, 0)
+    dag = prune(net.topology(), dst, net.eligible_links(0))
     assert not has_cycle(dag.topology.nodes, [(e.tail, e.head) for e in dag.edges])
 
 
@@ -291,7 +294,8 @@ def test_orientation_matches_the_two_pass_reference():
         parallel += len(pairs) - len(set(pairs))
         for dst in net.nodes:
             for bw in (0, 5, 10, 50):
-                dag, ref = prune(net, dst, bw), reference_prune(net, dst, bw)
+                dag = prune(net.topology(), dst, net.eligible_links(bw))
+                ref = reference_prune(net, dst, bw)
                 assert [sorted(arcs) for arcs in dag.incoming] \
                     == [sorted(arcs) for arcs in ref.incoming]
                 assert dag.edges == ref.edges
@@ -315,7 +319,7 @@ def test_orientation_matches_the_two_pass_reference():
 def test_tree_routes_equal_unicast_path_sums(seed):
     rng = np.random.default_rng(seed)
     net, parent = random_tree_substrate(rng)
-    table = anypath_routes(prune(net, "n1", 1), "n1")
+    table = helpers.table(net, "n1", 1)
     cost = cost_by_id(table)
     for nid in net.nodes:
         expected = 0.0
@@ -336,7 +340,7 @@ def test_routes_match_recursive_recomputation(seed):
     rng = np.random.default_rng(seed)
     net = random_substrate(rng, max_nodes=6, extra_edge_factor=2.0)
     dst = list(net.nodes)[int(rng.integers(0, len(net.nodes)))]
-    table = anypath_routes(prune(net, dst, 0), dst)
+    table = helpers.table(net, dst, 0)
     recomputed = eatt_recursive(table)
     cost = cost_by_id(table)
     for nid in settled_ids(table):
@@ -349,7 +353,7 @@ def test_route_table_invariants(seed):
     rng = np.random.default_rng(seed)
     net = random_substrate(rng, connected=False, extra_edge_factor=2.0)
     dst = list(net.nodes)[int(rng.integers(0, len(net.nodes)))]
-    table = anypath_routes(prune(net, dst, 0), dst)
+    table = helpers.table(net, dst, 0)
     costs, forwarding = cost_by_id(table), forwarding_by_id(table)
     assert costs[dst] == 0.0
     assert forwarding[dst] == ()
@@ -362,7 +366,7 @@ def test_route_table_invariants(seed):
 
 
 def test_route_table_serialization(example_net):
-    table = anypath_routes(prune(example_net, "n4", 50), "n4")
+    table = helpers.table(example_net, "n4", 50)
     assert table.dst == "n4"
     assert cost_by_id(table)["n1"] == pytest.approx(21.2121, abs=1e-3)
     assert [m.link_id for m in members(table, "n1")] == ["l1", "l2"]
@@ -382,7 +386,7 @@ def test_route_tables_match_reference():
         net = random_substrate(rng, max_nodes=10)
         for dst in net.nodes:
             for bw in (0, 50):
-                table = anypath_routes(prune(net, dst, bw), dst)
+                table = helpers.table(net, dst, bw)
                 cost, forwarding = cost_by_id(table), forwarding_by_id(table)
                 for nid in net.nodes:
                     digest.update(repr((nid, cost[nid],
@@ -401,7 +405,7 @@ def test_equal_costs_settle_in_natural_key_order():
     net.add_link("l2", "n2", "dst", bw=10, delay=5.0, pdr=0.5)
     net.add_link("l3", "x", "n10", bw=10, delay=1.0, pdr=0.9)
     net.add_link("l4", "x", "n2", bw=10, delay=1.0, pdr=0.9)
-    table = anypath_routes(prune(net, "dst", 1), "dst")
+    table = helpers.table(net, "dst", 1)
     cost = cost_by_id(table)
     assert cost["n2"] == cost["n10"]
     assert settled_ids(table) == ["dst", "n2", "n10", "x"]
@@ -419,7 +423,7 @@ def test_a_predecessor_at_exactly_the_settled_cost_does_not_join():
                                    ("l3", "n0", "n3", 6.0, 0.75), ("l4", "n1", "n2", 2.0, 1.0),
                                    ("l5", "n2", "n3", 8.0, 1.0)):
         net.add_link(link, a, b, bw=10, delay=delay, pdr=pdr)
-    table = anypath_routes(prune(net, "n0", 1), "n0")
+    table = helpers.table(net, "n0", 1)
     assert cost_by_id(table)["n1"] == cost_by_id(table)["n2"] == 12.0
     assert [m.link_id for m in members(table, "n2")] == ["l2", "l5"]
     assert link_count(table, "n2") == 3
@@ -438,13 +442,36 @@ def test_equal_cost_nodes_rank_by_index_even_when_they_settle_out_of_order():
                                    ("l5", "n3", "n4", 1e20, 0.5), ("l6", "n2", "n0", 1.0, 0.5),
                                    ("l7", "n2", "n5", 1e20, 0.5), ("l8", "n1", "n3", 1.0, 1.0)):
         net.add_link(link, a, b, bw=10, delay=delay, pdr=pdr)
-    table = anypath_routes(prune(net, "n0", 1), "n0")
+    table = helpers.table(net, "n0", 1)
     assert settled_ids(table) == ["n0", "n6", "n4", "n5", "n2", "n3", "n1"]
     costs = cost_by_id(table)
     assert costs["n2"] == costs["n3"] == costs["n1"] == 1.3333333333333333e20
     assert [link_count(table, nid) for nid in ("n2", "n3", "n1")] == [4, 3, 4]
     assert [table.topology.nodes[i] for i in table.ranked[-3:]] == ["n3", "n1", "n2"]
     assert select_min_links(table, {"n1", "n2"}.__contains__) == "n1"
+
+
+def test_route_table_refuses_an_unknown_destination(example_net):
+    with pytest.raises(SchemaError) as info:
+        route_table(example_net, "nope", 1)
+    assert info.value.field == "dst"
+
+
+@pytest.mark.parametrize("bw", ["x", 2.5, -1, True, None])
+def test_route_table_refuses_a_bandwidth_that_is_not_a_count(example_net, bw):
+    with pytest.raises(SchemaError) as info:
+        route_table(example_net, "n1", bw)
+    assert info.value.field == "bw"
+
+
+def test_route_table_refuses_nan_without_growing_the_memo(example_net):
+    route_table(example_net, "n1", 1)
+    memo = dict(example_net._eligible)
+    for _ in range(3):
+        with pytest.raises(SchemaError) as info:
+            route_table(example_net, "n1", float("nan"))
+        assert info.value.field == "bw"
+    assert example_net._eligible == memo
 
 
 def _line_substrate(n_nodes: int) -> SubstrateNetwork:
@@ -457,30 +484,35 @@ def _line_substrate(n_nodes: int) -> SubstrateNetwork:
 
 
 def test_clones_share_one_route_cache(example_net):
+    anypath._table.cache_clear()
     first, second = example_net.clone(), example_net.clone()
     table = route_table(first, "n4", 10)
     assert route_table(second, "n4", 10) is table
     assert route_table(example_net, "n4", 10) is table
-    assert second.topology().routes is example_net.topology().routes
-    assert list(example_net.topology().routes.values()) == [table]
+    info = anypath._table.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
 
 
 def test_route_cache_keeps_the_most_recently_used_tables():
     net = _line_substrate(ROUTE_CACHE_SIZE + 4)
-    cache = net.topology().routes
-    first = route_table(net, "n1", 0)
+    anypath._table.cache_clear()
+    tables = {"n1": route_table(net, "n1", 0)}
     for i in range(2, ROUTE_CACHE_SIZE + 1):
-        route_table(net, f"n{i}", 0)
-        assert len(cache) == i
+        tables[f"n{i}"] = route_table(net, f"n{i}", 0)
+        assert anypath._table.cache_info().currsize == i
     # a hit makes n1 the newest
-    assert route_table(net, "n1", 0) is first
+    assert route_table(net, "n1", 0) is tables["n1"]
     for i in range(ROUTE_CACHE_SIZE + 1, ROUTE_CACHE_SIZE + 5):
-        route_table(net, f"n{i}", 0)
-        assert len(cache) == ROUTE_CACHE_SIZE
-    # least recently used first: n2..n5 went, n1 outlived them
-    assert [dst for dst, _ in cache] == (
-        [f"n{i}" for i in range(6, ROUTE_CACHE_SIZE + 1)] + ["n1"]
-        + [f"n{i}" for i in range(ROUTE_CACHE_SIZE + 1, ROUTE_CACHE_SIZE + 5)])
+        tables[f"n{i}"] = route_table(net, f"n{i}", 0)
+        assert anypath._table.cache_info().currsize == ROUTE_CACHE_SIZE
+    # least recently used first: n1 outlived n2..n5, which went
+    misses = anypath._table.cache_info().misses
+    kept = ["n1"] + [f"n{i}" for i in range(6, ROUTE_CACHE_SIZE + 5)]
+    assert all(route_table(net, dst, 0) is tables[dst] for dst in kept)
+    assert anypath._table.cache_info().misses == misses
+    for k, dst in enumerate(["n2", "n3", "n4", "n5"], 1):
+        assert route_table(net, dst, 0) is not tables[dst]
+        assert anypath._table.cache_info().misses == misses + k
 
 
 def test_route_cache_stays_consistent_under_threads():
@@ -488,7 +520,7 @@ def test_route_cache_stays_consistent_under_threads():
     # cores at different phases, so hits race with other threads' evictions
     net = _line_substrate(ROUTE_CACHE_SIZE + 4)
     dsts = [f"n{i}" for i in range(1, ROUTE_CACHE_SIZE + 3)]
-    expected = {dst: anypath_routes(prune(net, dst, 0), dst).cost for dst in dsts}
+    expected = {dst: helpers.table(net, dst, 0).cost for dst in dsts}
     errors = []
 
     def work(phase):
@@ -502,6 +534,7 @@ def test_route_cache_stays_consistent_under_threads():
         except Exception as exc:   # reported by the main thread
             errors.append(repr(exc))
 
+    anypath._table.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -514,17 +547,21 @@ def test_route_cache_stays_consistent_under_threads():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert len(net.topology().routes) == ROUTE_CACHE_SIZE
+    info = anypath._table.cache_info()
+    assert info.currsize == ROUTE_CACHE_SIZE
+    assert info.hits + info.misses == 4 * 200 * len(dsts)
 
 
 def test_add_link_starts_an_empty_route_cache(example_net):
+    # the new topology is a new key, so none of its tables is cached yet
     clone = example_net.clone()
     old = route_table(example_net, "n4", 0)
     example_net.add_link("l7", "n1", "n4", bw=100, delay=1.0, pdr=1.0)
-    assert len(example_net.topology().routes) == 0
+    misses = anypath._table.cache_info().misses
     new = route_table(example_net, "n4", 0)
     assert new is not old
+    assert anypath._table.cache_info().misses == misses + 1
     assert closure_ids(new, "n1")[1] == {"l7"}
-    # a clone made before keeps the old topology and its cache
+    # a clone made before keeps the old topology and its table
     assert route_table(clone, "n4", 0) is old
-    assert list(example_net.topology().routes.values()) == [new]
+    assert route_table(example_net, "n4", 0) is new

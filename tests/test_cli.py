@@ -264,6 +264,16 @@ def test_simulate_bad_config_is_input_error(tmp_path, config):
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_refuses_a_repeated_load(tmp_path):
+    # accepted, it would count every window of load 40 twice
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"iterations": 4, "loads": [40, 40]}))
+    detail = _assert_input_error(_run_cli("simulate", "--config", str(path),
+                                          "--out", str(tmp_path / "out")))
+    assert detail["field"] == "config.loads"
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_config_bounds_name_the_field():
     # a bad value: the config class names the field, and the CLI prefixes it
     for doc, field in [({"generator": {"delay_max": 10**30}}, "generator.delay_max"),
@@ -271,6 +281,7 @@ def test_simulate_config_bounds_name_the_field():
                        ({"generator": {"pdr_lo": 0.9, "pdr_hi": 0.8}}, "generator.pdr_hi"),
                        ({"loads": [10**21]}, "loads"),
                        ({"loads": []}, "loads"),
+                       ({"loads": [40, 40]}, "loads"),
                        ({"substrate": "nope"}, "substrate"),
                        ({"iterations": 10**21}, "iterations"),
                        ({"iterations": 10_001}, "iterations"),

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anypath_vne import anypath, embedder
-from anypath_vne.anypath import anypath_routes, prune
 from anypath_vne.embedder import (
     Coefficients,
     EmbeddingError,
@@ -37,6 +36,7 @@ from anypath_vne.netmodel import (
 )
 from anypath_vne.scenario import GeneratorConfig, SimulationConfig, run_simulation
 
+import helpers
 from helpers import (
     closure_ids,
     cost_by_id,
@@ -131,7 +131,7 @@ def test_select_max_pdr_tie_breaks_by_id():
 
 
 def test_select_min_links_prefers_fewest_links(example_net):
-    table = anypath_routes(prune(example_net, "n4", 1), "n4")
+    table = helpers.table(example_net, "n4", 1)
     # n2 routes over 1 link, n1 over 4, destination itself over 0
     assert select_min_links(table, {"n1", "n2"}.__contains__) == "n2"
     assert select_min_links(table, {"n1", "n2", "n4"}.__contains__) == "n4"
@@ -290,7 +290,7 @@ def test_channel_routes_keep_no_route_table(monkeypatch):
             except EmbeddingError:
                 continue
             embeddings.append((embedding, json.dumps(embedding.to_dict())))
-        net.topology().routes.clear()
+        anypath._table.cache_clear()
     gc.collect()
     assert len(tables) > 20 and len(embeddings) > 20
     assert [table for table in tables if table() is not None] == []
@@ -507,7 +507,7 @@ def _route_tables(net) -> list:
     tables = []
     for dst in sorted(net.nodes, key=natural_key):
         for bw in (0, 10):
-            table = anypath_routes(prune(net, dst, bw), dst)
+            table = helpers.table(net, dst, bw)
             tables.append((cost_by_id(table), forwarding_by_id(table),
                            settled_ids(table),
                            [table.topology.nodes[i] for i in table.ranked]))
@@ -625,7 +625,7 @@ def test_select_min_links_walk_matches_oracle():
     for _ in range(300):
         net = _labelled_substrate(rng)
         dst = str(rng.choice(list(net.nodes)))
-        table = anypath_routes(prune(net, dst, int(rng.integers(0, 80))), dst)
+        table = helpers.table(net, dst, int(rng.integers(0, 80)))
         finite = sorted(c for c in table.cost if math.isfinite(c))
         unreached += len(finite) < len(net.nodes)
         tight = float(rng.choice(finite))
@@ -655,7 +655,7 @@ def test_select_min_links_breaks_exact_ties_by_id():
         net.add_node(nid, 1, 1, 1)
     for k, leaf in enumerate(("n10", "n3", "n2"), 1):
         net.add_link(f"l{k}", leaf, "hub", bw=1, delay=2.0, pdr=0.5)
-    table = anypath_routes(prune(net, "hub", 1), "hub")
+    table = helpers.table(net, "hub", 1)
     assert select_min_links(table, "hub".__ne__) == "n2"
     assert select_min_links(table, {"n10", "n3"}.__contains__) == "n3"
 
@@ -767,7 +767,7 @@ def test_embed_never_selects_a_node_whose_cost_overflows():
     request = _pair_request(NanoService("s1", gpu=5), NanoService("s2", cpu=10),
                             max_delay=sys.float_info.max, min_pdr=1e-300)
     assert request.channels[0].max_cost == math.inf
-    table = anypath_routes(prune(net, "D", 1), "D")
+    table = helpers.table(net, "D", 1)
     assert "P" in settled_ids(table) and cost_by_id(table)["P"] == math.inf
     before = net.snapshot()
     with pytest.raises(NoFeasiblePathError):

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anypath_vne.anypath import anypath_routes, prune
 from anypath_vne.embedder import Coefficients, EmbeddingError, embed
 from anypath_vne.netmodel import (
     Channel,
@@ -32,6 +31,7 @@ from anypath_vne.netmodel import (
     validate_substrate,
 )
 
+import helpers
 from helpers import (
     closure_ids,
     local_pdr,
@@ -209,6 +209,37 @@ def test_reserve_channel_insufficient_leaves_links_untouched(example_net):
         reserve_channel(example_net, {"l1", "l3"}, 75, ledger)
     assert example_net.snapshot() == before
     assert len(ledger) == 0
+
+
+@pytest.mark.parametrize("link_ids, bw, field", [
+    ({"l1"}, -5, "bw"),            # would raise l1 from 70 to 75
+    ({"l1"}, math.nan, "bw"),
+    ({"l1"}, 2.5, "bw"),
+    ({"l1"}, True, "bw"),
+    ({"l1", "nope"}, 5, "link_ids"),
+    ({"l1", 7}, 5, "link_ids"),
+])
+def test_reserve_channel_refuses_bad_input_before_debiting(example_net, link_ids, bw,
+                                                           field):
+    ledger = []
+    before = example_net.snapshot()
+    with pytest.raises(SchemaError) as info:
+        reserve_channel(example_net, link_ids, bw, ledger)
+    assert info.value.field == field
+    assert example_net.snapshot() == before
+    assert ledger == []
+    assert validate_substrate(example_net) == []
+
+
+def test_reserve_service_refuses_an_unknown_node_before_debiting(example_net):
+    ledger = []
+    before = example_net.snapshot()
+    with pytest.raises(SchemaError) as info:
+        reserve_service(example_net, "nope", NanoService("s", cpu=1), ledger)
+    assert info.value.field == "node_id"
+    assert "nope" in str(info.value)
+    assert example_net.snapshot() == before
+    assert ledger == []
 
 
 def test_rollback_restores_node_and_links(example_net, example_request):
@@ -488,7 +519,7 @@ def test_add_link_rebuilds_topology_and_routes_use_the_link(example_net):
     assert after is not before
     assert after.link_ids[-1] == "l7"
     assert unicast_distances(example_net, "n4", 0)["n1"] == 1.0
-    assert closure_ids(anypath_routes(prune(example_net, "n4", 1), "n4"),
+    assert closure_ids(helpers.table(example_net, "n4", 1),
                        "n1")[1] == {"l7"}
 
 

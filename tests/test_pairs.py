@@ -2,7 +2,10 @@
 
 import importlib.util
 import json
+import math
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,9 +42,47 @@ def test_summary_takes_medians_quartiles_and_wins_in_each_direction():
     assert one["w.setup_s"]["wins"] == 1
 
 
+def test_gate_is_the_relative_change_of_the_medians_against_the_bound():
+    pairs = _pairs_module()
+    runs = [({"w.embed_ms_p50": 1.0, "w.accept_ratio": 0.5, "w.setup_s": 2.0,
+              "w.peak_rss_mb": 50.0},
+             {"w.embed_ms_p50": 1.1, "w.accept_ratio": 0.4, "w.setup_s": 2.6,
+              "w.peak_rss_mb": 50.0}),
+            ({"w.embed_ms_p50": 3.0, "w.accept_ratio": 0.5, "w.setup_s": 2.0,
+              "w.peak_rss_mb": 0.0},
+             {"w.embed_ms_p50": 3.3, "w.accept_ratio": 0.4, "w.setup_s": 2.6,
+              "w.peak_rss_mb": 1.0})]
+    better = {"embed_ms_p50": "lower", "accept_ratio": "higher", "setup_s": "lower",
+              "peak_rss_mb": "lower"}
+    bound = {"embed_ms_p50": 0.2, "accept_ratio": 0.1, "setup_s": 0.25,
+             "peak_rss_mb": 0.2}
+    summary = pairs.summarize([{"parent": parent, "change": change}
+                               for parent, change in runs], better, bound)
+    latency = summary["w.embed_ms_p50"]["gate"]     # medians 2.0 -> 2.2
+    assert latency["relative"] == pytest.approx(0.1) and latency["within"]
+    assert latency["bound"] == 0.2
+    accept = summary["w.accept_ratio"]["gate"]      # 0.5 -> 0.4, higher is better
+    assert accept["relative"] == pytest.approx(-0.2) and not accept["within"]
+    setup = summary["w.setup_s"]["gate"]            # 2.0 -> 2.6, lower is better
+    assert setup["relative"] == pytest.approx(0.3) and not setup["within"]
+    rss = summary["w.peak_rss_mb"]["gate"]          # medians 25.0 -> 25.5
+    assert rss["relative"] == pytest.approx(0.02) and rss["within"]
+    table = pairs.gate_table(summary).splitlines()
+    assert len(table) == 4
+    assert table[0].startswith("w.embed_ms_p50") and table[0].endswith(" ok")
+    assert table[1].startswith("w.accept_ratio") and table[1].endswith(" WORSE")
+    # without bounds, or for a metric without one, there is no gate
+    assert "gate" not in pairs.summarize([{"parent": runs[0][0], "change": runs[0][1]}],
+                                         better)["w.setup_s"]
+    zero = pairs.summarize([{"parent": {"w.m": 0.0}, "change": {"w.m": 1.0}}],
+                           {"m": "lower"}, {"m": 0.2})["w.m"]["gate"]
+    assert zero["relative"] == math.inf and not zero["within"]
+
+
 def test_every_benchmark_metric_has_a_direction():
     pairs = _pairs_module()
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = pairs.directions(benchmark)
     assert {m["name"] for m in benchmark["end_to_end"]} <= better.keys()
+    assert pairs.bounds(benchmark).keys() == {m["name"] for m in benchmark["end_to_end"]}
     assert set(better.values()) <= {"higher", "lower"}

@@ -156,6 +156,16 @@ def test_simulation_config_validation():
     SimulationConfig(loads=(1, 10_000), seed=0, substrate="example")
 
 
+def test_simulation_config_refuses_a_repeated_load():
+    # a repeated load would score every window of that load twice
+    for loads in [(40, 40), (10, 20, 10)]:
+        with pytest.raises(SchemaError) as info:
+            SimulationConfig(loads=loads, iterations=4)
+        assert info.value.field == "loads", loads
+        assert "each load appears once" in str(info.value)
+    SimulationConfig(loads=(40, 10), iterations=4)
+
+
 # junk for each field: a string, a bool, a float, NaN, None, a list and
 # 10**30; where one of them is valid (a bool for ordered_pairs, 10**30 for
 # seed or a weight), another junk value of that kind takes its place
@@ -319,9 +329,9 @@ def test_run_simulation_loads_use_fresh_substrates():
 
 def test_run_simulation_aggregates_like_the_per_window_reports():
     # reference: every window's report is kept, each usage cell averaged with
-    # np.mean and each metric with _mean_std; a repeated load is aggregated
-    # over all of its windows, once per repeat
-    cfg = SimulationConfig(iterations=5, loads=(6, 12, 6), seed=13,
+    # np.mean and each metric with _mean_std; summaries follow the loads'
+    # order, which need not be sorted
+    cfg = SimulationConfig(iterations=5, loads=(6, 12, 3), seed=13,
                            generator=GeneratorConfig(bw_min=0, channel_prob=0.6))
     results = run_simulation(cfg)
     base = simulation_substrate()

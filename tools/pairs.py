@@ -3,8 +3,8 @@
 
     python3 tools/pairs.py PARENT CHANGE --pairs 10 --seconds 8 --out pairs.json
 
-Both refs are checked out as detached ``git worktree``s in a temporary
-directory, which is removed on exit.  Pair k runs
+Both refs are extracted with ``git archive`` into a temporary directory,
+which is removed on exit.  Pair k runs
 ``python3 bench/run.py --workload all --seed k --seconds S`` once in each
 worktree; the parent runs first in odd pairs and the change in even ones, so
 neither side always runs on a warmer or cooler machine.  The run stops at the
@@ -13,14 +13,17 @@ first non-zero exit or ``"correct": false``.
 The output JSON holds the core count, the Python version, every pair's values
 and host-speed scales, and for each ``workload.metric`` the median and
 quartiles of both sides and how many pairs the change won.  A metric's
-direction is its ``better`` in ``BENCHMARK.json``.  Only the standard library
-is used.
+direction is its ``better`` in ``BENCHMARK.json``.  An end-to-end metric also
+gets the gate: the relative change of the medians, and whether it is within
+the metric's ``bound``; the gate is printed as a table too.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -39,18 +42,36 @@ def directions(benchmark: dict) -> dict:
             for m in benchmark["end_to_end"] + benchmark["per_layer"]}
 
 
+def bounds(benchmark: dict) -> dict:
+    """End-to-end metric name -> the relative worsening it may show, its ``bound``."""
+    return {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
+
+
+def _gate(parent: float, change: float, direction: str, bound: float) -> dict:
+    """The relative change of the medians, and whether it worsens by at most bound."""
+    if parent == change:
+        relative = 0.0
+    elif parent == 0:
+        relative = math.copysign(math.inf, change)
+    else:
+        relative = (change - parent) / abs(parent)
+    worse = relative if direction == "lower" else -relative
+    return {"relative": relative, "bound": bound, "within": worse <= bound}
+
+
 def _spread(values: list) -> dict:
     q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                       if len(values) > 1 else values * 3)
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list, better: dict) -> dict:
+def summarize(pairs: list, better: dict, bound: dict | None = None) -> dict:
     """Per ``workload.metric``: both sides' median and quartiles, and the change's wins.
 
     Each pair maps "parent" and "change" to {"workload.metric": value}.  A
     pair is a win when the change is strictly better in the metric's
-    direction; a metric without a direction has ``wins`` None.
+    direction; a metric without a direction has ``wins`` None.  A metric with
+    a bound also has its ``gate``.
     """
     summary = {}
     for name in pairs[0]["parent"]:
@@ -63,7 +84,25 @@ def summarize(pairs: list, better: dict) -> dict:
                        for parent, change in zip(values["parent"], values["change"]))
         summary[name] = {"better": direction, "pairs": len(pairs), "wins": wins,
                          **{side: _spread(values[side]) for side in SIDES}}
+        metric = name.split(".", 1)[1]
+        if direction is not None and metric in (bound or {}):
+            summary[name]["gate"] = _gate(summary[name]["parent"]["median"],
+                                          summary[name]["change"]["median"],
+                                          direction, bound[metric])
     return summary
+
+
+def gate_table(summary: dict) -> str:
+    """One line per gated metric: medians, relative change, bound and verdict."""
+    lines = []
+    for name, body in summary.items():
+        gate = body.get("gate")
+        if gate is not None:
+            lines.append(f"{name:32} {body['parent']['median']:12.6g} -> "
+                         f"{body['change']['median']:12.6g} {gate['relative']:+8.2%} "
+                         f"(bound {gate['bound']:.0%}, better {body['better']}) "
+                         f"{'ok' if gate['within'] else 'WORSE'}")
+    return "\n".join(lines)
 
 
 def run_bench(tree: Path, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -102,31 +141,31 @@ def main(argv=None) -> int:
         parser.error("--pairs and --seconds must be positive")
     refs = {"parent": git("rev-parse", "--verify", args.parent + "^{commit}"),
             "change": git("rev-parse", "--verify", args.change + "^{commit}")}
-    better = directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     pairs = []
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
-        try:
-            for side in SIDES:
-                git("worktree", "add", "--detach", str(trees[side]), refs[side])
-            for seed in range(1, args.pairs + 1):
-                order = SIDES if seed % 2 else SIDES[::-1]
-                pair = {"seed": seed, "first": order[0], "scale": {}}
-                for side in order:
-                    pair[side], pair["scale"][side] = run_bench(trees[side], seed,
-                                                                args.seconds)
-                pairs.append(pair)
-                print(f"pair {seed}/{args.pairs} done", file=sys.stderr, flush=True)
-        finally:
-            for side in SIDES:
-                if trees[side].exists():
-                    git("worktree", "remove", "--force", str(trees[side]))
-            git("worktree", "prune")
+        for side in SIDES:
+            trees[side].mkdir()
+            archive = subprocess.run(["git", "-C", str(ROOT), "archive", refs[side]],
+                                     check=True, capture_output=True).stdout
+            subprocess.run(["tar", "-x", "-C", str(trees[side])], input=archive,
+                           check=True)
+        for seed in range(1, args.pairs + 1):
+            order = SIDES if seed % 2 else SIDES[::-1]
+            pair = {"seed": seed, "first": order[0], "scale": {}}
+            for side in order:
+                pair[side], pair["scale"][side] = run_bench(trees[side], seed,
+                                                            args.seconds)
+            pairs.append(pair)
+            print(f"pair {seed}/{args.pairs} done", file=sys.stderr, flush=True)
+    summary = summarize(pairs, directions(benchmark), bounds(benchmark))
     report = {"parent": refs["parent"], "change": refs["change"],
               "seconds": args.seconds, "nproc": os.cpu_count(),
               "python": platform.python_version(), "pairs": pairs,
-              "summary": summarize(pairs, better)}
+              "summary": summary}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
+    print(gate_table(summary))
     return 0
 
 
