@@ -6,7 +6,7 @@
 Both refs are extracted with ``git archive`` into a temporary directory,
 which is removed on exit.  Pair k runs
 ``python3 bench/run.py --workload all --seed k --seconds S`` once in each
-worktree; the parent runs first in odd pairs and the change in even ones, so
+tree; the parent runs first in odd pairs and the change in even ones, so
 neither side always runs on a warmer or cooler machine.  The run stops at the
 first non-zero exit or ``"correct": false``.
 
