@@ -8,9 +8,6 @@ transmission time.
 
 from .anypath import (
     AnypathRouteTable,
-    PrunedDag,
-    anypath_routes,
-    prune,
     route_closure,
     route_table,
 )

@@ -125,7 +125,7 @@ class PrunedDag:
 
     @cached_property
     def edges(self) -> list:
-        """The arcs as DagEdges, in link order (each link is at most one arc)."""
+        """The arcs as DagEdges, one per link at most, in natural-key order of link id."""
         return [_edge(self.topology, arc) for arc in sorted(chain(*self.incoming))]
 
 
@@ -195,7 +195,7 @@ def anypath_routes(dag: PrunedDag, dst: str) -> AnypathRouteTable:
 
     The result does not depend on the order of ``dag.incoming``: an update
     reads only its predecessor's members, the heap key is total, and parallel
-    links share a tail, so they stay in link order.
+    links share a tail, so they stay in natural-key order of their link ids.
     """
     topology = dag.topology
     ends = topology.ends
@@ -246,9 +246,12 @@ def _table(topology: Topology, dst: str, eligible: bytes) -> AnypathRouteTable:
 def route_table(net: SubstrateNetwork, dst: str, bw: int) -> AnypathRouteTable:
     """Route table toward dst over the links with bw >= bw, from the route cache.
 
-    The key is the topology, dst and ``net.eligible_links(bw)``, so a
-    reservation that drops a link below bw leads to a new table.
+    The key is the topology, dst and ``net.eligible_links(bw)``, so a reservation
+    that drops a link below bw leads to a new table; a dst that is not a string
+    raises a SchemaError before the cache is asked.
     """
+    if not isinstance(dst, str):
+        raise SchemaError("dst", f"expected a node id, got {_cut(dst)}")
     return _table(net.topology(), dst, net.eligible_links(bw))
 
 

@@ -48,7 +48,6 @@ from .netmodel import (
     SchemaError,
     _build,
     _object,
-    natural_key,
     request_from_dict,
     substrate_from_dict,
     validate_substrate,
@@ -137,21 +136,20 @@ def cmd_example(_args) -> int:
     except EmbeddingError as exc:
         print(f"embedding unexpectedly blocked: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    doc = embedding.to_dict()
     print("service placement:")
-    for sid in sorted(embedding.service_map, key=natural_key):
-        print(f"  {sid} -> {embedding.service_map[sid]}")
+    for sid, nid in doc["services"].items():
+        print(f"  {sid} -> {nid}")
     print("channel routes:")
-    for cid in sorted(embedding.channel_routes, key=natural_key):
-        route = embedding.channel_routes[cid]
-        links = ",".join(sorted(route.links, key=natural_key))
-        print(f"  {cid}: {route.src_node} -> {route.dst_node} via {{{links}}}"
-              f" (eatt {fmt(route.eatt)})")
+    for route in doc["channels"]:
+        print(f"  {route['id']}: {route['src_node']} -> {route['dst_node']} via "
+              f"{{{','.join(route['links'])}}} (eatt {fmt(route['eatt'])})")
     print("residual node resources (cpu, gpu, mem):")
     for nid in net.topology().nodes:
         node = net.nodes[nid]
         print(f"  {nid}: ({node.cpu}, {node.gpu}, {node.mem})")
     print("residual link bandwidth:")
-    for lid in sorted(net.links, key=natural_key):
+    for lid in net.topology().link_ids:
         print(f"  {lid}: {net.links[lid].bw}")
 
     ok = embedding.service_map == _EXAMPLE_SERVICES

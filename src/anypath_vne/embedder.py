@@ -119,7 +119,7 @@ class ChannelRoute:
     into flow direction (``arc ^ 1`` for a route computed backwards), by
     transmitter in natural-key order; a transmitter's arcs are in priority
     order, or by relay in natural-key order when transposed.  ``links`` are
-    their link ids.  Hyperlinks exist only in ``to_dict``, built from the arcs.
+    their link ids; ``to_dict`` lists them by index and builds the hyperlinks.
     """
 
     channel_id: str
@@ -138,7 +138,7 @@ class ChannelRoute:
             "src_node": self.src_node,
             "dst_node": self.dst_node,
             "eatt": self.eatt,
-            "links": sorted(self.links, key=natural_key),
+            "links": [link_ids[k] for k in sorted({arc >> 1 for arc in self.arcs})],
             "hyperlinks": [
                 {"transmitter": nodes[tail],
                  "members": [{"node": nodes[ends[arc]], "link": link_ids[arc >> 1]}
@@ -296,12 +296,11 @@ def embed(net: SubstrateNetwork, request: VirtualRequest,
                 topology, _flow_arcs(topology, closure, reverse))
 
         # services with no incident channel are placed on their own
-        for sid in sorted(request.services, key=natural_key):
-            if sid not in placed:
-                service = request.services[sid]
-                node_id = select_max_pdr(net, service)
-                reserve_service(net, node_id, service, ledger)
-                placed[sid] = node_id
+        for sid in sorted(request.services.keys() - placed.keys(), key=natural_key):
+            service = request.services[sid]
+            node_id = select_max_pdr(net, service)
+            reserve_service(net, node_id, service, ledger)
+            placed[sid] = node_id
     except BaseException:
         rollback(net, ledger)
         raise

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .embedder import Coefficients, Embedding
-from .netmodel import SubstrateNetwork, VirtualRequest, natural_key
+from .netmodel import SubstrateNetwork, VirtualRequest
 
 if TYPE_CHECKING:
     from .windowing import WindowOutcome
@@ -111,6 +111,6 @@ def metrics_report(before: SubstrateNetwork, after: SubstrateNetwork,
                                    was.mem - now.mem, was.mem0))
     link_rows = [LinkUsage(lid, routed[lid], before.links[lid].bw - after.links[lid].bw,
                            before.links[lid].bw0)
-                 for lid in sorted(before.links, key=natural_key)]
+                 for lid in before.topology().link_ids]
     return MetricsReport(acceptance, 1.0 - acceptance, total_revenue, total_cost,
                          rc, node_rows, link_rows)

@@ -9,9 +9,9 @@ embedded request can be undone exactly.
 
 Link delay and pdr never change after construction, so the static structure
 of a substrate is kept apart from its capacities: ``SubstrateNetwork.topology``
-numbers nodes and links densely and is shared by every clone, while the
-mutable bandwidth and node resources stay on ``SubstrateLink`` and
-``SubstrateNode``.  The topology is immutable; ``anypath.route_table`` keys
+numbers nodes and links densely, in natural-key order, and is shared by every
+clone, while the mutable bandwidth and node resources stay on ``SubstrateLink``
+and ``SubstrateNode``.  The topology is immutable; ``anypath.route_table`` keys
 its cache on it, so every clone reuses the tables of the others.
 
 Link bandwidth changes only through ``reserve_channel`` and ``rollback``.
@@ -25,7 +25,6 @@ that network a fresh memo and leave the shared one alone.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 import reprlib
@@ -36,21 +35,16 @@ from typing import Iterable
 RESOURCES = ("cpu", "gpu", "mem")
 
 _DIGIT_RUN = re.compile(r"(\d+)")
-# ids whose keys are kept; covers every node and link id of a 1000-node,
-# 3000-link substrate plus the ids of the requests on it
-_NATURAL_KEY_CACHE = 1 << 14
 
 
-@functools.lru_cache(maxsize=_NATURAL_KEY_CACHE)
 def natural_key(identifier: str) -> tuple:
     """Sort key that orders embedded integers numerically (n2 before n10).
 
     The key is the id's parts, then the raw string, so ids that only differ
     in zero padding still compare deterministically.  Only the digit runs
     become numbers, so the parts alternate text and number, a prefix sorts
-    first, and two keys always compare.  The key is a pure function of the
-    id and an immutable tuple, so it is computed once per id and then served
-    from a bounded cache.
+    first, and two keys always compare.  It is not cached: ``Topology`` sorts
+    a substrate's ids once, and per channel only ``reserve_channel`` calls it.
     """
     parts = _DIGIT_RUN.split(identifier)
     parts[1::2] = map(_run_value, parts[1::2])
@@ -273,8 +267,8 @@ class VirtualRequest:
 class Topology:
     """Immutable static structure of a substrate on dense integer ids.
 
-    Node i is the i-th node id in ``natural_key`` order, so a tie broken by
-    id is broken by index, and link k the k-th link in insertion order.
+    Node i is the i-th node id and link k the k-th link id in ``natural_key``
+    order, not insertion order, so a tie broken by id is broken by index.
     Arc 2*k + s is link k directed into its endpoint ``ends[2*k + s]`` (s = 0
     for endpoint a, 1 for b); ``ends[arc ^ 1]`` is its tail, ``arc >> 1`` its
     link.  ``delay`` and ``pdr`` are kept per arc, so one index reads both a
@@ -292,10 +286,10 @@ class Topology:
     def __init__(self, net: "SubstrateNetwork"):
         self.nodes = tuple(sorted(net.nodes, key=natural_key))
         self.index = {nid: i for i, nid in enumerate(self.nodes)}
-        self.link_ids = tuple(net.links)
+        self.link_ids = tuple(sorted(net.links, key=natural_key))
         ends, delay, pdr, weight = [], [], [], []
         adjacency = [[] for _ in self.nodes]
-        for k, link in enumerate(net.links.values()):
+        for k, link in enumerate(map(net.links.__getitem__, self.link_ids)):
             a, b = self.index[link.a], self.index[link.b]
             ends += (a, b)
             delay += (link.delay, link.delay)
@@ -355,18 +349,19 @@ class SubstrateNetwork:
         return self._topology
 
     def eligible_links(self, bw: int) -> bytes:
-        """Byte k is 1 when the k-th link has at least bw spare bandwidth, else 0.
+        """Byte k is 1 when topology link k has at least bw spare bandwidth, else 0.
 
         Memoised per bandwidth until link bandwidth changes.  The memo dict
         is shared with clones and only ever grows by identical values, so it
         is never cleared: a change of link bandwidth gives this network a
-        new one instead.  A new bw that is not a count raises a SchemaError.
+        new one instead.  A bw that is not an int count raises a SchemaError.
         """
         memo = self._eligible
-        eligible = memo.get(bw)
+        eligible = memo.get(bw) if type(bw) is int else None
         if eligible is None:
             _check("bw", bw, int, 0, _HUGE)
-            eligible = memo[bw] = bytes([link.bw >= bw for link in self.links.values()])
+            links = map(self.links.__getitem__, self.topology().link_ids)
+            eligible = memo[bw] = bytes([link.bw >= bw for link in links])
         return eligible
 
     def clone(self) -> "SubstrateNetwork":
@@ -429,8 +424,8 @@ def fits(node: SubstrateNode, service: NanoService) -> bool:
 
 def reserve_service(net: SubstrateNetwork, node_id: str,
                     service: NanoService, ledger: list) -> None:
-    """Debit the service's cpu/gpu/mem demands from the node."""
-    node = net.nodes.get(node_id)
+    """Debit the service's cpu/gpu/mem demands from the node; refuse a bad node_id."""
+    node = net.nodes.get(node_id) if isinstance(node_id, str) else None
     if node is None:
         raise SchemaError("node_id", f"{_cut(node_id)} is not a node")
     if (service.cpu > node.cpu or service.gpu > node.gpu
@@ -446,9 +441,14 @@ def reserve_service(net: SubstrateNetwork, node_id: str,
 def reserve_channel(net: SubstrateNetwork, link_ids: Iterable[str],
                     bw: int, ledger: list) -> None:
     """Debit the channel bandwidth once from each distinct link of its route;
-    a bad bw or link id raises a SchemaError before any debit."""
+    a bad bw, a bare string or a bad link id raises a SchemaError before any debit."""
     _check("bw", bw, int, 0, _HUGE)
-    link_ids = set(link_ids)
+    if isinstance(link_ids, str):   # not read as one-character ids
+        raise SchemaError("link_ids", f"expected ids, got {_shown(link_ids)}")
+    try:
+        link_ids = set(link_ids)
+    except TypeError:   # not iterable, or a member that is unhashable
+        raise SchemaError("link_ids", f"expected ids, got {_shown(link_ids)}") from None
     unknown = link_ids.difference(net.links)    # one lookup per id, not per link
     if unknown:
         raise SchemaError("link_ids", f"{_cut(min(unknown, key=repr))} is not a link")

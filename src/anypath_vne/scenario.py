@@ -17,7 +17,7 @@ import numpy as np
 from .embedder import Coefficients
 from .metrics import LinkUsage, NodeUsage, metrics_report
 from .netmodel import (_REAL, Channel, NanoService, SchemaError, SubstrateNetwork,
-                       VirtualRequest, _check, _shown, natural_key)
+                       VirtualRequest, _check, _shown)
 from .windowing import process_window
 
 
@@ -313,7 +313,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResults:
             node = base.nodes[nid]
             summary.node_rows.append(NodeUsage(nid, services, cpu, node.cpu0,
                                                gpu, node.gpu0, mem, node.mem0))
-        for lid, (channels, bw) in zip(sorted(base.links, key=natural_key),
+        for lid, (channels, bw) in zip(base.topology().link_ids,
                                        (link_sums[load] / len(rows)).tolist()):
             summary.link_rows.append(LinkUsage(lid, channels, bw, base.links[lid].bw0))
         results.summaries.append(summary)

@@ -24,6 +24,7 @@ from anypath_vne.netmodel import (
     SubstrateNetwork,
     VirtualRequest,
     fits,
+    natural_key,
     reserve_channel,
     reserve_service,
 )
@@ -160,6 +161,26 @@ def random_substrate(rng: np.random.Generator, max_nodes: int = 8,
     return net
 
 
+def local_pdr_tie_doc() -> dict:
+    """A 9-node substrate, as JSON data, whose anchor pick hangs on the last
+    bit of two local pdr means.
+
+    n1's links l1-l3 have pdr 0.6, 0.8, 0.7 and n2's links l4-l6 have 0.7,
+    0.8, 0.6; each leads to a leaf, n3-n8, whose only other link, of pdr
+    0.01, goes to the sink n9.  Summed left to right with Python 3.11's
+    ``sum``, n1's links in that order give 2.0999999999999996 and n2's give
+    2.1, so n2 has the higher mean; n1's in the order l3, l2, l1 give 2.1 too,
+    and the tie goes to n1.
+    """
+    pdrs = (0.6, 0.8, 0.7, 0.7, 0.8, 0.6)
+    nodes = [{"id": f"n{i}", "cpu": 10, "gpu": 0, "mem": 0} for i in range(1, 10)]
+    links = [{"id": f"l{k}", "a": "n1" if k <= 3 else "n2", "b": f"n{k + 2}",
+              "bw": 10, "delay": 1.0, "pdr": pdr} for k, pdr in enumerate(pdrs, 1)]
+    links += [{"id": f"l{k + 6}", "a": f"n{k + 2}", "b": "n9", "bw": 10,
+               "delay": 1.0, "pdr": 0.01} for k in range(1, 7)]
+    return {"nodes": nodes, "links": links}
+
+
 def tie_prone_substrate(rng: np.random.Generator, max_nodes: int = 9) -> SubstrateNetwork:
     """Random substrate with parallel links, ties, isolated parts and bw-0 links.
 
@@ -281,8 +302,9 @@ def reference_prune(net: SubstrateNetwork, dst: str, bw: int) -> PrunedDag:
     """Two-pass orientation: unicast distances, then one pass over the links.
 
     Independent of ``anypath``: the Dijkstra runs over ``net.links`` and reads
-    each link's bw, and every node's incoming arcs come in link order.  Arc
-    2*k + 1 is link k into its endpoint b, arc 2*k into a.
+    each link's bw, and every node's incoming arcs come in link order.  Link
+    k is the k-th link id in natural-key order, as the topology numbers it;
+    arc 2*k + 1 is link k into its endpoint b, arc 2*k into a.
     """
     index = net.topology().index
     neighbours = {nid: [] for nid in net.nodes}
@@ -303,7 +325,8 @@ def reference_prune(net: SubstrateNetwork, dst: str, bw: int) -> PrunedDag:
                 dist[v] = d + weight
                 heapq.heappush(heap, (dist[v], v))
     incoming = [[] for _ in net.nodes]
-    for k, link in enumerate(net.links.values()):
+    for k, link_id in enumerate(sorted(net.links, key=natural_key)):
+        link = net.links[link_id]
         da, db = dist[link.a], dist[link.b]
         if link.bw < bw or da == db:
             continue

@@ -464,6 +464,28 @@ def test_route_table_refuses_a_bandwidth_that_is_not_a_count(example_net, bw):
     assert info.value.field == "bw"
 
 
+@pytest.mark.parametrize("dst", [["n1"], {"n1"}, 1, None])
+def test_route_table_refuses_a_destination_that_is_not_a_string(example_net, dst):
+    anypath._table.cache_clear()
+    with pytest.raises(SchemaError) as info:
+        route_table(example_net, dst, 1)
+    assert info.value.field == "dst"
+    info = anypath._table.cache_info()     # refused before the cache is asked
+    assert (info.hits, info.misses) == (0, 0)
+
+
+@pytest.mark.parametrize("bw", [True, [1], 1.0])
+def test_route_table_refuses_a_bandwidth_that_equals_a_memoised_count(example_net, bw):
+    # True and 1.0 hash as 1, which the memo holds; a list cannot be hashed
+    table = route_table(example_net, "n1", 1)
+    memo = dict(example_net._eligible)
+    with pytest.raises(SchemaError) as info:
+        route_table(example_net, "n1", bw)
+    assert info.value.field == "bw"
+    assert example_net._eligible == memo
+    assert route_table(example_net, "n1", 1) is table
+
+
 def test_route_table_refuses_nan_without_growing_the_memo(example_net):
     route_table(example_net, "n1", 1)
     memo = dict(example_net._eligible)

@@ -20,6 +20,8 @@ from anypath_vne import cli, scenario
 from anypath_vne.netmodel import SchemaError, substrate_to_dict
 from anypath_vne.scenario import example_fixture
 
+import helpers
+
 
 @pytest.fixture
 def example_files(tmp_path):
@@ -89,6 +91,26 @@ def test_embed_command_accepts(example_files, capsys):
     assert doc["services"] == {"s1": "n1", "s2": "n4", "s3": "n5"}
     routes = {c["id"]: c["links"] for c in doc["channels"]}
     assert routes["c3"] == ["l4", "l5", "l6"]
+
+
+def test_embed_output_does_not_depend_on_the_order_of_the_links_in_the_file(
+        tmp_path, capsys):
+    # the anchor goes to the node of best mean link pdr; n1's and n2's means
+    # differ in the last bit, and summing in file order made them tie when
+    # the links were listed in reverse
+    doc = helpers.local_pdr_tie_doc()
+    request_file = tmp_path / "request.json"
+    request_file.write_text(json.dumps(
+        {"services": [{"id": "s1", "cpu": 1, "gpu": 0, "mem": 0}], "channels": []}))
+    outputs = []
+    for name, links in (("ordered", doc["links"]), ("reversed", doc["links"][::-1])):
+        substrate = tmp_path / f"{name}.json"
+        substrate.write_text(json.dumps({"nodes": doc["nodes"], "links": links}))
+        assert cli.main(["embed", "--substrate", str(substrate),
+                         "--request", str(request_file)]) == cli.EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["services"] == {"s1": "n2"}
 
 
 def test_embed_command_blocked_names_service(example_files, tmp_path, capsys):

@@ -130,6 +130,20 @@ def test_select_max_pdr_tie_breaks_by_id():
     assert select_max_pdr(net, NanoService("s")) == "n1"
 
 
+def test_select_max_pdr_does_not_depend_on_link_insertion_order():
+    # the topology sums each node's link pdrs in natural-key order of the link
+    # ids, so listing n1's links as l3, l2, l1 no longer turns n2's lead of
+    # one bit into a tie that n1 wins; the pick is pinned for 3.11's sum
+    doc = helpers.local_pdr_tie_doc()
+    ordered = substrate_from_dict(doc)
+    doc["links"][:3] = doc["links"][2::-1]
+    reordered = substrate_from_dict(doc)
+    assert list(reordered.links)[:3] == ["l3", "l2", "l1"]
+    service = NanoService("s", cpu=1)
+    assert select_max_pdr(ordered, service) == "n2"
+    assert select_max_pdr(reordered, service) == "n2"
+
+
 def test_select_min_links_prefers_fewest_links(example_net):
     table = helpers.table(example_net, "n4", 1)
     # n2 routes over 1 link, n1 over 4, destination itself over 0
@@ -534,6 +548,40 @@ def test_routes_and_embeds_do_not_depend_on_node_insertion_order():
             assert shuffled_line == line
             assert sorted(map(sorted, shuffled_after)) == sorted(map(sorted, after))
     assert shuffled_orders > 180
+
+
+def _with_links_in(net, order) -> SubstrateNetwork:
+    """A copy of net whose links are inserted in order; nodes keep theirs."""
+    dup = SubstrateNetwork()
+    for node in net.nodes.values():
+        dup.add_node(node.id, node.cpu, node.gpu, node.mem, node.functionals)
+    for lid in order:
+        link = net.links[lid]
+        dup.add_link(link.id, link.a, link.b, link.bw, link.delay, link.pdr)
+    return dup
+
+
+def test_routes_and_embeds_do_not_depend_on_link_insertion_order():
+    # the topology numbers links in natural-key order, so every float sum
+    # over a node's links, and with it every cost and tie, is unchanged
+    rng = np.random.default_rng(20261)
+    coeffs = Coefficients(beta=2.0, gamma=100.0)
+    nets = [random_substrate(rng, max_nodes=14) for _ in range(100)]
+    nets += [tie_prone_substrate(rng, max_nodes=14) for _ in range(100)]
+    shuffled_orders = 0
+    for ordered in nets:
+        order = [str(lid) for lid in rng.permutation(list(ordered.links))]
+        shuffled_orders += order != list(ordered.links)
+        shuffled = _with_links_in(ordered, order)
+        assert _route_tables(shuffled) == _route_tables(ordered)
+        for _ in range(3):
+            request = random_request(rng)
+            line, after = _outcome(ordered, request, coeffs)
+            shuffled_line, shuffled_after = _outcome(shuffled, request, coeffs)
+            assert shuffled_line == line
+            assert sorted(map(sorted, shuffled_after)) == sorted(map(sorted, after))
+    # a tie-prone net with fewer than two links has one order only
+    assert shuffled_orders > 150
 
 
 def test_warm_route_cache_gives_the_outputs_of_fresh_tables(monkeypatch):

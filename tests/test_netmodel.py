@@ -218,6 +218,9 @@ def test_reserve_channel_insufficient_leaves_links_untouched(example_net):
     ({"l1"}, True, "bw"),
     ({"l1", "nope"}, 5, "link_ids"),
     ({"l1", 7}, 5, "link_ids"),
+    ([["l1"]], 5, "link_ids"),     # an unhashable member
+    (["l1", {"l2"}], 5, "link_ids"),
+    (7, 5, "link_ids"),            # not a collection of ids
 ])
 def test_reserve_channel_refuses_bad_input_before_debiting(example_net, link_ids, bw,
                                                            field):
@@ -229,6 +232,34 @@ def test_reserve_channel_refuses_bad_input_before_debiting(example_net, link_ids
     assert example_net.snapshot() == before
     assert ledger == []
     assert validate_substrate(example_net) == []
+
+
+def test_reserve_channel_refuses_a_bare_string_before_debiting():
+    # a string is an iterable of one-character strings, which here are link ids
+    net = SubstrateNetwork()
+    net.add_node("n1", 1, 1, 1)
+    net.add_node("n2", 1, 1, 1)
+    for lid in ("l", "1", "l1"):
+        net.add_link(lid, "n1", "n2", bw=10, delay=1.0, pdr=0.9)
+    ledger = []
+    before = net.snapshot()
+    with pytest.raises(SchemaError) as info:
+        reserve_channel(net, "l1", 5, ledger)
+    assert info.value.field == "link_ids"
+    assert "l1" in str(info.value)
+    assert net.snapshot() == before
+    assert ledger == []
+
+
+@pytest.mark.parametrize("node_id", [["n1"], {"n1": 1}, 1, None])
+def test_reserve_service_refuses_a_node_id_that_is_not_a_string(example_net, node_id):
+    ledger = []
+    before = example_net.snapshot()
+    with pytest.raises(SchemaError) as info:
+        reserve_service(example_net, node_id, NanoService("s", cpu=1), ledger)
+    assert info.value.field == "node_id"
+    assert example_net.snapshot() == before
+    assert ledger == []
 
 
 def test_reserve_service_refuses_an_unknown_node_before_debiting(example_net):

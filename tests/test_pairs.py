@@ -86,3 +86,36 @@ def test_every_benchmark_metric_has_a_direction():
     assert {m["name"] for m in benchmark["end_to_end"]} <= better.keys()
     assert pairs.bounds(benchmark).keys() == {m["name"] for m in benchmark["end_to_end"]}
     assert set(better.values()) <= {"higher", "lower"}
+
+
+def test_gate_is_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    pairs = _pairs_module()
+    wide, tight = [1.0, 2.0, 3.0], [1.9, 2.0, 2.1]     # spreads 50 % and 5 %
+    cases = {
+        "w.noisy": (wide, [1.9, 2.0, 2.1], "lower", True),
+        "w.clear": (wide, [0.5, 0.6, 0.7], "lower", False),   # beats every parent run
+        "w.tight": (tight, [2.5, 2.6, 2.7], "lower", False),
+        "w.higher": (wide, [3.5, 4.0, 5.0], "higher", False),
+        "w.near": (wide, [2.5, 3.0, 3.5], "higher", True),
+        "w.zero": ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], "lower", False),
+        "w.around_zero": ([-1.0, 0.0, 1.0], [0.0, 0.0, 0.0], "lower", True),
+    }
+    runs = [{"parent": {name: case[0][k] for name, case in cases.items()},
+             "change": {name: case[1][k] for name, case in cases.items()}}
+            for k in range(3)]
+    better = {name.split(".")[1]: case[2] for name, case in cases.items()}
+    summary = pairs.summarize(runs, better, dict.fromkeys(better, 0.2))
+    for name, (_, _, _, unresolved) in cases.items():
+        assert summary[name]["gate"]["unresolved"] is unresolved, name
+    assert summary["w.noisy"]["gate"]["spread"] == pytest.approx(0.5)
+    assert summary["w.tight"]["gate"]["spread"] == pytest.approx(0.05)
+    assert summary["w.zero"]["gate"]["spread"] == 0.0
+    assert summary["w.around_zero"]["gate"]["spread"] == math.inf
+    # unresolved says nothing of the medians: w.tight is resolved and worse
+    assert not summary["w.tight"]["gate"]["within"]
+    assert summary["w.noisy"]["gate"]["within"]
+    table = dict(zip(cases, pairs.gate_table(summary).splitlines()))
+    assert "spread 50.0% UNRESOLVED," in table["w.noisy"]
+    assert table["w.noisy"].endswith(" ok")
+    assert "spread 5.0%," in table["w.tight"] and table["w.tight"].endswith(" WORSE")
+    assert "UNRESOLVED" not in table["w.clear"]

@@ -1,6 +1,6 @@
 """Static checks of the package source with ``ast``, in place of a linter:
 every import is used, every module-level private name is referenced, and
-nodes are put in natural-key order in one place only."""
+nodes and links are put in natural-key order in one place only."""
 
 import ast
 from pathlib import Path
@@ -53,25 +53,28 @@ def test_every_private_module_name_is_referenced():
     assert sorted((module, name) for module, name in private if name not in referenced) == []
 
 
-def _sorts_nodes_by_natural_key(node) -> bool:
-    """Whether node is a call ``sorted(<expr>.nodes, key=natural_key)``."""
+def _sorts_ids_by_natural_key(node) -> bool:
+    """Whether node is a call ``sorted(<expr>.nodes, key=natural_key)``, or
+    the same on ``<expr>.links``."""
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id == "sorted" and bool(node.args)
-            and isinstance(node.args[0], ast.Attribute) and node.args[0].attr == "nodes"
+            and isinstance(node.args[0], ast.Attribute)
+            and node.args[0].attr in ("nodes", "links")
             and any(keyword.arg == "key" and isinstance(keyword.value, ast.Name)
                     and keyword.value.id == "natural_key" for keyword in node.keywords))
 
 
 def test_only_the_topology_sorts_nodes_by_natural_key():
-    # Topology numbers nodes in natural-key order; any other module lists
-    # nodes in that order by reading Topology.nodes, not by sorting again
+    # Topology numbers nodes and links in natural-key order; any other module
+    # lists them in that order by reading Topology.nodes and .link_ids, not
+    # by sorting again
     topology = next(node for node in TREES["netmodel.py"].body
                     if isinstance(node, ast.ClassDef) and node.name == "Topology")
     init = next(node for node in topology.body
                 if isinstance(node, ast.FunctionDef) and node.name == "__init__")
-    inside = [node for node in ast.walk(init) if _sorts_nodes_by_natural_key(node)]
-    assert len(inside) == 1
+    inside = [node for node in ast.walk(init) if _sorts_ids_by_natural_key(node)]
+    assert sorted(node.args[0].attr for node in inside) == ["links", "nodes"]
     elsewhere = [(module, node.lineno) for module, tree in TREES.items()
                  for node in ast.walk(tree)
-                 if _sorts_nodes_by_natural_key(node) and node not in inside]
+                 if _sorts_ids_by_natural_key(node) and node not in inside]
     assert elsewhere == []

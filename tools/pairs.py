@@ -14,9 +14,10 @@ The output JSON holds the core count, the Python version, every pair's values
 and host-speed scales, and for each ``workload.metric`` the median and
 quartiles of both sides and how many pairs the change won.  A metric's
 direction is its ``better`` in ``BENCHMARK.json``.  An end-to-end metric also
-gets the gate: the relative change of the medians, and whether it is within
-the metric's ``bound``; the gate is printed as a table too.  Only the
-standard library is used.
+gets the gate: the relative change of the medians, whether it is within the
+metric's ``bound``, and whether it is unresolved, which is when the parent's
+own spread is wider than the bound; the gate is printed as a table too.
+Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -47,16 +48,31 @@ def bounds(benchmark: dict) -> dict:
     return {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
 
 
-def _gate(parent: float, change: float, direction: str, bound: float) -> dict:
-    """The relative change of the medians, and whether it worsens by at most bound."""
-    if parent == change:
-        relative = 0.0
-    elif parent == 0:
-        relative = math.copysign(math.inf, change)
-    else:
-        relative = (change - parent) / abs(parent)
+def _relative(value: float, median: float) -> float:
+    """value as a fraction of |median|; 0 when both are 0, inf when only median is."""
+    if value == 0:
+        return 0.0
+    return math.copysign(math.inf, value) if median == 0 else value / abs(median)
+
+
+def _gate(values: dict, spread: dict, direction: str, bound: float) -> dict:
+    """The relative change of the medians and whether it worsens by at most
+    bound; the parent's spread, (q3 - q1) / |median|, and whether it leaves the
+    gate unresolved.
+
+    A spread wider than the bound means the parent's runs alone could move a
+    median past it, so the gate cannot tell a change from noise, unless every
+    change run beats every parent run.
+    """
+    parent, change = spread["parent"], spread["change"]
+    relative = _relative(change["median"] - parent["median"], parent["median"])
     worse = relative if direction == "lower" else -relative
-    return {"relative": relative, "bound": bound, "within": worse <= bound}
+    width = _relative(parent["q3"] - parent["q1"], parent["median"])
+    sign = 1 if direction == "higher" else -1
+    beats_all = (min(sign * v for v in values["change"])
+                 > max(sign * v for v in values["parent"]))
+    return {"relative": relative, "bound": bound, "within": worse <= bound,
+            "spread": width, "unresolved": width > bound and not beats_all}
 
 
 def _spread(values: list) -> dict:
@@ -86,21 +102,23 @@ def summarize(pairs: list, better: dict, bound: dict | None = None) -> dict:
                          **{side: _spread(values[side]) for side in SIDES}}
         metric = name.split(".", 1)[1]
         if direction is not None and metric in (bound or {}):
-            summary[name]["gate"] = _gate(summary[name]["parent"]["median"],
-                                          summary[name]["change"]["median"],
-                                          direction, bound[metric])
+            summary[name]["gate"] = _gate(values, summary[name], direction,
+                                          bound[metric])
     return summary
 
 
 def gate_table(summary: dict) -> str:
-    """One line per gated metric: medians, relative change, bound and verdict."""
+    """One line per gated metric: medians, relative change, bound, the
+    parent's spread (marked when it leaves the gate unresolved) and verdict."""
     lines = []
     for name, body in summary.items():
         gate = body.get("gate")
         if gate is not None:
             lines.append(f"{name:32} {body['parent']['median']:12.6g} -> "
                          f"{body['change']['median']:12.6g} {gate['relative']:+8.2%} "
-                         f"(bound {gate['bound']:.0%}, better {body['better']}) "
+                         f"(bound {gate['bound']:.0%}, spread {gate['spread']:.1%}"
+                         f"{' UNRESOLVED' if gate['unresolved'] else ''}, "
+                         f"better {body['better']}) "
                          f"{'ok' if gate['within'] else 'WORSE'}")
     return "\n".join(lines)
 
