@@ -49,22 +49,23 @@ def bounds(benchmark: dict) -> dict:
 
 
 def _relative(value: float, median: float) -> float:
-    """value as a fraction of |median|; 0 when both are 0, inf when only median is."""
+    """value as a fraction of |median|: 0 when value is 0, else inf when median is."""
     if value == 0:
         return 0.0
     return math.copysign(math.inf, value) if median == 0 else value / abs(median)
 
 
-def _gate(values: dict, spread: dict, direction: str, bound: float) -> dict:
+def _gate(values: dict, body: dict, direction: str, bound: float) -> dict:
     """The relative change of the medians and whether it worsens by at most
     bound; the parent's spread, (q3 - q1) / |median|, and whether it leaves the
-    gate unresolved.
+    gate unresolved.  values holds both sides' runs, body their medians and
+    quartiles.
 
     A spread wider than the bound means the parent's runs alone could move a
     median past it, so the gate cannot tell a change from noise, unless every
     change run beats every parent run.
     """
-    parent, change = spread["parent"], spread["change"]
+    parent, change = body["parent"], body["change"]
     relative = _relative(change["median"] - parent["median"], parent["median"])
     worse = relative if direction == "lower" else -relative
     width = _relative(parent["q3"] - parent["q1"], parent["median"])
