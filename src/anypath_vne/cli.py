@@ -61,9 +61,9 @@ EXIT_INTERNAL = 4
 # ground truth for the `example` subcommand self-check
 _EXAMPLE_SERVICES = {"s1": "n1", "s2": "n4", "s3": "n5"}
 _EXAMPLE_ROUTES = {
-    "c1": {"l1", "l2", "l3", "l4"},
-    "c2": {"l2", "l5"},
-    "c3": {"l4", "l5", "l6"},
+    "c1": ("l1", "l2", "l3", "l4"),
+    "c2": ("l2", "l5"),
+    "c3": ("l4", "l5", "l6"),
 }
 _EXAMPLE_NODES = {"n1": (0, 0, 0), "n4": (0, 0, 10), "n5": (10, 10, 0)}
 _EXAMPLE_BW = {"l1": 20, "l2": 0, "l3": 50, "l4": 10, "l5": 60, "l6": 90}
@@ -153,8 +153,7 @@ def cmd_example(_args) -> int:
         print(f"  {lid}: {net.links[lid].bw}")
 
     ok = embedding.service_map == _EXAMPLE_SERVICES
-    ok &= {cid: set(r.links) for cid, r in embedding.channel_routes.items()} \
-        == _EXAMPLE_ROUTES
+    ok &= {cid: r.links for cid, r in embedding.channel_routes.items()} == _EXAMPLE_ROUTES
     ok &= all(net.nodes[nid].available() == avail
               for nid, avail in _EXAMPLE_NODES.items())
     ok &= all(net.links[lid].bw == bw for lid, bw in _EXAMPLE_BW.items())

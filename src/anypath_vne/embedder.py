@@ -119,13 +119,13 @@ class ChannelRoute:
     into flow direction (``arc ^ 1`` for a route computed backwards), by
     transmitter in natural-key order; a transmitter's arcs are in priority
     order, or by relay in natural-key order when transposed.  ``links`` are
-    their link ids; ``to_dict`` lists them by index and builds the hyperlinks.
+    their distinct link ids in link order, the order ``to_dict`` lists them in.
     """
 
     channel_id: str
     src_node: str
     dst_node: str
-    links: frozenset
+    links: tuple
     eatt: float                # realized route cost checked against the bound
     topology: Topology
     arcs: tuple
@@ -138,7 +138,7 @@ class ChannelRoute:
             "src_node": self.src_node,
             "dst_node": self.dst_node,
             "eatt": self.eatt,
-            "links": [link_ids[k] for k in sorted({arc >> 1 for arc in self.arcs})],
+            "links": list(self.links),
             "hyperlinks": [
                 {"transmitter": nodes[tail],
                  "members": [{"node": nodes[ends[arc]], "link": link_ids[arc >> 1]}
@@ -287,7 +287,7 @@ def embed(net: SubstrateNetwork, request: VirtualRequest,
 
             topology = table.topology
             closure = anypath.route_closure(table, selected)
-            links = frozenset(topology.link_ids[arc >> 1] for arc in closure)
+            links = tuple(topology.link_ids[k] for k in sorted({a >> 1 for a in closure}))
             reserve_channel(net, links, channel.bw, ledger)
             flow_src, flow_dst = (n_dst, selected) if reverse else (selected, n_dst)
             embedding.channel_routes[channel.id] = ChannelRoute(

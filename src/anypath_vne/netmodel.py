@@ -44,7 +44,7 @@ def natural_key(identifier: str) -> tuple:
     in zero padding still compare deterministically.  Only the digit runs
     become numbers, so the parts alternate text and number, a prefix sorts
     first, and two keys always compare.  It is not cached: ``Topology`` sorts
-    a substrate's ids once, and per channel only ``reserve_channel`` calls it.
+    a substrate's ids once, and a route lists its links in that link order.
     """
     parts = _DIGIT_RUN.split(identifier)
     parts[1::2] = map(_run_value, parts[1::2])
@@ -440,19 +440,19 @@ def reserve_service(net: SubstrateNetwork, node_id: str,
 
 def reserve_channel(net: SubstrateNetwork, link_ids: Iterable[str],
                     bw: int, ledger: list) -> None:
-    """Debit the channel bandwidth once from each distinct link of its route;
-    a bad bw, a bare string or a bad link id raises a SchemaError before any debit."""
+    """Debit the channel bandwidth once from each distinct link of its route, in
+    the order given (``embed`` gives link order); a bad bw, a bare string or a
+    bad link id raises a SchemaError before any debit."""
     _check("bw", bw, int, 0, _HUGE)
     if isinstance(link_ids, str):   # not read as one-character ids
         raise SchemaError("link_ids", f"expected ids, got {_shown(link_ids)}")
     try:
-        link_ids = set(link_ids)
+        link_ids = dict.fromkeys(link_ids)
     except TypeError:   # not iterable, or a member that is unhashable
         raise SchemaError("link_ids", f"expected ids, got {_shown(link_ids)}") from None
-    unknown = link_ids.difference(net.links)    # one lookup per id, not per link
+    unknown = [link_id for link_id in link_ids if link_id not in net.links]
     if unknown:
         raise SchemaError("link_ids", f"{_cut(min(unknown, key=repr))} is not a link")
-    link_ids = sorted(link_ids, key=natural_key)
     for link_id in link_ids:
         if net.links[link_id].bw < bw:
             raise InsufficientCapacityError(

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from .embedder import Coefficients, Embedding, EmbeddingError, embed
 from .metrics import revenue
-from .netmodel import SubstrateNetwork, VirtualRequest
+from .netmodel import SchemaError, SubstrateNetwork, VirtualRequest
 
 
 def request_quality_revenue(request: VirtualRequest,
@@ -18,11 +18,17 @@ def request_quality_revenue(request: VirtualRequest,
 
 @dataclass
 class RequestOutcome:
-    """Result of one embedding attempt within a window: an embedding or an error."""
+    """Result of one embedding attempt within a window: an embedding or an
+    error, exactly one of them, or a SchemaError naming ``embedding``."""
 
     request: VirtualRequest
     embedding: Embedding = None
     error: EmbeddingError = None   # why a blocked request was blocked
+
+    def __post_init__(self):
+        if (self.embedding is None) == (self.error is None):
+            raise SchemaError("embedding", "expected an embedding or an error, "
+                              "not both or neither")
 
     @property
     def accepted(self) -> bool:

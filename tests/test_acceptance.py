@@ -66,10 +66,10 @@ def test_criterion_1_worked_example_golden():
 
     embedding = embed(net, request, coeffs)
     assert embedding.service_map == {"s1": "n1", "s2": "n4", "s3": "n5"}
-    assert {cid: set(r.links) for cid, r in embedding.channel_routes.items()} == {
-        "c1": {"l1", "l2", "l3", "l4"},
-        "c2": {"l2", "l5"},
-        "c3": {"l4", "l5", "l6"},
+    assert {cid: r.links for cid, r in embedding.channel_routes.items()} == {
+        "c1": ("l1", "l2", "l3", "l4"),
+        "c2": ("l2", "l5"),
+        "c3": ("l4", "l5", "l6"),
     }
     assert net.nodes["n1"].available() == (0, 0, 0)
     assert net.nodes["n4"].available() == (0, 0, 10)

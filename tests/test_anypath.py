@@ -226,6 +226,15 @@ def test_route_closure_unreachable_raises(example_net):
         route_closure(table, "n9")
 
 
+# UnreachableSourceError is kept for a node that has no route
+@pytest.mark.parametrize("src", [["n1"], "zz", {"n1"}, 1, None])
+def test_route_closure_refuses_a_source_that_is_not_a_node(example_net, src):
+    table = helpers.table(example_net, "n4", 1)
+    with pytest.raises(SchemaError) as info:
+        route_closure(table, src)
+    assert info.value.field == "src"
+
+
 @settings(max_examples=200)
 @given(st.integers(0, 2**32 - 1))
 def test_route_closure_is_each_route_nodes_forwarding_set_once(seed):

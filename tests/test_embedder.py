@@ -155,10 +155,10 @@ def test_embed_reproduces_reference_mapping(example):
     net, request, coeffs = example
     embedding = embed(net, request, coeffs)
     assert embedding.service_map == {"s1": "n1", "s2": "n4", "s3": "n5"}
-    assert {cid: set(r.links) for cid, r in embedding.channel_routes.items()} == {
-        "c1": {"l1", "l2", "l3", "l4"},
-        "c2": {"l2", "l5"},
-        "c3": {"l4", "l5", "l6"},
+    assert {cid: r.links for cid, r in embedding.channel_routes.items()} == {
+        "c1": ("l1", "l2", "l3", "l4"),
+        "c2": ("l2", "l5"),
+        "c3": ("l4", "l5", "l6"),
     }
     assert net.nodes["n1"].available() == (0, 0, 0)
     assert net.nodes["n4"].available() == (0, 0, 10)
@@ -200,7 +200,7 @@ def test_embed_colocates_when_one_node_fits_both():
     embedding = embed(net, request, Coefficients())
     assert embedding.service_map == {"s1": "n2", "s2": "n2"}
     route = embedding.channel_routes["c1"]
-    assert route.links == frozenset()
+    assert route.links == ()
     assert route.eatt == 0.0
     assert net.links["l1"].bw == 100
 
@@ -363,8 +363,8 @@ def test_embed_recomputes_route_table_when_eligible_links_change(monkeypatch):
     calls = _count_route_computations(monkeypatch)
     embedding = embed(net, request, Coefficients())
     assert calls == ["n1", "n1"]
-    assert embedding.channel_routes["c1"].links == {"l1"}
-    assert embedding.channel_routes["c2"].links == {"l2"}
+    assert embedding.channel_routes["c1"].links == ("l1",)
+    assert embedding.channel_routes["c2"].links == ("l2",)
     assert net.links["l1"].bw == 4
 
 
@@ -380,7 +380,7 @@ def test_embed_never_selects_an_unreachable_candidate():
     assert request.channels[0].max_cost == float("inf")
     embedding = embed(net, request, Coefficients())
     assert embedding.service_map == {"s1": "n2", "s2": "n1"}
-    assert embedding.channel_routes["c1"].links == {"l1"}
+    assert embedding.channel_routes["c1"].links == ("l1",)
 
 
 @settings(max_examples=150, deadline=None)
@@ -433,22 +433,51 @@ EMBED_CORPUS_SHA256 = (
     "f90e151af508c846f2e72f20dbb05aa3f4848daedf70adbb549cf2157a924d5f")
 
 
-def test_embed_output_bytes_match_reference():
+def _embed_corpus():
+    """(net, request) of the digest corpus: 400 seeded substrates, three
+    requests each, embedded in turn on the same substrate."""
     rng = np.random.default_rng(20231)
-    coeffs = Coefficients(beta=2.0, gamma=100.0)
     nets = [random_substrate(rng, max_nodes=10) for _ in range(300)]
     nets += [_tie_heavy_substrate(rng) for _ in range(100)]
-    digest = hashlib.sha256()
     for net in nets:
         for _ in range(3):
-            request = random_request(rng)
-            try:
-                line = json.dumps(embed(net, request, coeffs).to_dict())
-            except EmbeddingError as exc:
-                line = f"blocked:{exc}"
-            digest.update(line.encode())
-            digest.update(repr(net.snapshot()).encode())
+            yield net, random_request(rng)
+
+
+def test_embed_output_bytes_match_reference():
+    coeffs = Coefficients(beta=2.0, gamma=100.0)
+    digest = hashlib.sha256()
+    for net, request in _embed_corpus():
+        try:
+            line = json.dumps(embed(net, request, coeffs).to_dict())
+        except EmbeddingError as exc:
+            line = f"blocked:{exc}"
+        digest.update(line.encode())
+        digest.update(repr(net.snapshot()).encode())
     assert digest.hexdigest() == EMBED_CORPUS_SHA256
+
+
+def test_route_links_are_distinct_in_natural_key_order_and_reserved_so():
+    # a route lists its links once each, in link order, which the topology
+    # makes natural-key order; reserve_channel records them in that order
+    coeffs = Coefficients(beta=2.0, gamma=100.0)
+    unsorted = 0
+    for net, request in _embed_corpus():
+        try:
+            embedding = embed(net, request, coeffs)
+        except EmbeddingError:
+            continue
+        routes = embedding.channel_routes.values()
+        for route in routes:
+            link_ids = route.topology.link_ids
+            assert type(route.links) is tuple
+            assert list(route.links) == sorted(set(route.links), key=natural_key)
+            assert set(route.links) == {link_ids[arc >> 1] for arc in route.arcs}
+            unsorted += list(route.links) != sorted(route.links)
+        assert [record[1] for record in embedding.ledger if record[0] == "link"] \
+            == [link_id for route in routes for link_id in route.links]
+    # l10 sorts before l9 as a string: natural-key order is not string order
+    assert unsorted > 0
 
 
 def _outcome(net, request, coeffs) -> tuple:
@@ -907,8 +936,8 @@ def test_channel_after_a_link_reservation_gets_a_fresh_mask(monkeypatch):
     scans = _count_scans(monkeypatch)
     embedding = embed(net, request, Coefficients())
     assert scans == [6, 6]
-    assert embedding.channel_routes["c1"].links == {"l1"}
-    assert embedding.channel_routes["c2"].links == {"l2"}
+    assert embedding.channel_routes["c1"].links == ("l1",)
+    assert embedding.channel_routes["c2"].links == ("l2",)
 
 
 @pytest.mark.parametrize("bw, rescans", [(0, 0), (1, 1)])
@@ -927,7 +956,7 @@ def test_only_a_link_debit_gives_a_fresh_mask(monkeypatch, bw, rescans):
     scans = _count_scans(monkeypatch)
     embedding = embed(net, request, Coefficients())
     assert {cid: route.links for cid, route in embedding.channel_routes.items()} \
-        == {"c1": {"l1"}, "c2": {"l1"}}
+        == {"c1": ("l1",), "c2": ("l1",)}
     assert scans == [bw] * (1 + rescans)
 
 

@@ -202,6 +202,13 @@ def test_reserve_channel_charges_a_repeated_link_once(example_net):
     assert example_net.links["l1"].bw == 30
 
 
+def test_reserve_channel_records_links_once_in_the_order_given(example_net):
+    ledger = []
+    reserve_channel(example_net, ["l3", "l1", "l3"], 5, ledger)
+    assert ledger == [("link", "l3", 5), ("link", "l1", 5)]
+    assert (example_net.links["l3"].bw, example_net.links["l1"].bw) == (95, 65)
+
+
 def test_reserve_channel_insufficient_leaves_links_untouched(example_net):
     ledger = []
     before = example_net.snapshot()

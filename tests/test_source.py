@@ -3,6 +3,7 @@ every import is used, every module-level private name is referenced, and
 nodes and links are put in natural-key order in one place only."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -78,3 +79,41 @@ def test_only_the_topology_sorts_nodes_by_natural_key():
                  for node in ast.walk(tree)
                  if _sorts_ids_by_natural_key(node) and node not in inside]
     assert elsewhere == []
+
+
+def _reads(tree, name: str) -> list:
+    """(scope, is a sort key) of each read of name in a module: scope is the
+    dotted path of the enclosing classes and functions, and a sort key is the
+    ``key=`` of a ``sorted`` call."""
+    keys = {id(keyword.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "sorted"
+            for keyword in node.keywords if keyword.arg == "key"}
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if (isinstance(child, ast.Name) and child.id == name
+                    and isinstance(child.ctx, ast.Load)):
+                found.append((scope, id(child) in keys))
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_natural_key_sorts_only_substrate_ids_and_output_listings():
+    # the topology numbers ids in natural-key order once per substrate, and a
+    # route lists its links in that link order, so no per-channel step sorts
+    # by natural key; only the embed JSON's listings and the services left
+    # unplaced after the channels sort their own ids
+    reads = Counter((module, scope, key) for module, tree in TREES.items()
+                    for scope, key in _reads(tree, "natural_key"))
+    assert reads == Counter({
+        ("netmodel.py", "Topology.__init__", True): 2,
+        ("embedder.py", "Embedding.to_dict", True): 2,
+        ("embedder.py", "embed", True): 1,
+    })

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from anypath_vne.embedder import (
     Coefficients,
+    Embedding,
     NoFeasiblePathError,
     NoSuitableNodeError,
     embed,
@@ -14,6 +15,7 @@ from anypath_vne.embedder import (
 from anypath_vne.netmodel import (
     Channel,
     NanoService,
+    SchemaError,
     VirtualRequest,
     request_from_dict,
     request_to_dict,
@@ -21,6 +23,7 @@ from anypath_vne.netmodel import (
     substrate_to_dict,
 )
 from anypath_vne.windowing import (
+    RequestOutcome,
     process_window,
     request_quality_revenue,
 )
@@ -87,6 +90,17 @@ def test_blocked_outcomes_keep_the_typed_cause(example):
         assert result.error.__traceback__ is None
     assert str(outcome.blocked[0].error) in ("no suitable node for service s1",
                                              "no feasible route for channel c1")
+
+
+@pytest.mark.parametrize("both", [False, True])
+def test_request_outcome_holds_exactly_one_of_embedding_and_error(both):
+    # with neither, the outcome would count as accepted with no embedding
+    request = VirtualRequest("r")
+    kwargs = {"embedding": Embedding("r"), "error": NoSuitableNodeError("s1")} \
+        if both else {}
+    with pytest.raises(SchemaError) as info:
+        RequestOutcome(request, **kwargs)
+    assert info.value.field == "embedding"
 
 
 def test_empty_window(example):
