@@ -259,12 +259,12 @@ def route_closure(table: AnypathRouteTable, src: str) -> list:
     """Forwarding arcs of the nodes on src's route, each transmitter's together
     in priority order; [] when src is dst.  A src that is not a node id raises
     a SchemaError, a node with no route an UnreachableSourceError."""
+    if src == table.dst:
+        return []
     topology = table.topology
     start = topology.index.get(src) if isinstance(src, str) else None
     if start is None:
         raise SchemaError("src", f"{_cut(src)} is not a node")
-    if src == table.dst:
-        return []
     if table.cost[start] == INFINITY:
         raise UnreachableSourceError(f"node {src} has no route to {table.dst}")
     ends, forwarding = topology.ends, table.forwarding
