@@ -287,7 +287,8 @@ def embed(net: SubstrateNetwork, request: VirtualRequest,
 
             topology = table.topology
             closure = anypath.route_closure(table, selected)
-            links = tuple([topology.link_ids[k] for k in sorted({a >> 1 for a in closure})])
+            # the route DAG orients each link one way, so no link has two arcs here
+            links = tuple([topology.link_ids[arc >> 1] for arc in sorted(closure)])
             reserve_channel(net, links, channel.bw, ledger)
             flow_src, flow_dst = (n_dst, selected) if reverse else (selected, n_dst)
             embedding.channel_routes[channel.id] = ChannelRoute(

@@ -440,9 +440,8 @@ def reserve_service(net: SubstrateNetwork, node_id: str,
 
 def reserve_channel(net: SubstrateNetwork, link_ids: Iterable[str],
                     bw: int, ledger: list) -> None:
-    """Debit the channel bandwidth once from each distinct link of its route, in
-    the order given (``embed`` gives link order); a bad bw, a bare string or a
-    bad link id raises a SchemaError before any debit."""
+    """Debit bw once from each distinct link of the route, in the order given;
+    a bad bw, a bare string or a bad link id raises a SchemaError before any debit."""
     _check("bw", bw, int, 0, _HUGE)
     if isinstance(link_ids, str):   # not read as one-character ids
         raise SchemaError("link_ids", f"expected ids, got {_shown(link_ids)}")
