@@ -1,6 +1,7 @@
 """Static checks of the package source with ``ast``, in place of a linter:
-every import is used, every module-level private name is referenced, and
-nodes and links are put in natural-key order in one place only."""
+every import is used, every module-level private name is referenced,
+nodes and links are put in natural-key order in one place only, and no
+per-channel step sorts by natural key."""
 
 import ast
 from collections import Counter
