@@ -52,7 +52,6 @@ from .scenario import (
     simulation_substrate,
 )
 from .windowing import (
-    WindowOutcome,
     process_window,
     request_quality_revenue,
 )

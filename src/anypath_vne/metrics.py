@@ -4,26 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .embedder import Coefficients, Embedding
-from .netmodel import SubstrateNetwork, VirtualRequest
-
-if TYPE_CHECKING:
-    from .windowing import WindowOutcome
-
-
-class EmptyWindowError(ValueError):
-    """Ratios over a window with no requests are undefined."""
-
-
-class TopologyMismatchError(ValueError):
-    """Usage needs before/after snapshots of the same substrate topology."""
+from .netmodel import SchemaError, SubstrateNetwork, VirtualRequest, left_sum
 
 
 def revenue(request: VirtualRequest, coeffs: Coefficients) -> float:
     """Weighted resources demanded by the request (its theoretical price)."""
-    value = sum(coeffs.node_term(s) for s in request.services.values())
+    value = left_sum(coeffs.node_term(s) for s in request.services.values())
     value += coeffs.beta * sum(c.bw for c in request.channels)
     return value
 
@@ -31,7 +19,7 @@ def revenue(request: VirtualRequest, coeffs: Coefficients) -> float:
 def cost(request: VirtualRequest, embedding: Embedding,
          coeffs: Coefficients) -> float:
     """Weighted resources actually consumed; each channel pays per route link."""
-    value = sum(coeffs.node_cost_term(s) for s in request.services.values())
+    value = left_sum(coeffs.node_cost_term(s) for s in request.services.values())
     value += coeffs.cost_beta * sum(
         c.bw * len(embedding.channel_routes[c.id].links)
         for c in request.channels)
@@ -67,7 +55,6 @@ class MetricsReport:
     """All window metrics: ratios, revenue/cost, and per-resource usage."""
 
     acceptance_ratio: float
-    blocking_ratio: float
     revenue: float
     cost: float
     rc_ratio: float            # NaN when the accepted set costs nothing
@@ -76,32 +63,35 @@ class MetricsReport:
 
 
 def metrics_report(before: SubstrateNetwork, after: SubstrateNetwork,
-                   outcome: WindowOutcome, coeffs: Coefficients) -> MetricsReport:
-    """Score one processed window in one pass over its accepted requests.
+                   outcomes: list, coeffs: Coefficients) -> MetricsReport:
+    """Score one processed window, the list of its request outcomes, in one
+    pass over its accepted requests.
 
-    The pass prices each accepted request and counts the services each node
-    hosts and the channels each link routes; used capacity is the before/after
-    capacity delta.
+    The pass adds up each accepted request's revenue and cost, left to right
+    from 0, and counts the services each node hosts and the channels each link
+    routes; used capacity is the before/after capacity delta.  An empty window
+    raises a SchemaError naming ``outcomes``, and snapshots of different
+    topologies one naming ``after``, in that order.
     """
-    if not outcome.results:
-        raise EmptyWindowError("window contains no requests")
+    if not outcomes:
+        raise SchemaError("outcomes", "expected at least one request outcome")
     if (set(before.nodes) != set(after.nodes)
             or set(before.links) != set(after.links)):
-        raise TopologyMismatchError("before/after snapshots differ in topology")
-    accepted = outcome.accepted
-    acceptance = len(accepted) / len(outcome.results)
-    revenues, costs = [], []
+        raise SchemaError("after", "expected a snapshot of the topology of before")
+    accepted = total_revenue = total_cost = 0
     hosted = dict.fromkeys(before.nodes, 0)
     routed = dict.fromkeys(before.links, 0)
-    for result in accepted:
-        revenues.append(revenue(result.request, coeffs))
-        costs.append(cost(result.request, result.embedding, coeffs))
+    for result in outcomes:
+        if not result.accepted:
+            continue
+        accepted += 1
+        total_revenue += revenue(result.request, coeffs)
+        total_cost += cost(result.request, result.embedding, coeffs)
         for node_id in result.embedding.service_map.values():
             hosted[node_id] += 1
         for route in result.embedding.channel_routes.values():
             for link_id in route.links:
                 routed[link_id] += 1
-    total_revenue, total_cost = sum(revenues), sum(costs)
     rc = total_revenue / total_cost if total_cost > 0 else math.nan
     node_rows = []
     for nid in before.topology().nodes:
@@ -112,5 +102,5 @@ def metrics_report(before: SubstrateNetwork, after: SubstrateNetwork,
     link_rows = [LinkUsage(lid, routed[lid], before.links[lid].bw - after.links[lid].bw,
                            before.links[lid].bw0)
                  for lid in before.topology().link_ids]
-    return MetricsReport(acceptance, 1.0 - acceptance, total_revenue, total_cost,
-                         rc, node_rows, link_rows)
+    return MetricsReport(accepted / len(outcomes), total_revenue, total_cost, rc,
+                         node_rows, link_rows)

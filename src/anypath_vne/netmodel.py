@@ -305,8 +305,23 @@ class Topology:
         self.by_local_pdr = tuple(sorted(range(len(self.nodes)), key=lambda i: -local[i]))
 
 
+def left_sum(values) -> float:
+    """The sum of values, added one at a time from 0, left to right.
+
+    Python 3.12 made the builtin ``sum`` of floats compensated, so its float
+    sums can differ in the last bit from this fold, which is what ``sum``
+    computes on 3.11 and older; the library adds floats with it so that a
+    local PDR tie, a window's ranking and its totals do not depend on the
+    interpreter.  Integer sums are exact either way and use ``sum``.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def _mean_pdr(pdrs: list) -> float:
-    return sum(pdrs) / len(pdrs) if pdrs else 0.0
+    return left_sum(pdrs) / len(pdrs) if pdrs else 0.0
 
 
 class SubstrateNetwork:

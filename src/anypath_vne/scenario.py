@@ -251,7 +251,6 @@ class LoadSummary:
 
 @dataclass
 class SimulationResults:
-    config: SimulationConfig
     raw_rows: list = field(default_factory=list)    # list[RawRow]
     summaries: list = field(default_factory=list)   # list[LoadSummary], one per load
 
@@ -285,7 +284,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResults:
     copy of the substrate, so load levels share requests but never reservations.
     """
     base = SUBSTRATE_FIXTURES[cfg.substrate]()
-    results = SimulationResults(cfg)
+    results = SimulationResults()
     # per load, each node's (services, cpu, gpu, mem) and each link's (channels,
     # bw) used, summed over the windows as int64; the counts are ints, so the
     # sums are exact and sum / n equals their mean
@@ -295,10 +294,11 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResults:
         pool = iteration_pool(cfg, child)
         for load in cfg.loads:
             net = base.clone()
-            outcome = process_window(net, pool[:load], cfg.coefficients)
-            report = metrics_report(base, net, outcome, cfg.coefficients)
+            outcomes = process_window(net, pool[:load], cfg.coefficients)
+            report = metrics_report(base, net, outcomes, cfg.coefficients)
+            accepted = sum(result.accepted for result in outcomes)
             results.raw_rows.append(RawRow(
-                iteration, load, len(outcome.accepted), len(outcome.blocked),
+                iteration, load, accepted, len(outcomes) - accepted,
                 *(getattr(report, name) for name in METRICS)))
             node_sums[load] += np.array([(u.services, u.cpu_used, u.gpu_used, u.mem_used)
                                          for u in report.node_usage], dtype=np.int64)

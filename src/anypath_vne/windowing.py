@@ -2,17 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .embedder import Coefficients, Embedding, EmbeddingError, embed
 from .metrics import revenue
-from .netmodel import SchemaError, SubstrateNetwork, VirtualRequest
+from .netmodel import SchemaError, SubstrateNetwork, VirtualRequest, left_sum
 
 
 def request_quality_revenue(request: VirtualRequest,
                             coeffs: Coefficients) -> float:
     """Whole-request revenue plus the summed channel quality term."""
-    return revenue(request, coeffs) + coeffs.gamma * sum(
+    return revenue(request, coeffs) + coeffs.gamma * left_sum(
         c.min_pdr / c.max_delay for c in request.channels)
 
 
@@ -35,39 +35,23 @@ class RequestOutcome:
         return self.error is None
 
 
-@dataclass
-class WindowOutcome:
-    """Per-request outcomes in processing order."""
-
-    results: list = field(default_factory=list)
-
-    @property
-    def accepted(self) -> list:
-        return [r for r in self.results if r.accepted]
-
-    @property
-    def blocked(self) -> list:
-        return [r for r in self.results if not r.accepted]
-
-
 def process_window(net: SubstrateNetwork, requests,
-                   coeffs: Coefficients) -> WindowOutcome:
-    """Embed a window of requests in descending quality-revenue order.
+                   coeffs: Coefficients) -> list[RequestOutcome]:
+    """Embed a window of requests in descending quality-revenue order and
+    return their outcomes in that order.
 
     Blocked requests are rolled back inside embed() and leave no trace on the
     substrate, so later requests see only the accepted reservations.
     """
     ranked = sorted(requests,
                     key=lambda r: -request_quality_revenue(r, coeffs))
-    outcome = WindowOutcome()
+    outcomes = []
     for request in ranked:
         try:
             embedding = embed(net, request, coeffs)
         except EmbeddingError as exc:
             # without its traceback the error keeps no frame of embed alive
-            outcome.results.append(
-                RequestOutcome(request, error=exc.with_traceback(None)))
+            outcomes.append(RequestOutcome(request, error=exc.with_traceback(None)))
         else:
-            outcome.results.append(
-                RequestOutcome(request, embedding))
-    return outcome
+            outcomes.append(RequestOutcome(request, embedding))
+    return outcomes

@@ -167,10 +167,11 @@ def local_pdr_tie_doc() -> dict:
 
     n1's links l1-l3 have pdr 0.6, 0.8, 0.7 and n2's links l4-l6 have 0.7,
     0.8, 0.6; each leads to a leaf, n3-n8, whose only other link, of pdr
-    0.01, goes to the sink n9.  Summed left to right with Python 3.11's
-    ``sum``, n1's links in that order give 2.0999999999999996 and n2's give
-    2.1, so n2 has the higher mean; n1's in the order l3, l2, l1 give 2.1 too,
-    and the tie goes to n1.
+    0.01, goes to the sink n9.  Summed left to right (``netmodel.left_sum``,
+    and the builtin ``sum`` before Python 3.12), n1's links in that order give
+    2.0999999999999996 and n2's give 2.1, so n2 has the higher mean; n1's in
+    the order l3, l2, l1, or a compensated sum, give 2.1 too, and the tie
+    goes to n1.
     """
     pdrs = (0.6, 0.8, 0.7, 0.7, 0.8, 0.6)
     nodes = [{"id": f"n{i}", "cpu": 10, "gpu": 0, "mem": 0} for i in range(1, 10)]

@@ -133,7 +133,8 @@ def test_select_max_pdr_tie_breaks_by_id():
 def test_select_max_pdr_does_not_depend_on_link_insertion_order():
     # the topology sums each node's link pdrs in natural-key order of the link
     # ids, so listing n1's links as l3, l2, l1 no longer turns n2's lead of
-    # one bit into a tie that n1 wins; the pick is pinned for 3.11's sum
+    # one bit into a tie that n1 wins; the pick is pinned for a left-to-right
+    # sum, which netmodel.left_sum computes on every interpreter
     doc = helpers.local_pdr_tie_doc()
     ordered = substrate_from_dict(doc)
     doc["links"][:3] = doc["links"][2::-1]

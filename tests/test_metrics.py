@@ -4,21 +4,16 @@ import numpy as np
 import pytest
 
 from anypath_vne.embedder import Coefficients, Embedding, EmbeddingError, embed
-from anypath_vne.metrics import (
-    EmptyWindowError,
-    TopologyMismatchError,
-    cost,
-    metrics_report,
-    revenue,
-)
+from anypath_vne.metrics import cost, metrics_report, revenue
 from anypath_vne.netmodel import (
     Channel,
     NanoService,
+    SchemaError,
     SubstrateNetwork,
     VirtualRequest,
 )
 from anypath_vne.scenario import example_fixture
-from anypath_vne.windowing import RequestOutcome, WindowOutcome, process_window
+from anypath_vne.windowing import RequestOutcome, process_window
 
 from helpers import random_request, random_substrate
 
@@ -27,8 +22,8 @@ from helpers import random_request, random_substrate
 def example_window():
     net, request, coeffs = example_fixture()
     before = net.clone()
-    outcome = process_window(net, [request], coeffs)
-    return before, net, outcome, coeffs
+    outcomes = process_window(net, [request], coeffs)
+    return before, net, outcomes, coeffs
 
 
 def test_revenue_example(example_request):
@@ -41,8 +36,8 @@ def test_revenue_empty_request():
 
 
 def test_cost_example(example_window):
-    _, _, outcome, _ = example_window
-    result = outcome.accepted[0]
+    _, _, [result], _ = example_window
+    assert result.accepted
     assert cost(result.request, result.embedding, Coefficients()) == 510.0
 
 
@@ -60,32 +55,45 @@ def test_cost_all_colocated_equals_node_term():
 
 
 def test_ratios(example_net):
-    outcome = WindowOutcome()
+    outcomes = []
     for i in range(10):
         request = VirtualRequest(f"r{i}")
-        outcome.results.append(
+        outcomes.append(
             RequestOutcome(request, Embedding(request.id)) if i < 9
             else RequestOutcome(request, error=EmbeddingError("blocked")))
-    report = metrics_report(example_net, example_net.clone(), outcome,
+    report = metrics_report(example_net, example_net.clone(), outcomes,
                             Coefficients())
-    assert (report.acceptance_ratio, report.blocking_ratio) \
-        == (0.9, pytest.approx(0.1))
+    assert report.acceptance_ratio == 0.9
 
 
 def test_ratios_empty_window_raises(example_net):
-    with pytest.raises(EmptyWindowError):
-        metrics_report(example_net, example_net.clone(), WindowOutcome(),
-                       Coefficients())
+    with pytest.raises(SchemaError) as info:
+        metrics_report(example_net, example_net.clone(), [], Coefficients())
+    assert info.value.field == "outcomes"
 
 
 def test_ratios_example_window(example_window):
     report = metrics_report(*example_window)
-    assert (report.acceptance_ratio, report.blocking_ratio) == (1.0, 0.0)
+    assert report.acceptance_ratio == 1.0
+
+
+def test_report_adds_revenue_and_cost_left_to_right(example_net):
+    # per-request revenues and costs 1e16, 1.0, 1.0: added from 0, left to
+    # right, each 1.0 rounds away; a compensated sum would give 1e16 + 2
+    outcomes = []
+    for i, cpu in enumerate((10**16, 1, 1)):
+        request = VirtualRequest(f"r{i}")
+        request.add_service(NanoService("s1", cpu=cpu))
+        outcomes.append(RequestOutcome(request, Embedding(request.id)))
+    report = metrics_report(example_net, example_net.clone(), outcomes,
+                            Coefficients())
+    assert (report.revenue, report.cost) == (1e16, 1e16)
+    assert math.fsum([1e16, 1.0, 1.0]) == 1e16 + 2
 
 
 def test_revenue_over_cost_example(example_window):
-    before, after, outcome, _ = example_window
-    report = metrics_report(before, after, outcome, Coefficients())
+    before, after, outcomes, _ = example_window
+    report = metrics_report(before, after, outcomes, Coefficients())
     assert report.revenue == 310.0
     assert report.cost == 510.0
     assert report.rc_ratio == report.revenue / report.cost
@@ -104,10 +112,11 @@ def test_single_link_routes_give_unit_ratio():
                                 min_pdr=0.5))
     coeffs = Coefficients(beta=2.0, cost_beta=2.0)
     before = net.clone()
-    outcome = process_window(net, [request], coeffs)
-    assert len(outcome.accepted) == 1
-    assert len(outcome.accepted[0].embedding.channel_routes["c1"].links) == 1
-    assert metrics_report(before, net, outcome, coeffs).rc_ratio \
+    outcomes = process_window(net, [request], coeffs)
+    [result] = outcomes
+    assert result.accepted
+    assert len(result.embedding.channel_routes["c1"].links) == 1
+    assert metrics_report(before, net, outcomes, coeffs).rc_ratio \
         == pytest.approx(1.0)
 
 
@@ -128,18 +137,20 @@ def test_report_usage_example(example_window):
 
 
 def test_report_topology_mismatch(example_window):
-    before, _, outcome, coeffs = example_window
+    before, _, outcomes, coeffs = example_window
     other = before.clone()
     other.add_node("extra", 1, 1, 1)
-    with pytest.raises(TopologyMismatchError):
-        metrics_report(before, other, outcome, coeffs)
+    with pytest.raises(SchemaError) as info:
+        metrics_report(before, other, outcomes, coeffs)
+    assert info.value.field == "after"
 
 
 def test_report_checks_the_window_before_the_topology(example_net):
     other = example_net.clone()
     other.add_node("extra", 1, 1, 1)
-    with pytest.raises(EmptyWindowError):
-        metrics_report(example_net, other, WindowOutcome(), Coefficients())
+    with pytest.raises(SchemaError) as info:
+        metrics_report(example_net, other, [], Coefficients())
+    assert info.value.field == "outcomes"
 
 
 def test_usage_conserves_demand():
@@ -155,11 +166,11 @@ def test_usage_conserves_demand():
         for i, request in enumerate(requests):
             request.id = f"r{i + 1}"
         before = net.clone()
-        outcome = process_window(net, requests, coeffs)
-        report = metrics_report(before, net, outcome, coeffs)
+        outcomes = process_window(net, requests, coeffs)
+        report = metrics_report(before, net, outcomes, coeffs)
         hosted = {nid: [0, 0, 0, 0] for nid in net.nodes}
         routed = {lid: [0, 0] for lid in net.links}
-        for result in outcome.accepted:
+        for result in (r for r in outcomes if r.accepted):
             for kind, rid, *amounts in result.embedding.ledger:
                 counts = hosted[rid] if kind == "node" else routed[rid]
                 counts[0] += 1
@@ -174,9 +185,9 @@ def test_usage_conserves_demand():
 
 
 def test_metrics_report_example(example_window):
-    before, after, outcome, coeffs = example_window
-    report = metrics_report(before, after, outcome, coeffs)
-    assert report.acceptance_ratio + report.blocking_ratio == 1.0
+    before, after, outcomes, coeffs = example_window
+    report = metrics_report(before, after, outcomes, coeffs)
+    assert report.acceptance_ratio == 1.0
     assert report.revenue == 310.0
     assert report.cost == 510.0
     assert report.rc_ratio == pytest.approx(310 / 510)
@@ -186,8 +197,8 @@ def test_metrics_report_nan_ratio_when_nothing_accepted(example):
     net, request, coeffs = example
     request.services["s1"] = NanoService("s1", cpu=10_000)
     before = net.clone()
-    outcome = process_window(net, [request], coeffs)
-    report = metrics_report(before, net, outcome, coeffs)
+    outcomes = process_window(net, [request], coeffs)
+    report = metrics_report(before, net, outcomes, coeffs)
     assert report.acceptance_ratio == 0.0
     assert math.isnan(report.rc_ratio)
     assert all(row.services == 0 and row.cpu_used == 0 for row in report.node_usage)
@@ -196,8 +207,8 @@ def test_metrics_report_nan_ratio_when_nothing_accepted(example):
 
 def test_cost_monotone_in_route_links(example_window):
     # lengthening any route strictly raises the cost term
-    _, _, outcome, _ = example_window
-    result = outcome.accepted[0]
+    _, _, [result], _ = example_window
+    assert result.accepted
     base = cost(result.request, result.embedding, Coefficients())
     route = result.embedding.channel_routes["c2"]
     route.links += ("l6",)

@@ -1,7 +1,8 @@
 """Static checks of the package source with ``ast``, in place of a linter:
 every import is used, every module-level private name is referenced,
-nodes and links are put in natural-key order in one place only, and no
-per-channel step sorts by natural key."""
+nodes and links are put in natural-key order in one place only, no
+per-channel step sorts by natural key, and floats are never added with the
+builtin ``sum``."""
 
 import ast
 from collections import Counter
@@ -117,4 +118,18 @@ def test_natural_key_sorts_only_substrate_ids_and_output_listings():
         ("netmodel.py", "Topology.__init__", True): 2,
         ("embedder.py", "Embedding.to_dict", True): 2,
         ("embedder.py", "embed", True): 1,
+    })
+
+
+def test_builtin_sum_adds_only_integers():
+    # the builtin sum of floats is compensated since Python 3.12, so floats
+    # are added with netmodel.left_sum, which gives the same bits on every
+    # interpreter; these sums are of bandwidths, link counts and accepted
+    # flags, all integers
+    reads = Counter((module, scope) for module, tree in TREES.items()
+                    for scope, _ in _reads(tree, "sum"))
+    assert reads == Counter({
+        ("metrics.py", "revenue"): 1,
+        ("metrics.py", "cost"): 1,
+        ("scenario.py", "run_simulation"): 1,
     })
