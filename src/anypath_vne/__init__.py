@@ -4,56 +4,11 @@ The package maps directed graphs of nano-services and channels onto a shared
 substrate of compute nodes and lossy links, routing each channel with anypath
 (multi-receiver broadcast) forwarding and pricing routes by expected anypath
 transmission time.
-"""
 
-from .anypath import (
-    AnypathRouteTable,
-    route_closure,
-    route_table,
-)
-from .embedder import (
-    ChannelRoute,
-    Coefficients,
-    Embedding,
-    EmbeddingError,
-    NoFeasiblePathError,
-    NoSuitableNodeError,
-    embed,
-    pair_quality_revenue,
-    select_max_pdr,
-    select_min_links,
-)
-from .metrics import (
-    MetricsReport,
-    cost,
-    metrics_report,
-    revenue,
-)
-from .netmodel import (
-    Channel,
-    NanoService,
-    SubstrateLink,
-    SubstrateNetwork,
-    SubstrateNode,
-    VirtualRequest,
-    fits,
-    reserve_channel,
-    reserve_service,
-    rollback,
-    validate_substrate,
-)
-from .scenario import (
-    GeneratorConfig,
-    SimulationConfig,
-    SimulationResults,
-    example_fixture,
-    generate_request,
-    run_simulation,
-    simulation_substrate,
-)
-from .windowing import (
-    process_window,
-    request_quality_revenue,
-)
+Each name is imported from the module that defines it.  The routing and
+embedding core (``netmodel``, ``anypath``, ``embedder``, ``metrics`` and
+``windowing``) uses only the standard library; ``scenario``, the simulation,
+and ``cli`` need numpy.
+"""
 
 __version__ = "0.1.0"

@@ -78,11 +78,12 @@ def fmt(value) -> str:
 
 def _load_json(path: str, what: str) -> dict:
     try:
-        with open(path) as handle:
+        # JSON is UTF-8 (RFC 8259), whatever the locale's encoding
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise SchemaError(what, f"cannot read {path}: {exc.strerror}") from exc
-    # malformed, nested too deeply, or an integer literal too long to parse
+    # malformed, not UTF-8, nested too deeply, or an integer literal too long to parse
     except (ValueError, RecursionError) as exc:
         raise SchemaError(what, f"malformed JSON in {path}: {exc}") from exc
 

@@ -244,6 +244,24 @@ def _assert_input_error(proc) -> dict:
     return detail
 
 
+def test_json_input_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # the POSIX locale's encoding is ASCII once UTF-8 mode is off; a Latin-1
+    # locale would read "nñ" as "nÃ±"
+    substrate = {"nodes": [{"id": "nñ", "cpu": 1, "gpu": 0, "mem": 0}], "links": []}
+    request = {"id": "é", "services": [{"id": "sé", "cpu": 1, "gpu": 0, "mem": 0}],
+               "channels": []}
+    paths = []
+    for name, doc in (("substrate", substrate), ("request", request)):
+        paths += [f"--{name}", tmp_path / f"{name}.json"]
+        paths[-1].write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), LC_ALL="POSIX")
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "anypath_vne.cli", "embed", *paths],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["services"] == {"sé": "nñ"}
+
+
 @pytest.mark.parametrize("config", [
     {"generator": {"bogus": 1}},
     {"coefficients": {"beta": "x"}},

@@ -27,8 +27,7 @@ def _read_names(tree) -> set:
     return names
 
 
-# the package's __init__ imports only to re-export
-@pytest.mark.parametrize("module", sorted(set(TREES) - {"__init__.py"}))
+@pytest.mark.parametrize("module", sorted(TREES))
 def test_every_import_is_used(module):
     tree = TREES[module]
     imported = {alias.asname or alias.name.partition(".")[0]
