@@ -37,15 +37,36 @@ link's bandwidth.  A table miss is one function of that key, ``_table``, and
 one process-wide ``lru_cache`` keeps its recent tables; clones share a
 topology, so they share its tables.  A cached table is the one a
 recomputation would build, float for float and tie for tie.
+
+A miss runs in the compiled kernel, ``route_kernel.c``, when it can be
+built: on import the module compiles it with ``cc`` into ``__pycache__``
+beside itself, once per source, flags and platform, and loads it with
+``ctypes``.  The kernel does ``_orient``, ``anypath_routes`` and
+``_expected_time`` in one call, with the same floats in the same order, and
+``_table`` unpacks its arrays into the same ``AnypathRouteTable`` fields.
+Without a compiler, or when the build or the load fails, ``_orient`` and
+``anypath_routes`` build every table; ``KERNEL`` ("c" or "python") says which
+kernel is in use.  The Python kernel stays the reference that the tests
+compare the compiled one with.  A NaN cost cannot arise from validated
+links, but the compiled kernel reports one instead of ordering it, and
+``_table`` then builds that table in Python and counts it in
+``nan_fallbacks``.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import heapq
 import math
+import os
+import shutil
+import subprocess
+import sysconfig
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
+from pathlib import Path
 
 from .netmodel import SchemaError, SubstrateNetwork, Topology, _cut
 
@@ -237,9 +258,96 @@ def anypath_routes(dag: PrunedDag, dst: str) -> AnypathRouteTable:
     return AnypathRouteTable(topology, dst, cost, forwarding, settle_order, ranked)
 
 
+# no -march and no fast-math: the object must compute the Python kernel's floats
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_INTS = ctypes.POINTER(ctypes.c_int)
+_DOUBLES = ctypes.POINTER(ctypes.c_double)
+
+
+def _load_kernel(directory: Path):
+    """The compiled kernel's ``route_table`` from directory, built there with
+    ``cc`` first when missing; None when it cannot be built or loaded."""
+    source = Path(__file__).with_name("route_kernel.c")
+    try:
+        tag = hashlib.sha256(source.read_bytes() + repr(
+            (_CFLAGS, sysconfig.get_platform())).encode()).hexdigest()[:16]
+        target = directory / f"route_kernel.{tag}.so"
+        if not target.exists():
+            cc = shutil.which("cc")
+            if cc is None:
+                return None
+            directory.mkdir(exist_ok=True)
+            partial = directory / f"route_kernel.{tag}.{os.getpid()}.tmp"
+            try:
+                subprocess.run([cc, *_CFLAGS, "-o", str(partial), str(source)],
+                               check=True, capture_output=True)
+                os.replace(partial, target)
+            finally:
+                partial.unlink(missing_ok=True)
+        kernel = ctypes.CDLL(str(target)).route_table
+    except (OSError, subprocess.SubprocessError):
+        return None
+    kernel.restype = ctypes.c_int
+    kernel.argtypes = ([ctypes.c_int] * 2 + [_INTS] * 4 + [_DOUBLES] * 3
+                       + [ctypes.c_char_p, ctypes.c_int, _DOUBLES] + [_INTS] * 4)
+    return kernel
+
+
+_kernel = _load_kernel(Path(__file__).with_name("__pycache__"))
+KERNEL = "python" if _kernel is None else "c"    # read it; the import sets it
+nan_fallbacks = 0    # tables that the compiled kernel handed back for a NaN cost
+
+
+def _ints(values) -> ctypes.Array:
+    return (ctypes.c_int * len(values))(*values)
+
+
+def _doubles(values) -> ctypes.Array:
+    return (ctypes.c_double * len(values))(*values)
+
+
+@lru_cache(maxsize=ROUTE_CACHE_SIZE)
+def _pack(topology: Topology) -> tuple:
+    """The topology as the kernel's leading arguments, and its adjacency
+    offsets; the last ROUTE_CACHE_SIZE topologies packed are kept."""
+    offsets = [0]
+    for row in topology.adjacency:
+        offsets.append(offsets[-1] + len(row))
+    pairs = list(chain(*topology.adjacency))
+    args = (len(topology.nodes), len(topology.link_ids), _ints(offsets),
+            _ints([link for link, _ in pairs]), _ints([v for _, v in pairs]),
+            _ints(topology.ends), _doubles(topology.weight), _doubles(topology.pdr),
+            _doubles(topology.delay))
+    return args, offsets
+
+
+def _compiled_table(kernel, topology: Topology, dst: str, eligible: bytes):
+    """The route table built by the compiled kernel; None when it met a NaN cost."""
+    args, offsets = _pack(topology)
+    n = len(topology.nodes)
+    cost, fwd_len = (ctypes.c_double * n)(), (ctypes.c_int * n)()
+    arcs, order, ranked = (ctypes.c_int * offsets[-1])(), (ctypes.c_int * n)(), (ctypes.c_int * n)()
+    reached = kernel(*args, eligible, topology.index[dst], cost, fwd_len, arcs, order, ranked)
+    if reached == -2:
+        raise MemoryError("route kernel")
+    if reached < 0:
+        return None
+    forwarding = [tuple(arcs[at:at + k]) if k else () for at, k in zip(offsets, fwd_len)]
+    return AnypathRouteTable(topology, dst, cost[:], forwarding, order[:reached],
+                             ranked[:reached])
+
+
 @lru_cache(maxsize=ROUTE_CACHE_SIZE)
 def _table(topology: Topology, dst: str, eligible: bytes) -> AnypathRouteTable:
-    """A table miss: ``prune`` and ``anypath_routes``, called through this module."""
+    """A table miss, by the compiled kernel when it is loaded, else (or when it
+    meets a NaN cost) by ``prune`` and ``anypath_routes``."""
+    global nan_fallbacks
+    # the kernel reads a byte per link, so any other length stays in Python
+    if _kernel is not None and dst in topology.index and len(eligible) == len(topology.link_ids):
+        table = _compiled_table(_kernel, topology, dst, eligible)
+        if table is not None:
+            return table
+        nan_fallbacks += 1
     return anypath_routes(prune(topology, dst, eligible), dst)
 
 

@@ -1,6 +1,16 @@
 import pytest
 
+from anypath_vne import anypath
 from anypath_vne.scenario import example_fixture
+
+
+@pytest.fixture
+def python_kernel(monkeypatch):
+    """Route tables built by the Python kernel alone, from an empty route cache."""
+    monkeypatch.setattr(anypath, "_kernel", None)
+    anypath._table.cache_clear()
+    yield
+    anypath._table.cache_clear()
 
 
 @pytest.fixture

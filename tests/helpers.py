@@ -34,7 +34,8 @@ from anypath_vne.netmodel import (
 
 def table(net: SubstrateNetwork, dst: str, bw: int) -> AnypathRouteTable:
     """The route table toward dst over the links with bw >= bw, computed afresh
-    by the library's kernels, outside the route cache."""
+    by the library's Python kernel, outside the route cache: the reference
+    that the compiled kernel is compared with."""
     return anypath_routes(prune(net.topology(), dst, net.eligible_links(bw)), dst)
 
 

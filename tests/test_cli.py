@@ -839,3 +839,7 @@ def test_simulate_csv_bytes_match_reference(tmp_path):
     found = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
              for name in REFERENCE_SHA256}
     assert found == REFERENCE_SHA256
+
+
+def test_simulate_csv_bytes_match_reference_with_the_python_kernel(python_kernel, tmp_path):
+    test_simulate_csv_bytes_match_reference(tmp_path)

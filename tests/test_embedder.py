@@ -285,17 +285,27 @@ def test_embed_asks_anypath_for_each_channels_closure_once(example, monkeypatch)
         == [("n4", "n1"), ("n1", "n5"), ("n5", "n4")]
 
 
+def _on_table_miss(monkeypatch, record):
+    """Call record(table) with every route table that embed builds: each
+    ``anypath._table`` lookup that misses the route cache, whichever kernel
+    builds the table.  Returns the cached ``_table`` itself."""
+    cached = anypath._table
+
+    def recording(topology, dst, eligible):
+        misses = cached.cache_info().misses
+        table = cached(topology, dst, eligible)
+        if cached.cache_info().misses > misses:
+            record(table)
+        return table
+
+    monkeypatch.setattr(anypath, "_table", recording)
+    return cached
+
+
 def test_channel_routes_keep_no_route_table(monkeypatch):
     rng = np.random.default_rng(20240)
     tables = []
-    original = anypath.anypath_routes
-
-    def recording(dag, dst):
-        table = original(dag, dst)
-        tables.append(weakref.ref(table))
-        return table
-
-    monkeypatch.setattr(anypath, "anypath_routes", recording)
+    route_cache = _on_table_miss(monkeypatch, lambda table: tables.append(weakref.ref(table)))
     embeddings = []
     for _ in range(20):
         net = random_substrate(rng, max_nodes=10)
@@ -305,7 +315,7 @@ def test_channel_routes_keep_no_route_table(monkeypatch):
             except EmbeddingError:
                 continue
             embeddings.append((embedding, json.dumps(embedding.to_dict())))
-        anypath._table.cache_clear()
+        route_cache.cache_clear()
     gc.collect()
     assert len(tables) > 20 and len(embeddings) > 20
     assert [table for table in tables if table() is not None] == []
@@ -314,15 +324,9 @@ def test_channel_routes_keep_no_route_table(monkeypatch):
 
 
 def _count_route_computations(monkeypatch) -> list:
-    """Record the destination of every anypath_routes call that embed makes."""
+    """Record the destination of every route table that embed builds."""
     calls = []
-    original = anypath.anypath_routes
-
-    def counting(dag, dst):
-        calls.append(dst)
-        return original(dag, dst)
-
-    monkeypatch.setattr(anypath, "anypath_routes", counting)
+    _on_table_miss(monkeypatch, lambda table: calls.append(table.dst))
     return calls
 
 
@@ -456,6 +460,10 @@ def test_embed_output_bytes_match_reference():
         digest.update(line.encode())
         digest.update(repr(net.snapshot()).encode())
     assert digest.hexdigest() == EMBED_CORPUS_SHA256
+
+
+def test_embed_output_bytes_match_reference_with_the_python_kernel(python_kernel):
+    test_embed_output_bytes_match_reference()
 
 
 def test_route_links_are_distinct_in_natural_key_order_and_reserved_so():

@@ -1,0 +1,232 @@
+"""The compiled route kernel against its reference, the Python kernel.
+
+Each table the compiled kernel builds must equal ``helpers.table``, which runs
+``_orient`` and ``anypath_routes``: every cost by repr, every forwarding set,
+the settle order and the ranked order.  The kernel is built into ``tmp_path``
+for these tests, so they check the source as it is, not an object left in
+``__pycache__``.
+"""
+
+import importlib.util
+import json
+import math
+import os
+import random
+import shutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from anypath_vne import anypath
+from anypath_vne.anypath import anypath_routes, prune
+from anypath_vne.netmodel import SubstrateNetwork
+
+import helpers
+from helpers import random_substrate
+
+ROOT = Path(__file__).resolve().parents[1]
+HUGE = sys.float_info.max
+
+NO_CC = "no C compiler (cc) on PATH to build the route kernel"
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason=NO_CC)
+
+
+@pytest.fixture(scope="module")
+def kernel(tmp_path_factory):
+    if shutil.which("cc") is None:
+        pytest.skip(NO_CC)
+    directory = tmp_path_factory.mktemp("kernel")
+    built = anypath._load_kernel(directory)
+    assert built is not None
+    assert [path.suffix for path in directory.iterdir()] == [".so"]
+    return built
+
+
+def assert_same_table(kernel, net: SubstrateNetwork, dst: str, bw: int):
+    """The compiled kernel's table equals the Python kernel's, field for field
+    and type for type; returns it."""
+    compiled = anypath._compiled_table(kernel, net.topology(), dst, net.eligible_links(bw))
+    reference = helpers.table(net, dst, bw)
+    assert repr(compiled.cost) == repr(reference.cost)
+    assert compiled.forwarding == reference.forwarding
+    assert compiled.settle_order == reference.settle_order
+    assert compiled.ranked == reference.ranked
+    assert (compiled.topology, compiled.dst) == (reference.topology, reference.dst)
+    assert type(compiled.cost) is list and {type(c) for c in compiled.cost} == {float}
+    assert type(compiled.forwarding) is list
+    assert {type(arcs) for arcs in compiled.forwarding} == {tuple}
+    assert {type(arc) for arcs in compiled.forwarding for arc in arcs} <= {int}
+    assert type(compiled.settle_order) is list and type(compiled.ranked) is list
+    assert {type(i) for i in compiled.settle_order + compiled.ranked} == {int}
+    return compiled
+
+
+def test_route_table_digest_corpus(kernel):
+    # the substrates and keys of test_route_tables_match_reference
+    rng = np.random.default_rng(20232)
+    tables = 0
+    for _ in range(200):
+        net = random_substrate(rng, max_nodes=10)
+        for dst in net.nodes:
+            for bw in (0, 50):
+                assert_same_table(kernel, net, dst, bw)
+                tables += 1
+    assert tables == 2374
+
+
+def test_tools_digests_corpus(kernel):
+    spec = importlib.util.spec_from_file_location("digests", ROOT / "tools" / "digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    rng = random.Random(digests.SEED)
+    tables = 0
+    for _ in range(digests.SUBSTRATES):
+        net = digests.substrate(rng)
+        for dst in net.nodes:
+            for bw in digests.BANDWIDTHS:
+                assert_same_table(kernel, net, dst, bw)
+                tables += 1
+        for _ in range(digests.REQUESTS):    # keep the draws of the digest corpus
+            digests.request(rng)
+    assert tables == 5498
+
+
+@st.composite
+def tie_prone_nets(draw) -> SubstrateNetwork:
+    """Up to 12 nodes (ids past n9) and 20 links with independently drawn ends,
+    so parallel links, self-loops and disconnected parts occur, and delays and
+    pdrs from small sets of exact binary fractions, so costs tie."""
+    n = draw(st.integers(1, 12))
+    net = SubstrateNetwork()
+    for i in range(1, n + 1):
+        net.add_node(f"n{i}", 1, 1, 1)
+    ends = st.integers(1, n).map("n{}".format)
+    for k, (a, b, bw, delay, pdr) in enumerate(draw(st.lists(st.tuples(
+            ends, ends, st.sampled_from((0, 5)), st.sampled_from((0.5, 1.0, 2.0, 4.0)),
+            st.sampled_from((1.0, 0.75, 0.5, 0.25))), max_size=20))):
+        net.add_link(f"l{k + 1}", a, b, bw=bw, delay=delay, pdr=pdr)
+    return net
+
+
+@settings(max_examples=300, deadline=None)
+@given(net=tie_prone_nets())
+def test_tie_prone_substrates(kernel, net):
+    for dst in net.nodes:
+        for bw in (0, 5):
+            assert_same_table(kernel, net, dst, bw)
+
+
+def test_overflowing_costs_match_and_never_fall_back(kernel, monkeypatch):
+    # delays near the float maximum over pdr-1 links overflow sums and
+    # hyperlink costs to inf; a settled head's cost is below its
+    # predecessor's, so it is finite, and no product 0 * inf, hence no NaN,
+    # can arise from validated links
+    monkeypatch.setattr(anypath, "_kernel", kernel)
+    monkeypatch.setattr(anypath, "nan_fallbacks", 0)
+    rng = random.Random(11)
+    priced_inf = 0
+    for _ in range(300):
+        n = rng.randrange(2, 9)
+        net = SubstrateNetwork()
+        for i in range(1, n + 1):
+            net.add_node(f"n{i}", 1, 1, 1)
+        for k in range(1, rng.randrange(1, 3 * n) + 1):
+            net.add_link(f"l{k}", f"n{rng.randrange(1, n + 1)}", f"n{rng.randrange(1, n + 1)}",
+                         bw=1, delay=rng.choice((HUGE, HUGE / 2, HUGE / 3, 1e300, 1.0)),
+                         pdr=rng.choice((1.0, 1.0, 0.75, 0.5, 2.0 ** -53)))
+        for dst in net.nodes:
+            table = assert_same_table(kernel, net, dst, 0)
+            assert not any(map(math.isnan, table.cost))
+            served = anypath._table(net.topology(), dst, net.eligible_links(0))
+            assert repr(served.cost) == repr(table.cost)
+            priced_inf += any(cost == math.inf for cost, arcs in zip(table.cost, table.forwarding)
+                              if arcs)
+    assert priced_inf > 100
+    assert anypath.nan_fallbacks == 0
+
+
+def test_a_nan_cost_falls_back_to_the_python_kernel(kernel, monkeypatch):
+    # validation refuses a NaN pdr, so it is put into a built topology; the
+    # compiled kernel reports the NaN, and _table serves and counts the
+    # Python kernel's table
+    net = SubstrateNetwork()
+    for i in range(1, 5):
+        net.add_node(f"n{i}", 1, 1, 1)
+    for k, (a, b) in enumerate((("n1", "n2"), ("n2", "n3"), ("n1", "n3"), ("n3", "n4")), 1):
+        net.add_link(f"l{k}", a, b, bw=1, delay=1.0, pdr=0.5)
+    topology = net.topology()
+    topology.pdr = topology.pdr[:4] + (math.nan, math.nan) + topology.pdr[6:]
+    eligible = net.eligible_links(0)
+    monkeypatch.setattr(anypath, "_kernel", kernel)
+    monkeypatch.setattr(anypath, "nan_fallbacks", 0)
+    anypath._table.cache_clear()
+    assert anypath._compiled_table(kernel, topology, "n1", eligible) is None
+    served = anypath._table(topology, "n1", eligible)
+    assert anypath.nan_fallbacks == 1
+    reference = anypath_routes(prune(topology, "n1", eligible), "n1")
+    assert any(map(math.isnan, served.cost))
+    assert repr(served) == repr(reference)
+    anypath._table.cache_clear()
+
+
+def test_an_eligible_string_of_another_length_is_not_handed_to_the_kernel(kernel, monkeypatch):
+    # the kernel would read past a short one; the Python kernel raises
+    net = SubstrateNetwork()
+    for nid in ("n1", "n2", "n3"):
+        net.add_node(nid, 1, 1, 1)
+    net.add_link("l1", "n1", "n2", bw=1, delay=1.0, pdr=0.5)
+    net.add_link("l2", "n2", "n3", bw=1, delay=1.0, pdr=0.5)
+    monkeypatch.setattr(anypath, "_kernel", kernel)
+    with pytest.raises(IndexError):
+        anypath._table.__wrapped__(net.topology(), "n1", b"\x01")
+
+
+@needs_cc
+def test_the_import_builds_and_loads_the_compiled_kernel():
+    assert anypath.KERNEL == "c"
+    built = list((Path(anypath.__file__).parent / "__pycache__").glob("route_kernel.*.so"))
+    assert built and all(".tmp" not in path.name for path in built)
+
+
+def test_without_a_compiler_the_package_uses_the_python_kernel(tmp_path):
+    # a copy of the package with no built object, and no cc on PATH
+    shutil.copytree(ROOT / "src" / "anypath_vne", tmp_path / "src" / "anypath_vne",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "bin").mkdir()
+    script = textwrap.dedent("""
+        import json
+        from anypath_vne import anypath, embedder, netmodel
+        net = netmodel.SubstrateNetwork()
+        for nid, cpu in (("n1", 4), ("n2", 1), ("n3", 8)):
+            net.add_node(nid, cpu=cpu, gpu=0, mem=cpu)
+        net.add_link("l1", "n1", "n2", bw=10, delay=1.0, pdr=0.5)
+        net.add_link("l2", "n2", "n3", bw=10, delay=1.0, pdr=0.5)
+        request = netmodel.VirtualRequest("r")
+        request.add_service(netmodel.NanoService("s1", cpu=4, mem=4))
+        request.add_service(netmodel.NanoService("s2", cpu=8, mem=8))
+        request.add_channel(netmodel.Channel("c1", "s1", "s2", bw=5,
+                                             max_delay=100.0, min_pdr=0.1))
+        embedding = embedder.embed(net, request, embedder.Coefficients())
+        print(json.dumps({"kernel": anypath.KERNEL, "file": anypath.__file__,
+                          "embedding": embedding.to_dict()}))
+    """)
+    runs = {}
+    for name, path in (("copy", tmp_path / "bin"), ("repository", os.environ.get("PATH", ""))):
+        src = tmp_path / "src" if name == "copy" else ROOT / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), PATH=str(path))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        runs[name] = json.loads(proc.stdout)
+    copy = runs["copy"]
+    assert copy["kernel"] == "python"
+    assert Path(copy["file"]).is_relative_to(tmp_path)
+    assert copy["embedding"] == runs["repository"]["embedding"]
+    assert copy["embedding"]["services"] == {"s1": "n1", "s2": "n3"}
+    assert not list((tmp_path / "src" / "anypath_vne").glob("__pycache__/route_kernel*"))

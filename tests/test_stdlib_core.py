@@ -57,3 +57,7 @@ def test_digests_match_reference():
     digests = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digests)
     assert digests.digests() == {"routes": ROUTES_SHA256, "embeds": EMBEDS_SHA256}
+
+
+def test_digests_match_reference_with_the_python_kernel(python_kernel):
+    test_digests_match_reference()
