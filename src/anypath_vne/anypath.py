@@ -294,7 +294,7 @@ def _load_kernel(directory: Path):
 
 
 _kernel = _load_kernel(Path(__file__).with_name("__pycache__"))
-KERNEL = "python" if _kernel is None else "c"    # read it; the import sets it
+KERNEL = "python" if _kernel is None else "c"    # the kernel the import chose
 nan_fallbacks = 0    # tables that the compiled kernel handed back for a NaN cost
 
 
@@ -328,7 +328,7 @@ def _compiled_table(kernel, topology: Topology, dst: str, eligible: bytes):
     cost, fwd_len = (ctypes.c_double * n)(), (ctypes.c_int * n)()
     arcs, order, ranked = (ctypes.c_int * offsets[-1])(), (ctypes.c_int * n)(), (ctypes.c_int * n)()
     reached = kernel(*args, eligible, topology.index[dst], cost, fwd_len, arcs, order, ranked)
-    if reached == -2:
+    if reached == -2:    # ROUTE_NO_MEMORY; ROUTE_NAN is -1
         raise MemoryError("route kernel")
     if reached < 0:
         return None
