@@ -25,8 +25,10 @@ and a DAG edge or forwarding member is an arc code 2*link + side whose head
 is ``topology.ends[arc]`` and whose tail is ``topology.ends[arc ^ 1]``.  The
 sweep's heap key is (cost, index), so equal costs settle in ``natural_key``
 order of the ids; the sweep counts a route's links with an int bitmask over
-link indices.  ``route_closure`` hands a route out as its
-forwarding arcs, and ids appear only at the boundary: the link ids that
+link indices.  A table keeps every node's forwarding set in one flat
+layout: ``arcs`` lists the sets node by node, each in priority order, and
+``start`` holds n + 1 offsets into it.  ``route_closure`` hands a route out as
+its forwarding arcs, and ids appear only at the boundary: the link ids that
 ``embedder.embed`` reserves and the hyperlinks of
 ``embedder.ChannelRoute.to_dict``.  Only ``PrunedDag.edges`` makes DagEdges.
 
@@ -42,8 +44,9 @@ A miss runs in the compiled kernel, ``route_kernel.c``, when it can be
 built: on import the module compiles it with ``cc`` into ``__pycache__``
 beside itself, once per source, flags and platform, and loads it with
 ``ctypes``.  The kernel does ``_orient``, ``anypath_routes`` and
-``_expected_time`` in one call, with the same floats in the same order, and
-``_table`` unpacks its arrays into the same ``AnypathRouteTable`` fields.
+``_expected_time`` in one call, with the same floats in the same order.  It
+writes the forwarding sets in the table's flat layout, so ``_table`` copies
+its arrays into the same ``AnypathRouteTable`` fields without a Python loop.
 Without a compiler, or when the build or the load fails, ``_orient`` and
 ``anypath_routes`` build every table; ``KERNEL`` ("c" or "python") says which
 kernel is in use.  The Python kernel stays the reference that the tests
@@ -63,9 +66,10 @@ import os
 import shutil
 import subprocess
 import sysconfig
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 
 from .netmodel import SchemaError, SubstrateNetwork, Topology, _cut
@@ -73,8 +77,8 @@ from .netmodel import SchemaError, SubstrateNetwork, Topology, _cut
 INFINITY = math.inf
 # route tables kept.  By _table.cache_info(), 16 (32) entries miss 242 (87) of
 # a 20-iteration default sweep's 10 323 lookups, 934 (930) of 3 spread-240
-# episodes' 1 035 and 3 (3) of 3 chain-1000 items' 36.  A 240-node table holds
-# about 50 kB.
+# episodes' 1 035 and 3 (3) of 3 chain-1000 items' 36.  By tracemalloc, a
+# spread-240 table holds about 13 kB.
 ROUTE_CACHE_SIZE = 16
 
 
@@ -187,7 +191,9 @@ def _expected_time(members, pdr, delay, head, cost) -> float:
 class AnypathRouteTable:
     """Per-node forwarding sets and expected anypath transmission times to dst.
 
-    ``cost`` and ``forwarding`` are lists over node indices.  ``ranked``
+    ``cost`` is a list over node indices.  The forwarding sets are flat:
+    node i's arcs, in priority order, are ``arcs[start[i]:start[i + 1]]``,
+    which ``members(i)`` returns, and an unreached node has none.  ``ranked``
     orders the reached nodes the way candidate selection prefers them, so a
     selection walks it and stops at the first node that qualifies.  Tables
     are shared through the route cache and never written after they are built.
@@ -196,9 +202,14 @@ class AnypathRouteTable:
     topology: Topology
     dst: str
     cost: list           # node index -> float (inf if unreachable)
-    forwarding: list     # node index -> tuple of arc codes
+    arcs: array          # every forwarding set's arc codes, node by node
+    start: array         # n + 1 offsets into arcs, node by node
     settle_order: list   # reached node indices in ascending cost
     ranked: list         # reached node indices by (link count, cost, index)
+
+    def members(self, i: int) -> array:
+        """Node i's forwarding arcs, in priority order."""
+        return self.arcs[self.start[i]:self.start[i + 1]]
 
 
 def anypath_routes(dag: PrunedDag, dst: str) -> AnypathRouteTable:
@@ -212,7 +223,8 @@ def anypath_routes(dag: PrunedDag, dst: str) -> AnypathRouteTable:
 
     A settled node's forwarding set is final and its heads settled before it,
     so its route's links are counted as it settles.  The reached nodes are then
-    ranked by (link count, cost, index), a strict order.
+    ranked by (link count, cost, index), a strict order, and the sets are
+    flattened into the table's layout.
 
     The result does not depend on the order of ``dag.incoming``: an update
     reads only its predecessor's members, the heap key is total, and parallel
@@ -255,7 +267,9 @@ def anypath_routes(dag: PrunedDag, dst: str) -> AnypathRouteTable:
     ranked = sorted(settle_order)
     ranked.sort(key=cost.__getitem__)
     ranked.sort(key=links.__getitem__)
-    return AnypathRouteTable(topology, dst, cost, forwarding, settle_order, ranked)
+    return AnypathRouteTable(topology, dst, cost, array("i", chain.from_iterable(forwarding)),
+                             array("i", accumulate(map(len, forwarding), initial=0)),
+                             settle_order, ranked)
 
 
 # no -march and no fast-math: the object must compute the Python kernel's floats
@@ -325,16 +339,16 @@ def _compiled_table(kernel, topology: Topology, dst: str, eligible: bytes):
     """The route table built by the compiled kernel; None when it met a NaN cost."""
     args, offsets = _pack(topology)
     n = len(topology.nodes)
-    cost, fwd_len = (ctypes.c_double * n)(), (ctypes.c_int * n)()
+    cost, start = (ctypes.c_double * n)(), (ctypes.c_int * (n + 1))()
     arcs, order, ranked = (ctypes.c_int * offsets[-1])(), (ctypes.c_int * n)(), (ctypes.c_int * n)()
-    reached = kernel(*args, eligible, topology.index[dst], cost, fwd_len, arcs, order, ranked)
+    reached = kernel(*args, eligible, topology.index[dst], cost, start, arcs, order, ranked)
     if reached == -2:    # ROUTE_NO_MEMORY; ROUTE_NAN is -1
         raise MemoryError("route kernel")
     if reached < 0:
         return None
-    forwarding = [tuple(arcs[at:at + k]) if k else () for at, k in zip(offsets, fwd_len)]
-    return AnypathRouteTable(topology, dst, cost[:], forwarding, order[:reached],
-                             ranked[:reached])
+    # bytes to array("i") is a C copy; the arcs in use end at start[n]
+    return AnypathRouteTable(topology, dst, cost[:], array("i", bytes(arcs))[:start[n]],
+                             array("i", bytes(start)), order[:reached], ranked[:reached])
 
 
 @lru_cache(maxsize=ROUTE_CACHE_SIZE)
@@ -370,20 +384,21 @@ def route_closure(table: AnypathRouteTable, src: str) -> list:
     if src == table.dst:
         return []
     topology = table.topology
-    start = topology.index.get(src) if isinstance(src, str) else None
-    if start is None:
+    source = topology.index.get(src) if isinstance(src, str) else None
+    if source is None:
         raise SchemaError("src", f"{_cut(src)} is not a node")
-    if table.cost[start] == INFINITY:
+    if table.cost[source] == INFINITY:
         raise UnreachableSourceError(f"node {src} has no route to {table.dst}")
-    ends, forwarding = topology.ends, table.forwarding
-    arcs = []
-    seen = {start}
-    stack = [start]
+    ends, arcs, start = topology.ends, table.arcs, table.start
+    route = []
+    seen = {source}
+    stack = [source]
     while stack:
-        members = forwarding[stack.pop()]
-        arcs += members
-        for arc in members:
-            if ends[arc] not in seen:
-                seen.add(ends[arc])
-                stack.append(ends[arc])
-    return arcs
+        u = stack.pop()
+        for arc in arcs[start[u]:start[u + 1]]:
+            route.append(arc)
+            head = ends[arc]
+            if head not in seen:
+                seen.add(head)
+                stack.append(head)
+    return route

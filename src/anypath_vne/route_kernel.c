@@ -91,17 +91,19 @@ static int by_rank(const void *a, const void *b)
 
 /* The route table toward node start over the links whose eligible byte is
  * nonzero.  adj_off, adj_link and adj_nbr hold Topology.adjacency row by row;
- * ends, pdr and delay are per arc, weight per link.  Writes cost[n], and
- * node v's forwarding arcs to fwd_arcs[adj_off[v]:] with their count in
- * fwd_len[v]; the reached nodes go to order in settle order and to ranked.
- * Returns how many nodes were reached, ROUTE_NAN or ROUTE_NO_MEMORY. */
+ * ends, pdr and delay are per arc, weight per link.  Writes cost[n], and the
+ * forwarding sets flat: node v's arcs, in priority order, are
+ * fwd_arcs[fwd_start[v]:fwd_start[v + 1]], so fwd_start has n + 1 entries and
+ * fwd_arcs room for adj_off[n].  The reached nodes go to order in settle
+ * order and to ranked.  Returns how many nodes were reached, ROUTE_NAN or
+ * ROUTE_NO_MEMORY. */
 int route_table(int n, int n_links, const int *adj_off, const int *adj_link,
                 const int *adj_nbr, const int *ends, const double *weight,
                 const double *pdr, const double *delay, const char *eligible,
-                int start, double *cost, int *fwd_len, int *fwd_arcs,
+                int start, double *cost, int *fwd_start, int *fwd_arcs,
                 int *order, int *ranked)
 {
-    int words = (n_links + 63) / 64, size = 0, reached = 0, status;
+    int words = (n_links + 63) / 64, size = 0, reached = 0, at = 0, status;
     double *dist = malloc(n * sizeof *dist);
     int *inc_len = calloc(n, sizeof *inc_len);
     int *incoming = malloc((adj_off[n] + 1) * sizeof *incoming);
@@ -139,10 +141,11 @@ int route_table(int n, int n_links, const int *adj_off, const int *adj_link,
         }
     }
 
-    /* anypath_routes: settle in ascending cost, growing forwarding sets */
+    /* anypath_routes: settle in ascending cost, growing node v's forwarding
+     * set at fwd_arcs[adj_off[v]:], with its count in fwd_start[v] */
     for (int i = 0; i < n; i++) {
         cost[i] = INFINITY;
-        fwd_len[i] = 0;
+        fwd_start[i] = 0;
     }
     cost[start] = 0.0;
     push(heap, &size, 0.0, start);
@@ -155,7 +158,7 @@ int route_table(int n, int n_links, const int *adj_off, const int *adj_link,
         settled[u] = 1;
         order[reached++] = u;
         memset(mask, 0, words * sizeof *mask);
-        for (int j = adj_off[u]; j < adj_off[u] + fwd_len[u]; j++) {
+        for (int j = adj_off[u]; j < adj_off[u] + fwd_start[u]; j++) {
             const uint64_t *head = masks + (size_t)ends[fwd_arcs[j]] * words;
             for (int w = 0; w < words; w++)
                 mask[w] |= head[w];
@@ -168,8 +171,8 @@ int route_table(int n, int n_links, const int *adj_off, const int *adj_link,
             int arc = incoming[j], pred = ends[arc ^ 1];
             if (settled[pred] || cost[pred] <= e.key)
                 continue;
-            fwd_arcs[adj_off[pred] + fwd_len[pred]++] = arc;
-            cost[pred] = expected_time(fwd_arcs + adj_off[pred], fwd_len[pred],
+            fwd_arcs[adj_off[pred] + fwd_start[pred]++] = arc;
+            cost[pred] = expected_time(fwd_arcs + adj_off[pred], fwd_start[pred],
                                        pdr, delay, ends, cost);
             if (isnan(cost[pred])) {
                 status = ROUTE_NAN;
@@ -178,6 +181,16 @@ int route_table(int n, int n_links, const int *adj_off, const int *adj_link,
             push(heap, &size, cost[pred], pred);
         }
     }
+
+    /* compact the sets in node order: a set holds at most its node's degree,
+     * so each one moves down, or stays, and keeps its order */
+    for (int v = 0; v < n; v++) {
+        int count = fwd_start[v];
+        memmove(fwd_arcs + at, fwd_arcs + adj_off[v], (size_t)count * sizeof *fwd_arcs);
+        fwd_start[v] = at;
+        at += count;
+    }
+    fwd_start[n] = at;
 
     /* rank the reached nodes by (link count, cost, index) */
     for (int i = 0; i < reached; i++) {

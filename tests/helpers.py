@@ -67,7 +67,7 @@ def cost_by_id(table) -> dict[str, float]:
 def members(table, node_id: str) -> tuple:
     """Forwarding set of node_id in a route table, as DagEdges in priority order."""
     topology = table.topology
-    return tuple(_edge(topology, arc) for arc in table.forwarding[topology.index[node_id]])
+    return tuple(_edge(topology, arc) for arc in table.members(topology.index[node_id]))
 
 
 def forwarding_by_id(table) -> dict[str, tuple]:

@@ -16,6 +16,8 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -54,29 +56,71 @@ def assert_same_table(kernel, net: SubstrateNetwork, dst: str, bw: int):
     compiled = anypath._compiled_table(kernel, net.topology(), dst, net.eligible_links(bw))
     reference = helpers.table(net, dst, bw)
     assert repr(compiled.cost) == repr(reference.cost)
-    assert compiled.forwarding == reference.forwarding
+    assert compiled.arcs == reference.arcs
+    assert compiled.start == reference.start
     assert compiled.settle_order == reference.settle_order
     assert compiled.ranked == reference.ranked
     assert (compiled.topology, compiled.dst) == (reference.topology, reference.dst)
     assert type(compiled.cost) is list and {type(c) for c in compiled.cost} == {float}
-    assert type(compiled.forwarding) is list
-    assert {type(arcs) for arcs in compiled.forwarding} == {tuple}
-    assert {type(arc) for arcs in compiled.forwarding for arc in arcs} <= {int}
+    assert type(compiled.arcs) is array and compiled.arcs.typecode == "i"
+    assert type(compiled.start) is array and compiled.start.typecode == "i"
     assert type(compiled.settle_order) is list and type(compiled.ranked) is list
     assert {type(i) for i in compiled.settle_order + compiled.ranked} == {int}
     return compiled
 
 
-def test_route_table_digest_corpus(kernel):
-    # the substrates and keys of test_route_tables_match_reference
+@pytest.fixture(scope="module", params=["python", "c"])
+def build(request):
+    """(net, dst, bw) -> route table, by one kernel and outside the route cache."""
+    if request.param == "python":
+        return helpers.table
+    compiled = request.getfixturevalue("kernel")
+    return lambda net, dst, bw: anypath._compiled_table(
+        compiled, net.topology(), dst, net.eligible_links(bw))
+
+
+def assert_flat_layout(table, reference):
+    """The table's forwarding sets are a well-formed flat layout and equal the
+    reference's, set for set and in order."""
+    arcs, start, ends = table.arcs, table.start, table.topology.ends
+    n = len(table.topology.nodes)
+    assert len(start) == n + 1
+    assert start[0] == 0 and start[-1] == len(arcs)
+    assert all(a <= b for a, b in zip(start, start[1:]))
+    rank = {u: k for k, u in enumerate(table.settle_order)}
+    for i in range(n):
+        members = table.members(i)
+        assert all(ends[arc ^ 1] == i for arc in members)
+        if i not in rank:
+            assert not members
+        # appended as their heads settled, parallel links in link order
+        assert list(members) == sorted(members, key=lambda arc: (rank[ends[arc]], arc))
+        assert tuple(members) == tuple(reference.members(i))
+
+
+def digest_corpus():
+    """(net, dst, bw) of the 2 374 tables of test_route_tables_match_reference."""
     rng = np.random.default_rng(20232)
-    tables = 0
     for _ in range(200):
         net = random_substrate(rng, max_nodes=10)
         for dst in net.nodes:
             for bw in (0, 50):
-                assert_same_table(kernel, net, dst, bw)
-                tables += 1
+                yield net, dst, bw
+
+
+def test_route_table_digest_corpus(kernel):
+    tables = 0
+    for net, dst, bw in digest_corpus():
+        assert_same_table(kernel, net, dst, bw)
+        tables += 1
+    assert tables == 2374
+
+
+def test_flat_layout_on_the_digest_corpus(build):
+    tables = 0
+    for net, dst, bw in digest_corpus():
+        assert_flat_layout(build(net, dst, bw), helpers.table(net, dst, bw))
+        tables += 1
     assert tables == 2374
 
 
@@ -122,6 +166,38 @@ def test_tie_prone_substrates(kernel, net):
             assert_same_table(kernel, net, dst, bw)
 
 
+@settings(max_examples=300, deadline=None)
+@given(net=tie_prone_nets())
+def test_flat_layout_on_tie_prone_substrates(build, net):
+    for dst in net.nodes:
+        for bw in (0, 5):
+            assert_flat_layout(build(net, dst, bw), helpers.table(net, dst, bw))
+
+
+def test_compiled_table_of_large_substrate_is_compact(kernel):
+    # a random spanning tree of 1000 nodes and 2001 more random links, so
+    # every node is reached; the topology is packed before the count starts
+    rng = random.Random(1000)
+    net = SubstrateNetwork()
+    for i in range(1, 1001):
+        net.add_node(f"n{i}", 1, 1, 1)
+    for k in range(1, 3001):
+        a = k + 1 if k < 1000 else rng.randrange(1, 1001)
+        b = rng.randrange(1, a) if k < 1000 else rng.randrange(1, 1001)
+        net.add_link(f"l{k}", f"n{a}", f"n{b}", bw=1, delay=rng.randrange(1, 2049) / 128,
+                     pdr=rng.randrange(512, 1025) / 1024)
+    topology, eligible = net.topology(), net.eligible_links(0)
+    anypath._pack(topology)
+    tracemalloc.start()
+    try:
+        table = anypath._compiled_table(kernel, topology, "n1", eligible)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.settle_order) == 1000
+    assert size <= 140_000    # 114 979 B measured; 230 627 B with a tuple per node
+
+
 def test_overflowing_costs_match_and_never_fall_back(kernel, monkeypatch):
     # delays near the float maximum over pdr-1 links overflow sums and
     # hyperlink costs to inf; a settled head's cost is below its
@@ -145,8 +221,8 @@ def test_overflowing_costs_match_and_never_fall_back(kernel, monkeypatch):
             assert not any(map(math.isnan, table.cost))
             served = anypath._table(net.topology(), dst, net.eligible_links(0))
             assert repr(served.cost) == repr(table.cost)
-            priced_inf += any(cost == math.inf for cost, arcs in zip(table.cost, table.forwarding)
-                              if arcs)
+            priced_inf += any(cost == math.inf for i, cost in enumerate(table.cost)
+                              if table.members(i))
     assert priced_inf > 100
     assert anypath.nan_fallbacks == 0
 

@@ -89,7 +89,7 @@ def digests() -> dict:
             for bw in BANDWIDTHS:
                 table = route_table(net, dst, bw)
                 for i, nid in enumerate(topology.nodes):
-                    links = [topology.link_ids[arc >> 1] for arc in table.forwarding[i]]
+                    links = [topology.link_ids[arc >> 1] for arc in table.members(i)]
                     routes.update(repr((nid, table.cost[i], links)).encode())
                 routes.update(repr([
                     (topology.nodes[i],
