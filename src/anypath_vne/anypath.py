@@ -30,7 +30,7 @@ layout: ``arcs`` lists the sets node by node, each in priority order, and
 ``start`` holds n + 1 offsets into it.  ``route_closure`` hands a route out as
 its forwarding arcs, and ids appear only at the boundary: the link ids that
 ``embedder.embed`` reserves and the hyperlinks of
-``embedder.ChannelRoute.to_dict``.  Only ``PrunedDag.edges`` makes DagEdges.
+``embedder.ChannelRoute.to_dict``.
 
 A route table depends only on the topology, its destination and which links
 have at least the channel's bandwidth, because link delay and pdr never
@@ -43,12 +43,12 @@ recomputation would build, float for float and tie for tie.
 A miss runs in the compiled kernel, ``route_kernel.c``, when it can be
 built: on import the module compiles it with ``cc`` into ``__pycache__``
 beside itself, once per source, flags and platform, and loads it with
-``ctypes``.  The kernel does ``_orient``, ``anypath_routes`` and
+``ctypes``.  The kernel does ``_orient``, ``_sweep`` and
 ``_expected_time`` in one call, with the same floats in the same order.  It
 writes the forwarding sets in the table's flat layout, so ``_table`` copies
 its arrays into the same ``AnypathRouteTable`` fields without a Python loop.
 Without a compiler, or when the build or the load fails, ``_orient`` and
-``anypath_routes`` build every table; ``KERNEL`` ("c" or "python") says which
+``_sweep`` build every table; ``KERNEL`` ("c" or "python") says which
 kernel is in use.  The Python kernel stays the reference that the tests
 compare the compiled one with.  A NaN cost cannot arise from validated
 links, but the compiled kernel reports one instead of ordering it, and
@@ -68,7 +68,7 @@ import subprocess
 import sysconfig
 from array import array
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, chain
 from pathlib import Path
 
@@ -120,49 +120,6 @@ def _orient(topology: Topology, dst: str, eligible: bytes) -> tuple[list, list]:
     return dist, incoming
 
 
-@dataclass(frozen=True)
-class DagEdge:
-    """Directed use of a substrate link, from the farther endpoint to the nearer.
-
-    A forwarding-set member is the DagEdge whose head is the relay.
-    """
-
-    tail: str
-    head: str
-    link_id: str
-    delay: float
-    pdr: float
-
-
-def _edge(topology: Topology, arc: int) -> DagEdge:
-    nodes, ends = topology.nodes, topology.ends
-    return DagEdge(nodes[ends[arc ^ 1]], nodes[ends[arc]],
-                   topology.link_ids[arc >> 1], topology.delay[arc], topology.pdr[arc])
-
-
-@dataclass
-class PrunedDag:
-    """Destination-oriented DAG; every arc is one substrate link, oriented."""
-
-    dst: str
-    topology: Topology
-    incoming: list    # node index -> arc codes headed at it, in tail-settle order
-
-    @cached_property
-    def edges(self) -> list:
-        """The arcs as DagEdges, one per link at most, in natural-key order of link id."""
-        return [_edge(self.topology, arc) for arc in sorted(chain(*self.incoming))]
-
-
-def prune(topology: Topology, dst: str, eligible: bytes) -> PrunedDag:
-    """Orient each eligible link from its farther endpoint toward dst; drop
-    ties.  A dst that is not a node raises a SchemaError."""
-    if dst not in topology.index:
-        raise SchemaError("dst", f"{_cut(dst)} is not a node")
-    _, incoming = _orient(topology, dst, eligible)
-    return PrunedDag(dst, topology, incoming)
-
-
 def _expected_time(members, pdr, delay, head, cost) -> float:
     """Expected anypath transmission time over the priority-ordered members.
 
@@ -212,10 +169,11 @@ class AnypathRouteTable:
         return self.arcs[self.start[i]:self.start[i + 1]]
 
 
-def anypath_routes(dag: PrunedDag, dst: str) -> AnypathRouteTable:
+def _sweep(topology: Topology, dst: str, incoming: list) -> AnypathRouteTable:
     """Settle nodes in ascending cost, growing forwarding sets as neighbors settle.
 
-    When a node settles, every DAG predecessor whose current cost exceeds the
+    incoming is ``_orient``'s: node index -> the DAG arcs headed at it.  When
+    a node settles, every DAG predecessor whose current cost exceeds the
     settled cost appends it to its forwarding set and reprices its own cost as
     hyperlink cost plus weighted remaining cost.  The repricing is applied even
     if it raises the predecessor's cost, so a fresh heap entry is pushed on
@@ -226,14 +184,12 @@ def anypath_routes(dag: PrunedDag, dst: str) -> AnypathRouteTable:
     ranked by (link count, cost, index), a strict order, and the sets are
     flattened into the table's layout.
 
-    The result does not depend on the order of ``dag.incoming``: an update
-    reads only its predecessor's members, the heap key is total, and parallel
-    links share a tail, so they stay in natural-key order of their link ids.
+    The result does not depend on the order of ``incoming``: an update reads
+    only its predecessor's members, the heap key is total, and parallel links
+    share a tail, so they stay in natural-key order of their link ids.
     """
-    topology = dag.topology
     ends = topology.ends
     pdr, delay = topology.pdr, topology.delay
-    incoming = dag.incoming
     n = len(topology.nodes)
     cost = [INFINITY] * n
     forwarding = [()] * n
@@ -354,15 +310,18 @@ def _compiled_table(kernel, topology: Topology, dst: str, eligible: bytes):
 @lru_cache(maxsize=ROUTE_CACHE_SIZE)
 def _table(topology: Topology, dst: str, eligible: bytes) -> AnypathRouteTable:
     """A table miss, by the compiled kernel when it is loaded, else (or when it
-    meets a NaN cost) by ``prune`` and ``anypath_routes``."""
+    meets a NaN cost) by ``_orient`` and ``_sweep``.  A dst that is not a node
+    raises a SchemaError."""
     global nan_fallbacks
+    if dst not in topology.index:
+        raise SchemaError("dst", f"{_cut(dst)} is not a node")
     # the kernel reads a byte per link, so any other length stays in Python
-    if _kernel is not None and dst in topology.index and len(eligible) == len(topology.link_ids):
+    if _kernel is not None and len(eligible) == len(topology.link_ids):
         table = _compiled_table(_kernel, topology, dst, eligible)
         if table is not None:
             return table
         nan_fallbacks += 1
-    return anypath_routes(prune(topology, dst, eligible), dst)
+    return _sweep(topology, dst, _orient(topology, dst, eligible)[1])
 
 
 def route_table(net: SubstrateNetwork, dst: str, bw: int) -> AnypathRouteTable:

@@ -1,7 +1,7 @@
 /* Compiled route kernel: one anypath route-table miss, end to end.
  *
  * anypath.py builds this file into __pycache__/ and calls route_table through
- * ctypes.  It is a transcription of anypath._orient, anypath_routes and
+ * ctypes.  It is a transcription of anypath._orient, anypath._sweep and
  * _expected_time on the arrays of a netmodel.Topology, and it must give the
  * same table float for float and tie for tie:
  *
@@ -141,7 +141,7 @@ int route_table(int n, int n_links, const int *adj_off, const int *adj_link,
         }
     }
 
-    /* anypath_routes: settle in ascending cost, growing node v's forwarding
+    /* anypath._sweep: settle in ascending cost, growing node v's forwarding
      * set at fwd_arcs[adj_off[v]:], with its count in fwd_start[v] */
     for (int i = 0; i < n; i++) {
         cost[i] = INFINITY;

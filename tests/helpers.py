@@ -4,18 +4,16 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from anypath_vne.anypath import (
     AnypathRouteTable,
-    DagEdge,
-    PrunedDag,
-    _edge,
     _expected_time,
     _orient,
-    anypath_routes,
-    prune,
+    _sweep,
     route_closure,
 )
 from anypath_vne.netmodel import (
@@ -32,11 +30,48 @@ from anypath_vne.netmodel import (
 
 # --- id-keyed views of the library's index-based kernels and tables ---------
 
+class DagEdge(NamedTuple):
+    """Directed use of a substrate link, from the farther endpoint to the nearer.
+
+    A forwarding-set member is the DagEdge whose head is the relay.
+    """
+
+    tail: str
+    head: str
+    link_id: str
+    delay: float
+    pdr: float
+
+
+def _edge(topology, arc: int) -> DagEdge:
+    nodes, ends = topology.nodes, topology.ends
+    return DagEdge(nodes[ends[arc ^ 1]], nodes[ends[arc]],
+                   topology.link_ids[arc >> 1], topology.delay[arc], topology.pdr[arc])
+
+
+def incoming(net: SubstrateNetwork, dst: str, bw: int) -> list:
+    """Node index -> arcs headed at it, as ``anypath._orient`` orients the
+    links with bw >= bw toward dst."""
+    return _orient(net.topology(), dst, net.eligible_links(bw))[1]
+
+
+def sweep(net: SubstrateNetwork, dst: str, incoming: list) -> AnypathRouteTable:
+    """The route table that ``anypath._sweep`` builds over the oriented arcs."""
+    return _sweep(net.topology(), dst, incoming)
+
+
+def dag_edges(net: SubstrateNetwork, incoming: list) -> list:
+    """The oriented arcs as DagEdges, one per link at most, in natural-key
+    order of link id."""
+    topology = net.topology()
+    return [_edge(topology, arc) for arc in sorted(chain(*incoming))]
+
+
 def table(net: SubstrateNetwork, dst: str, bw: int) -> AnypathRouteTable:
     """The route table toward dst over the links with bw >= bw, computed afresh
     by the library's Python kernel, outside the route cache: the reference
     that the compiled kernel is compared with."""
-    return anypath_routes(prune(net.topology(), dst, net.eligible_links(bw)), dst)
+    return sweep(net, dst, incoming(net, dst, bw))
 
 
 def unicast_distances(net: SubstrateNetwork, dst: str, bw: int) -> dict[str, float]:
@@ -300,8 +335,9 @@ def has_cycle(nodes, edges) -> bool:
     return seen != len(nodes)
 
 
-def reference_prune(net: SubstrateNetwork, dst: str, bw: int) -> PrunedDag:
-    """Two-pass orientation: unicast distances, then one pass over the links.
+def reference_prune(net: SubstrateNetwork, dst: str, bw: int) -> list:
+    """Two-pass orientation: unicast distances, then one pass over the links;
+    node index -> arcs headed at it, like ``incoming``.
 
     Independent of ``anypath``: the Dijkstra runs over ``net.links`` and reads
     each link's bw, and every node's incoming arcs come in link order.  Link
@@ -334,4 +370,4 @@ def reference_prune(net: SubstrateNetwork, dst: str, bw: int) -> PrunedDag:
             continue
         head = link.b if da > db else link.a
         incoming[index[head]].append(2 * k + (da > db))
-    return PrunedDag(dst, net.topology(), incoming)
+    return incoming

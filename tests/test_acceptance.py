@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from anypath_vne import cli
-from anypath_vne.anypath import prune
 from anypath_vne.embedder import (
     Coefficients,
     EmbeddingError,
@@ -37,11 +36,13 @@ from anypath_vne.windowing import process_window
 import helpers
 from helpers import (
     cost_by_id,
+    dag_edges,
     eatt_recursive,
     example_after_steps,
     forwarding_cost,
     forwarding_set,
     has_cycle,
+    incoming,
     members,
     random_request,
     random_substrate,
@@ -139,8 +140,8 @@ def test_criterion_4b_pruned_graphs_acyclic():
         net = random_substrate(rng, connected=bool(rng.random() < 0.7),
                                extra_edge_factor=2.0)
         dst = list(net.nodes)[int(rng.integers(0, len(net.nodes)))]
-        dag = prune(net.topology(), dst, net.eligible_links(0))
-        assert not has_cycle(dag.topology.nodes, [(e.tail, e.head) for e in dag.edges])
+        edges = dag_edges(net, incoming(net, dst, 0))
+        assert not has_cycle(net.topology().nodes, [(e.tail, e.head) for e in edges])
     report("criterion 4b (pruned graphs acyclic)", "1000 random substrates")
 
 

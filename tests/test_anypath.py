@@ -13,8 +13,6 @@ from anypath_vne import anypath
 from anypath_vne.anypath import (
     ROUTE_CACHE_SIZE,
     UnreachableSourceError,
-    anypath_routes,
-    prune,
     route_closure,
     route_table,
 )
@@ -25,21 +23,25 @@ import helpers
 from helpers import (
     closure_ids,
     cost_by_id,
+    dag_edges,
     eatt_recursive,
     example_after_steps,
     forwarding_by_id,
     forwarding_cost,
     forwarding_set,
     has_cycle,
+    incoming,
     link_count,
     members,
     random_substrate,
     random_tree_substrate,
     reference_prune,
     settled_ids,
+    sweep,
     tie_prone_substrate,
     unicast_distances,
 )
+from test_embedder import _count_calls
 
 pdrs = st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8)
 
@@ -63,28 +65,27 @@ def test_bandwidth_filter_after_reservations(example):
     # two isolated nodes, inserted out of natural-key order
     net.add_node("n10", 1, 1, 1)
     net.add_node("n9", 1, 1, 1)
-    dag = prune(net.topology(), "n1", net.eligible_links(30))
-    assert {e.link_id for e in dag.edges} == {"l2", "l3", "l5", "l6"}
-    assert dag.topology.nodes == ("n1", "n2", "n3", "n4", "n5", "n9", "n10")
+    arcs = incoming(net, "n1", 30)
+    assert {e.link_id for e in dag_edges(net, arcs)} == {"l2", "l3", "l5", "l6"}
+    assert net.topology().nodes == ("n1", "n2", "n3", "n4", "n5", "n9", "n10")
     # the table's lists are indexed in natural-key order, not insertion order
-    table = anypath_routes(dag, "n1")
+    table = sweep(net, "n1", arcs)
     assert table.topology.nodes == tuple(sorted(net.nodes, key=natural_key))
     assert len(table.cost) == len(table.start) - 1 == len(net.nodes)
 
 
 def test_bandwidth_filter_extremes(example_net):
-    topology = example_net.topology()
-    assert {e.link_id for e in prune(topology, "n4", example_net.eligible_links(1)).edges} \
+    assert {e.link_id for e in dag_edges(example_net, incoming(example_net, "n4", 1))} \
         == {"l1", "l2", "l3", "l4", "l5", "l6"}
-    assert prune(topology, "n4", example_net.eligible_links(101)).edges == []
+    assert dag_edges(example_net, incoming(example_net, "n4", 101)) == []
     assert unicast_distances(example_net, "n4", 101) \
         == {"n1": math.inf, "n2": math.inf, "n3": math.inf,
             "n4": 0.0, "n5": math.inf}
 
 
 def test_prune_example_orientation(example_net):
-    dag = prune(example_net.topology(), "n4", example_net.eligible_links(1))
-    oriented = {(e.tail, e.head) for e in dag.edges}
+    oriented = {(e.tail, e.head)
+                for e in dag_edges(example_net, incoming(example_net, "n4", 1))}
     assert oriented == {("n1", "n2"), ("n1", "n3"), ("n2", "n4"),
                         ("n3", "n4"), ("n5", "n3"), ("n5", "n4")}
 
@@ -96,8 +97,7 @@ def test_prune_drops_equal_distance_links():
     net.add_link("l1", "a", "dst", bw=10, delay=10.0, pdr=0.5)
     net.add_link("l2", "b", "dst", bw=10, delay=10.0, pdr=0.5)
     net.add_link("l3", "a", "b", bw=10, delay=5.0, pdr=0.9)
-    dag = prune(net.topology(), "dst", net.eligible_links(1))
-    assert {e.link_id for e in dag.edges} == {"l1", "l2"}
+    assert {e.link_id for e in dag_edges(net, incoming(net, "dst", 1))} == {"l1", "l2"}
 
 
 def test_prune_single_neighbor():
@@ -105,8 +105,8 @@ def test_prune_single_neighbor():
     net.add_node("a", 1, 1, 1)
     net.add_node("dst", 1, 1, 1)
     net.add_link("l1", "a", "dst", bw=10, delay=1.0, pdr=0.9)
-    dag = prune(net.topology(), "dst", net.eligible_links(1))
-    assert [(e.tail, e.head) for e in dag.edges] == [("a", "dst")]
+    assert [(e.tail, e.head) for e in dag_edges(net, incoming(net, "dst", 1))] \
+        == [("a", "dst")]
 
 
 def _hyperlink_cost(members) -> float:
@@ -166,8 +166,7 @@ def test_forwarder_weights_sum_to_one(ps):
 
 
 def test_anypath_example_toward_n4(example_net):
-    dag = prune(example_net.topology(), "n4", example_net.eligible_links(50))
-    table = anypath_routes(dag, "n4")
+    table = sweep(example_net, "n4", incoming(example_net, "n4", 50))
     cost = cost_by_id(table)
     assert cost["n4"] == 0.0
     assert cost["n1"] == pytest.approx(21.2121, abs=1e-3)
@@ -185,9 +184,9 @@ def test_anypath_example_second_channel_state(example):
 
 def test_anypath_example_third_channel_state(example):
     net = example_after_steps(example, steps=3)
-    dag = prune(net.topology(), "n4", net.eligible_links(10))
-    assert {e.link_id for e in dag.edges} == {"l1", "l3", "l4", "l5", "l6"}
-    table = anypath_routes(dag, "n4")
+    arcs = incoming(net, "n4", 10)
+    assert {e.link_id for e in dag_edges(net, arcs)} == {"l1", "l3", "l4", "l5", "l6"}
+    table = sweep(net, "n4", arcs)
     assert cost_by_id(table)["n5"] == pytest.approx(27.619, abs=1e-3)
     assert [(m.head, m.link_id) for m in members(table, "n5")] \
         == [("n4", "l6"), ("n3", "l5")]
@@ -288,8 +287,8 @@ def test_prune_is_acyclic(seed):
     rng = np.random.default_rng(seed)
     net = random_substrate(rng, connected=False, extra_edge_factor=2.0)
     dst = list(net.nodes)[int(rng.integers(0, len(net.nodes)))]
-    dag = prune(net.topology(), dst, net.eligible_links(0))
-    assert not has_cycle(dag.topology.nodes, [(e.tail, e.head) for e in dag.edges])
+    edges = dag_edges(net, incoming(net, dst, 0))
+    assert not has_cycle(net.topology().nodes, [(e.tail, e.head) for e in edges])
 
 
 def test_orientation_matches_the_two_pass_reference():
@@ -303,11 +302,9 @@ def test_orientation_matches_the_two_pass_reference():
         parallel += len(pairs) - len(set(pairs))
         for dst in net.nodes:
             for bw in (0, 5, 10, 50):
-                dag = prune(net.topology(), dst, net.eligible_links(bw))
-                ref = reference_prune(net, dst, bw)
-                assert [sorted(arcs) for arcs in dag.incoming] \
-                    == [sorted(arcs) for arcs in ref.incoming]
-                assert dag.edges == ref.edges
+                arcs, ref = incoming(net, dst, bw), reference_prune(net, dst, bw)
+                assert [sorted(into) for into in arcs] == [sorted(into) for into in ref]
+                assert dag_edges(net, arcs) == dag_edges(net, ref)
                 dist = unicast_distances(net, dst, bw)
                 unreached += list(dist.values()).count(math.inf)
                 for link in net.links.values():
@@ -315,7 +312,7 @@ def test_orientation_matches_the_two_pass_reference():
                         dropped += 1
                     elif link.a != link.b and dist[link.a] == dist[link.b] < math.inf:
                         ties += 1
-                table, expected = anypath_routes(dag, dst), anypath_routes(ref, dst)
+                table, expected = sweep(net, dst, arcs), sweep(net, dst, ref)
                 assert repr(table.cost) == repr(expected.cost)
                 assert (table.arcs, table.start) == (expected.arcs, expected.start)
                 assert table.settle_order == expected.settle_order
@@ -460,10 +457,25 @@ def test_equal_cost_nodes_rank_by_index_even_when_they_settle_out_of_order():
     assert select_min_links(table, {"n1", "n2"}.__contains__) == "n1"
 
 
-def test_route_table_refuses_an_unknown_destination(example_net):
+@pytest.mark.parametrize("kernel", ["loaded", "python"])
+def test_route_table_refuses_an_unknown_destination(example_net, kernel, request):
+    if kernel == "python":
+        request.getfixturevalue("python_kernel")
+    route_table(example_net, "n1", 1)
+    cached = anypath._table.cache_info().currsize
     with pytest.raises(SchemaError) as info:
         route_table(example_net, "nope", 1)
     assert info.value.field == "dst"
+    assert anypath._table.cache_info().currsize == cached
+
+
+def test_a_python_miss_orients_once_and_sweeps_once(example_net, python_kernel, monkeypatch):
+    orients = _count_calls(monkeypatch, anypath, "_orient")
+    sweeps = _count_calls(monkeypatch, anypath, "_sweep")
+    table = route_table(example_net, "n4", 10)
+    assert (len(orients), len(sweeps)) == (1, 1)
+    assert route_table(example_net, "n4", 10) is table
+    assert (len(orients), len(sweeps)) == (1, 1)
 
 
 @pytest.mark.parametrize("bw", ["x", 2.5, -1, True, None])

@@ -261,12 +261,7 @@ def test_embedding_serialization(example):
     assert {h["transmitter"] for h in c1["hyperlinks"]} == {"n1", "n2", "n3"}
 
 
-def test_embed_and_its_json_build_no_dag_edge(example, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("DagEdge built")
-
-    monkeypatch.setattr(anypath, "_edge", refuse)
-    monkeypatch.setattr(anypath, "DagEdge", refuse)
+def test_example_hyperlink_counts_and_simulation_rows(example):
     net, request, coeffs = example
     doc = embed(net, request, coeffs).to_dict()
     assert [len(c["hyperlinks"]) for c in doc["channels"]] == [3, 2, 2]

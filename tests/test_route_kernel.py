@@ -1,10 +1,10 @@
 """The compiled route kernel against its reference, the Python kernel.
 
 Each table the compiled kernel builds must equal ``helpers.table``, which runs
-``_orient`` and ``anypath_routes``: every cost by repr, every forwarding set,
-the settle order and the ranked order.  The kernel is built into ``tmp_path``
-for these tests, so they check the source as it is, not an object left in
-``__pycache__``.
+``anypath._orient`` and ``anypath._sweep``: every cost by repr, every
+forwarding set, the settle order and the ranked order.  The kernel is built
+into ``tmp_path`` for these tests, so they check the source as it is, not an
+object left in ``__pycache__``.
 """
 
 import importlib.util
@@ -26,7 +26,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anypath_vne import anypath
-from anypath_vne.anypath import anypath_routes, prune
 from anypath_vne.netmodel import SubstrateNetwork
 
 import helpers
@@ -245,7 +244,7 @@ def test_a_nan_cost_falls_back_to_the_python_kernel(kernel, monkeypatch):
     assert anypath._compiled_table(kernel, topology, "n1", eligible) is None
     served = anypath._table(topology, "n1", eligible)
     assert anypath.nan_fallbacks == 1
-    reference = anypath_routes(prune(topology, "n1", eligible), "n1")
+    reference = helpers.table(net, "n1", 0)
     assert any(map(math.isnan, served.cost))
     assert repr(served) == repr(reference)
     anypath._table.cache_clear()
