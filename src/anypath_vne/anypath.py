@@ -44,7 +44,9 @@ A miss runs in the compiled kernel, ``route_kernel.c``, when it can be
 built: on import the module compiles it with ``cc`` into ``__pycache__``
 beside itself, once per source, flags and platform, and loads it with
 ``ctypes``.  The kernel does ``_orient``, ``_sweep`` and
-``_expected_time`` in one call, with the same floats in the same order.  It
+``_expected_time`` in one call, with the same floats in the same order.  Its
+heaps hold one entry per node, not ``heapq``'s stale ones, and pop the same
+nodes in the same order; it ranks with a counting sort by link count.  It
 writes the forwarding sets in the table's flat layout, so ``_table`` copies
 its arrays into the same ``AnypathRouteTable`` fields without a Python loop.
 Without a compiler, or when the build or the load fails, ``_orient`` and
@@ -148,7 +150,8 @@ def _expected_time(members, pdr, delay, head, cost) -> float:
 class AnypathRouteTable:
     """Per-node forwarding sets and expected anypath transmission times to dst.
 
-    ``cost`` is a list over node indices.  The forwarding sets are flat:
+    ``cost`` is a list over node indices, the other fields are
+    ``array("i")``.  The forwarding sets are flat:
     node i's arcs, in priority order, are ``arcs[start[i]:start[i + 1]]``,
     which ``members(i)`` returns, and an unreached node has none.  ``ranked``
     orders the reached nodes the way candidate selection prefers them, so a
@@ -161,8 +164,8 @@ class AnypathRouteTable:
     cost: list           # node index -> float (inf if unreachable)
     arcs: array          # every forwarding set's arc codes, node by node
     start: array         # n + 1 offsets into arcs, node by node
-    settle_order: list   # reached node indices in ascending cost
-    ranked: list         # reached node indices by (link count, cost, index)
+    settle_order: array  # reached node indices in ascending cost
+    ranked: array        # reached node indices by (link count, cost, index)
 
     def members(self, i: int) -> array:
         """Node i's forwarding arcs, in priority order."""
@@ -225,7 +228,7 @@ def _sweep(topology: Topology, dst: str, incoming: list) -> AnypathRouteTable:
     ranked.sort(key=links.__getitem__)
     return AnypathRouteTable(topology, dst, cost, array("i", chain.from_iterable(forwarding)),
                              array("i", accumulate(map(len, forwarding), initial=0)),
-                             settle_order, ranked)
+                             array("i", settle_order), array("i", ranked))
 
 
 # no -march and no fast-math: the object must compute the Python kernel's floats
@@ -304,7 +307,8 @@ def _compiled_table(kernel, topology: Topology, dst: str, eligible: bytes):
         return None
     # bytes to array("i") is a C copy; the arcs in use end at start[n]
     return AnypathRouteTable(topology, dst, cost[:], array("i", bytes(arcs))[:start[n]],
-                             array("i", bytes(start)), order[:reached], ranked[:reached])
+                             array("i", bytes(start)), array("i", bytes(order))[:reached],
+                             array("i", bytes(ranked))[:reached])
 
 
 @lru_cache(maxsize=ROUTE_CACHE_SIZE)

@@ -5,13 +5,22 @@
  * _expected_time on the arrays of a netmodel.Topology, and it must give the
  * same table float for float and tie for tie:
  *
- *   - both heaps key on (cost, node index), a total order, so any binary heap
- *     pops the entries in the order heapq does;
+ *   - both Dijkstras keep one heap entry per node, keyed on (cost, node
+ *     index), a total order.  heapq's live entries are exactly (cost[u], u)
+ *     for the unsettled nodes it has reached, and no popped node is updated
+ *     again (in orient, d + w >= d; in the sweep, a settled node is skipped),
+ *     so popping the least of them pops heapq's sequence without its stale
+ *     entries;
  *   - every float is computed with the Python kernel's operations in the
  *     Python kernel's order, and the build passes -ffp-contract=off, so no
  *     multiply-add is fused;
  *   - a route's links are counted with a bitset per node, and the reached
- *     nodes are ranked by (link count, cost, index).
+ *     nodes are ranked by (link count, cost, index): a stable counting sort
+ *     of settle order by link count, then an insertion sort.  In exact
+ *     arithmetic the sweep settles in ascending (cost, index): a node priced
+ *     at D_old > c that adds the head settled at c reprices to D_new with
+ *     D_new*rel_new >= rel_old*D_old + p*(1 - rel_old)*c > c*rel_new, so the
+ *     insertion sort only mends rounding and is linear in practice.
  *
  * A NaN cost would make the Python heap's key non-total, so the kernel does
  * not imitate it: it returns ROUTE_NAN and anypath.py builds that table with
@@ -25,38 +34,45 @@
 #define ROUTE_NAN (-1)
 #define ROUTE_NO_MEMORY (-2)
 
-typedef struct { double key; int node; } entry;
-typedef struct { int links; double cost; int node; } rank_key;
+/* A binary min-heap of node indices on (key[node], node): slot[] holds the
+ * heap and pos[v] is v's place in it, or -1 when v is not in it. */
+typedef struct { int *slot, *pos, size; const double *key; } heap;
 
-static int before(entry a, entry b)
+static int before(const heap *h, int a, int b)
 {
-    return a.key < b.key || (a.key == b.key && a.node < b.node);
+    return h->key[a] < h->key[b] || (h->key[a] == h->key[b] && a < b);
 }
 
-static void push(entry *heap, int *size, double key, int node)
+/* Insert v, or move it after its key rose or fell. */
+static void update(heap *h, int v)
 {
-    entry e = {key, node};
-    int i = (*size)++;
-    while (i > 0 && before(e, heap[(i - 1) / 2])) {
-        heap[i] = heap[(i - 1) / 2];
+    int i = h->pos[v] < 0 ? h->size++ : h->pos[v], child;
+    while (i > 0 && before(h, v, h->slot[(i - 1) / 2])) {
+        h->slot[i] = h->slot[(i - 1) / 2];
+        h->pos[h->slot[i]] = i;
         i = (i - 1) / 2;
     }
-    heap[i] = e;
-}
-
-static entry pop(entry *heap, int *size)
-{
-    entry top = heap[0], last = heap[--*size];
-    int i = 0, child;
-    while ((child = 2 * i + 1) < *size) {
-        if (child + 1 < *size && before(heap[child + 1], heap[child]))
+    while ((child = 2 * i + 1) < h->size) {
+        if (child + 1 < h->size && before(h, h->slot[child + 1], h->slot[child]))
             child++;
-        if (!before(heap[child], last))
+        if (!before(h, h->slot[child], v))
             break;
-        heap[i] = heap[child];
+        h->slot[i] = h->slot[child];
+        h->pos[h->slot[i]] = i;
         i = child;
     }
-    heap[i] = last;
+    h->slot[i] = v;
+    h->pos[v] = i;
+}
+
+static int pop(heap *h)
+{
+    int top = h->slot[0], last = h->slot[--h->size];
+    if (h->size) {
+        h->pos[last] = 0;
+        update(h, last);
+    }
+    h->pos[top] = -1;
     return top;
 }
 
@@ -79,16 +95,6 @@ static double expected_time(const int *members, int count, const double *pdr,
     return worst / reliability + remaining;
 }
 
-static int by_rank(const void *a, const void *b)
-{
-    const rank_key *x = a, *y = b;
-    if (x->links != y->links)
-        return x->links < y->links ? -1 : 1;
-    if (x->cost != y->cost)
-        return x->cost < y->cost ? -1 : 1;
-    return x->node < y->node ? -1 : 1;
-}
-
 /* The route table toward node start over the links whose eligible byte is
  * nonzero.  adj_off, adj_link and adj_nbr hold Topology.adjacency row by row;
  * ends, pdr and delay are per arc, weight per link.  Writes cost[n], and the
@@ -103,40 +109,41 @@ int route_table(int n, int n_links, const int *adj_off, const int *adj_link,
                 int start, double *cost, int *fwd_start, int *fwd_arcs,
                 int *order, int *ranked)
 {
-    int words = (n_links + 63) / 64, size = 0, reached = 0, at = 0, status;
+    int words = (n_links + 63) / 64, reached = 0, at = 0, status;
     double *dist = malloc(n * sizeof *dist);
     int *inc_len = calloc(n, sizeof *inc_len);
     int *incoming = malloc((adj_off[n] + 1) * sizeof *incoming);
     char *settled = calloc(n, 1);
-    entry *heap = malloc((adj_off[n] + 1) * sizeof *heap);
+    int *slot = malloc(n * sizeof *slot), *pos = malloc(n * sizeof *pos);
     uint64_t *masks = malloc((size_t)n * words * sizeof *masks + 1);
     int *links = malloc(n * sizeof *links);
-    rank_key *keys = malloc(n * sizeof *keys);
-    if (!dist || !inc_len || !incoming || !settled || !heap || !masks || !links || !keys) {
+    int *first = calloc(n_links + 1, sizeof *first);
+    heap h = {slot, pos, 0, dist};
+    if (!dist || !inc_len || !incoming || !settled || !slot || !pos || !masks || !links
+        || !first) {
         status = ROUTE_NO_MEMORY;
         goto done;
     }
 
     /* _orient: unicast Dijkstra toward start, orienting links as nodes settle */
-    for (int i = 0; i < n; i++)
+    for (int i = 0; i < n; i++) {
         dist[i] = INFINITY;
+        pos[i] = -1;
+    }
     dist[start] = 0.0;
-    push(heap, &size, 0.0, start);
-    while (size) {
-        entry e = pop(heap, &size);
-        int u = e.node;
-        if (e.key > dist[u])
-            continue;
+    update(&h, start);
+    while (h.size) {
+        int u = pop(&h);
         for (int j = adj_off[u]; j < adj_off[u + 1]; j++) {
             int link = adj_link[j], v = adj_nbr[j];
             double alt;
             if (!eligible[link])
                 continue;
-            if (dist[v] < e.key)
+            if (dist[v] < dist[u])
                 incoming[adj_off[v] + inc_len[v]++] = 2 * link + (ends[2 * link + 1] == v);
-            else if ((alt = e.key + weight[link]) < dist[v]) {
+            else if ((alt = dist[u] + weight[link]) < dist[v]) {
                 dist[v] = alt;
-                push(heap, &size, alt, v);
+                update(&h, v);
             }
         }
     }
@@ -148,13 +155,11 @@ int route_table(int n, int n_links, const int *adj_off, const int *adj_link,
         fwd_start[i] = 0;
     }
     cost[start] = 0.0;
-    push(heap, &size, 0.0, start);
-    while (size) {
-        entry e = pop(heap, &size);
-        int u = e.node;
+    h.key = cost;
+    update(&h, start);
+    while (h.size) {
+        int u = pop(&h);
         uint64_t *mask = masks + (size_t)u * words;
-        if (settled[u] || e.key != cost[u])
-            continue;
         settled[u] = 1;
         order[reached++] = u;
         memset(mask, 0, words * sizeof *mask);
@@ -169,7 +174,7 @@ int route_table(int n, int n_links, const int *adj_off, const int *adj_link,
             links[u] += __builtin_popcountll(mask[w]);
         for (int j = adj_off[u]; j < adj_off[u] + inc_len[u]; j++) {
             int arc = incoming[j], pred = ends[arc ^ 1];
-            if (settled[pred] || cost[pred] <= e.key)
+            if (settled[pred] || cost[pred] <= cost[u])
                 continue;
             fwd_arcs[adj_off[pred] + fwd_start[pred]++] = arc;
             cost[pred] = expected_time(fwd_arcs + adj_off[pred], fwd_start[pred],
@@ -178,7 +183,7 @@ int route_table(int n, int n_links, const int *adj_off, const int *adj_link,
                 status = ROUTE_NAN;
                 goto done;
             }
-            push(heap, &size, cost[pred], pred);
+            update(&h, pred);
         }
     }
 
@@ -192,24 +197,34 @@ int route_table(int n, int n_links, const int *adj_off, const int *adj_link,
     }
     fwd_start[n] = at;
 
-    /* rank the reached nodes by (link count, cost, index) */
-    for (int i = 0; i < reached; i++) {
-        keys[i].links = links[order[i]];
-        keys[i].cost = cost[order[i]];
-        keys[i].node = order[i];
-    }
-    qsort(keys, reached, sizeof *keys, by_rank);
+    /* rank the reached nodes by (link count, cost, index): a stable counting
+     * sort of settle order by link count, which is at most n_links, then an
+     * insertion sort by the whole key */
     for (int i = 0; i < reached; i++)
-        ranked[i] = keys[i].node;
+        first[links[order[i]]]++;
+    for (int k = 0, sum = 0; k <= n_links; k++) {
+        int run = first[k];
+        first[k] = sum;
+        sum += run;
+    }
+    for (int i = 0; i < reached; i++)
+        ranked[first[links[order[i]]]++] = order[i];
+    for (int i = 1; i < reached; i++) {
+        int v = ranked[i], j = i;
+        for (; j > 0 && links[ranked[j - 1]] == links[v] && before(&h, v, ranked[j - 1]); j--)
+            ranked[j] = ranked[j - 1];
+        ranked[j] = v;
+    }
     status = reached;
 done:
     free(dist);
     free(inc_len);
     free(incoming);
     free(settled);
-    free(heap);
+    free(slot);
+    free(pos);
     free(masks);
     free(links);
-    free(keys);
+    free(first);
     return status;
 }

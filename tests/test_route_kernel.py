@@ -63,8 +63,8 @@ def assert_same_table(kernel, net: SubstrateNetwork, dst: str, bw: int):
     assert type(compiled.cost) is list and {type(c) for c in compiled.cost} == {float}
     assert type(compiled.arcs) is array and compiled.arcs.typecode == "i"
     assert type(compiled.start) is array and compiled.start.typecode == "i"
-    assert type(compiled.settle_order) is list and type(compiled.ranked) is list
-    assert {type(i) for i in compiled.settle_order + compiled.ranked} == {int}
+    assert type(compiled.settle_order) is array and compiled.settle_order.typecode == "i"
+    assert type(compiled.ranked) is array and compiled.ranked.typecode == "i"
     return compiled
 
 
@@ -194,7 +194,41 @@ def test_compiled_table_of_large_substrate_is_compact(kernel):
     finally:
         tracemalloc.stop()
     assert len(table.settle_order) == 1000
-    assert size <= 140_000    # 114 979 B measured; 230 627 B with a tuple per node
+    # 58 819 B measured; 114 979 B with settle_order and ranked as lists of
+    # ints, 230 627 B with a tuple per node
+    assert size <= 70_000
+
+
+@pytest.mark.parametrize("behind", [False, True])
+def test_a_repricing_that_raises_a_cost(kernel, behind):
+    # p first prices at 1/0.9 through d; when b settles at 1.0, p adds b and
+    # its cost rises to 101.1...; with q in the heap at 2.0, p must sink below it
+    net = SubstrateNetwork()
+    for nid in ("b", "d", "p") + ("q",) * behind:
+        net.add_node(nid, 1, 1, 1)
+    net.add_link("l1", "p", "d", bw=10, delay=1.0, pdr=0.9)
+    net.add_link("l2", "b", "d", bw=10, delay=1.0, pdr=1.0)
+    net.add_link("l3", "p", "b", bw=10, delay=100.0, pdr=0.9)
+    if behind:
+        net.add_link("l4", "q", "d", bw=10, delay=2.0, pdr=1.0)
+    table = assert_same_table(kernel, net, "d", 10)
+    assert helpers.cost_by_id(table)["p"] == 101.1010101010101 > 1 / 0.9
+    assert [edge.head for edge in helpers.members(table, "p")] == ["d", "b"]
+    assert helpers.settled_ids(table) == (["d", "b", "q", "p"] if behind else ["d", "b", "p"])
+
+
+def test_a_route_with_more_links_than_nodes(kernel):
+    # 8 parallel links a-b and 8 b-z: a's route toward z uses all 16, so a
+    # rank by link count needs more than n = 3 counts
+    net = SubstrateNetwork()
+    for nid in ("a", "b", "z"):
+        net.add_node(nid, 1, 1, 1)
+    for k in range(16):
+        net.add_link(f"l{k + 1}", *(("a", "b"), ("b", "z"))[k // 8], bw=1,
+                     delay=1.0 + k % 8, pdr=0.3)
+    table = assert_same_table(kernel, net, "z", 0)
+    assert helpers.link_count(table, "a") == 16
+    assert helpers.settled_ids(table) == ["z", "b", "a"]
 
 
 def test_overflowing_costs_match_and_never_fall_back(kernel, monkeypatch):
