@@ -98,7 +98,8 @@ def _orient(topology: Topology, dst: str, eligible: bytes) -> tuple[list, list]:
     between equal distances gets no arc.  Link costs are positive, so the
     distances do not depend on the pop order of equal heap keys.
     """
-    adjacency, weight, ends = topology.adjacency, topology.weight, topology.ends
+    adj_start, adj_link, adj_node = topology.adj_start, topology.adj_link, topology.adj_node
+    weight, ends = topology.weight, topology.ends
     n = len(topology.nodes)
     dist = [INFINITY] * n
     incoming = [[] for _ in range(n)]
@@ -109,7 +110,8 @@ def _orient(topology: Topology, dst: str, eligible: bytes) -> tuple[list, list]:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue
-        for link, v in adjacency[u]:
+        row = slice(adj_start[u], adj_start[u + 1])
+        for link, v in zip(adj_link[row], adj_node[row]):
             if not eligible[link]:
                 continue
             dv = dist[v]
@@ -281,26 +283,22 @@ def _doubles(values) -> ctypes.Array:
 
 @lru_cache(maxsize=ROUTE_CACHE_SIZE)
 def _pack(topology: Topology) -> tuple:
-    """The topology as the kernel's leading arguments, and its adjacency
-    offsets; the last ROUTE_CACHE_SIZE topologies packed are kept."""
-    offsets = [0]
-    for row in topology.adjacency:
-        offsets.append(offsets[-1] + len(row))
-    pairs = list(chain(*topology.adjacency))
-    args = (len(topology.nodes), len(topology.link_ids), _ints(offsets),
-            _ints([link for link, _ in pairs]), _ints([v for _, v in pairs]),
-            _ints(topology.ends), _doubles(topology.weight), _doubles(topology.pdr),
-            _doubles(topology.delay))
-    return args, offsets
+    """The topology as the kernel's leading arguments; the last
+    ROUTE_CACHE_SIZE topologies packed are kept."""
+    return (len(topology.nodes), len(topology.link_ids), _ints(topology.adj_start),
+            _ints(topology.adj_link), _ints(topology.adj_node),
+            _ints(topology.ends), _doubles(topology.weight),
+            _doubles(topology.pdr), _doubles(topology.delay))
 
 
 def _compiled_table(kernel, topology: Topology, dst: str, eligible: bytes):
     """The route table built by the compiled kernel; None when it met a NaN cost."""
-    args, offsets = _pack(topology)
     n = len(topology.nodes)
     cost, start = (ctypes.c_double * n)(), (ctypes.c_int * (n + 1))()
-    arcs, order, ranked = (ctypes.c_int * offsets[-1])(), (ctypes.c_int * n)(), (ctypes.c_int * n)()
-    reached = kernel(*args, eligible, topology.index[dst], cost, start, arcs, order, ranked)
+    arcs = (ctypes.c_int * topology.adj_start[n])()
+    order, ranked = (ctypes.c_int * n)(), (ctypes.c_int * n)()
+    reached = kernel(*_pack(topology), eligible, topology.index[dst], cost, start, arcs,
+                     order, ranked)
     if reached == -2:    # ROUTE_NO_MEMORY; ROUTE_NAN is -1
         raise MemoryError("route kernel")
     if reached < 0:

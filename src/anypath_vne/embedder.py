@@ -250,8 +250,9 @@ def embed(net: SubstrateNetwork, request: VirtualRequest,
     through the substrate's topology with earlier channels, earlier calls and
     every clone, and it outlives the call.  Its key holds the substrate's
     memoised eligible links for the channel's bandwidth; a reservation that
-    drops a link below a later channel's bandwidth changes that key, so the
-    channel gets a table over the links that are left.
+    drops a link below a later channel's bandwidth patches that memo entry,
+    so the key changes without a rescan and the channel gets a table over
+    the links that are left.
     """
     embedding = Embedding(request.id)
     placed = embedding.service_map

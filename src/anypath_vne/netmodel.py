@@ -18,9 +18,11 @@ Link bandwidth changes only through ``reserve_channel`` and ``rollback``.
 ``SubstrateNetwork.eligible_links`` memoises, per bandwidth, which links have
 at least that much spare; the memo belongs to a capacity state, not to one
 network object.  ``clone`` hands the copy the same memo dict, so a substrate
-and all its untouched clones scan their links once per bandwidth; a
-reservation or rollback that changes link bandwidth, and ``add_link``, give
-that network a fresh memo and leave the shared one alone.
+and all its untouched clones scan their links once per bandwidth.  A
+reservation or rollback that changes link bandwidth gives that network a
+patched copy of the memo, with a byte flipped wherever a changed link crossed
+an entry's bandwidth, and leaves the shared one alone; so a network scans each
+bandwidth at most once until ``add_link`` gives it an empty memo.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ import math
 import re
 import reprlib
 import sys
+from array import array
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable
 
 RESOURCES = ("cpu", "gpu", "mem")
@@ -268,40 +272,46 @@ class Topology:
     """Immutable static structure of a substrate on dense integer ids.
 
     Node i is the i-th node id and link k the k-th link id in ``natural_key``
-    order, not insertion order, so a tie broken by id is broken by index.
-    Arc 2*k + s is link k directed into its endpoint ``ends[2*k + s]`` (s = 0
-    for endpoint a, 1 for b); ``ends[arc ^ 1]`` is its tail, ``arc >> 1`` its
-    link.  ``delay`` and ``pdr`` are kept per arc, so one index reads both a
-    forwarding member's link quality and its head; ``weight`` is the unicast
-    cost delay / pdr per link.  ``adjacency[i]`` holds a (link, neighbour) pair
-    per link at node i, in link order.  ``by_local_pdr`` lists the node
-    indices by descending local pdr, the mean pdr of a node's links (0 when it
-    has none), ties by index: the order in which anchor placement tries the
-    nodes.  It hashes by identity, as a key of ``anypath``'s route cache.
+    order, not insertion order, so a tie broken by id is broken by index;
+    ``index`` and ``link_index`` map the ids back.  Arc 2*k + s is link k
+    directed into its endpoint ``ends[2*k + s]`` (s = 0 for endpoint a, 1 for
+    b); ``ends[arc ^ 1]`` is its tail, ``arc >> 1`` its link.  ``delay`` and
+    ``pdr`` are kept per arc, so one index reads both a forwarding member's
+    link quality and its head; ``weight`` is the unicast cost delay / pdr per
+    link.  The adjacency is flat, the layout the compiled kernel reads: node
+    i's row is ``adj_start[i]:adj_start[i + 1]``, one entry per link at i in
+    link order, the link in ``adj_link`` and the neighbour in ``adj_node``.
+    ``by_local_pdr`` lists the node indices by descending local pdr, the mean
+    pdr of a node's links (0 when it has none), ties by index: the order in
+    which anchor placement tries the nodes.  It hashes by identity, as a key
+    of ``anypath``'s route cache.
     """
 
-    __slots__ = ("nodes", "index", "link_ids", "ends", "delay", "pdr",
-                 "weight", "adjacency", "by_local_pdr")
+    __slots__ = ("nodes", "index", "link_ids", "link_index", "ends", "delay", "pdr",
+                 "weight", "adj_start", "adj_link", "adj_node", "by_local_pdr")
 
     def __init__(self, net: "SubstrateNetwork"):
         self.nodes = tuple(sorted(net.nodes, key=natural_key))
         self.index = {nid: i for i, nid in enumerate(self.nodes)}
         self.link_ids = tuple(sorted(net.links, key=natural_key))
+        self.link_index = {lid: k for k, lid in enumerate(self.link_ids)}
         ends, delay, pdr, weight = [], [], [], []
-        adjacency = [[] for _ in self.nodes]
+        rows = [[] for _ in self.nodes]   # node index -> (link, neighbour), flattened below
         for k, link in enumerate(map(net.links.__getitem__, self.link_ids)):
             a, b = self.index[link.a], self.index[link.b]
             ends += (a, b)
             delay += (link.delay, link.delay)
             pdr += (link.pdr, link.pdr)
             weight.append(link.delay / link.pdr)
-            adjacency[a].append((k, b))
+            rows[a].append((k, b))
             if b != a:
-                adjacency[b].append((k, a))
+                rows[b].append((k, a))
         self.ends, self.delay, self.pdr = tuple(ends), tuple(delay), tuple(pdr)
         self.weight = tuple(weight)
-        self.adjacency = tuple(tuple(row) for row in adjacency)
-        local = [_mean_pdr([pdr[2 * k] for k, _ in row]) for row in self.adjacency]
+        self.adj_start = array("i", accumulate(map(len, rows), initial=0))
+        self.adj_link = array("i", [k for row in rows for k, _ in row])
+        self.adj_node = array("i", [v for row in rows for _, v in row])
+        local = [_mean_pdr([pdr[2 * k] for k, _ in row]) for row in rows]
         self.by_local_pdr = tuple(sorted(range(len(self.nodes)), key=lambda i: -local[i]))
 
 
@@ -366,10 +376,11 @@ class SubstrateNetwork:
     def eligible_links(self, bw: int) -> bytes:
         """Byte k is 1 when topology link k has at least bw spare bandwidth, else 0.
 
-        Memoised per bandwidth until link bandwidth changes.  The memo dict
-        is shared with clones and only ever grows by identical values, so it
-        is never cleared: a change of link bandwidth gives this network a
-        new one instead.  A bw that is not an int count raises a SchemaError.
+        Memoised per bandwidth.  The memo dict is shared with clones and
+        only ever grows by identical values, so no entry in it is changed
+        or removed: a change of link bandwidth gives this network a patched
+        copy (``_patch_eligible``) and ``add_link`` an empty one.  A bw that
+        is not an int count raises a SchemaError.
         """
         memo = self._eligible
         eligible = memo.get(bw) if type(bw) is int else None
@@ -456,7 +467,10 @@ def reserve_service(net: SubstrateNetwork, node_id: str,
 def reserve_channel(net: SubstrateNetwork, link_ids: Iterable[str],
                     bw: int, ledger: list) -> None:
     """Debit bw once from each distinct link of the route, in the order given;
-    a bad bw, a bare string or a bad link id raises a SchemaError before any debit."""
+    a bad bw, a bare string or a bad link id raises a SchemaError before any debit.
+
+    The network's eligible-links memo is patched for the debited links.
+    """
     _check("bw", bw, int, 0, _HUGE)
     if isinstance(link_ids, str):   # not read as one-character ids
         raise SchemaError("link_ids", f"expected ids, got {_shown(link_ids)}")
@@ -471,20 +485,22 @@ def reserve_channel(net: SubstrateNetwork, link_ids: Iterable[str],
         if net.links[link_id].bw < bw:
             raise InsufficientCapacityError(
                 f"link {link_id} has {net.links[link_id].bw} < {bw} bandwidth")
+    before = {}
     for link_id in link_ids:
-        net.links[link_id].bw -= bw
+        link = net.links[link_id]
+        before[link_id] = link.bw
+        link.bw -= bw
         ledger.append(("link", link_id, bw))
-    if link_ids and bw:
-        net._eligible = {}
+    _patch_eligible(net, before)
 
 
 def rollback(net: SubstrateNetwork, ledger: list) -> None:
     """Undo the records of the ledger list in reverse order and empty it.
 
-    Like ``reserve_channel``, it gives the network a fresh eligible-links memo
-    only when a link's bandwidth changes.
+    Like ``reserve_channel``, it patches the network's eligible-links memo
+    for the links whose bandwidth it restores.
     """
-    fresh = False
+    before = {}   # link id -> its bandwidth before the first record of it
     for record in reversed(ledger):
         if record[0] == "node":
             _, node_id, dcpu, dgpu, dmem = record
@@ -494,11 +510,40 @@ def rollback(net: SubstrateNetwork, ledger: list) -> None:
             node.mem += dmem
         else:
             _, link_id, dbw = record
-            net.links[link_id].bw += dbw
-            fresh = fresh or dbw != 0
-    if fresh:
-        net._eligible = {}
+            link = net.links[link_id]
+            before.setdefault(link_id, link.bw)
+            link.bw += dbw
+    _patch_eligible(net, before)
     ledger.clear()
+
+
+def _patch_eligible(net: SubstrateNetwork, before: dict) -> None:
+    """Bring the network's eligible-links memo up to date after link bandwidth
+    changed; before maps each changed link id to its bandwidth before.
+
+    Nothing is done when no link's bandwidth differs from before.  Otherwise
+    the network gets a copy of its memo, which clones may share and fill
+    from other threads: an entry for bw is rebuilt, with the crossing bytes
+    set, only where a link went from below bw to at least bw or back, and
+    every other entry stays the same ``bytes`` object.
+    """
+    links = net.links
+    changed = [(link_id, old, links[link_id].bw) for link_id, old in before.items()
+               if links[link_id].bw != old]
+    if not changed:
+        return
+    memo = net._eligible.copy()
+    if memo:
+        index = net.topology().link_index
+        for bw, eligible in memo.items():
+            flips = [(index[link_id], new >= bw) for link_id, old, new in changed
+                     if (old >= bw) != (new >= bw)]
+            if flips:
+                patched = bytearray(eligible)
+                for k, byte in flips:
+                    patched[k] = byte
+                memo[bw] = bytes(patched)
+    net._eligible = memo
 
 
 # --- JSON-friendly (de)serialization -----------------------------------------

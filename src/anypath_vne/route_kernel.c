@@ -96,7 +96,8 @@ static double expected_time(const int *members, int count, const double *pdr,
 }
 
 /* The route table toward node start over the links whose eligible byte is
- * nonzero.  adj_off, adj_link and adj_nbr hold Topology.adjacency row by row;
+ * nonzero.  adj_off, adj_link and adj_nbr are Topology.adj_start, .adj_link
+ * and .adj_node: node u's links and neighbours, row adj_off[u]:adj_off[u + 1];
  * ends, pdr and delay are per arc, weight per link.  Writes cost[n], and the
  * forwarding sets flat: node v's arcs, in priority order, are
  * fwd_arcs[fwd_start[v]:fwd_start[v + 1]], so fwd_start has n + 1 entries and

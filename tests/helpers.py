@@ -135,7 +135,9 @@ def closure_ids(table, src: str) -> tuple[set, set]:
 def local_pdr(net: SubstrateNetwork, node_id: str) -> float:
     """Mean pdr over node_id's links, from the topology's adjacency; 0 when it has none."""
     topology = net.topology()
-    pdrs = [topology.pdr[2 * link] for link, _ in topology.adjacency[topology.index[node_id]]]
+    i = topology.index[node_id]
+    row = topology.adj_link[topology.adj_start[i]:topology.adj_start[i + 1]]
+    pdrs = [topology.pdr[2 * link] for link in row]
     return sum(pdrs) / len(pdrs) if pdrs else 0.0
 
 

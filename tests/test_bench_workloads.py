@@ -7,7 +7,8 @@ soon as one of them is removed or changes its output.  The per-layer tracer
 names library functions by string, so a guard checks that each still exists:
 a removed or renamed one would silently read 0 in the traced metrics.  The
 targets known to be gone are listed, and the list must match exactly, so it
-shrinks when the tracer is retargeted.
+shrinks when the tracer is retargeted.  A spread-240 episode also pins how
+often it scans the substrate's links.
 """
 
 import importlib
@@ -15,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from anypath_vne.netmodel import SubstrateNetwork
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -49,3 +52,26 @@ def test_every_traced_function_exists_in_the_library(monkeypatch):
             missing.add(attr)
     # no other target is missing, and no listed one is back or no longer traced
     assert missing == _DEAD_TARGETS
+
+
+def test_spread_episode_scans_each_bandwidth_at_most_once(tmp_path, monkeypatch):
+    # an episode embeds its requests into one clone, and reservations and
+    # rollbacks patch its eligible-link memo, so no bandwidth is scanned twice
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = importlib.import_module("workloads")
+    workload = workloads.WORKLOADS["spread-240"](1, tmp_path)
+    workload.setup()
+    scans = []
+    original = SubstrateNetwork.eligible_links
+
+    def counting(net, bw):
+        if bw not in net._eligible:
+            scans.append(bw)
+        return original(net, bw)
+
+    monkeypatch.setattr(SubstrateNetwork, "eligible_links", counting)
+    ops = workload.run_item(0)
+    assert len(ops) == workloads.EPISODE_REQUESTS
+    assert [op for op in ops if op.failed] == []
+    assert scans and sorted(scans) == sorted(set(scans))

@@ -921,7 +921,7 @@ def test_second_embed_on_a_fresh_clone_scans_no_link(monkeypatch):
     assert json.dumps(second.to_dict()) == json.dumps(first.to_dict())
 
 
-def test_channel_after_a_link_reservation_gets_a_fresh_mask(monkeypatch):
+def test_channel_after_a_link_reservation_gets_a_patched_mask(monkeypatch):
     net = SubstrateNetwork()
     for nid, label in (("n1", "x"), ("n2", "y"), ("n3", "z")):
         net.add_node(nid, cpu=10, gpu=0, mem=0, functionals={label})
@@ -932,20 +932,22 @@ def test_channel_after_a_link_reservation_gets_a_fresh_mask(monkeypatch):
     for sid, label in (("s1", "x"), ("s2", "y"), ("s3", "z")):
         request.add_service(NanoService(sid, functionals={label}))
     # both channels need 6; c1 leaves l1 with 4.  A stale memo would hand c2
-    # the table over l1, whose route from n3 runs through l1
+    # the table over l1, whose route from n3 runs through l1; the patched one
+    # drops l1 without a second scan
     request.add_channel(Channel("c1", "s2", "s1", bw=6, max_delay=100.0,
                                 min_pdr=0.5))
     request.add_channel(Channel("c2", "s3", "s1", bw=6, max_delay=100.0,
                                 min_pdr=0.5))
     scans = _count_scans(monkeypatch)
     embedding = embed(net, request, Coefficients())
-    assert scans == [6, 6]
+    assert scans == [6]
+    assert net._eligible == {6: b"\x00\x00\x01"}   # l1 and l2 are left with 4
     assert embedding.channel_routes["c1"].links == ("l1",)
     assert embedding.channel_routes["c2"].links == ("l2",)
 
 
-@pytest.mark.parametrize("bw, rescans", [(0, 0), (1, 1)])
-def test_only_a_link_debit_gives_a_fresh_mask(monkeypatch, bw, rescans):
+@pytest.mark.parametrize("bw", [0, 1])
+def test_a_link_debit_patches_the_mask(monkeypatch, bw):
     net = SubstrateNetwork()
     net.add_node("n1", cpu=10, gpu=0, mem=0, functionals={"x"})
     net.add_node("n2", cpu=10, gpu=0, mem=0, functionals={"y"})
@@ -953,7 +955,8 @@ def test_only_a_link_debit_gives_a_fresh_mask(monkeypatch, bw, rescans):
     request = VirtualRequest("r")
     for sid, label in (("s1", "x"), ("s2", "y"), ("s3", "x")):
         request.add_service(NanoService(sid, functionals={label}))
-    # both channels route over l1; a debit of 0 changes no link's eligibility
+    # both channels route over l1, which stays eligible; the second channel
+    # reads the memo that the first one's debit patched, or left alone at 0
     for cid, src in (("c1", "s1"), ("c2", "s3")):
         request.add_channel(Channel(cid, src, "s2", bw=bw, max_delay=100.0,
                                     min_pdr=0.5))
@@ -961,13 +964,12 @@ def test_only_a_link_debit_gives_a_fresh_mask(monkeypatch, bw, rescans):
     embedding = embed(net, request, Coefficients())
     assert {cid: route.links for cid, route in embedding.channel_routes.items()} \
         == {"c1": ("l1",), "c2": ("l1",)}
-    assert scans == [bw] * (1 + rescans)
+    assert scans == [bw]
+    assert net._eligible == {bw: b"\x01"}
 
 
-@pytest.mark.parametrize("bw, blocker, rescans",
-                         [(1, "path", 0), (0, "node", 0), (1, "node", 1)])
-def test_only_undoing_a_link_debit_gives_a_fresh_mask(monkeypatch, bw, blocker,
-                                                       rescans):
+@pytest.mark.parametrize("bw, blocker", [(1, "path"), (0, "node"), (1, "node")])
+def test_undoing_a_link_debit_patches_the_mask(monkeypatch, bw, blocker):
     net = SubstrateNetwork()
     net.add_node("n1", cpu=10, gpu=0, mem=0, functionals={"x"})
     net.add_node("n2", cpu=10, gpu=0, mem=0, functionals={"y"})
@@ -988,7 +990,36 @@ def test_only_undoing_a_link_debit_gives_a_fresh_mask(monkeypatch, bw, blocker,
     for _ in range(2):
         with pytest.raises(EmbeddingError):
             embed(net, request, Coefficients())
-    assert scans == [bw] * (1 + rescans)
+    assert scans == [bw]
+    assert net._eligible == {bw: b"\x01"}
+
+
+def test_an_episode_scans_each_bandwidth_at_most_once(monkeypatch):
+    # reservations and rollbacks patch the memo, and only add_link empties it,
+    # so one network scans its links once per bandwidth however its links change
+    rng = np.random.default_rng(9317)
+    net = random_substrate(rng, max_nodes=14, min_nodes=12, extra_edge_factor=2.0)
+    undone = []   # link debits that a blocked request rolled back
+    original = embedder.rollback
+
+    def recording(network, ledger):
+        undone.extend(record for record in ledger if record[0] == "link")
+        original(network, ledger)
+
+    monkeypatch.setattr(embedder, "rollback", recording)
+    scans = _count_scans(monkeypatch)
+    accepted = 0
+    for _ in range(60):
+        try:
+            embed(net, random_request(rng, max_services=5), Coefficients())
+        except EmbeddingError:
+            pass
+        else:
+            accepted += 1
+    assert accepted >= 10 and len(undone) >= 20
+    assert sorted(scans) == sorted(set(scans))
+    links = [net.links[link_id] for link_id in net.topology().link_ids]
+    assert net._eligible == {bw: bytes([link.bw >= bw for link in links]) for bw in scans}
 
 
 def test_zero_demand_chain_on_1000_nodes_scans_no_substrate(monkeypatch):

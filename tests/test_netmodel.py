@@ -590,7 +590,10 @@ def test_topology_of_large_substrate_is_compact():
         size, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert size <= 1_000_000
+    # measured: 965 856 B with adjacency as a tuple of (link, neighbour)
+    # pairs, 1 145 900 B with link_index added to it, 824 416 B with
+    # link_index and the flat adj_start/adj_link/adj_node arrays
+    assert size <= 900_000
 
 
 # --- eligible-link memo -------------------------------------------------------
@@ -633,8 +636,75 @@ def test_eligible_links_memo_matches_a_fresh_scan(seed):
         # later steps meet memos filled at different points
         net.eligible_links(int(rng.choice(sorted(seen))))
         for other in nets:
+            # every entry, also those patched by the step and not asked for since
+            assert other._eligible == {bw: _scan(other, bw) for bw in other._eligible}
             for bw in seen:
                 assert other.eligible_links(bw) == _scan(other, bw)
+
+
+def _two_link_net() -> SubstrateNetwork:
+    """n1 - n2 over l1 and l2, 10 bandwidth each, with the memo filled for 0..11."""
+    net = SubstrateNetwork()
+    net.add_node("n1", 1, 1, 1)
+    net.add_node("n2", 1, 1, 1)
+    net.add_link("l1", "n1", "n2", bw=10, delay=1.0, pdr=0.9)
+    net.add_link("l2", "n1", "n2", bw=10, delay=2.0, pdr=0.9)
+    for bw in range(12):
+        net.eligible_links(bw)
+    return net
+
+
+def _memo_is_a_fresh_scan(net: SubstrateNetwork) -> bool:
+    return net._eligible == {bw: _scan(net, bw) for bw in range(12)}
+
+
+@pytest.mark.parametrize("debit, still_eligible", [(4, 1), (5, 0)])
+def test_a_debit_to_the_threshold_keeps_a_link_eligible(debit, still_eligible):
+    net = _two_link_net()
+    memo = dict(net._eligible)
+    ledger = []
+    reserve_channel(net, ["l1"], debit, ledger)   # l1: 10 -> 6 or 5
+    assert net._eligible[6] == bytes([still_eligible, 1])
+    assert _memo_is_a_fresh_scan(net)
+    # only the entries whose threshold l1 crossed are rebuilt
+    crossed = range(11 - debit, 11)
+    assert [bw for bw in memo if net._eligible[bw] is not memo[bw]] == list(crossed)
+    rollback(net, ledger)
+    assert net._eligible[6] == b"\x01\x01"
+    assert _memo_is_a_fresh_scan(net)
+
+
+@pytest.mark.parametrize("route, bw", [(["l1", "l2"], 0), ([], 5)])
+def test_a_debit_that_changes_no_bandwidth_keeps_the_memo_object(route, bw):
+    net = _two_link_net()
+    memo = net._eligible
+    ledger = []
+    reserve_channel(net, route, bw, ledger)
+    assert net._eligible is memo
+    rollback(net, ledger)
+    assert net._eligible is memo
+
+
+def test_a_route_naming_a_link_twice_patches_it_once():
+    net = _two_link_net()
+    ledger = []
+    reserve_channel(net, ["l1", "l2", "l1"], 3, ledger)
+    assert (net.links["l1"].bw, net.links["l2"].bw) == (7, 7)
+    assert _memo_is_a_fresh_scan(net)
+    rollback(net, ledger)
+    assert _memo_is_a_fresh_scan(net)
+
+
+def test_a_ledger_with_two_records_of_a_link_rolls_back_to_a_fresh_scan():
+    net = _two_link_net()
+    ledger = []
+    reserve_channel(net, ["l1"], 3, ledger)
+    reserve_channel(net, ["l2", "l1"], 4, ledger)   # l1: 10 -> 7 -> 3
+    assert net.links["l1"].bw == 3
+    assert _memo_is_a_fresh_scan(net)
+    rollback(net, ledger)
+    assert (net.links["l1"].bw, net.links["l2"].bw) == (10, 10)
+    assert _memo_is_a_fresh_scan(net)
 
 
 def test_reserving_on_a_clone_leaves_the_base_memo_right(example_net):
