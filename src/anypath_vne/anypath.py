@@ -47,11 +47,12 @@ beside itself, once per source, flags and platform, and loads it with
 ``_expected_time`` in one call, with the same floats in the same order.  Its
 heaps hold one entry per node, not ``heapq``'s stale ones, and pop the same
 nodes in the same order; it ranks with a counting sort by link count.  It
-writes the forwarding sets in the table's flat layout, so ``_table`` copies
-its arrays into the same ``AnypathRouteTable`` fields without a Python loop.
+reads the topology's typed arrays in place, by address, and writes the
+table's own arrays in its flat layout, so a miss copies no field in Python.
 Without a compiler, or when the build or the load fails, ``_orient`` and
 ``_sweep`` build every table; ``KERNEL`` ("c" or "python") says which
-kernel is in use.  The Python kernel stays the reference that the tests
+kernel is in use, and ``KERNEL_REASON`` why it is the Python one (None when
+it is not).  The Python kernel stays the reference that the tests
 compare the compiled one with.  A NaN cost cannot arise from validated
 links, but the compiled kernel reports one instead of ordering it, and
 ``_table`` then builds that table in Python and counts it in
@@ -235,13 +236,11 @@ def _sweep(topology: Topology, dst: str, incoming: list) -> AnypathRouteTable:
 
 # no -march and no fast-math: the object must compute the Python kernel's floats
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-_INTS = ctypes.POINTER(ctypes.c_int)
-_DOUBLES = ctypes.POINTER(ctypes.c_double)
 
 
-def _load_kernel(directory: Path):
-    """The compiled kernel's ``route_table`` from directory, built there with
-    ``cc`` first when missing; None when it cannot be built or loaded."""
+def _load_kernel(directory: Path) -> tuple:
+    """(route_table, None) for the compiled kernel in directory, built there with
+    ``cc`` first when missing; (None, reason) when it cannot be built or loaded."""
     source = Path(__file__).with_name("route_kernel.c")
     try:
         tag = hashlib.sha256(source.read_bytes() + repr(
@@ -250,7 +249,7 @@ def _load_kernel(directory: Path):
         if not target.exists():
             cc = shutil.which("cc")
             if cc is None:
-                return None
+                return None, "cc not found"
             directory.mkdir(exist_ok=True)
             partial = directory / f"route_kernel.{tag}.{os.getpid()}.tmp"
             try:
@@ -260,53 +259,41 @@ def _load_kernel(directory: Path):
             finally:
                 partial.unlink(missing_ok=True)
         kernel = ctypes.CDLL(str(target)).route_table
-    except (OSError, subprocess.SubprocessError):
-        return None
+    except subprocess.CalledProcessError as error:
+        lines = error.stderr.decode(errors="replace").splitlines()
+        return None, lines[-1] if lines else f"cc exited with status {error.returncode}"
+    except (OSError, subprocess.SubprocessError) as error:
+        return None, str(error)
     kernel.restype = ctypes.c_int
-    kernel.argtypes = ([ctypes.c_int] * 2 + [_INTS] * 4 + [_DOUBLES] * 3
-                       + [ctypes.c_char_p, ctypes.c_int, _DOUBLES] + [_INTS] * 4)
-    return kernel
+    # the arrays go by address, so their types are Topology's to keep
+    kernel.argtypes = ([ctypes.c_int] * 2 + [ctypes.c_void_p] * 7
+                       + [ctypes.c_char_p, ctypes.c_int] + [ctypes.c_void_p] * 5)
+    return kernel, None
 
 
-_kernel = _load_kernel(Path(__file__).with_name("__pycache__"))
+_kernel, KERNEL_REASON = _load_kernel(Path(__file__).with_name("__pycache__"))
 KERNEL = "python" if _kernel is None else "c"    # the kernel the import chose
 nan_fallbacks = 0    # tables that the compiled kernel handed back for a NaN cost
-
-
-def _ints(values) -> ctypes.Array:
-    return (ctypes.c_int * len(values))(*values)
-
-
-def _doubles(values) -> ctypes.Array:
-    return (ctypes.c_double * len(values))(*values)
-
-
-@lru_cache(maxsize=ROUTE_CACHE_SIZE)
-def _pack(topology: Topology) -> tuple:
-    """The topology as the kernel's leading arguments; the last
-    ROUTE_CACHE_SIZE topologies packed are kept."""
-    return (len(topology.nodes), len(topology.link_ids), _ints(topology.adj_start),
-            _ints(topology.adj_link), _ints(topology.adj_node),
-            _ints(topology.ends), _doubles(topology.weight),
-            _doubles(topology.pdr), _doubles(topology.delay))
 
 
 def _compiled_table(kernel, topology: Topology, dst: str, eligible: bytes):
     """The route table built by the compiled kernel; None when it met a NaN cost."""
     n = len(topology.nodes)
-    cost, start = (ctypes.c_double * n)(), (ctypes.c_int * (n + 1))()
-    arcs = (ctypes.c_int * topology.adj_start[n])()
-    order, ranked = (ctypes.c_int * n)(), (ctypes.c_int * n)()
-    reached = kernel(*_pack(topology), eligible, topology.index[dst], cost, start, arcs,
-                     order, ranked)
+    cost, start = array("d", [0.0]) * n, array("i", [0]) * (n + 1)
+    arcs = array("i", [0]) * topology.adj_start[n]
+    order, ranked = array("i", [0]) * n, array("i", [0]) * n
+    address = [values.buffer_info()[0] for values in (
+        topology.adj_start, topology.adj_link, topology.adj_node, topology.ends,
+        topology.weight, topology.pdr, topology.delay, cost, start, arcs, order, ranked)]
+    reached = kernel(n, len(topology.link_ids), *address[:7], eligible, topology.index[dst],
+                     *address[7:])
     if reached == -2:    # ROUTE_NO_MEMORY; ROUTE_NAN is -1
         raise MemoryError("route kernel")
     if reached < 0:
         return None
-    # bytes to array("i") is a C copy; the arcs in use end at start[n]
-    return AnypathRouteTable(topology, dst, cost[:], array("i", bytes(arcs))[:start[n]],
-                             array("i", bytes(start)), array("i", bytes(order))[:reached],
-                             array("i", bytes(ranked))[:reached])
+    # the arcs in use end at start[n]
+    del arcs[start[n]:], order[reached:], ranked[reached:]
+    return AnypathRouteTable(topology, dst, cost.tolist(), arcs, start, order, ranked)
 
 
 @lru_cache(maxsize=ROUTE_CACHE_SIZE)

@@ -278,9 +278,11 @@ class Topology:
     b); ``ends[arc ^ 1]`` is its tail, ``arc >> 1`` its link.  ``delay`` and
     ``pdr`` are kept per arc, so one index reads both a forwarding member's
     link quality and its head; ``weight`` is the unicast cost delay / pdr per
-    link.  The adjacency is flat, the layout the compiled kernel reads: node
-    i's row is ``adj_start[i]:adj_start[i + 1]``, one entry per link at i in
-    link order, the link in ``adj_link`` and the neighbour in ``adj_node``.
+    link.  The adjacency is flat: node i's row is ``adj_start[i]:adj_start[i +
+    1]``, one entry per link at i in link order, the link in ``adj_link`` and
+    the neighbour in ``adj_node``.  These seven fields are typed arrays,
+    ``array("i")`` for the indices and ``array("d")`` for the floats, and the
+    compiled route kernel reads them in place, so they are never resized.
     ``by_local_pdr`` lists the node indices by descending local pdr, the mean
     pdr of a node's links (0 when it has none), ties by index: the order in
     which anchor placement tries the nodes.  It hashes by identity, as a key
@@ -306,8 +308,8 @@ class Topology:
             rows[a].append((k, b))
             if b != a:
                 rows[b].append((k, a))
-        self.ends, self.delay, self.pdr = tuple(ends), tuple(delay), tuple(pdr)
-        self.weight = tuple(weight)
+        self.ends, self.delay = array("i", ends), array("d", delay)
+        self.pdr, self.weight = array("d", pdr), array("d", weight)
         self.adj_start = array("i", accumulate(map(len, rows), initial=0))
         self.adj_link = array("i", [k for row in rows for k, _ in row])
         self.adj_node = array("i", [v for row in rows for _, v in row])
@@ -469,7 +471,8 @@ def reserve_channel(net: SubstrateNetwork, link_ids: Iterable[str],
     """Debit bw once from each distinct link of the route, in the order given;
     a bad bw, a bare string or a bad link id raises a SchemaError before any debit.
 
-    The network's eligible-links memo is patched for the debited links.
+    The network's eligible-links memo is patched for the debited links; with
+    no link or a zero bw no bandwidth changes, so it is not looked at.
     """
     _check("bw", bw, int, 0, _HUGE)
     if isinstance(link_ids, str):   # not read as one-character ids
@@ -485,13 +488,11 @@ def reserve_channel(net: SubstrateNetwork, link_ids: Iterable[str],
         if net.links[link_id].bw < bw:
             raise InsufficientCapacityError(
                 f"link {link_id} has {net.links[link_id].bw} < {bw} bandwidth")
-    before = {}
     for link_id in link_ids:
-        link = net.links[link_id]
-        before[link_id] = link.bw
-        link.bw -= bw
+        net.links[link_id].bw -= bw
         ledger.append(("link", link_id, bw))
-    _patch_eligible(net, before)
+    if link_ids and bw:
+        _patch_eligible(net, {link_id: net.links[link_id].bw + bw for link_id in link_ids})
 
 
 def rollback(net: SubstrateNetwork, ledger: list) -> None:
@@ -513,7 +514,8 @@ def rollback(net: SubstrateNetwork, ledger: list) -> None:
             link = net.links[link_id]
             before.setdefault(link_id, link.bw)
             link.bw += dbw
-    _patch_eligible(net, before)
+    if before:
+        _patch_eligible(net, before)
     ledger.clear()
 
 

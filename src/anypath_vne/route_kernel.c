@@ -2,8 +2,8 @@
  *
  * anypath.py builds this file into __pycache__/ and calls route_table through
  * ctypes.  It is a transcription of anypath._orient, anypath._sweep and
- * _expected_time on the arrays of a netmodel.Topology, and it must give the
- * same table float for float and tie for tie:
+ * _expected_time on the arrays of a netmodel.Topology, which it reads in
+ * place, and it must give the same table float for float and tie for tie:
  *
  *   - both Dijkstras keep one heap entry per node, keyed on (cost, node
  *     index), a total order.  heapq's live entries are exactly (cost[u], u)
@@ -102,8 +102,9 @@ static double expected_time(const int *members, int count, const double *pdr,
  * forwarding sets flat: node v's arcs, in priority order, are
  * fwd_arcs[fwd_start[v]:fwd_start[v + 1]], so fwd_start has n + 1 entries and
  * fwd_arcs room for adj_off[n].  The reached nodes go to order in settle
- * order and to ranked.  Returns how many nodes were reached, ROUTE_NAN or
- * ROUTE_NO_MEMORY. */
+ * order and to ranked.  An empty array may be passed as NULL, so with no
+ * links adj_link, adj_nbr, ends, weight, pdr, delay and fwd_arcs may be.
+ * Returns how many nodes were reached, ROUTE_NAN or ROUTE_NO_MEMORY. */
 int route_table(int n, int n_links, const int *adj_off, const int *adj_link,
                 const int *adj_nbr, const int *ends, const double *weight,
                 const double *pdr, const double *delay, const char *eligible,
@@ -189,10 +190,12 @@ int route_table(int n, int n_links, const int *adj_off, const int *adj_link,
     }
 
     /* compact the sets in node order: a set holds at most its node's degree,
-     * so each one moves down, or stays, and keeps its order */
+     * so each one moves down, or stays, and keeps its order.  With no links
+     * fwd_arcs may be NULL, which memmove may not be given even for 0 */
     for (int v = 0; v < n; v++) {
         int count = fwd_start[v];
-        memmove(fwd_arcs + at, fwd_arcs + adj_off[v], (size_t)count * sizeof *fwd_arcs);
+        if (count)
+            memmove(fwd_arcs + at, fwd_arcs + adj_off[v], (size_t)count * sizeof *fwd_arcs);
         fwd_start[v] = at;
         at += count;
     }

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anypath_vne import netmodel
 from anypath_vne.embedder import Coefficients, EmbeddingError, embed
 from anypath_vne.netmodel import (
     Channel,
@@ -592,8 +593,9 @@ def test_topology_of_large_substrate_is_compact():
         tracemalloc.stop()
     # measured: 965 856 B with adjacency as a tuple of (link, neighbour)
     # pairs, 1 145 900 B with link_index added to it, 824 416 B with
-    # link_index and the flat adj_start/adj_link/adj_node arrays
-    assert size <= 900_000
+    # link_index and the flat adj_start/adj_link/adj_node arrays, 726 888 B
+    # with ends, delay, pdr and weight as arrays too
+    assert size <= 800_000
 
 
 # --- eligible-link memo -------------------------------------------------------
@@ -683,6 +685,28 @@ def test_a_debit_that_changes_no_bandwidth_keeps_the_memo_object(route, bw):
     assert net._eligible is memo
     rollback(net, ledger)
     assert net._eligible is memo
+
+
+def test_a_colocated_channel_leaves_the_memo_unpatched(example_net, monkeypatch):
+    # an empty route changes no bandwidth, so neither its reservation nor
+    # the rollback of its ledger, which holds no link record, patches the memo
+    patched = []
+    patch = netmodel._patch_eligible
+    monkeypatch.setattr(netmodel, "_patch_eligible",
+                        lambda *args: patched.append(args) or patch(*args))
+    request = VirtualRequest("r")
+    request.add_service(NanoService("s1", cpu=1))
+    request.add_service(NanoService("s2", cpu=1))
+    request.add_channel(Channel("c1", "s1", "s2", bw=5, max_delay=10.0, min_pdr=0.5))
+    embedding = embed(example_net, request, Coefficients())
+    assert embedding.service_map["s1"] == embedding.service_map["s2"]
+    assert embedding.channel_routes["c1"].links == ()
+    assert patched == []
+    rollback(example_net, embedding.ledger)
+    assert patched == []
+    reserve_channel(example_net, ["l1"], 5, embedding.ledger)
+    rollback(example_net, embedding.ledger)
+    assert len(patched) == 2
 
 
 def test_a_route_naming_a_link_twice_patches_it_once():

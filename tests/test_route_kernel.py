@@ -7,6 +7,7 @@ into ``tmp_path`` for these tests, so they check the source as it is, not an
 object left in ``__pycache__``.
 """
 
+import ctypes
 import importlib.util
 import json
 import math
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anypath_vne import anypath
@@ -43,8 +44,8 @@ def kernel(tmp_path_factory):
     if shutil.which("cc") is None:
         pytest.skip(NO_CC)
     directory = tmp_path_factory.mktemp("kernel")
-    built = anypath._load_kernel(directory)
-    assert built is not None
+    built, reason = anypath._load_kernel(directory)
+    assert built is not None and reason is None
     assert [path.suffix for path in directory.iterdir()] == [".so"]
     return built
 
@@ -157,8 +158,21 @@ def tie_prone_nets(draw) -> SubstrateNetwork:
     return net
 
 
+def small_net(nodes: int, links=()) -> SubstrateNetwork:
+    """Nodes n1..n<nodes> and a link l<k> per (a, b) pair of links."""
+    net = SubstrateNetwork()
+    for i in range(1, nodes + 1):
+        net.add_node(f"n{i}", 1, 1, 1)
+    for k, (a, b) in enumerate(links, 1):
+        net.add_link(f"l{k}", a, b, bw=5, delay=1.0, pdr=0.5)
+    return net
+
+
 @settings(max_examples=300, deadline=None)
 @given(net=tie_prone_nets())
+# with no links the kernel gets NULL for its empty link and arc arrays
+@example(net=small_net(3))
+@example(net=small_net(3, [("n1", "n2")]))    # n3 is isolated
 def test_tie_prone_substrates(kernel, net):
     for dst in net.nodes:
         for bw in (0, 5):
@@ -175,7 +189,7 @@ def test_flat_layout_on_tie_prone_substrates(build, net):
 
 def test_compiled_table_of_large_substrate_is_compact(kernel):
     # a random spanning tree of 1000 nodes and 2001 more random links, so
-    # every node is reached; the topology is packed before the count starts
+    # every node is reached
     rng = random.Random(1000)
     net = SubstrateNetwork()
     for i in range(1, 1001):
@@ -186,7 +200,6 @@ def test_compiled_table_of_large_substrate_is_compact(kernel):
         net.add_link(f"l{k}", f"n{a}", f"n{b}", bw=1, delay=rng.randrange(1, 2049) / 128,
                      pdr=rng.randrange(512, 1025) / 1024)
     topology, eligible = net.topology(), net.eligible_links(0)
-    anypath._pack(topology)
     tracemalloc.start()
     try:
         table = anypath._compiled_table(kernel, topology, "n1", eligible)
@@ -194,9 +207,10 @@ def test_compiled_table_of_large_substrate_is_compact(kernel):
     finally:
         tracemalloc.stop()
     assert len(table.settle_order) == 1000
-    # 58 819 B measured; 114 979 B with settle_order and ranked as lists of
-    # ints, 230 627 B with a tuple per node
-    assert size <= 70_000
+    # 52 516 B measured with the output arrays written in place, 58 819 B
+    # with ctypes outputs copied out; 114 979 B with settle_order and ranked
+    # as lists of ints, 230 627 B with a tuple per node
+    assert size <= 60_000
 
 
 @pytest.mark.parametrize("behind", [False, True])
@@ -269,9 +283,12 @@ def test_a_nan_cost_falls_back_to_the_python_kernel(kernel, monkeypatch):
         net.add_node(f"n{i}", 1, 1, 1)
     for k, (a, b) in enumerate((("n1", "n2"), ("n2", "n3"), ("n1", "n3"), ("n3", "n4")), 1):
         net.add_link(f"l{k}", a, b, bw=1, delay=1.0, pdr=0.5)
-    topology = net.topology()
-    topology.pdr = topology.pdr[:4] + (math.nan, math.nan) + topology.pdr[6:]
-    eligible = net.eligible_links(0)
+    topology, eligible = net.topology(), net.eligible_links(0)
+    # a table built before the write shows that the kernel reads the
+    # topology's arrays, not a copy made on an earlier call
+    unchanged = anypath._compiled_table(kernel, topology, "n1", eligible)
+    assert not any(map(math.isnan, unchanged.cost))
+    topology.pdr[4] = topology.pdr[5] = math.nan
     monkeypatch.setattr(anypath, "_kernel", kernel)
     monkeypatch.setattr(anypath, "nan_fallbacks", 0)
     anypath._table.cache_clear()
@@ -296,9 +313,24 @@ def test_an_eligible_string_of_another_length_is_not_handed_to_the_kernel(kernel
         anypath._table.__wrapped__(net.topology(), "n1", b"\x01")
 
 
+def test_topology_fields_have_the_kernels_element_types(example_net):
+    # the kernel takes them by address, so ctypes checks no element type
+    topology = example_net.topology()
+    for name in ("adj_start", "adj_link", "adj_node", "ends"):
+        field = getattr(topology, name)
+        assert type(field) is array and field.typecode == "i", name
+        assert field.itemsize == ctypes.sizeof(ctypes.c_int), name
+    for name in ("weight", "pdr", "delay"):
+        field = getattr(topology, name)
+        assert type(field) is array and field.typecode == "d", name
+    assert topology.adj_start[-1] == 2 * len(topology.link_ids) == len(topology.ends)
+    assert len(topology.weight) == len(topology.link_ids)
+    assert len(topology.pdr) == len(topology.delay) == len(topology.ends)
+
+
 @needs_cc
 def test_the_import_builds_and_loads_the_compiled_kernel():
-    assert anypath.KERNEL == "c"
+    assert (anypath.KERNEL, anypath.KERNEL_REASON) == ("c", None)
     built = list((Path(anypath.__file__).parent / "__pycache__").glob("route_kernel.*.so"))
     assert built and all(".tmp" not in path.name for path in built)
 
@@ -322,7 +354,8 @@ def test_without_a_compiler_the_package_uses_the_python_kernel(tmp_path):
         request.add_channel(netmodel.Channel("c1", "s1", "s2", bw=5,
                                              max_delay=100.0, min_pdr=0.1))
         embedding = embedder.embed(net, request, embedder.Coefficients())
-        print(json.dumps({"kernel": anypath.KERNEL, "file": anypath.__file__,
+        print(json.dumps({"kernel": anypath.KERNEL, "reason": anypath.KERNEL_REASON,
+                          "file": anypath.__file__,
                           "embedding": embedding.to_dict()}))
     """)
     runs = {}
@@ -334,8 +367,39 @@ def test_without_a_compiler_the_package_uses_the_python_kernel(tmp_path):
         assert proc.returncode == 0, proc.stderr
         runs[name] = json.loads(proc.stdout)
     copy = runs["copy"]
-    assert copy["kernel"] == "python"
+    assert (copy["kernel"], copy["reason"]) == ("python", "cc not found")
+    repository = runs["repository"]
+    assert (repository["reason"] is None) == (repository["kernel"] == "c")
     assert Path(copy["file"]).is_relative_to(tmp_path)
     assert copy["embedding"] == runs["repository"]["embedding"]
     assert copy["embedding"]["services"] == {"s1": "n1", "s2": "n3"}
     assert not list((tmp_path / "src" / "anypath_vne").glob("__pycache__/route_kernel*"))
+
+
+@pytest.mark.parametrize("script, reason", [
+    ('echo "cc: a note" >&2; echo "cc: fatal error: no input" >&2; exit 1',
+     "cc: fatal error: no input"),
+    ("exit 3", "cc exited with status 3"),
+])
+def test_a_failed_build_keeps_the_compilers_last_stderr_line(tmp_path, monkeypatch,
+                                                             script, reason):
+    (tmp_path / "bin").mkdir()
+    cc = tmp_path / "bin" / "cc"
+    cc.write_text(f"#!/bin/sh\n{script}\n")
+    cc.chmod(0o755)
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    assert anypath._load_kernel(tmp_path / "kernel") == (None, reason)
+    assert not list((tmp_path / "kernel").iterdir())
+
+
+def test_an_object_that_does_not_load_keeps_the_load_error(tmp_path, monkeypatch):
+    # a cc that writes a file that is not a shared object where -o names
+    (tmp_path / "bin").mkdir()
+    cc = tmp_path / "bin" / "cc"
+    cc.write_text('#!/bin/sh\nwhile [ "$1" != -o ]; do shift; done\necho junk > "$2"\n')
+    cc.chmod(0o755)
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    kernel, reason = anypath._load_kernel(tmp_path / "kernel")
+    assert kernel is None
+    [built] = (tmp_path / "kernel").iterdir()
+    assert built.suffix == ".so" and str(built) in reason
