@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import sys
@@ -565,7 +566,8 @@ def test_add_link_rebuilds_topology_and_routes_use_the_link(example_net):
 def test_reservations_on_a_clone_leave_the_topology_alone(
         example_net, example_request, example_coeffs):
     topology = example_net.topology()
-    fields = {name: getattr(topology, name) for name in Topology.__slots__}
+    # copies, since the typed arrays could be written in place
+    fields = {name: copy.copy(getattr(topology, name)) for name in Topology.__slots__}
     work = example_net.clone()
     embed(work, example_request, example_coeffs)
     assert work.snapshot() != example_net.snapshot()

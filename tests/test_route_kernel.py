@@ -159,7 +159,7 @@ def tie_prone_nets(draw) -> SubstrateNetwork:
 
 
 def small_net(nodes: int, links=()) -> SubstrateNetwork:
-    """Nodes n1..n<nodes> and a link l<k> per (a, b) pair of links."""
+    """Nodes n1..n<nodes>, and link l<k> between the k-th (a, b) of links."""
     net = SubstrateNetwork()
     for i in range(1, nodes + 1):
         net.add_node(f"n{i}", 1, 1, 1)
@@ -376,6 +376,15 @@ def test_without_a_compiler_the_package_uses_the_python_kernel(tmp_path):
     assert not list((tmp_path / "src" / "anypath_vne").glob("__pycache__/route_kernel*"))
 
 
+def fake_cc(tmp_path, monkeypatch, script: str):
+    """Put a cc that runs the shell script alone on PATH."""
+    (tmp_path / "bin").mkdir()
+    cc = tmp_path / "bin" / "cc"
+    cc.write_text(f"#!/bin/sh\n{script}\n")
+    cc.chmod(0o755)
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+
+
 @pytest.mark.parametrize("script, reason", [
     ('echo "cc: a note" >&2; echo "cc: fatal error: no input" >&2; exit 1',
      "cc: fatal error: no input"),
@@ -383,22 +392,14 @@ def test_without_a_compiler_the_package_uses_the_python_kernel(tmp_path):
 ])
 def test_a_failed_build_keeps_the_compilers_last_stderr_line(tmp_path, monkeypatch,
                                                              script, reason):
-    (tmp_path / "bin").mkdir()
-    cc = tmp_path / "bin" / "cc"
-    cc.write_text(f"#!/bin/sh\n{script}\n")
-    cc.chmod(0o755)
-    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    fake_cc(tmp_path, monkeypatch, script)
     assert anypath._load_kernel(tmp_path / "kernel") == (None, reason)
     assert not list((tmp_path / "kernel").iterdir())
 
 
 def test_an_object_that_does_not_load_keeps_the_load_error(tmp_path, monkeypatch):
-    # a cc that writes a file that is not a shared object where -o names
-    (tmp_path / "bin").mkdir()
-    cc = tmp_path / "bin" / "cc"
-    cc.write_text('#!/bin/sh\nwhile [ "$1" != -o ]; do shift; done\necho junk > "$2"\n')
-    cc.chmod(0o755)
-    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    # the file that -o names is not a shared object
+    fake_cc(tmp_path, monkeypatch, 'while [ "$1" != -o ]; do shift; done; echo junk > "$2"')
     kernel, reason = anypath._load_kernel(tmp_path / "kernel")
     assert kernel is None
     [built] = (tmp_path / "kernel").iterdir()
