@@ -115,11 +115,14 @@ class Coefficients:
 class ChannelRoute:
     """Realized route of one channel, oriented in the data-flow direction.
 
-    ``arcs`` are the arcs of ``anypath.route_closure`` on ``topology``, turned
-    into flow direction (``arc ^ 1`` for a route computed backwards), by
-    transmitter in natural-key order; a transmitter's arcs are in priority
-    order, or by relay in natural-key order when transposed.  ``links`` are
-    their distinct link ids in link order, the order ``to_dict`` lists them in.
+    ``closure`` holds the arcs of ``anypath.route_closure`` on ``topology``,
+    as computed toward the anchor; ``reverse`` is true when that was against
+    the flow.  ``arcs`` turns them into flow direction (``arc ^ 1`` for a
+    reversed route), by transmitter in natural-key order; a transmitter's arcs
+    are in priority order, or by relay in natural-key order when transposed.
+    It is built on each read, since only ``to_dict`` needs it.  ``links`` are
+    the distinct link ids in link order, the order ``to_dict`` lists them in;
+    both are empty when the endpoints share a node.
     """
 
     channel_id: str
@@ -128,7 +131,12 @@ class ChannelRoute:
     links: tuple
     eatt: float                # realized route cost checked against the bound
     topology: Topology
-    arcs: tuple
+    closure: tuple
+    reverse: bool
+
+    @property
+    def arcs(self) -> tuple:
+        return _flow_arcs(self.topology, self.closure, self.reverse)
 
     def to_dict(self) -> dict:
         topology = self.topology
@@ -218,7 +226,7 @@ def select_min_links(table: anypath.AnypathRouteTable, accepts,
     return None
 
 
-def _flow_arcs(topology: Topology, closure: list, reverse: bool) -> tuple:
+def _flow_arcs(topology: Topology, closure: tuple, reverse: bool) -> tuple:
     """The arcs of ``anypath.route_closure``, ordered as ``ChannelRoute.arcs``."""
     ends = topology.ends
     arcs = [arc ^ reverse for arc in closure]
@@ -244,7 +252,9 @@ def embed(net: SubstrateNetwork, request: VirtualRequest,
     table's (links, cost, id) order whose cost is within max_delay / min_pdr
     and that is its node, if it is placed, or fits it otherwise.  A service
     that fits no node blocks the request before its channel's table is
-    fetched; a channel with no such node blocks it after.
+    fetched; a channel with no such node blocks it after.  The route's links
+    are debited and recorded in the ledger; a channel whose endpoints share a
+    node has an empty route, and no ``reserve_channel`` call is made for it.
 
     Each channel's table comes from ``anypath.route_table``: it is shared
     through the substrate's topology with earlier channels, earlier calls and
@@ -288,14 +298,17 @@ def embed(net: SubstrateNetwork, request: VirtualRequest,
 
             topology = table.topology
             closure = anypath.route_closure(table, selected)
-            # the route DAG orients each link one way, so no link has two arcs here
-            links = tuple([topology.link_ids[arc >> 1] for arc in sorted(closure)])
-            reserve_channel(net, links, channel.bw, ledger)
+            if closure:
+                closure = tuple(closure)
+                # the route DAG orients each link one way, so no link has two arcs here
+                links = tuple([topology.link_ids[arc >> 1] for arc in sorted(closure)])
+                reserve_channel(net, links, channel.bw, ledger)
+            else:   # the endpoints share a node: nothing to debit
+                closure = links = ()
             flow_src, flow_dst = (n_dst, selected) if reverse else (selected, n_dst)
             embedding.channel_routes[channel.id] = ChannelRoute(
                 channel.id, flow_src, flow_dst, links,
-                table.cost[topology.index[selected]],
-                topology, _flow_arcs(topology, closure, reverse))
+                table.cost[topology.index[selected]], topology, closure, reverse)
 
         # services with no incident channel are placed on their own
         for sid in sorted(request.services.keys() - placed.keys(), key=natural_key):

@@ -18,7 +18,7 @@ from .embedder import Coefficients
 from .metrics import LinkUsage, NodeUsage, metrics_report
 from .netmodel import (_REAL, Channel, NanoService, SchemaError, SubstrateNetwork,
                        VirtualRequest, _check, _shown)
-from .windowing import process_window
+from .windowing import embed_ranked, rank_window, ranking_keys
 
 
 def example_fixture():
@@ -282,6 +282,8 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResults:
     Each iteration draws a fresh pool of max(loads) requests from its own RNG
     stream; each load level embeds the pool prefix of that length into a fresh
     copy of the substrate, so load levels share requests but never reservations.
+    The pool is scored once, and each prefix is ranked from those scores in
+    the order ``process_window`` would give it.
     """
     base = SUBSTRATE_FIXTURES[cfg.substrate]()
     results = SimulationResults()
@@ -292,9 +294,10 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResults:
     link_sums = dict.fromkeys(cfg.loads, 0)
     for iteration, child in enumerate(iteration_streams(cfg)):
         pool = iteration_pool(cfg, child)
+        keys = ranking_keys(pool, cfg.coefficients)
         for load in cfg.loads:
             net = base.clone()
-            outcomes = process_window(net, pool[:load], cfg.coefficients)
+            outcomes = embed_ranked(net, rank_window(pool[:load], keys), cfg.coefficients)
             report = metrics_report(base, net, outcomes, cfg.coefficients)
             accepted = sum(result.accepted for result in outcomes)
             results.raw_rows.append(RawRow(

@@ -35,16 +35,28 @@ class RequestOutcome:
         return self.error is None
 
 
-def process_window(net: SubstrateNetwork, requests,
-                   coeffs: Coefficients) -> list[RequestOutcome]:
-    """Embed a window of requests in descending quality-revenue order and
-    return their outcomes in that order.
+def ranking_keys(requests, coeffs: Coefficients) -> list[float]:
+    """Each request's ranking key, its negated quality revenue, in request order."""
+    return [-request_quality_revenue(r, coeffs) for r in requests]
+
+
+def rank_window(requests: list, keys: list) -> list:
+    """The requests in ascending key order; ties keep arrival order.
+
+    ``keys[i]`` is the key of ``requests[i]``, and may run past the window,
+    so one scoring of a pool ranks every prefix of it as a sort of that
+    prefix alone would, bit for bit and NaN keys included.
+    """
+    return [requests[i] for i in sorted(range(len(requests)), key=keys.__getitem__)]
+
+
+def embed_ranked(net: SubstrateNetwork, ranked,
+                 coeffs: Coefficients) -> list[RequestOutcome]:
+    """Embed the requests in the order given and return their outcomes in it.
 
     Blocked requests are rolled back inside embed() and leave no trace on the
     substrate, so later requests see only the accepted reservations.
     """
-    ranked = sorted(requests,
-                    key=lambda r: -request_quality_revenue(r, coeffs))
     outcomes = []
     for request in ranked:
         try:
@@ -55,3 +67,12 @@ def process_window(net: SubstrateNetwork, requests,
         else:
             outcomes.append(RequestOutcome(request, embedding))
     return outcomes
+
+
+def process_window(net: SubstrateNetwork, requests,
+                   coeffs: Coefficients) -> list[RequestOutcome]:
+    """Embed a window of requests in descending quality-revenue order, ties
+    in arrival order, and return their outcomes in that order."""
+    requests = list(requests)
+    return embed_ranked(net, rank_window(requests, ranking_keys(requests, coeffs)),
+                        coeffs)

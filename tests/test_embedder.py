@@ -31,6 +31,7 @@ from anypath_vne.netmodel import (
     VirtualRequest,
     fits,
     natural_key,
+    rollback,
     substrate_from_dict,
     substrate_to_dict,
 )
@@ -536,6 +537,42 @@ def test_any_exception_in_embed_rolls_back_every_reservation(example, monkeypatc
         embed(net, request, coeffs)
     assert len(calls) == 2
     assert net.snapshot() == before
+
+
+def test_a_colocated_channel_reserves_nothing(monkeypatch):
+    # both services fit n1, so c1's free endpoint joins its anchor there and
+    # the route is empty: no reserve_channel call, no link record, no memo patch
+    net = two_node_net()
+    request = VirtualRequest("r")
+    request.add_service(NanoService("s1", cpu=10))
+    request.add_service(NanoService("s2", cpu=10))
+    request.add_channel(Channel("c1", "s1", "s2", bw=5, max_delay=10.0, min_pdr=0.5))
+    calls = _count_calls(monkeypatch, embedder, "reserve_channel")
+    memo = net._eligible
+    embedding = embed(net, request, Coefficients())
+    route = embedding.channel_routes["c1"]
+    assert route.src_node == route.dst_node == "n1"
+    assert route.links == () and route.arcs == ()
+    assert calls == []
+    assert [record[0] for record in embedding.ledger] == ["node", "node"]
+    assert net._eligible is memo
+    assert net.links["l1"].bw == 100
+
+
+def test_a_route_owns_its_closure(example):
+    # the JSON of an embedding does not move when its substrate is rolled
+    # back and embedded into again, over the same cached route tables
+    net, request, coeffs = example
+    embedding = embed(net, request, coeffs)
+    line = json.dumps(embedding.to_dict())
+    assert all(type(route.closure) is tuple
+               for route in embedding.channel_routes.values())
+    rollback(net, list(embedding.ledger))
+    other = embed(net, request, Coefficients(gamma=1.0))
+    rollback(net, other.ledger)
+    again = embed(net, request, coeffs)
+    assert json.dumps(embedding.to_dict()) == line
+    assert json.dumps(again.to_dict()) == line
 
 
 def _with_nodes_in(net, order) -> SubstrateNetwork:

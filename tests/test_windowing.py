@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from anypath_vne.netmodel import (
     Channel,
     NanoService,
     SchemaError,
+    SubstrateNetwork,
     VirtualRequest,
     request_from_dict,
     request_to_dict,
@@ -26,6 +29,8 @@ from anypath_vne.netmodel import (
 from anypath_vne.windowing import (
     RequestOutcome,
     process_window,
+    rank_window,
+    ranking_keys,
     request_quality_revenue,
 )
 
@@ -217,3 +222,33 @@ def test_doubling_every_delay_doubles_every_eatt_and_changes_nothing_else():
                 assert twin.eatt == 2 * route.eatt
             accepted += 1
     assert accepted >= 600
+
+
+_HUGE = sys.float_info.max
+
+
+@pytest.mark.parametrize("alpha", [(1.0, 1.0, 1.0), (_HUGE, -_HUGE, 0.0)])
+def test_one_scoring_of_a_pool_ranks_each_prefix_as_process_window(alpha):
+    # 100 requests on a few values tie often; with the huge weights their
+    # revenue is also inf, -inf or NaN.  The pool is longer than 64, so the
+    # sort merges runs, where NaN keys make the ranked pool, filtered to a
+    # prefix, differ from that prefix ranked alone
+    rng = random.Random(3)
+    pool = []
+    for i in range(100):
+        request = VirtualRequest(f"r{i + 1}")
+        request.add_service(NanoService("s1", cpu=rng.choice((0, 1, 2)),
+                                        gpu=rng.choice((0, 2))))
+        pool.append(request)
+    coeffs = Coefficients(alpha=alpha)
+    keys = ranking_keys(pool, coeffs)
+    assert len(set(map(repr, keys))) < 10
+    net = SubstrateNetwork()
+    net.add_node("n1", cpu=0, gpu=0, mem=0)
+    whole = rank_window(pool, keys)
+    filtered = 0
+    for load in range(1, len(pool) + 1):
+        expected = [r.request for r in process_window(net.clone(), pool[:load], coeffs)]
+        assert rank_window(pool[:load], keys) == expected
+        filtered += [r for r in whole if int(r.id[1:]) <= load] != expected
+    assert (filtered > 0) == any(map(math.isnan, keys))
