@@ -50,13 +50,12 @@ nodes in the same order; it ranks with a counting sort by link count.  It
 reads the topology's typed arrays in place, by address, and writes the
 table's own arrays in its flat layout, so a miss copies no field in Python.
 Without a compiler, or when the build or the load fails, ``_orient`` and
-``_sweep`` build every table; ``KERNEL`` ("c" or "python") says which
-kernel is in use, and ``KERNEL_REASON`` why it is the Python one (None when
-it is not).  The Python kernel stays the reference that the tests
-compare the compiled one with.  A NaN cost cannot arise from validated
-links, but the compiled kernel reports one instead of ordering it, and
-``_table`` then builds that table in Python and counts it in
-``nan_fallbacks``.
+``_sweep`` build every table.  ``KERNEL`` ("c" or "python") names the one
+kernel that builds every table in the process, and ``KERNEL_REASON`` why it
+is the Python one (None when it is not).  The Python kernel stays the
+reference that the tests compare the compiled one with.  A NaN cost cannot
+arise from validated links; the compiled kernel refuses one with a
+FloatingPointError instead of ordering it.
 """
 
 from __future__ import annotations
@@ -273,11 +272,10 @@ def _load_kernel(directory: Path) -> tuple:
 
 _kernel, KERNEL_REASON = _load_kernel(Path(__file__).with_name("__pycache__"))
 KERNEL = "python" if _kernel is None else "c"    # the kernel the import chose
-nan_fallbacks = 0    # tables that the compiled kernel handed back for a NaN cost
 
 
-def _compiled_table(kernel, topology: Topology, dst: str, eligible: bytes):
-    """The route table built by the compiled kernel; None when it met a NaN cost."""
+def _compiled_table(kernel, topology: Topology, dst: str, eligible: bytes) -> AnypathRouteTable:
+    """The route table built by the compiled kernel; a NaN cost raises FloatingPointError."""
     n = len(topology.nodes)
     cost, start = array("d", [0.0]) * n, array("i", [0]) * (n + 1)
     arcs = array("i", [0]) * topology.adj_start[n]
@@ -287,10 +285,9 @@ def _compiled_table(kernel, topology: Topology, dst: str, eligible: bytes):
         topology.weight, topology.pdr, topology.delay, cost, start, arcs, order, ranked)]
     reached = kernel(n, len(topology.link_ids), *address[:7], eligible, topology.index[dst],
                      *address[7:])
-    if reached == -2:    # ROUTE_NO_MEMORY; ROUTE_NAN is -1
-        raise MemoryError("route kernel")
-    if reached < 0:
-        return None
+    if reached < 0:    # ROUTE_NO_MEMORY is -2, ROUTE_NAN -1
+        raise (MemoryError("route kernel") if reached == -2 else
+               FloatingPointError(f"route kernel: a NaN cost toward {_cut(dst)}"))
     # the arcs in use end at start[n]
     del arcs[start[n]:], order[reached:], ranked[reached:]
     return AnypathRouteTable(topology, dst, cost.tolist(), arcs, start, order, ranked)
@@ -298,18 +295,15 @@ def _compiled_table(kernel, topology: Topology, dst: str, eligible: bytes):
 
 @lru_cache(maxsize=ROUTE_CACHE_SIZE)
 def _table(topology: Topology, dst: str, eligible: bytes) -> AnypathRouteTable:
-    """A table miss, by the compiled kernel when it is loaded, else (or when it
-    meets a NaN cost) by ``_orient`` and ``_sweep``.  A dst that is not a node
-    raises a SchemaError."""
-    global nan_fallbacks
+    """A table miss, by the compiled kernel when it is loaded, else by
+    ``_orient`` and ``_sweep``.  A dst that is not a node, or an eligible
+    string that is not one byte per link, raises a SchemaError."""
     if dst not in topology.index:
         raise SchemaError("dst", f"{_cut(dst)} is not a node")
-    # the kernel reads a byte per link, so any other length stays in Python
-    if _kernel is not None and len(eligible) == len(topology.link_ids):
-        table = _compiled_table(_kernel, topology, dst, eligible)
-        if table is not None:
-            return table
-        nan_fallbacks += 1
+    if len(eligible) != len(topology.link_ids):
+        raise SchemaError("eligible", f"{len(eligible)} bytes for {len(topology.link_ids)} links")
+    if _kernel is not None:
+        return _compiled_table(_kernel, topology, dst, eligible)
     return _sweep(topology, dst, _orient(topology, dst, eligible)[1])
 
 

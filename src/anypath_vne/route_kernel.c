@@ -23,8 +23,8 @@
  *     insertion sort only mends rounding and is linear in practice.
  *
  * A NaN cost would make the Python heap's key non-total, so the kernel does
- * not imitate it: it returns ROUTE_NAN and anypath.py builds that table with
- * the Python kernel.
+ * not imitate it: it returns ROUTE_NAN, and anypath.py raises
+ * FloatingPointError instead of building that table another way.
  */
 #include <math.h>
 #include <stdint.h>

@@ -55,6 +55,22 @@ def test_example_command(capsys):
     assert "l1,l2,l3,l4" in out
 
 
+@pytest.mark.parametrize("fault", ["blocked", "differs"])
+def test_example_that_fails_its_self_check_exits_internal(monkeypatch, capsys, fault):
+    if fault == "blocked":
+        def blocked(net, request, coeffs):
+            raise cli.EmbeddingError("no route")
+
+        monkeypatch.setattr(cli, "embed", blocked)
+        message = "embedding unexpectedly blocked: no route"
+    else:
+        monkeypatch.setitem(cli._EXAMPLE_BW, "l6", 91)
+        message = "self-check failed: result differs from the reference tables"
+    assert cli.main(["example"]) == cli.EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.splitlines() == [message]
+
+
 def test_validate_clean_substrate(example_files):
     substrate, _, _ = example_files
     assert cli.main(["validate", "--substrate", str(substrate)]) == cli.EXIT_OK
@@ -124,6 +140,25 @@ def test_embed_command_blocked_names_service(example_files, tmp_path, capsys):
     assert code == cli.EXIT_BLOCKED
     detail = json.loads(capsys.readouterr().out)
     assert detail["service"] == "s1"
+
+
+def test_embed_command_blocked_names_channel(example_files, tmp_path, capsys):
+    # only n1 has the cpu for s1 and only n2 and n5 the mem for s2, and
+    # every route between them is slower than c1's max_delay
+    substrate, _, _ = example_files
+    doc = {"services": [{"id": "s1", "cpu": 30, "gpu": 0, "mem": 0},
+                        {"id": "s2", "cpu": 0, "gpu": 0, "mem": 40}],
+           "channels": [{"id": "c1", "src": "s1", "dst": "s2", "bw": 1,
+                         "max_delay": 1.0, "min_pdr": 0.5}]}
+    request_file = tmp_path / "tight.json"
+    request_file.write_text(json.dumps(doc))
+    code = cli.main(["embed", "--substrate", str(substrate),
+                     "--request", str(request_file)])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_BLOCKED
+    assert err == ""
+    detail = json.loads(out)
+    assert detail == {"error": "no feasible route for channel c1", "channel": "c1"}
 
 
 def test_embed_command_schema_error(example_files, tmp_path, capsys):

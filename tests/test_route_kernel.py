@@ -27,7 +27,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anypath_vne import anypath
-from anypath_vne.netmodel import SubstrateNetwork
+from anypath_vne.embedder import embed
+from anypath_vne.netmodel import SchemaError, SubstrateNetwork
 
 import helpers
 from helpers import random_substrate
@@ -251,7 +252,6 @@ def test_overflowing_costs_match_and_never_fall_back(kernel, monkeypatch):
     # predecessor's, so it is finite, and no product 0 * inf, hence no NaN,
     # can arise from validated links
     monkeypatch.setattr(anypath, "_kernel", kernel)
-    monkeypatch.setattr(anypath, "nan_fallbacks", 0)
     rng = random.Random(11)
     priced_inf = 0
     for _ in range(300):
@@ -271,13 +271,11 @@ def test_overflowing_costs_match_and_never_fall_back(kernel, monkeypatch):
             priced_inf += any(cost == math.inf for i, cost in enumerate(table.cost)
                               if table.members(i))
     assert priced_inf > 100
-    assert anypath.nan_fallbacks == 0
 
 
-def test_a_nan_cost_falls_back_to_the_python_kernel(kernel, monkeypatch):
+def test_a_nan_cost_is_refused_by_the_compiled_kernel(kernel, monkeypatch):
     # validation refuses a NaN pdr, so it is put into a built topology; the
-    # compiled kernel reports the NaN, and _table serves and counts the
-    # Python kernel's table
+    # compiled kernel reports the NaN, and neither it nor _table builds a table
     net = SubstrateNetwork()
     for i in range(1, 5):
         net.add_node(f"n{i}", 1, 1, 1)
@@ -290,27 +288,61 @@ def test_a_nan_cost_falls_back_to_the_python_kernel(kernel, monkeypatch):
     assert not any(map(math.isnan, unchanged.cost))
     topology.pdr[4] = topology.pdr[5] = math.nan
     monkeypatch.setattr(anypath, "_kernel", kernel)
-    monkeypatch.setattr(anypath, "nan_fallbacks", 0)
     anypath._table.cache_clear()
-    assert anypath._compiled_table(kernel, topology, "n1", eligible) is None
-    served = anypath._table(topology, "n1", eligible)
-    assert anypath.nan_fallbacks == 1
-    reference = helpers.table(net, "n1", 0)
-    assert any(map(math.isnan, served.cost))
-    assert repr(served) == repr(reference)
-    anypath._table.cache_clear()
+    with pytest.raises(FloatingPointError, match="n1"):
+        anypath._compiled_table(kernel, topology, "n1", eligible)
+    with pytest.raises(FloatingPointError):
+        anypath._table(topology, "n1", eligible)
+    assert anypath._table.cache_info().currsize == 0
+    # the Python kernel orders the NaN instead
+    assert any(map(math.isnan, helpers.table(net, "n1", 0).cost))
 
 
-def test_an_eligible_string_of_another_length_is_not_handed_to_the_kernel(kernel, monkeypatch):
-    # the kernel would read past a short one; the Python kernel raises
+def no_python_kernel(*args):
+    raise AssertionError("the Python kernel ran")
+
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["python", "c"])
+def test_an_eligible_string_of_another_length_is_refused(request, monkeypatch, compiled):
+    # the compiled kernel would read past a short one, and a long one would
+    # pass unseen in the Python kernel
     net = SubstrateNetwork()
     for nid in ("n1", "n2", "n3"):
         net.add_node(nid, 1, 1, 1)
     net.add_link("l1", "n1", "n2", bw=1, delay=1.0, pdr=0.5)
     net.add_link("l2", "n2", "n3", bw=1, delay=1.0, pdr=0.5)
-    monkeypatch.setattr(anypath, "_kernel", kernel)
-    with pytest.raises(IndexError):
-        anypath._table.__wrapped__(net.topology(), "n1", b"\x01")
+    monkeypatch.setattr(anypath, "_kernel",
+                        request.getfixturevalue("kernel") if compiled else None)
+    monkeypatch.setattr(anypath, "_sweep", no_python_kernel)
+    anypath._table.cache_clear()
+    for eligible in (b"\x01", b"\x01\x01\x01"):
+        with pytest.raises(SchemaError) as refused:
+            anypath._table(net.topology(), "n1", eligible)
+        assert refused.value.field == "eligible"
+    assert anypath._table.cache_info().currsize == 0
+
+
+def test_the_compiled_kernel_builds_every_table(kernel, monkeypatch, example):
+    # with the compiled kernel loaded, each table miss is one kernel call and
+    # the Python kernel never runs
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(anypath, "_kernel", counting)
+    monkeypatch.setattr(anypath, "_sweep", no_python_kernel)
+    anypath._table.cache_clear()
+    net, request, coeffs = example
+    for dst in net.nodes:
+        for channel in request.channels:
+            anypath.route_table(net, dst, channel.bw)
+    embedding = embed(net, request, coeffs)
+    assert embedding.service_map == {"s1": "n1", "s2": "n4", "s3": "n5"}
+    assert calls == anypath._table.cache_info().misses > len(net.nodes)
+    anypath._table.cache_clear()
 
 
 def test_topology_fields_have_the_kernels_element_types(example_net):

@@ -1,9 +1,11 @@
+import csv
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from anypath_vne.cli import write_results
 from anypath_vne.embedder import Coefficients
 from anypath_vne.metrics import metrics_report
 from anypath_vne.netmodel import (
@@ -364,3 +366,18 @@ def test_run_simulation_aggregates_like_the_per_window_reports():
             assert (row.link, row.bw_total) == (cells[0].link, cells[0].bw_total)
             for name in ("channels", "bw_used"):
                 assert getattr(row, name) == float(np.mean([getattr(c, name) for c in cells]))
+
+
+def test_a_metric_with_no_finite_value_summarises_as_nan(tmp_path):
+    # nothing costs anything, so every window's rc_ratio divides by a zero cost
+    free = Coefficients(cost_alpha=(0.0, 0.0, 0.0), cost_beta=0.0)
+    results = run_simulation(SimulationConfig(iterations=2, coefficients=free))
+    assert results.raw_rows and all(math.isnan(row.rc_ratio) for row in results.raw_rows)
+    for summary in results.summaries:
+        assert all(map(math.isnan, summary.stats["rc_ratio"]))
+    write_results(results, tmp_path)
+    with open(tmp_path / "summary.csv", newline="") as handle:
+        rc = [row[2:] for row in csv.reader(handle) if row[1] == "rc_ratio"]
+    assert rc == [["nan", "nan"]] * len(results.summaries)
+    # one finite value has a mean and no spread
+    assert _mean_std([math.nan, 2.5, -math.inf]) == (2.5, 0.0)
