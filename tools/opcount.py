@@ -19,8 +19,8 @@ Four lines are printed, each count line as
     kernel <anypath.KERNEL>
     <input> <opcodes> opcodes <n> table misses <n> kernel calls <n> eligible-link scans
 
-for three inputs, all at seed 1 and built by ``bench/workloads.py`` as the
-benchmark builds them:
+for three inputs, the first two at seed 1 and built by
+``bench/workloads.py`` as the benchmark builds them:
 
 - ``chain-1000 embed``: one warm ``embed`` of the chain request into a clone
   of the first chain-1000 instance; its warm-up fills the route cache;
@@ -107,7 +107,8 @@ def counted(fn) -> tuple[int, int, int, int]:
 
 def bench_workloads():
     """The benchmark's workload module."""
-    sys.path.insert(0, str(ROOT / "bench"))
+    if str(ROOT / "bench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "bench"))
     import workloads
 
     return workloads
