@@ -4,13 +4,17 @@ Two substrates ship with the package: a 5-node teaching example with a
 matching 3-service request, and the 10-node mesh used by the load-sweep
 simulation.  Requests for the sweep are generated from independent per
 iteration RNG streams derived with numpy's SeedSequence.spawn, which keeps
-every iteration reproducible from one master seed.
+every iteration reproducible from one master seed.  An iteration's pool reads
+its stream's raw PCG64 output in blocks and turns it into the draws numpy's
+``default_rng(stream)`` would give, bit for bit, in Python, so a draw costs no
+numpy call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -174,6 +178,59 @@ def _sample_channel_attrs(rng, cfg: GeneratorConfig):
     return bw, delay, pdr
 
 
+class _PCG64Draws:
+    """numpy ``Generator.integers``, ``random`` and ``uniform`` on one PCG64
+    stream, bit for bit, with no numpy call per draw.
+
+    The stream's raw 64-bit outputs are read in blocks of 128, in order, and
+    turned into draws as numpy's Generator does (O'Neill's PCG64; Lemire,
+    ACM TOMACS 2019).  A double is the top 53 bits of an output times 2**-53.
+    A 32-bit draw is the low half of an output, and keeps the high half for
+    the next 32-bit draw, as PCG64's ``has_uint32`` buffer does; doubles leave
+    that half alone.  Reading ahead by up to a block is harmless as long as
+    nothing else reads the same bit generator.
+    """
+
+    __slots__ = ("_raw", "_half")
+
+    def __init__(self, stream):
+        bits = np.random.PCG64(stream)
+        self._raw = chain.from_iterable(iter(lambda: bits.random_raw(128).tolist(), None))
+        self._half = None
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is None:
+            raw = next(self._raw)
+            self._half = raw >> 32
+            return raw & 0xFFFFFFFF
+        self._half = None
+        return half
+
+    def random(self) -> float:
+        return (next(self._raw) >> 11) * 2.0 ** -53
+
+    def uniform(self, low, high) -> float:
+        low, high = float(low), float(high)
+        return low + (high - low) * self.random()
+
+    def integers(self, low: int, high: int) -> int:
+        """An int in [low, high): low itself, with no draw, when the span is 1,
+        else Lemire's rejection on 32-bit draws.  numpy takes other paths for
+        spans above 2**32 - 1, so those raise ValueError here."""
+        span = high - low
+        if span == 1:
+            return low
+        if not 1 < span < 2**32:
+            raise ValueError(f"integers: span {span} outside 1..2**32 - 1")
+        product = self._uint32() * span
+        if product & 0xFFFFFFFF < span:
+            threshold = 2**32 % span
+            while product & 0xFFFFFFFF < threshold:
+                product = self._uint32() * span
+        return low + (product >> 32)
+
+
 def generate_request(rng: np.random.Generator, cfg: GeneratorConfig,
                      request_id: str = "request") -> VirtualRequest:
     """Draw one random request; the draw order below is fixed for reproducibility.
@@ -182,6 +239,10 @@ def generate_request(rng: np.random.Generator, cfg: GeneratorConfig,
     mem, then the channel Bernoulli sweep over service pairs in index order,
     then one extra channel from each still-isolated service to a uniformly
     chosen peer so that every service can be placed through a channel.
+
+    Only ``rng.integers(low, high)``, ``rng.random()`` and
+    ``rng.uniform(low, high)`` are called, so ``rng`` is a numpy Generator or
+    the raw PCG64 reader ``iteration_pool`` uses; both give the same request.
     """
     request = VirtualRequest(request_id)
     count = int(rng.integers(cfg.services_min, cfg.services_max + 1))
@@ -270,8 +331,12 @@ def iteration_streams(cfg: SimulationConfig):
 
 
 def iteration_pool(cfg: SimulationConfig, stream) -> list:
-    """The max(loads) requests one iteration draws from its RNG stream."""
-    rng = np.random.default_rng(stream)
+    """The max(loads) requests one iteration draws from its RNG stream.
+
+    The draws read the stream's raw PCG64 output directly, and equal those of
+    ``generate_request(np.random.default_rng(stream), ...)`` request by request.
+    """
+    rng = _PCG64Draws(stream)
     return [generate_request(rng, cfg.generator, f"r{i + 1}")
             for i in range(max(cfg.loads))]
 

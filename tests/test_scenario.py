@@ -25,6 +25,7 @@ from anypath_vne.scenario import (
     RawRow,
     SimulationConfig,
     _mean_std,
+    _PCG64Draws,
     example_fixture,
     generate_request,
     iteration_pool,
@@ -299,6 +300,73 @@ def test_iteration_pool_is_a_prefix_of_any_longer_pool():
     assert len(short_pool) == 3 and len(long_pool) == 200
     assert [request_to_dict(r) for r in long_pool[:3]] \
         == [request_to_dict(r) for r in short_pool]
+
+
+# spans of integers(low, low + span): the draw-free span 1, small ones, the
+# generator's widest (10**6 + 1), one that rejects about half its 32-bit
+# draws (2**31 + 1), and the widest the reader takes (2**32 - 1)
+READER_SPANS = (1, 2, 3, 10, 41, 10**6 + 1, 2**31 + 1, 2**32 - 1)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_raw_pcg64_reader_draws_equal_numpy(seed):
+    stream = np.random.SeedSequence(seed)
+    numpy_rng, reader = np.random.default_rng(stream), _PCG64Draws(stream)
+    script = np.random.default_rng(1000 + seed)
+    for _ in range(400):
+        kind = int(script.integers(0, 3))
+        if kind == 0:
+            low = int(script.integers(-50, 50))
+            span = READER_SPANS[int(script.integers(0, len(READER_SPANS)))]
+            expected = int(numpy_rng.integers(low, low + span))
+            got = reader.integers(low, low + span)
+        elif kind == 1:
+            expected, got = float(numpy_rng.random()), reader.random()
+        else:
+            low = float(script.random())
+            expected = float(numpy_rng.uniform(low, low + 3))
+            got = reader.uniform(low, low + 3)
+        assert type(got) is type(expected) and got == expected
+
+
+def test_raw_pcg64_reader_keeps_the_high_half_across_a_double():
+    # the second integers call reads the half the first one kept, which the
+    # random() call between them must leave alone; the last random() checks
+    # that both sides have read the same number of raw outputs
+    stream = np.random.SeedSequence(77)
+    numpy_rng, reader = np.random.default_rng(stream), _PCG64Draws(stream)
+    assert reader.integers(0, 41) == int(numpy_rng.integers(0, 41))
+    assert reader.random() == float(numpy_rng.random())
+    assert reader.integers(0, 41) == int(numpy_rng.integers(0, 41))
+    assert reader.random() == float(numpy_rng.random())
+
+
+@pytest.mark.parametrize("span", [0, -5, 2**32])
+def test_raw_pcg64_reader_refuses_spans_it_does_not_draw_as_numpy(span):
+    with pytest.raises(ValueError, match="span"):
+        _PCG64Draws(np.random.SeedSequence(1)).integers(10, 10 + span)
+
+
+@pytest.mark.parametrize("generator", [
+    GeneratorConfig(),
+    GeneratorConfig(ordered_pairs=True),
+    GeneratorConfig(services_min=4, services_max=4),
+    GeneratorConfig(gpu_prob=0.0),
+    GeneratorConfig(gpu_prob=1.0),
+    GeneratorConfig(channel_prob=0.0),
+    GeneratorConfig(channel_prob=1.0),
+    GeneratorConfig(pdr_lo=0.7, pdr_hi=0.7),
+    GeneratorConfig(bw_min=0),
+    GeneratorConfig(delay_max=10**6),
+], ids=["default", "ordered_pairs", "fixed_count", "gpu_never", "gpu_always",
+        "channel_never", "channel_always", "fixed_pdr", "bw_from_zero", "widest_delay"])
+def test_iteration_pool_equals_numpy_generator_requests(generator):
+    cfg = SimulationConfig(iterations=2, loads=(60,), seed=21, generator=generator)
+    for stream in iteration_streams(cfg):
+        rng = np.random.default_rng(stream)
+        expected = [request_to_dict(generate_request(rng, generator, f"r{i + 1}"))
+                    for i in range(60)]
+        assert [request_to_dict(r) for r in iteration_pool(cfg, stream)] == expected
 
 
 def test_run_simulation_rows_reproducible_from_pool_prefix():
