@@ -195,6 +195,7 @@ class _PCG64Draws:
 
     def __init__(self, stream):
         bits = np.random.PCG64(stream)
+        # an endless iterator of raw outputs, one random_raw call per block
         self._raw = chain.from_iterable(iter(lambda: bits.random_raw(128).tolist(), None))
         self._half = None
 
