@@ -78,11 +78,12 @@ class Coefficients:
     """Revenue/cost/ordering weights.
 
     alpha and cost_alpha weight node resources in (cpu, gpu, mem) order; beta
-    and cost_beta weight channel bandwidth; gamma weights the reliability over
-    delay quality term used only for ordering.  Every weight is stored as a
-    float.  An alpha that is not a 3-tuple, or a weight that is not a finite
-    number, raises a SchemaError naming the field (``alpha.cpu`` for one
-    resource of an alpha).
+    and cost_beta weight channel bandwidth; gamma weights the quality term, a
+    channel's ``min_pdr / max_delay``, which is used only for ordering, in the
+    one formula that orders both requests and the channels within one.
+    Every weight is stored as a float.  An alpha that is not a 3-tuple, or a
+    weight that is not a finite number, raises a SchemaError naming the field
+    (``alpha.cpu`` for one resource of an alpha).
     """
 
     alpha: tuple = (1.0, 1.0, 1.0)
@@ -180,12 +181,19 @@ class Embedding:
 
 def pair_quality_revenue(channel: Channel, request: VirtualRequest,
                          coeffs: Coefficients) -> float:
-    """Revenue of the two endpoint services and the channel, plus the quality term."""
+    """The quality revenue of the channel as a request of its own.
+
+    It equals (``==``) ``windowing.request_quality_revenue`` of a request that
+    holds only this channel and its two endpoint services: one formula scores
+    both requests and the channel pairs inside them.  The sum is written out
+    here, in the same order, rather than built from such a request, because
+    ``rank_channels`` calls it once per channel.
+    """
     src = request.services[channel.src]
     dst = request.services[channel.dst]
     return (coeffs.node_term(src) + coeffs.node_term(dst)
             + coeffs.beta * channel.bw
-            + coeffs.gamma * channel.min_pdr / channel.max_delay)
+            + coeffs.gamma * (channel.min_pdr / channel.max_delay))
 
 
 def rank_channels(request: VirtualRequest, coeffs: Coefficients) -> list[Channel]:

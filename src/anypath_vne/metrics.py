@@ -75,8 +75,8 @@ def metrics_report(before: SubstrateNetwork, after: SubstrateNetwork,
     """
     if not outcomes:
         raise SchemaError("outcomes", "expected at least one request outcome")
-    if (set(before.nodes) != set(after.nodes)
-            or set(before.links) != set(after.links)):
+    if (before.nodes.keys() != after.nodes.keys()
+            or before.links.keys() != after.links.keys()):
         raise SchemaError("after", "expected a snapshot of the topology of before")
     accepted = total_revenue = total_cost = 0
     hosted = dict.fromkeys(before.nodes, 0)

@@ -232,7 +232,7 @@ class _PCG64Draws:
         return low + (product >> 32)
 
 
-def generate_request(rng: np.random.Generator, cfg: GeneratorConfig,
+def generate_request(rng: np.random.Generator | _PCG64Draws, cfg: GeneratorConfig,
                      request_id: str = "request") -> VirtualRequest:
     """Draw one random request; the draw order below is fixed for reproducibility.
 

@@ -11,7 +11,13 @@ from .netmodel import SchemaError, SubstrateNetwork, VirtualRequest, left_sum
 
 def request_quality_revenue(request: VirtualRequest,
                             coeffs: Coefficients) -> float:
-    """Whole-request revenue plus the summed channel quality term."""
+    """Whole-request revenue plus the summed channel quality term.
+
+    The quality term is ``gamma * (min_pdr / max_delay)`` for one channel and
+    gamma times the left-to-right sum of ``min_pdr / max_delay`` for several.
+    This is the one revenue formula: a channel pair is scored as the request
+    of that pair (``embedder.pair_quality_revenue``).
+    """
     return revenue(request, coeffs) + coeffs.gamma * left_sum(
         c.min_pdr / c.max_delay for c in request.channels)
 

@@ -143,6 +143,11 @@ def test_report_topology_mismatch(example_window):
     with pytest.raises(SchemaError) as info:
         metrics_report(before, other, outcomes, coeffs)
     assert info.value.field == "after"
+    other = before.clone()
+    other.add_link("extra", "n1", "n5", bw=1, delay=1.0, pdr=0.5)
+    with pytest.raises(SchemaError) as info:
+        metrics_report(before, other, outcomes, coeffs)
+    assert info.value.field == "after"
 
 
 def test_report_checks_the_window_before_the_topology(example_net):

@@ -515,6 +515,20 @@ def test_validate_flags_non_integer_capacities(example_net):
     ]
 
 
+def test_validate_flags_negative_and_exceeding_capacities(example_net):
+    example_net.nodes["n1"].cpu = -1
+    gpu0 = example_net.nodes["n3"].gpu0
+    example_net.nodes["n3"].gpu = gpu0 + 1
+    example_net.nodes["n4"].mem0 = -1
+    example_net.links["l2"].bw = -1
+    assert validate_substrate(example_net) == [
+        "node n1: negative cpu capacity",
+        "node n3: available gpu capacity exceeds original",
+        "node n4: negative mem capacity",
+        "link l2: negative bandwidth",
+    ]
+
+
 def test_clone_shares_topology(example_net):
     assert example_net.clone().topology() is example_net.topology()
     assert example_net.clone().clone().topology() is example_net.topology()

@@ -14,6 +14,7 @@ from anypath_vne.embedder import (
     NoFeasiblePathError,
     NoSuitableNodeError,
     embed,
+    pair_quality_revenue,
 )
 from anypath_vne.netmodel import (
     Channel,
@@ -65,6 +66,28 @@ def test_request_quality_revenue_adds_quality_terms_left_to_right():
     assert terms == [1e16, 1.0, 1.0]
     assert math.fsum(terms) == 1.0000000000000002e16
     assert request_quality_revenue(request, Coefficients(gamma=1.0)) == 1e16
+
+
+_weight = st.floats(-1e6, 1e6)
+_demand = st.integers(0, 1000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_weight, _weight, _weight), _weight, _weight,
+       st.tuples(_demand, _demand, _demand), st.tuples(_demand, _demand, _demand),
+       st.integers(0, 1000), st.floats(1e-3, 1e6), st.floats(1e-3, 1.0),
+       st.booleans())
+def test_a_channel_pair_scores_as_the_request_of_that_pair(
+        alpha, beta, gamma, src, dst, bw, max_delay, min_pdr, dst_first):
+    coeffs = Coefficients(alpha=alpha, beta=beta, gamma=gamma)
+    request = VirtualRequest("r")
+    services = [NanoService("s1", *src), NanoService("s2", *dst)]
+    for service in reversed(services) if dst_first else services:
+        request.add_service(service)
+    channel = request.add_channel(Channel("c1", "s1", "s2", bw=bw,
+                                          max_delay=max_delay, min_pdr=min_pdr))
+    assert pair_quality_revenue(channel, request, coeffs) \
+        == request_quality_revenue(request, coeffs)
 
 
 def test_single_request_window_accepted(example):
