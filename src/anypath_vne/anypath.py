@@ -45,8 +45,12 @@ built: on import the module compiles it with ``cc`` into ``__pycache__``
 beside itself, once per source, flags and platform, and loads it with
 ``ctypes``.  The kernel does ``_orient``, ``_sweep`` and
 ``_expected_time`` in one call, with the same floats in the same order.  Its
-heaps hold one entry per node, not ``heapq``'s stale ones, and pop the same
-nodes in the same order; it ranks with a counting sort by link count.  It
+heaps hold one entry per node, not ``heapq``'s stale ones, and each entry
+carries its (cost, index) key; a pop walks the hole at the root down to a
+leaf along the lesser child and then sifts the last entry up from there.  The
+key is a total order, so whatever the heap's shape the least live entry is
+the one ``heapq`` pops next, and the kernel pops the same nodes in the same
+order; it ranks with a counting sort by link count.  It
 reads the topology's typed arrays in place, by address, and writes the
 table's own arrays in its flat layout, so a miss copies no field in Python.
 Without a compiler, or when the build or the load fails, ``_orient`` and

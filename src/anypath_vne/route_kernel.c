@@ -6,11 +6,15 @@
  * place, and it must give the same table float for float and tie for tie:
  *
  *   - both Dijkstras keep one heap entry per node, keyed on (cost, node
- *     index), a total order.  heapq's live entries are exactly (cost[u], u)
+ *     index), a total order.  An entry carries its key, copied in when the
+ *     node is inserted or repriced, and a pop walks the hole at the root down
+ *     to a leaf along the lesser child, then sifts the last entry up from
+ *     there (Floyd, CACM 1964).  heapq's live entries are exactly (cost[u], u)
  *     for the unsettled nodes it has reached, and no popped node is updated
- *     again (in orient, d + w >= d; in the sweep, a settled node is skipped),
- *     so popping the least of them pops heapq's sequence without its stale
- *     entries;
+ *     again (in orient, d + w >= d; in the sweep, a settled node is skipped).
+ *     The least entry of a total order is unique, whatever the heap's shape,
+ *     so each pop takes heapq's next live entry and the kernel pops heapq's
+ *     sequence without its stale entries;
  *   - every float is computed with the Python kernel's operations in the
  *     Python kernel's order, and the build passes -ffp-contract=off, so no
  *     multiply-add is fused;
@@ -34,44 +38,66 @@
 #define ROUTE_NAN (-1)
 #define ROUTE_NO_MEMORY (-2)
 
-/* A binary min-heap of node indices on (key[node], node): slot[] holds the
- * heap and pos[v] is v's place in it, or -1 when v is not in it. */
-typedef struct { int *slot, *pos, size; const double *key; } heap;
+/* A binary min-heap of nodes on (key, node), a total order.  An entry carries
+ * its node's key, copied in by update, so a comparison reads one entry, not
+ * key[] through slot[]; pos[v] is v's place in slot[], or -1 when v is not
+ * in it. */
+typedef struct { double key; int node; } entry;
+typedef struct { entry *slot; int *pos, size; const double *key; } heap;
 
-static int before(const heap *h, int a, int b)
+static int before(entry a, entry b)
 {
-    return h->key[a] < h->key[b] || (h->key[a] == h->key[b] && a < b);
+    return (a.key < b.key) | ((a.key == b.key) & (a.node < b.node));
 }
 
-/* Insert v, or move it after its key rose or fell. */
+/* Fill hole i with e, after moving down the parents that e goes before. */
+static void sift_up(heap *h, int i, entry e)
+{
+    for (int parent; i > 0 && before(e, h->slot[parent = (i - 1) / 2]); i = parent) {
+        h->slot[i] = h->slot[parent];
+        h->pos[h->slot[i].node] = i;
+    }
+    h->slot[i] = e;
+    h->pos[e.node] = i;
+}
+
+/* Insert v, or move it after its key fell (up) or rose (down). */
 static void update(heap *h, int v)
 {
-    int i = h->pos[v] < 0 ? h->size++ : h->pos[v], child;
-    while (i > 0 && before(h, v, h->slot[(i - 1) / 2])) {
-        h->slot[i] = h->slot[(i - 1) / 2];
-        h->pos[h->slot[i]] = i;
-        i = (i - 1) / 2;
+    entry e = {h->key[v], v};
+    int i = h->pos[v], child;
+    if (i < 0 || before(e, h->slot[i])) {
+        sift_up(h, i < 0 ? h->size++ : i, e);
+        return;
     }
-    while ((child = 2 * i + 1) < h->size) {
-        if (child + 1 < h->size && before(h, h->slot[child + 1], h->slot[child]))
-            child++;
-        if (!before(h, h->slot[child], v))
+    for (; (child = 2 * i + 1) < h->size; i = child) {
+        child += child + 1 < h->size && before(h->slot[child + 1], h->slot[child]);
+        if (!before(h->slot[child], e))
             break;
         h->slot[i] = h->slot[child];
-        h->pos[h->slot[i]] = i;
-        i = child;
+        h->pos[h->slot[i].node] = i;
     }
-    h->slot[i] = v;
+    h->slot[i] = e;
     h->pos[v] = i;
 }
 
+/* Floyd's pop: walk the hole at the root down to a leaf along the lesser
+ * child, one comparison a level, then sift the last entry up from there. */
 static int pop(heap *h)
 {
-    int top = h->slot[0], last = h->slot[--h->size];
-    if (h->size) {
-        h->pos[last] = 0;
-        update(h, last);
+    int top = h->slot[0].node, i = 0, child;
+    entry last = h->slot[--h->size];
+    for (; (child = 2 * i + 2) < h->size; i = child) {
+        child -= before(h->slot[child - 1], h->slot[child]);
+        h->slot[i] = h->slot[child];
+        h->pos[h->slot[i].node] = i;
     }
+    if (child == h->size) {    /* a left child alone */
+        h->slot[i] = h->slot[--child];
+        h->pos[h->slot[i].node] = i;
+        i = child;
+    }
+    sift_up(h, i, last);
     h->pos[top] = -1;
     return top;
 }
@@ -116,7 +142,8 @@ int route_table(int n, int n_links, const int *adj_off, const int *adj_link,
     int *inc_len = calloc(n, sizeof *inc_len);
     int *incoming = malloc((adj_off[n] + 1) * sizeof *incoming);
     char *settled = calloc(n, 1);
-    int *slot = malloc(n * sizeof *slot), *pos = malloc(n * sizeof *pos);
+    entry *slot = malloc(n * sizeof *slot);
+    int *pos = malloc(n * sizeof *pos);
     uint64_t *masks = malloc((size_t)n * words * sizeof *masks + 1);
     int *links = malloc(n * sizeof *links);
     int *first = calloc(n_links + 1, sizeof *first);
@@ -215,7 +242,9 @@ int route_table(int n, int n_links, const int *adj_off, const int *adj_link,
         ranked[first[links[order[i]]]++] = order[i];
     for (int i = 1; i < reached; i++) {
         int v = ranked[i], j = i;
-        for (; j > 0 && links[ranked[j - 1]] == links[v] && before(&h, v, ranked[j - 1]); j--)
+        entry e = {cost[v], v};
+        for (; j > 0 && links[ranked[j - 1]] == links[v]
+               && before(e, (entry){cost[ranked[j - 1]], ranked[j - 1]}); j--)
             ranked[j] = ranked[j - 1];
         ranked[j] = v;
     }

@@ -188,6 +188,45 @@ def test_flat_layout_on_tie_prone_substrates(build, net):
             assert_flat_layout(build(net, dst, bw), helpers.table(net, dst, bw))
 
 
+def grid_net(side: int) -> SubstrateNetwork:
+    """A side x side grid whose links all have delay 1.0 and pdr 0.5, so
+    whole wavefronts tie on cost; every third link has bw 1, the rest 10."""
+    net = SubstrateNetwork()
+    for i in range(side * side):
+        net.add_node(f"n{i + 1}", 1, 1, 1)
+    pairs = [(i, i + 1) for i in range(side * side) if (i + 1) % side] \
+        + [(i, i + side) for i in range(side * (side - 1))]
+    for k, (a, b) in enumerate(pairs, 1):
+        net.add_link(f"l{k}", f"n{a + 1}", f"n{b + 1}", bw=1 if k % 3 == 0 else 10,
+                     delay=1.0, pdr=0.5)
+    return net
+
+
+def tied_random_net(seed: int, nodes: int = 300) -> SubstrateNetwork:
+    """A random spanning tree of nodes nodes and 2 * nodes more links with
+    independently drawn ends, delays in {1, 2} and pdrs in {0.5, 1.0}."""
+    rng = random.Random(seed)
+    net = SubstrateNetwork()
+    for i in range(1, nodes + 1):
+        net.add_node(f"n{i}", 1, 1, 1)
+    for k in range(1, 3 * nodes):
+        a = k + 1 if k < nodes else rng.randrange(1, nodes + 1)
+        b = rng.randrange(1, a) if k < nodes else rng.randrange(1, nodes + 1)
+        net.add_link(f"l{k}", f"n{a}", f"n{b}", bw=rng.choice((1, 10)),
+                     delay=rng.choice((1.0, 2.0)), pdr=rng.choice((0.5, 1.0)))
+    return net
+
+
+@pytest.mark.parametrize("net", [grid_net(20), tied_random_net(1)], ids=["grid", "random"])
+def test_deep_heaps_with_equal_keys(kernel, net):
+    # hundreds of nodes keep a heap of several levels, so pops walk long
+    # paths to a leaf and sift up among entries whose costs tie
+    dsts = random.Random(len(net.nodes)).sample(sorted(net.nodes), 12)
+    for dst in dsts:
+        assert len(assert_same_table(kernel, net, dst, 0).settle_order) == len(net.nodes)
+        assert_same_table(kernel, net, dst, 5)
+
+
 def test_compiled_table_of_large_substrate_is_compact(kernel):
     # a random spanning tree of 1000 nodes and 2001 more random links, so
     # every node is reached
