@@ -16,13 +16,14 @@ its cache on it, so every clone reuses the tables of the others.
 
 Link bandwidth changes only through ``reserve_channel`` and ``rollback``.
 ``SubstrateNetwork.eligible_links`` memoises, per bandwidth, which links have
-at least that much spare; the memo belongs to a capacity state, not to one
-network object.  ``clone`` hands the copy the same memo dict, so a substrate
-and all its untouched clones scan their links once per bandwidth.  A
-reservation or rollback that changes link bandwidth gives that network a
-patched copy of the memo, with a byte flipped wherever a changed link crossed
-an entry's bandwidth, and leaves the shared one alone; so a network scans each
-bandwidth at most once until ``add_link`` gives it an empty memo.
+at least that much spare, under one rule: a network shares its memo dict with
+the network it was cloned from and with its own clones until its link
+bandwidth changes.  Then ``_patch_eligible`` gives it a copy in which an entry
+is rebuilt only where a changed link's byte differs from its bandwidth now,
+and ``add_link`` gives it an empty one.  No entry of a shared dict is ever
+changed or removed, so clones may fill it from other threads.  A substrate
+and its untouched clones thus scan their links once per bandwidth between
+them, and a network scans each bandwidth at most once until ``add_link``.
 """
 
 from __future__ import annotations
@@ -378,11 +379,8 @@ class SubstrateNetwork:
     def eligible_links(self, bw: int) -> bytes:
         """Byte k is 1 when topology link k has at least bw spare bandwidth, else 0.
 
-        Memoised per bandwidth.  The memo dict is shared with clones and
-        only ever grows by identical values, so no entry in it is changed
-        or removed: a change of link bandwidth gives this network a patched
-        copy (``_patch_eligible``) and ``add_link`` an empty one.  A bw that
-        is not an int count raises a SchemaError.
+        Memoised per bandwidth under the module's memo rule.  A bw that is
+        not an int count raises a SchemaError.
         """
         memo = self._eligible
         eligible = memo.get(bw) if type(bw) is int else None
@@ -471,8 +469,8 @@ def reserve_channel(net: SubstrateNetwork, link_ids: Iterable[str],
     """Debit bw once from each distinct link of the route, in the order given;
     a bad bw, a bare string or a bad link id raises a SchemaError before any debit.
 
-    The network's eligible-links memo is patched for the debited links; with
-    no link or a zero bw no bandwidth changes, so it is not looked at.
+    With no link or a zero bw no bandwidth changes; otherwise the debited
+    links have changed, and the memo is patched for them.
     """
     _check("bw", bw, int, 0, _HUGE)
     if isinstance(link_ids, str):   # not read as one-character ids
@@ -492,16 +490,26 @@ def reserve_channel(net: SubstrateNetwork, link_ids: Iterable[str],
         net.links[link_id].bw -= bw
         ledger.append(("link", link_id, bw))
     if link_ids and bw:
-        _patch_eligible(net, {link_id: net.links[link_id].bw + bw for link_id in link_ids})
+        _patch_eligible(net, link_ids)
 
 
 def rollback(net: SubstrateNetwork, ledger: list) -> None:
     """Undo the records of the ledger list in reverse order and empty it.
 
-    Like ``reserve_channel``, it patches the network's eligible-links memo
-    for the links whose bandwidth it restores.
+    A record that is not ``("node", node id, cpu, gpu, mem)`` or ``("link",
+    link id, bw)``, with an id of net and non-negative int amounts, raises a
+    SchemaError naming its position before anything changes, and the list
+    is kept.  A record that credits more than was debited is not refused
+    here: ``embed`` rolls back its own ledger when it fails, and that must
+    never be refused, so ``validate_substrate`` reports a capacity above its
+    original instead.  The links credited a non-zero amount have changed,
+    and the memo is patched for them.
     """
-    before = {}   # link id -> its bandwidth before the first record of it
+    for i, record in enumerate(ledger):
+        if not _is_record(net, record):
+            raise SchemaError("ledger", f"record {i}: expected a node or link record "
+                              f"of the network, got {_shown(record)}")
+    credited = set()
     for record in reversed(ledger):
         if record[0] == "node":
             _, node_id, dcpu, dgpu, dmem = record
@@ -511,39 +519,39 @@ def rollback(net: SubstrateNetwork, ledger: list) -> None:
             node.mem += dmem
         else:
             _, link_id, dbw = record
-            link = net.links[link_id]
-            before.setdefault(link_id, link.bw)
-            link.bw += dbw
-    if before:
-        _patch_eligible(net, before)
+            net.links[link_id].bw += dbw
+            if dbw:
+                credited.add(link_id)
+    if credited:
+        _patch_eligible(net, credited)
     ledger.clear()
 
 
-def _patch_eligible(net: SubstrateNetwork, before: dict) -> None:
-    """Bring the network's eligible-links memo up to date after link bandwidth
-    changed; before maps each changed link id to its bandwidth before.
+def _is_record(net: SubstrateNetwork, record) -> bool:
+    """Whether record is a ledger record of net, as ``rollback`` takes it."""
+    shape = (record[0], len(record)) if (type(record) is tuple and record
+                                         and type(record[0]) is str) else None
+    store = {("node", 5): net.nodes, ("link", 3): net.links}.get(shape)
+    return (store is not None and isinstance(record[1], str) and record[1] in store
+            and all(_is_int(amount) and amount >= 0 for amount in record[2:]))
 
-    Nothing is done when no link's bandwidth differs from before.  Otherwise
-    the network gets a copy of its memo, which clones may share and fill
-    from other threads: an entry for bw is rebuilt, with the crossing bytes
-    set, only where a link went from below bw to at least bw or back, and
-    every other entry stays the same ``bytes`` object.
+
+def _patch_eligible(net: SubstrateNetwork, link_ids) -> None:
+    """Give the network its own copy of its eligible-links memo after the
+    bandwidth of the links link_ids changed, by the module's memo rule: an
+    entry for bw is rebuilt only where such a link's byte differs from
+    ``link.bw >= bw`` now, and every other entry stays the same ``bytes``.
     """
-    links = net.links
-    changed = [(link_id, old, links[link_id].bw) for link_id, old in before.items()
-               if links[link_id].bw != old]
-    if not changed:
-        return
     memo = net._eligible.copy()
     if memo:
-        index = net.topology().link_index
+        index, links = net.topology().link_index, net.links
+        changed = [(index[link_id], links[link_id].bw) for link_id in link_ids]
         for bw, eligible in memo.items():
-            flips = [(index[link_id], new >= bw) for link_id, old, new in changed
-                     if (old >= bw) != (new >= bw)]
+            flips = [k for k, new in changed if eligible[k] != (new >= bw)]
             if flips:
                 patched = bytearray(eligible)
-                for k, byte in flips:
-                    patched[k] = byte
+                for k in flips:
+                    patched[k] ^= 1
                 memo[bw] = bytes(patched)
     net._eligible = memo
 

@@ -300,6 +300,52 @@ def test_rollback_empty_ledger_is_noop(example_net):
     assert example_net.snapshot() == before
 
 
+@pytest.mark.parametrize("record", [
+    ("node", "nope", 1, 1, 1),
+    ("link", "nope", 1),
+    ("x",),
+    (),
+    ["link", "l1", 5],
+    ("node", "n1", 1, 1),
+    ("link", "l1", 5, 0),
+    ("link", "n1", 5),
+    ("node", "l1", 1, 1, 1),
+    ("link", ["l1"], 5),
+    ("link", "l1", -5),
+    ("link", "l1", 1.0),
+    ("link", "l1", True),
+    ("node", "n1", 0, None, 0),
+    None,
+])
+def test_rollback_refuses_a_malformed_record_before_changing_anything(
+        example_net, record):
+    # a valid record precedes the bad one, so a check that ran as records
+    # were undone would already have credited n1 or l1
+    ledger = []
+    reserve_service(example_net, "n1", NanoService("s", cpu=5), ledger)
+    reserve_channel(example_net, ["l1"], 10, ledger)
+    memo = example_net._eligible
+    before, records = example_net.snapshot(), list(ledger)
+    ledger.append(record)
+    with pytest.raises(SchemaError) as info:
+        rollback(example_net, ledger)
+    assert info.value.field == "ledger"
+    assert info.value.detail.startswith("record 2:")
+    assert example_net.snapshot() == before
+    assert example_net._eligible is memo
+    assert ledger == records + [record]
+
+
+def test_rollback_leaves_an_over_credit_to_validate_substrate(example_net):
+    # a forged record is well formed, so rollback applies it; embed's own
+    # rollback must never be refused, and the excess is validate_substrate's
+    cpu0 = example_net.nodes["n1"].cpu0
+    rollback(example_net, [("node", "n1", 1, 0, 0)])
+    assert example_net.nodes["n1"].cpu == cpu0 + 1
+    assert validate_substrate(example_net) == [
+        "node n1: available cpu capacity exceeds original"]
+
+
 def test_natural_key_orders_numeric_suffixes():
     ids = ["n10", "n2", "n1", "l20", "l3", "n", "n1a2", "n1a"]
     assert sorted(ids, key=natural_key) \
@@ -626,38 +672,59 @@ def test_eligible_links_memo_matches_a_fresh_scan(seed):
     rng = np.random.default_rng(9100 + seed)
     nets = [random_substrate(rng, max_nodes=7, connected=seed % 2 == 0)]
     ledgers = [[]]   # per net, the ledgers that can still be rolled back
+    # per net, the memo dict it was given, until its link bandwidth may have
+    # changed; a clone that reserved no link still holds its source's
+    shared = [nets[0]._eligible]
     seen = {0}
+
+    def check(net):
+        # fill the memo for a random bandwidth before checking them all, so
+        # later steps meet memos filled at different points
+        net.eligible_links(int(rng.choice(sorted(seen))))
+        for other, memo in zip(nets, shared):
+            # every entry, also those patched by the step and not asked for since
+            assert other._eligible == {bw: _scan(other, bw) for bw in other._eligible}
+            for bw in seen:
+                assert other.eligible_links(bw) == _scan(other, bw)
+            assert memo is None or other._eligible is memo
+
     for _ in range(40):
         i = int(rng.integers(len(nets)))
         net = nets[i]
         step = int(rng.integers(4))
         if step == 0:
+            shared.append(net._eligible)
             nets.append(net.clone())
             ledgers.append([])
         elif step == 1:
             try:
                 embedding = embed(net, random_request(rng), Coefficients())
             except EmbeddingError:
-                pass
+                shared[i] = None   # it may have reserved and rolled back
             else:
                 ledgers[i].append(embedding.ledger)
+                if any(record[0] == "link" and record[2] for record in embedding.ledger):
+                    shared[i] = None
         elif step == 2 and net.links:
             lid = list(net.links)[int(rng.integers(len(net.links)))]
             ledger = []
-            reserve_channel(net, [lid], int(rng.integers(net.links[lid].bw + 1)),
-                            ledger)
+            bw = int(rng.integers(net.links[lid].bw + 1))
+            reserve_channel(net, [lid], bw, ledger)
             ledgers[i].append(ledger)
+            if bw:
+                shared[i] = None
         elif ledgers[i]:
-            rollback(net, ledgers[i].pop(int(rng.integers(len(ledgers[i])))))
+            # roll back the two parts of a ledger in random order, each
+            # part a capacity state of its own
+            ledger = ledgers[i].pop(int(rng.integers(len(ledgers[i]))))
+            cut = int(rng.integers(len(ledger) + 1))
+            parts = [ledger[:cut], ledger[cut:]]
+            for k in rng.permutation(2):
+                rollback(net, parts[k])
+                check(net)
         seen.add(int(rng.integers(0, 101)))
-        # fill the memo for a random bandwidth before checking them all, so
-        # later steps meet memos filled at different points
-        net.eligible_links(int(rng.choice(sorted(seen))))
-        for other in nets:
-            # every entry, also those patched by the step and not asked for since
-            assert other._eligible == {bw: _scan(other, bw) for bw in other._eligible}
-            for bw in seen:
-                assert other.eligible_links(bw) == _scan(other, bw)
+        check(net)
+    assert any(memo is not None for memo in shared[1:])
 
 
 def _two_link_net() -> SubstrateNetwork:

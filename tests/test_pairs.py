@@ -119,3 +119,27 @@ def test_gate_is_unresolved_when_the_parent_spreads_wider_than_the_bound():
     assert table["w.noisy"].endswith(" ok")
     assert "spread 5.0%," in table["w.tight"] and table["w.tight"].endswith(" WORSE")
     assert "UNRESOLVED" not in table["w.clear"]
+
+
+def test_opcount_output_is_parsed_into_counts_per_input():
+    pairs = _pairs_module()
+    text = ("kernel c\n"
+            "chain-1000 embed 6088 opcodes 0 table misses 0 kernel calls "
+            "0 eligible-link scans\n"
+            "spread-240 10 requests 137822 opcodes 20 table misses 20 kernel calls "
+            "9 eligible-link scans\n")
+    assert pairs.parse_opcount(text) == {
+        "kernel": "c",
+        "chain-1000 embed": {"opcodes": 6088, "table_misses": 0, "kernel_calls": 0,
+                             "eligible_link_scans": 0},
+        "spread-240 10 requests": {"opcodes": 137822, "table_misses": 20,
+                                   "kernel_calls": 20, "eligible_link_scans": 9},
+    }
+    assert pairs.parse_opcount("") == {}
+    # a count line of another shape is refused, not dropped
+    with pytest.raises(ValueError, match="not an opcount line"):
+        pairs.parse_opcount("chain-1000 embed 6088 opcodes\n")
+
+
+def test_a_tree_without_opcount_records_none(tmp_path):
+    assert _pairs_module().run_opcount(tmp_path) is None

@@ -1,8 +1,8 @@
 """Static checks of the package source with ``ast``, in place of a linter:
 every import is used, every module-level private name is referenced,
 nodes and links are put in natural-key order in one place only, no
-per-channel step sorts by natural key, and floats are never added with the
-builtin ``sum``."""
+per-channel step sorts by natural key, floats are never added with the
+builtin ``sum``, and only ``netmodel`` touches the eligible-link memo."""
 
 import ast
 from collections import Counter
@@ -132,3 +132,26 @@ def test_builtin_sum_adds_only_integers():
         ("metrics.py", "cost"): 1,
         ("scenario.py", "run_simulation"): 1,
     })
+
+
+def _identifiers(tree) -> set:
+    """Every name, attribute, imported name and string constant in a module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.asname or node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_only_netmodel_touches_the_eligible_link_memo():
+    # the memo is the one mutable state clones share, and netmodel keeps its
+    # rule in one place: other modules read it through eligible_links only
+    owners = {module for module, tree in TREES.items()
+              if _identifiers(tree) & {"_eligible", "_patch_eligible"}}
+    assert owners == {"netmodel.py"}

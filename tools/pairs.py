@@ -17,6 +17,8 @@ direction is its ``better`` in ``BENCHMARK.json``.  An end-to-end metric also
 gets the gate: the relative change of the medians, whether it is within the
 metric's ``bound``, and whether it is unresolved, which is when the parent's
 own spread is wider than the bound; the gate is printed as a table too.
+Before the pairs, ``tools/opcount.py`` runs once in each tree, and its
+counts are kept under ``"opcount"``, ``null`` for a tree without the tool.
 Only the standard library is used.
 """
 
@@ -27,6 +29,7 @@ import json
 import math
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -35,6 +38,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# a count line of tools/opcount.py
+_COUNTS = re.compile(r"(?P<input>.+?) (?P<opcodes>\d+) opcodes (?P<table_misses>\d+) "
+                     r"table misses (?P<kernel_calls>\d+) kernel calls "
+                     r"(?P<eligible_link_scans>\d+) eligible-link scans")
 
 
 def directions(benchmark: dict) -> dict:
@@ -143,6 +150,36 @@ def run_bench(tree: Path, seed: int, seconds: float) -> tuple[dict, dict]:
     return {name: body["value"] for name, body in result["metrics"].items()}, scales
 
 
+def parse_opcount(text: str) -> dict:
+    """tools/opcount.py's output as {"kernel": name, input: {count name: n}};
+    a line it does not recognise raises ValueError."""
+    counts = {}
+    for line in text.splitlines():
+        match = _COUNTS.fullmatch(line)
+        if match:
+            counts[match["input"]] = {name: int(value) for name, value
+                                      in match.groupdict().items() if name != "input"}
+        elif line.startswith("kernel "):
+            counts["kernel"] = line.split(" ", 1)[1]
+        else:
+            raise ValueError(f"not an opcount line: {line!r}")
+    return counts
+
+
+def run_opcount(tree: Path) -> dict | None:
+    """The parsed counts of one ``tools/opcount.py`` run in tree, or None
+    when the tree has no such tool."""
+    if not (tree / "tools" / "opcount.py").is_file():
+        return None
+    child = subprocess.run([sys.executable, "tools/opcount.py"], cwd=tree,
+                           env={**os.environ, "PYTHONPATH": "src"},
+                           capture_output=True, text=True)
+    if child.returncode != 0:
+        sys.exit(f"tools/opcount.py failed in {tree} (exit {child.returncode}):\n"
+                 f"{child.stderr}")
+    return parse_opcount(child.stdout)
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                           capture_output=True, text=True).stdout.strip()
@@ -170,6 +207,7 @@ def main(argv=None) -> int:
                                      check=True, capture_output=True).stdout
             subprocess.run(["tar", "-x", "-C", str(trees[side])], input=archive,
                            check=True)
+        opcount = {side: run_opcount(trees[side]) for side in SIDES}
         for seed in range(1, args.pairs + 1):
             order = SIDES if seed % 2 else SIDES[::-1]
             pair = {"seed": seed, "first": order[0], "scale": {}}
@@ -181,8 +219,8 @@ def main(argv=None) -> int:
     summary = summarize(pairs, directions(benchmark), bounds(benchmark))
     report = {"parent": refs["parent"], "change": refs["change"],
               "seconds": args.seconds, "nproc": os.cpu_count(),
-              "python": platform.python_version(), "pairs": pairs,
-              "summary": summary}
+              "python": platform.python_version(), "opcount": opcount,
+              "pairs": pairs, "summary": summary}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     print(gate_table(summary))
     return 0
