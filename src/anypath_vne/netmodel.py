@@ -496,15 +496,18 @@ def reserve_channel(net: SubstrateNetwork, link_ids: Iterable[str],
 def rollback(net: SubstrateNetwork, ledger: list) -> None:
     """Undo the records of the ledger list in reverse order and empty it.
 
-    A record that is not ``("node", node id, cpu, gpu, mem)`` or ``("link",
-    link id, bw)``, with an id of net and non-negative int amounts, raises a
-    SchemaError naming its position before anything changes, and the list
-    is kept.  A record that credits more than was debited is not refused
-    here: ``embed`` rolls back its own ledger when it fails, and that must
-    never be refused, so ``validate_substrate`` reports a capacity above its
-    original instead.  The links credited a non-zero amount have changed,
-    and the memo is patched for them.
+    A ledger that is not a list, or a record that is not ``("node", node id,
+    cpu, gpu, mem)`` or ``("link", link id, bw)`` with an id of net and
+    non-negative int amounts, raises a SchemaError before anything changes;
+    a bad record's message gives its position, and the list is kept.  A
+    record that credits more than was debited is not refused here: ``embed``
+    rolls back its own ledger when it fails, and that must never be refused,
+    so ``validate_substrate`` reports a capacity above its original instead.
+    The links credited a non-zero amount have changed, and the memo is
+    patched for them.
     """
+    if not isinstance(ledger, list):
+        raise SchemaError("ledger", f"expected a list, got {_shown(ledger)}")
     for i, record in enumerate(ledger):
         if not _is_record(net, record):
             raise SchemaError("ledger", f"record {i}: expected a node or link record "

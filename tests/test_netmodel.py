@@ -336,6 +336,17 @@ def test_rollback_refuses_a_malformed_record_before_changing_anything(
     assert ledger == records + [record]
 
 
+@pytest.mark.parametrize("kind", [tuple, iter])
+def test_rollback_refuses_a_ledger_that_is_not_a_list(example_net, kind):
+    ledger = []
+    reserve_channel(example_net, ["l1"], 10, ledger)
+    before = example_net.snapshot()
+    with pytest.raises(SchemaError) as info:
+        rollback(example_net, kind(ledger))
+    assert info.value.field == "ledger"
+    assert example_net.snapshot() == before
+
+
 def test_rollback_leaves_an_over_credit_to_validate_substrate(example_net):
     # a forged record is well formed, so rollback applies it; embed's own
     # rollback must never be refused, and the excess is validate_substrate's
